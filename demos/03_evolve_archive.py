@@ -3,9 +3,11 @@
 Runs a short environment-diversity evolution (candidates evaluated in
 randomly perturbed environments, binned by the environment index) and a
 hand-coded-descriptor baseline (always evaluated in the normal environment),
-then prints their coverage/performance curves. Scaled far below the
-full-scale preset so it finishes in about a minute; raise the numbers for
-real runs.
+then prints their coverage/performance curves. Both archives are
+`qdswarm.Archive` instances: `Archive.qed()` indexes the 4^6 environment
+grid, `Archive.hbd()` the 16^3 hand-coded descriptor grid. Scaled far below
+the full-scale preset so it finishes in about a minute; raise the numbers
+for real runs.
 """
 
 from qdswarm import EvolutionConfig, evolve
@@ -32,7 +34,10 @@ for algorithm in ("qed", "hbd"):
     best = archive_best(result.archive)
     print(f"  best elite: performance {best.performance:.4f} "
           f"({best.genome.hidden} hidden, {len(best.genome.connections)} connections)")
-    # elitism: replacements only ever improve a cell
+    # elitism: replacements only ever improve a cell, and an equal score
+    # never displaces the incumbent
     for event in result.events:
         assert event.previous is None or event.performance > event.previous
+    key = result.archive.key_of(best.descriptor)
+    assert result.archive.cells[key] is best and not result.archive.insert(best)
 print("\nper-cell performance traces are non-decreasing (elitism verified)")

@@ -8,14 +8,12 @@ and the statistics used to quantify fault recovery.
 """
 
 from .archive import (
-    CvtArchive,
+    Archive,
     Elite,
-    GridArchive,
     generate_cvt_centroids,
     load_archive,
     nearest_centroid,
     save_archive,
-    try_insert,
 )
 from .descriptors import (
     compute_hbd,

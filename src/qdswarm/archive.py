@@ -1,16 +1,16 @@
 """Behaviour-performance archives: fixed grids and CVT tessellations.
 
-Both archive kinds hold at most one elite per cell and only replace an
-incumbent on a strict performance improvement. Grid archives serve the
+One archive class holds at most one elite per cell and only replaces an
+incumbent on a strict performance improvement. Grid indexing serves the
 hand-coded descriptor (16^3 bins) and the environment descriptor (4^6 bins);
-CVT archives partition higher-dimensional descriptor spaces into 4096 cells
+CVT indexing partitions higher-dimensional descriptor spaces into 4096 cells
 around k-means centroids.
 """
 
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class Elite:
     performance: float
     descriptor: object = None
     env: EnvironmentSpec = None
-    seeds: Optional[tuple[int, ...]] = None
 
 
 def hbd_bins(descriptor) -> tuple[int, ...]:
@@ -43,27 +42,47 @@ def hbd_bins(descriptor) -> tuple[int, ...]:
     return tuple(int(min(HBD_BINS - 1, max(0, np.floor(v * HBD_BINS)))) for v in d)
 
 
-@dataclass
-class GridArchive:
-    """Sparse fixed-resolution archive keyed by flattened bin index."""
+def qed_bins(index) -> tuple[int, ...]:
+    """An environment descriptor is already its per-attribute level indices."""
+    return tuple(int(i) for i in index)
 
-    dims: tuple[int, ...]
-    binner: callable
+
+@dataclass
+class Archive:
+    """Sparse archive holding at most one elite per cell.
+
+    A descriptor maps to its cell key either through a fixed grid (`binner`
+    then row-major flattening over `dims`) or, when `centroids` is set,
+    through the nearest centroid. Build one with :meth:`hbd`, :meth:`qed`
+    or :meth:`cvt`.
+    """
+
+    dims: tuple[int, ...] = ()
+    binner: Optional[Callable] = None
+    centroids: Optional[np.ndarray] = None
     cells: dict[int, Elite] = field(default_factory=dict)
 
     @classmethod
-    def hbd(cls) -> "GridArchive":
+    def hbd(cls) -> "Archive":
         return cls(dims=(HBD_BINS,) * 3, binner=hbd_bins)
 
     @classmethod
-    def qed(cls) -> "GridArchive":
-        return cls(dims=(N_LEVELS,) * 6, binner=lambda idx: tuple(int(i) for i in idx))
+    def qed(cls) -> "Archive":
+        return cls(dims=(N_LEVELS,) * 6, binner=qed_bins)
+
+    @classmethod
+    def cvt(cls, centroids) -> "Archive":
+        return cls(centroids=np.asarray(centroids, dtype=float))
 
     @property
     def capacity(self) -> int:
+        if self.centroids is not None:
+            return len(self.centroids)
         return int(np.prod(self.dims))
 
     def key_of(self, descriptor) -> int:
+        if self.centroids is not None:
+            return nearest_centroid(descriptor, self.centroids)
         bins = self.binner(descriptor)
         if len(bins) != len(self.dims):
             raise ValueError("descriptor dimensionality mismatch")
@@ -75,6 +94,7 @@ class GridArchive:
         return key
 
     def try_insert(self, key: int, elite: Elite) -> bool:
+        """Place `elite` at `key` on a strict improvement; incumbents win ties."""
         incumbent = self.cells.get(key)
         if incumbent is None or elite.performance > incumbent.performance:
             self.cells[key] = elite
@@ -87,41 +107,6 @@ class GridArchive:
     @property
     def coverage(self) -> int:
         return len(self.cells)
-
-
-@dataclass
-class CvtArchive:
-    """Archive keyed by the nearest of k fixed centroids."""
-
-    centroids: np.ndarray
-    cells: dict[int, Elite] = field(default_factory=dict)
-
-    @property
-    def capacity(self) -> int:
-        return len(self.centroids)
-
-    def key_of(self, descriptor) -> int:
-        return nearest_centroid(descriptor, self.centroids)
-
-    def try_insert(self, key: int, elite: Elite) -> bool:
-        incumbent = self.cells.get(key)
-        if incumbent is None or elite.performance > incumbent.performance:
-            self.cells[key] = elite
-            return True
-        return False
-
-    def insert(self, elite: Elite) -> bool:
-        return self.try_insert(self.key_of(elite.descriptor), elite)
-
-    @property
-    def coverage(self) -> int:
-        return len(self.cells)
-
-
-def try_insert(archive, elite: Elite) -> bool:
-    """Insert `elite` at the cell its descriptor maps to; strict improvement
-    only, incumbents win ties."""
-    return archive.insert(elite)
 
 
 def archive_best(archive) -> Elite:
@@ -152,34 +137,6 @@ def sample_simplex_blocks(rng, count: int, dim: int, block: int = 16) -> np.ndar
     draws = rng.exponential(1.0, size=(count, dim // block, block))
     draws /= draws.sum(axis=2, keepdims=True)
     return draws.reshape(count, dim)
-
-
-def _kmeans_pp_init(points, k, rng) -> np.ndarray:
-    """Classic k-means++ seeding. O(k n d): prohibitive for k ~ 4096 in high
-    dimension, kept for small problems and comparisons."""
-    n = len(points)
-    norms = (points**2).sum(axis=1)
-    centroids = np.empty((k, points.shape[1]))
-    first = int(rng.integers(0, n))
-    centroids[0] = points[first]
-    d2 = np.maximum(norms - 2.0 * (points @ centroids[0]) + norms[first], 0.0)
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(0, n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[i] = points[idx]
-        cnorm = (centroids[i] ** 2).sum()
-        d2 = np.minimum(d2, np.maximum(norms - 2.0 * (points @ centroids[i]) + cnorm, 0.0))
-    return centroids
-
-
-def _subset_init(points, k, rng) -> np.ndarray:
-    """Uniform distinct-subset seeding; on the uniform clouds used for CVT
-    construction this matches k-means++ quality at a fraction of the cost."""
-    idx = rng.choice(len(points), size=k, replace=False)
-    return points[np.sort(idx)].copy()
 
 
 def _assign(points, centroids, chunk: int = 2048) -> np.ndarray:
@@ -215,16 +172,13 @@ def generate_cvt_centroids(
     max_iter: int = 100,
     tol: float = 1e-6,
     points=None,
-    init: str = "subset",
 ) -> np.ndarray:
     """Lloyd's k-means over a uniform seed cloud.
 
     With `simplex_blocks`, seeds are drawn per 16-value block uniformly on
     the probability simplex, so centroids inherit unit block sums. Iteration
     stops when the largest centroid shift falls below `tol`. An explicit
-    `points` cloud overrides the internal sampling. `init` selects the
-    seeding: "subset" (uniform distinct seeds, the default; on uniform clouds
-    this matches k-means++ at a fraction of the cost) or "k-means++".
+    `points` cloud overrides the internal sampling.
     """
     rng = np.random.default_rng(seed)
     if points is not None:
@@ -237,12 +191,9 @@ def generate_cvt_centroids(
             points = sample_simplex_blocks(rng, n_seeds, dim)
         else:
             points = rng.random((n_seeds, dim))
-    if init == "k-means++":
-        centroids = _kmeans_pp_init(points, k, rng)
-    elif init == "subset":
-        centroids = _subset_init(points, k, rng)
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    # Lloyd starts from a uniform distinct subset of the cloud: on uniform
+    # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
+    centroids = points[np.sort(rng.choice(len(points), size=k, replace=False))]
     for _ in range(max_iter):
         labels = _assign(points, centroids)
         new = centroids.copy()
@@ -313,7 +264,7 @@ def save_archive(archive, directory, header: str = "") -> None:
                     name,
                 ]
             )
-    if isinstance(archive, CvtArchive):
+    if archive.centroids is not None:
         save_centroids(archive.centroids, os.path.join(directory, "centroids.csv"))
 
 
@@ -324,12 +275,11 @@ def load_archive(directory, kind: str):
     saved next to the index. Descriptors are not persisted and are left None.
     """
     if kind in ("sdbc", "spirit"):
-        centroids = load_centroids(os.path.join(directory, "centroids.csv"))
-        archive = CvtArchive(centroids=centroids)
+        archive = Archive.cvt(load_centroids(os.path.join(directory, "centroids.csv")))
     elif kind == "hbd":
-        archive = GridArchive.hbd()
+        archive = Archive.hbd()
     elif kind == "qed":
-        archive = GridArchive.qed()
+        archive = Archive.qed()
     else:
         raise ValueError(f"unknown archive kind {kind!r}")
     index_path = os.path.join(directory, "index.csv")

@@ -73,6 +73,8 @@ def _load_config(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         if args.command == "analyze":
             config = _load_config(args)
             records = list(args.records)

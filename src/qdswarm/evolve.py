@@ -14,13 +14,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .archive import CvtArchive, Elite, GridArchive, archive_best, archive_mean
+from .archive import Archive, Elite, archive_best, archive_mean
 from .descriptors import compute_hbd, compute_sdbc, compute_spirit, env_descriptor
 from .environment import NORMAL_ENV, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, trial_seeds
 from .sim import PlacementError, run_trial
-from .tasks import TaskKind, fitness
+from .tasks import TaskKind, mean_fitness
 
 log = logging.getLogger(__name__)
 
@@ -79,14 +79,10 @@ class EvolveResult:
 
 def make_archive(config: EvolutionConfig):
     if config.algorithm == "qed":
-        return GridArchive.qed()
+        return Archive.qed()
     if config.algorithm == "hbd":
-        return GridArchive.hbd()
-    return CvtArchive(centroids=np.asarray(config.centroids, dtype=float))
-
-
-def evaluation_seeds(master_seed: int, counter: int, trials: int) -> tuple[int, ...]:
-    return tuple(derive_seed(master_seed, "trial", counter, t) for t in range(trials))
+        return Archive.hbd()
+    return Archive.cvt(config.centroids)
 
 
 def _descriptor_from_logs(algorithm: str, logs):
@@ -105,8 +101,7 @@ def _evaluate_job(args):
         logs = [run_trial(env, genome, faults=None, seed=s, duration=duration) for s in seeds]
     except PlacementError as exc:
         return counter, 0.0, None, str(exc)
-    perf = float(np.mean([fitness(task, trial) for trial in logs]))
-    return counter, perf, _descriptor_from_logs(algorithm, logs), None
+    return counter, mean_fitness(task, logs), _descriptor_from_logs(algorithm, logs), None
 
 
 def _run_batch(jobs, config: EvolutionConfig, evaluate, executor):
@@ -150,10 +145,16 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
     if config.n_jobs > 1 and evaluate is None:
         executor = ProcessPoolExecutor(max_workers=config.n_jobs)
 
-    def draw_env(c: int):
+    def enqueue(jobs, genome):
+        """Queue `genome` as the next evaluation, in its own environment draw."""
+        nonlocal counter
+        env = NORMAL_ENV
         if config.algorithm == "qed":
-            return generate_environment(derive_rng(config.seed, "env", c))
-        return NORMAL_ENV
+            env = generate_environment(derive_rng(config.seed, "env", counter))
+        genomes_by_counter[counter] = genome
+        envs_by_counter[counter] = env
+        jobs.append((counter, genome, env, trial_seeds(config.trials, config.seed, "trial", counter)))
+        counter += 1
 
     def consume(results):
         for res_counter, perf, descriptor, error in sorted(results):
@@ -167,13 +168,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
                     continue
             key = archive.key_of(descriptor)
             incumbent = archive.cells.get(key)
-            elite = Elite(
-                genome=genome,
-                performance=perf,
-                descriptor=descriptor,
-                env=env,
-                seeds=evaluation_seeds(config.seed, res_counter, config.trials),
-            )
+            elite = Elite(genome=genome, performance=perf, descriptor=descriptor, env=env)
             if archive.try_insert(key, elite):
                 events.append(
                     InsertionEvent(
@@ -200,12 +195,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
     try:
         jobs = []
         for i in range(config.initial_population):
-            genome = random_genome(derive_rng(config.seed, "init", i))
-            env = draw_env(counter)
-            genomes_by_counter[counter] = genome
-            envs_by_counter[counter] = env
-            jobs.append((counter, genome, env, evaluation_seeds(config.seed, counter, config.trials)))
-            counter += 1
+            enqueue(jobs, random_genome(derive_rng(config.seed, "init", i)))
         consume(_run_batch(jobs, config, evaluate, executor))
         snapshot(0)
 
@@ -218,11 +208,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
             for _ in range(config.evals_per_generation):
                 parent = archive.cells[keys[int(selector.integers(0, len(keys)))]]
                 child = mutate(parent.genome, config.mutation, derive_rng(config.seed, "mutate", counter))
-                env = draw_env(counter)
-                genomes_by_counter[counter] = child
-                envs_by_counter[counter] = env
-                jobs.append((counter, child, env, evaluation_seeds(config.seed, counter, config.trials)))
-                counter += 1
+                enqueue(jobs, child)
             consume(_run_batch(jobs, config, evaluate, executor))
             snapshot(generation)
     finally:

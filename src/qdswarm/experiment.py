@@ -25,7 +25,7 @@ from .recovery import (
     project_archive,
     sample_combined_fault,
 )
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, trial_seeds
 from .sim import run_trial, trial_log_to_csv
 from .stats import cliffs_delta, signature
 from .tasks import TaskKind
@@ -159,11 +159,12 @@ def config_text(config: dict) -> str:
 
 def config_hash(config: dict) -> str:
     """Hash of the semantically relevant configuration (output path excluded)."""
-    lines = [
-        line
-        for line in config_text(config).splitlines()
-        if not line.startswith("out =")
-    ]
+    return _text_hash(config_text(config))
+
+
+def _text_hash(text: str) -> str:
+    """:func:`config_hash` of a stored :func:`config_text`."""
+    lines = [line for line in text.splitlines() if not line.startswith("out =")]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
@@ -221,6 +222,15 @@ def write_manifest(directory, stage: str, files) -> None:
     )
 
 
+def _write_csv(path, header: str, columns, rows) -> None:
+    """Write the provenance `header` line, the column names, then `rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def _tree_files(directory, root) -> list[str]:
     out = []
     for path in sorted(Path(directory).rglob("*")):
@@ -258,8 +268,16 @@ def _build_centroids(config: dict, rep_seed: int) -> np.ndarray | None:
 def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
     """Evolve one archive per replicate; writes archive/, stats.csv, events.csv."""
     out = Path(config["out"])
+    stored = out / "config.txt"
+    # a run directory holds one configuration: resuming under another would
+    # stamp the new config.txt over outputs of the old one
+    if stored.exists() and _text_hash(stored.read_text()) != config_hash(config):
+        raise ConfigError(
+            f"{stored} was written for another configuration (this one has "
+            f"config_hash={config_hash(config)}); choose a new --out"
+        )
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(config_text(config))
+    stored.write_text(config_text(config))
     header = provenance(config)
     for rep, rep_dir in enumerate(replicate_dirs(config)):
         if stage_is_complete(rep_dir, "evolve"):
@@ -284,27 +302,29 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
         archive_dir = rep_dir / "archive"
         archive_dir.mkdir(exist_ok=True)
         save_archive(result.archive, archive_dir, header=header)
-        with open(rep_dir / "stats.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "evaluations", "coverage", "best", "mean"])
-            for row in result.stats:
-                writer.writerow(
-                    [row.generation, row.evaluations, row.coverage, repr(row.best), repr(row.mean)]
-                )
-        with open(rep_dir / "events.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["evaluation", "key", "previous", "performance"])
-            for ev in result.events:
-                writer.writerow(
-                    [
-                        ev.evaluation,
-                        ev.key,
-                        "" if ev.previous is None else repr(ev.previous),
-                        repr(ev.performance),
-                    ]
-                )
+        _write_csv(
+            rep_dir / "stats.csv",
+            header,
+            ["generation", "evaluations", "coverage", "best", "mean"],
+            (
+                [row.generation, row.evaluations, row.coverage, repr(row.best), repr(row.mean)]
+                for row in result.stats
+            ),
+        )
+        _write_csv(
+            rep_dir / "events.csv",
+            header,
+            ["evaluation", "key", "previous", "performance"],
+            (
+                [
+                    ev.evaluation,
+                    ev.key,
+                    "" if ev.previous is None else repr(ev.previous),
+                    repr(ev.performance),
+                ]
+                for ev in result.events
+            ),
+        )
         files = sorted(set(_tree_files(rep_dir, rep_dir)) - {"evolve.done"})
         write_manifest(rep_dir, "evolve", files)
         log(f"evolve: {rep_dir} coverage={result.archive.coverage}")
@@ -330,19 +350,18 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             n_jobs=n_jobs,
         )
         best_key = max(sorted(scores), key=lambda k: scores[k])
-        with open(rep_dir / "reevaluation.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["key", "performance"])
-            for key in sorted(scores):
-                writer.writerow([key, repr(scores[key])])
-        with open(rep_dir / "reevaluation_summary.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["best_key", "best", "mean"])
-            writer.writerow(
-                [best_key, repr(scores[best_key]), repr(float(np.mean(list(scores.values()))))]
-            )
+        _write_csv(
+            rep_dir / "reevaluation.csv",
+            header,
+            ["key", "performance"],
+            ([key, repr(scores[key])] for key in sorted(scores)),
+        )
+        _write_csv(
+            rep_dir / "reevaluation_summary.csv",
+            header,
+            ["best_key", "best", "mean"],
+            [[best_key, repr(scores[best_key]), repr(float(np.mean(list(scores.values()))))]],
+        )
         write_manifest(rep_dir, "reevaluate", ["reevaluation.csv", "reevaluation_summary.csv"])
         log(
             f"reevaluate: {rep_dir} best={scores[best_key]:.4f} "
@@ -392,24 +411,25 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
             fault_ids=fault_ids,
             n_jobs=n_jobs,
         )
-        with open(rep_dir / "records.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_COLUMNS)
-            for r in records:
-                writer.writerow(
-                    [
-                        r.task,
-                        r.fault_id,
-                        ";".join(r.faults),
-                        repr(r.impact),
-                        repr(r.recovered),
-                        repr(r.recovered_norm),
-                        repr(r.resilience),
-                        repr(r.distance),
-                        r.best_key,
-                    ]
-                )
+        _write_csv(
+            rep_dir / "records.csv",
+            header,
+            RECORD_COLUMNS,
+            (
+                [
+                    r.task,
+                    r.fault_id,
+                    ";".join(r.faults),
+                    repr(r.impact),
+                    repr(r.recovered),
+                    repr(r.recovered_norm),
+                    repr(r.resilience),
+                    repr(r.distance),
+                    r.best_key,
+                ]
+                for r in records
+            ),
+        )
         write_manifest(rep_dir, "faults", ["records.csv"])
         log(f"faults: {rep_dir} wrote {len(records)} records")
 
@@ -464,21 +484,25 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
                 summary_rows.append([task, algorithm, x_field, y_field, "", "", ""])
                 continue
             grid_name = f"signature_{x_field}_{y_field}_{task}_{algorithm}.csv"
-            with open(out / grid_name, "w", encoding="utf-8", newline="") as fh:
-                fh.write(header + "\n")
-                writer = csv.writer(fh)
-                writer.writerow([x_field, y_field, "density"])
-                for i, gx in enumerate(sig.x_grid):
-                    for j, gy in enumerate(sig.y_grid):
-                        writer.writerow([repr(float(gx)), repr(float(gy)), repr(float(sig.density[i, j]))])
+            _write_csv(
+                out / grid_name,
+                header,
+                [x_field, y_field, "density"],
+                (
+                    [repr(float(gx)), repr(float(gy)), repr(float(sig.density[i, j]))]
+                    for i, gx in enumerate(sig.x_grid)
+                    for j, gy in enumerate(sig.y_grid)
+                ),
+            )
             summary_rows.append(
                 [task, algorithm, x_field, y_field, repr(sig.slope), repr(sig.correlation), grid_name]
             )
-    with open(out / "signatures.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["task", "algorithm", "x_field", "y_field", "slope", "correlation", "grid_file"])
-        writer.writerows(summary_rows)
+    _write_csv(
+        out / "signatures.csv",
+        header,
+        ["task", "algorithm", "x_field", "y_field", "slope", "correlation", "grid_file"],
+        summary_rows,
+    )
 
     # pairwise tables only when at least two algorithms share a task
     table_rows = []
@@ -509,13 +533,12 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
                         ]
                     )
     if table_rows:
-        with open(out / "stats_tables.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["task", "metric", "algorithm_a", "algorithm_b", "p_value", "cliffs_delta", "magnitude"]
-            )
-            writer.writerows(table_rows)
+        _write_csv(
+            out / "stats_tables.csv",
+            header,
+            ["task", "metric", "algorithm_a", "algorithm_b", "p_value", "cliffs_delta", "magnitude"],
+            table_rows,
+        )
     log(
         f"analyze: wrote {len(summary_rows)} signatures"
         + (f" and {len(table_rows)} pairwise rows" if table_rows else "")
@@ -541,13 +564,8 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
             log(f"export: {rep_dir} trial log for cell {key}")
         elif what == "descriptors":
             logs = [
-                run_trial(
-                    NORMAL_ENV,
-                    genome,
-                    seed=derive_seed(seed, t),
-                    duration=config["evolve.trial_duration"],
-                )
-                for t in range(config["reevaluate.trials"])
+                run_trial(NORMAL_ENV, genome, seed=s, duration=config["evolve.trial_duration"])
+                for s in trial_seeds(config["reevaluate.trials"], seed)
             ]
             from .descriptors import descriptor_to_csv
 
@@ -574,18 +592,21 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                 seed=derive_seed(rep_seed, "projection"),
                 duration=config["evolve.trial_duration"],
             )
-            with open(rep_dir / "projection.csv", "w", encoding="utf-8", newline="") as fh:
-                fh.write(provenance(config) + "\n")
-                writer = csv.writer(fh)
-                writer.writerow(["centroid", "source_key", "performance"])
-                for cid in sorted(projected.cells):
-                    src, perf, _ = projected.cells[cid]
-                    writer.writerow([cid, src, repr(perf)])
-            with open(rep_dir / "projection_summary.csv", "w", encoding="utf-8", newline="") as fh:
-                fh.write(provenance(config) + "\n")
-                writer = csv.writer(fh)
-                writer.writerow(["coverage", "diversity"])
-                writer.writerow([projected.coverage, repr(projected.diversity)])
+            _write_csv(
+                rep_dir / "projection.csv",
+                provenance(config),
+                ["centroid", "source_key", "performance"],
+                (
+                    [cid, projected.cells[cid][0], repr(projected.cells[cid][1])]
+                    for cid in sorted(projected.cells)
+                ),
+            )
+            _write_csv(
+                rep_dir / "projection_summary.csv",
+                provenance(config),
+                ["coverage", "diversity"],
+                [[projected.coverage, repr(projected.diversity)]],
+            )
             log(
                 f"export: {rep_dir} projection coverage={projected.coverage} "
                 f"diversity={projected.diversity:.4f}"

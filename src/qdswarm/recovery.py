@@ -10,15 +10,16 @@ exactly and the resilience >= impact inequality holds without tolerance.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .archive import nearest_centroid
 from .descriptors import compute_spirit
 from .environment import NORMAL_ENV
-from .seeding import derive_seed
+from .seeding import trial_seeds
 from .sim import FaultType, run_trial
-from .tasks import fitness
+from .tasks import mean_fitness, performance
 
 N_FAULT_TYPES = len(FaultType)
 
@@ -29,22 +30,6 @@ def sample_combined_fault(rng: np.random.Generator, n_robots: int) -> np.ndarray
         raise ValueError("need at least one robot")
     draws = rng.integers(0, N_FAULT_TYPES, size=n_robots)
     return np.array([FaultType(int(d)) for d in draws], dtype=object)
-
-
-def _shared_seeds(seed: int, trials: int) -> list[int]:
-    return [derive_seed(seed, "recovery-trial", t) for t in range(trials)]
-
-
-def _evaluate_elite(genome, env, task, fault, seeds, duration) -> float:
-    values = [
-        fitness(task, run_trial(env, genome, faults=fault, seed=s, duration=duration))
-        for s in seeds
-    ]
-    return float(np.mean(values))
-
-
-def _evaluate_elite_job(args) -> float:
-    return _evaluate_elite(*args)
 
 
 def evaluate_archive(
@@ -65,20 +50,23 @@ def evaluate_archive(
     """
     if not archive.cells:
         raise ValueError("archive is empty")
-    seeds = _shared_seeds(seed, trials)
+    score = partial(
+        performance,
+        task,
+        env,
+        faults=fault,
+        seeds=trial_seeds(trials, seed, "recovery-trial"),
+        duration=duration,
+    )
     keys = sorted(archive.cells)
+    genomes = [archive.cells[k].genome for k in keys]
     if n_jobs > 1 and len(keys) > 1:
-        jobs = [
-            (archive.cells[k].genome, env, task, fault, seeds, duration) for k in keys
-        ]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            chunk = max(1, len(jobs) // (8 * n_jobs))
-            values = list(pool.map(_evaluate_elite_job, jobs, chunksize=chunk))
-        return dict(zip(keys, values))
-    return {
-        key: _evaluate_elite(archive.cells[key].genome, env, task, fault, seeds, duration)
-        for key in keys
-    }
+            chunk = max(1, len(genomes) // (8 * n_jobs))
+            values = list(pool.map(score, genomes, chunksize=chunk))
+    else:
+        values = [score(genome) for genome in genomes]
+    return dict(zip(keys, values))
 
 
 def _argbest(scores: dict[int, float]) -> tuple[int, float]:
@@ -122,10 +110,8 @@ def impact(
     if normal_scores is None:
         normal_scores = evaluate_archive(archive, task, None, trials, seed, duration)
     best_key, best_normal = _argbest(normal_scores)
-    seeds = _shared_seeds(seed, trials)
-    faulty = _evaluate_elite(
-        archive.cells[best_key].genome, NORMAL_ENV, task, fault, seeds, duration
-    )
+    seeds = trial_seeds(trials, seed, "recovery-trial")
+    faulty = performance(task, NORMAL_ENV, archive.cells[best_key].genome, fault, seeds, duration)
     return proportional_change(faulty, best_normal)
 
 
@@ -192,12 +178,12 @@ def project_archive(
     """
     if not archive.cells:
         raise ValueError("archive is empty")
-    seeds = _shared_seeds(seed, trials)
+    seeds = trial_seeds(trials, seed, "recovery-trial")
     cells: dict[int, tuple] = {}
     for key in sorted(archive.cells):
         genome = archive.cells[key].genome
         logs = [run_trial(env, genome, faults=None, seed=s, duration=duration) for s in seeds]
-        perf = float(np.mean([fitness(task, trial) for trial in logs]))
+        perf = mean_fitness(task, logs)
         descriptor = compute_spirit(logs)
         cid = nearest_centroid(descriptor.ravel(), centroids)
         if cid not in cells or perf > cells[cid][1]:
@@ -255,7 +241,12 @@ def fault_recovery_records(
     task = str(getattr(task, "value", task))
     normal_scores = evaluate_archive(archive, task, None, trials, seed, duration, n_jobs=n_jobs)
     best_key, best_normal = _argbest(normal_scores)
-    seeds = _shared_seeds(seed, trials)
+    if best_normal == 0:
+        raise ValueError(
+            f"task {task}: every elite scores 0 fault free, so impact and "
+            "resilience (changes relative to the normal-best score) are undefined"
+        )
+    seeds = trial_seeds(trials, seed, "recovery-trial")
 
     descriptor_cache: dict[int, np.ndarray] = {}
 

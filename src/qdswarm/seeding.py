@@ -30,6 +30,7 @@ def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def trial_seeds(master_seed: int, label: str, count: int) -> list[int]:
-    """Integer seeds for `count` independent trials under one evaluation."""
-    return [derive_seed(master_seed, label, t) for t in range(count)]
+def trial_seeds(count: int, *parts) -> list[int]:
+    """Seeds `derive_seed(*parts, t)` for the trials t = 0 .. count-1 of one
+    evaluation."""
+    return [derive_seed(*parts, t) for t in range(count)]

@@ -135,12 +135,15 @@ def fitness(task, log: TrialLog) -> float:
     return _FITNESS[TaskKind(task)](log)
 
 
+def mean_fitness(task, logs) -> float:
+    """Mean fitness over trial logs; a generator is consumed one log at a time."""
+    return float(np.mean([fitness(task, log) for log in logs]))
+
+
 def performance(task, env, genome, faults, seeds, duration: float = 400.0) -> float:
     """Mean fitness over one independent trial per seed."""
     if not len(seeds):
         raise ValueError("at least one trial seed is required")
-    values = [
-        fitness(task, run_trial(env, genome, faults=faults, seed=s, duration=duration))
-        for s in seeds
-    ]
-    return float(np.mean(values))
+    return mean_fitness(
+        task, (run_trial(env, genome, faults=faults, seed=s, duration=duration) for s in seeds)
+    )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_log
-from qdswarm.archive import GridArchive, generate_cvt_centroids
+from qdswarm.archive import Archive, generate_cvt_centroids
 from qdswarm.environment import all_environments, env_index
 from qdswarm.evolve import EvolutionConfig, evolve
 from qdswarm.experiment import resolve_config, stage_evolve, stage_faults, stage_reevaluate
@@ -173,8 +173,8 @@ def test_criterion_3_qed_coverage_30000_evaluations():
 
 
 def test_criterion_4_descriptor_capacity():
-    assert GridArchive.hbd().capacity == 16**3 == 4096
-    assert GridArchive.qed().capacity == 4**6 == 4096
+    assert Archive.hbd().capacity == 16**3 == 4096
+    assert Archive.qed().capacity == 4**6 == 4096
 
     envs = list(all_environments())
     assert len(envs) == 4096

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qdswarm.archive import (
-    CvtArchive,
+    Archive,
     Elite,
-    GridArchive,
     archive_best,
     generate_cvt_centroids,
     hbd_bins,
@@ -13,7 +12,6 @@ from qdswarm.archive import (
     qed_key_environment,
     sample_simplex_blocks,
     save_archive,
-    try_insert,
 )
 from qdswarm.environment import (
     ATTRIBUTE_SETS,
@@ -38,20 +36,6 @@ class TestCvtGeneration:
         sums = seeds.reshape(200, 64, 16).sum(axis=2)
         assert sums == pytest.approx(np.ones((200, 64)), abs=1e-12)
         assert np.all(seeds >= 0.0)
-
-    def test_four_blobs_recovered(self):
-        rng = np.random.default_rng(7)
-        means = np.array([[0.1, 0.1], [0.9, 0.1], [0.1, 0.9], [0.9, 0.9]])
-        points = np.concatenate(
-            [rng.normal(m, 0.01, size=(400, 2)) for m in means]
-        )
-        centroids = generate_cvt_centroids(
-            4, 2, len(points), seed=1, points=points, init="k-means++"
-        )
-        # brute-force assignment: each blob mean must be near one centroid
-        for m in means:
-            best = np.linalg.norm(centroids - m, axis=1).min()
-            assert best < 0.05
 
     def test_centroid_blocks_preserved_under_lloyd(self):
         centroids = generate_cvt_centroids(
@@ -105,32 +89,32 @@ class TestInsertion:
         return Elite(genome=Genome(), performance=perf, descriptor=(0, 0, 0, 0, 0, 0), env=NORMAL_ENV)
 
     def test_empty_cell_accepts(self):
-        archive = GridArchive.qed()
-        assert try_insert(archive, self.elite(0.1)) is True
+        archive = Archive.qed()
+        assert archive.insert(self.elite(0.1)) is True
         assert archive.coverage == 1
 
     def test_tie_keeps_incumbent(self):
-        archive = GridArchive.qed()
+        archive = Archive.qed()
         first = self.elite(0.5)
-        try_insert(archive, first)
-        assert try_insert(archive, self.elite(0.5)) is False
+        archive.insert(first)
+        assert archive.insert(self.elite(0.5)) is False
         assert archive.cells[0] is first
 
     def test_improvement_replaces(self):
-        archive = GridArchive.qed()
-        try_insert(archive, self.elite(0.6))
+        archive = Archive.qed()
+        archive.insert(self.elite(0.6))
         better = self.elite(0.7)
-        assert try_insert(archive, better) is True
+        assert archive.insert(better) is True
         assert archive.cells[0] is better
 
     def test_worse_rejected(self):
-        archive = GridArchive.qed()
-        try_insert(archive, self.elite(0.6))
-        assert try_insert(archive, self.elite(0.4)) is False
+        archive = Archive.qed()
+        archive.insert(self.elite(0.6))
+        assert archive.insert(self.elite(0.4)) is False
 
     def test_cvt_insert_by_descriptor(self):
         centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
-        archive = CvtArchive(centroids=centroids)
+        archive = Archive.cvt(centroids)
         e = Elite(genome=Genome(), performance=0.3, descriptor=np.array([0.9, 0.95]), env=NORMAL_ENV)
         assert archive.insert(e)
         assert 1 in archive.cells
@@ -138,10 +122,10 @@ class TestInsertion:
 
 class TestGridGeometry:
     def test_hbd_capacity(self):
-        assert GridArchive.hbd().capacity == 4096
+        assert Archive.hbd().capacity == 4096
 
     def test_qed_capacity(self):
-        assert GridArchive.qed().capacity == 4096
+        assert Archive.qed().capacity == 4096
 
     def test_hbd_bins_boundaries(self):
         assert hbd_bins([0.0, 0.0, 0.0]) == (0, 0, 0)
@@ -149,7 +133,7 @@ class TestGridGeometry:
         assert hbd_bins([0.0625, 0.0624, 0.9375]) == (1, 0, 15)
 
     def test_qed_key_decodes_to_environment(self, rng):
-        archive = GridArchive.qed()
+        archive = Archive.qed()
         for _ in range(50):
             env = generate_environment(rng)
             key = archive.key_of(env_index(env))
@@ -182,7 +166,7 @@ class TestGenerateEnvironment:
 
 class TestPersistence:
     def test_round_trip_grid(self, tmp_path, rng):
-        archive = GridArchive.qed()
+        archive = Archive.qed()
         for _ in range(12):
             env = generate_environment(rng)
             elite = Elite(
@@ -202,7 +186,7 @@ class TestPersistence:
 
     def test_round_trip_cvt(self, tmp_path, rng):
         centroids = generate_cvt_centroids(16, 10, 200, seed=3)
-        archive = CvtArchive(centroids=centroids)
+        archive = Archive.cvt(centroids)
         for _ in range(6):
             elite = Elite(
                 genome=random_genome(rng),

@@ -162,6 +162,29 @@ class TestPipeline:
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
         assert main(["faults", "--out", out]) != 0
 
+    def test_evolve_rejects_another_config_in_same_out(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out]) == 0
+        stored = (tmp_path / "run" / "config.txt").read_text()
+        other = write_cfg(tmp_path, TINY.replace("aggregation", "dispersion"), "other.cfg")
+        capsys.readouterr()
+        assert main(["evolve", "--config", other, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert (tmp_path / "run" / "config.txt").read_text() == stored
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a stage started")
+
+        for stage in ("stage_evolve", "stage_reevaluate", "stage_faults"):
+            monkeypatch.setattr(f"qdswarm.cli.{stage}", no_work)
+        for command in ("evolve", "reevaluate", "faults"):
+            out = str(tmp_path / "run")
+            assert main([command, "--out", out, "--threads", threads]) == 2
+            assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import make_log
 from qdswarm.archive import generate_cvt_centroids, qed_key_environment
-from qdswarm.evolve import EvolutionConfig, evaluation_seeds, evolve
+from qdswarm.evolve import EvolutionConfig, evolve
 from qdswarm.genome import MutationParams
+from qdswarm.seeding import trial_seeds
 
 
 def tiny_config(**overrides):
@@ -76,9 +77,9 @@ class TestEvolveBasics:
             assert qed_key_environment(key) == elite.env
 
     def test_evaluation_seeds_stable(self):
-        assert evaluation_seeds(1, 5, 3) == evaluation_seeds(1, 5, 3)
-        assert evaluation_seeds(1, 5, 3) != evaluation_seeds(1, 6, 3)
-        assert evaluation_seeds(1, 5, 3) != evaluation_seeds(2, 5, 3)
+        assert trial_seeds(3, 1, "trial", 5) == trial_seeds(3, 1, "trial", 5)
+        assert trial_seeds(3, 1, "trial", 5) != trial_seeds(3, 1, "trial", 6)
+        assert trial_seeds(3, 1, "trial", 5) != trial_seeds(3, 2, "trial", 5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +97,6 @@ class TestEvolveSimulationBacked:
         assert result.archive.coverage >= 1
         for elite in result.archive.cells.values():
             assert 0.0 <= elite.performance <= 1.0
-            assert elite.seeds is not None
 
     def test_hbd_small_real_run(self):
         config = tiny_config(

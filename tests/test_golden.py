@@ -1,0 +1,70 @@
+"""Byte-identity lock on the pipeline's primary outputs.
+
+A tiny QED run and a tiny SDBC run go through evolve -> reevaluate -> faults,
+and the SHA-256 of every CSV they write is compared with a pinned value.
+Refactors must keep these bytes; a change that alters results on purpose
+updates the hashes and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from qdswarm.cli import main
+
+COMMON = """
+task = aggregation
+seed = 5
+replicates = 1
+evolve.initial_population = 6
+evolve.generations = 3
+evolve.evals_per_generation = 2
+evolve.trials = 2
+evolve.trial_duration = 2.0
+reevaluate.trials = 2
+faults.count = 2
+faults.trials = 2
+"""
+
+CONFIGS = {
+    "qed": "algorithm = qed\n",
+    "sdbc": "algorithm = sdbc\ncvt.seeds = 4096\ncvt.iterations = 1\n",
+}
+
+GOLDEN = {
+    "qed": {
+        "archive/index.csv": "530c5e81ec2eb61556442ebe3f4849b990e01b8acb43104f60f23e8c354acf32",
+        "events.csv": "85abd2175f8a8850a6164b7bce504ceb70532ad659689babeb90ff24acadbb5d",
+        "records.csv": "791c7fdb2560d09e88ccab99fb6f3761519efb5b6033cd7b394b5fc24f843219",
+        "reevaluation.csv": "98cbf125bfe5fe59642df479d8791a4a879602993ee6350745b15a6b4b9fc20d",
+        "reevaluation_summary.csv": "3d986dba82be09a948f8c772f9fbd0da97d9cf03b32eaa17c74e509f223a63e3",
+        "stats.csv": "7835856bf291ab2cd68b4679de21d6144eec5401abbb9330318ddf716030e4b2",
+    },
+    "sdbc": {
+        "archive/centroids.csv": "57197f3f20ffdc5ea906c464e35688e7423c131e74b3cef7d9158057df11151b",
+        "archive/index.csv": "34379b7a6b5a7f813549f475ce35f1d3f293aa3ebe7701e5a3973de5225b280b",
+        "events.csv": "35bc9d9853787e35f1f137e4e0226e756de8c9005c611d1f8e398f8f090da17a",
+        "records.csv": "bde8a5ad467819aff1080d2b021d20dcfd5df79a260b7eed942939d556c5ddf2",
+        "reevaluation.csv": "ae45efbe867dd4c32c178fe97119c4afd92948c3428d007e1e3ed94b41215ea7",
+        "reevaluation_summary.csv": "aa2025923f19100a1f9554133dfbcd825e4928882101e48566f33908406fddcb",
+        "stats.csv": "f2649392cb2d9ca77d47bc797dbf57f6bdc8e7c93a67cdbbb6888da1e9cd4b8a",
+    },
+}
+
+
+def _csv_digests(rep):
+    return {
+        str(path.relative_to(rep)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(rep.rglob("*.csv"))
+    }
+
+
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_primary_csvs_byte_identical(tmp_path, algorithm):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(COMMON + CONFIGS[algorithm])
+    out = str(tmp_path / "run")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    assert main(["reevaluate", "--out", out]) == 0
+    assert main(["faults", "--out", out]) == 0
+    assert _csv_digests(tmp_path / "run" / "rep00") == GOLDEN[algorithm]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdswarm.archive import Elite, GridArchive, generate_cvt_centroids
+from qdswarm.archive import Elite, Archive, generate_cvt_centroids
 from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
 from qdswarm.genome import Connection, Genome, random_genome
 from qdswarm.recovery import (
@@ -24,7 +24,7 @@ TRIALS = 2
 
 def small_archive(n_elites=5, seed=0):
     rng = np.random.default_rng(seed)
-    archive = GridArchive.qed()
+    archive = Archive.qed()
     key = 0
     while archive.coverage < n_elites:
         elite = Elite(
@@ -122,7 +122,7 @@ class TestRecoverImpactResilience:
 
     def test_empty_archive_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_archive(GridArchive.qed(), "aggregation", None, TRIALS, 0, DUR)
+            evaluate_archive(Archive.qed(), "aggregation", None, TRIALS, 0, DUR)
 
 
 class TestSpiritDistance:
@@ -167,7 +167,7 @@ class TestProjection:
         assert projected.diversity == 0.0
 
     def test_identical_behaviours_share_a_centroid(self):
-        archive = GridArchive.qed()
+        archive = Archive.qed()
         genome = Genome(0, (Connection(15, 16, 1.0), Connection(15, 17, 1.0)))
         archive.try_insert(0, Elite(genome=genome, performance=0.5, env=NORMAL_ENV))
         archive.try_insert(9, Elite(genome=genome, performance=0.4, env=NORMAL_ENV))
@@ -220,3 +220,27 @@ class TestFaultRecoveryRecords:
         assert records[0].impact == 0.0
         assert records[0].resilience == 0.0
         assert records[0].distance == 0.0
+
+    def test_zero_normal_best_rejected_before_faulty_runs(self, monkeypatch):
+        import qdswarm.recovery as recovery
+
+        archive = Archive.qed()
+        archive.try_insert(0, Elite(genome=Genome(), performance=0.0, env=NORMAL_ENV))
+        faults_seen = []
+        original = recovery.evaluate_archive
+
+        def spy(archive, task, fault=None, *args, **kwargs):
+            faults_seen.append(fault)
+            return original(archive, task, fault, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "evaluate_archive", spy)
+        with pytest.raises(ValueError, match="flocking"):
+            fault_recovery_records(
+                archive,
+                "flocking",
+                [np.array([FaultType.NONE] * 10)],
+                trials=1,
+                seed=0,
+                duration=DUR,
+            )
+        assert faults_seen == [None]

@@ -8,19 +8,17 @@ are bit-reproducible regardless of evaluation parallelism.
 """
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .archive import Archive, Elite, archive_best, archive_mean
-from .descriptors import compute_hbd, compute_sdbc, compute_spirit, env_descriptor
+from .descriptors import env_descriptor
 from .environment import NORMAL_ENV, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
 from .seeding import derive_rng, trial_seeds
-from .sim import PlacementError, run_trial
-from .tasks import TaskKind, mean_fitness
+from .tasks import DESCRIPTORS, TaskKind, evaluator
 
 log = logging.getLogger(__name__)
 
@@ -85,45 +83,22 @@ def make_archive(config: EvolutionConfig):
     return Archive.cvt(config.centroids)
 
 
-def _descriptor_from_logs(algorithm: str, logs):
-    if algorithm == "hbd":
-        return compute_hbd(logs)
-    if algorithm == "sdbc":
-        return compute_sdbc(logs)
-    if algorithm == "spirit":
-        return compute_spirit(logs)
-    return None
-
-
-def _evaluate_job(args):
-    counter, genome, env, task, seeds, duration, algorithm = args
-    try:
-        logs = [run_trial(env, genome, faults=None, seed=s, duration=duration) for s in seeds]
-    except PlacementError as exc:
-        return counter, 0.0, None, str(exc)
-    return counter, mean_fitness(task, logs), _descriptor_from_logs(algorithm, logs), None
-
-
-def _run_batch(jobs, config: EvolutionConfig, evaluate, executor):
-    if evaluate is not None:
-        results = []
-        for counter, genome, env, seeds in jobs:
-            perf, logs = evaluate(genome, env, config.task, seeds, config.trial_duration)
-            if config.algorithm == "qed":
-                descriptor = None
-            else:
-                if logs is None:
-                    raise ValueError("custom evaluator must return logs for behaviour descriptors")
-                descriptor = _descriptor_from_logs(config.algorithm, logs)
-            results.append((counter, float(perf), descriptor, None))
-        return results
-    args = [
-        (counter, genome, env, config.task, seeds, config.trial_duration, config.algorithm)
-        for counter, genome, env, seeds in jobs
-    ]
-    if executor is None:
-        return [_evaluate_job(a) for a in args]
-    return list(executor.map(_evaluate_job, args, chunksize=max(1, len(args) // 64)))
+def _run_batch(jobs, config: EvolutionConfig, evaluate, run):
+    """(performance, descriptor, placement error) of each (counter, genome,
+    env, seeds) job, in job order."""
+    kind = None if config.algorithm == "qed" else config.algorithm
+    if evaluate is None:
+        return run(
+            [(config.task, env, genome, None, seeds, config.trial_duration, kind)
+             for _, genome, env, seeds in jobs]
+        )
+    results = []
+    for _, genome, env, seeds in jobs:
+        perf, logs = evaluate(genome, env, config.task, seeds, config.trial_duration)
+        if kind is not None and logs is None:
+            raise ValueError("custom evaluator must return logs for behaviour descriptors")
+        results.append((float(perf), None if kind is None else DESCRIPTORS[kind](logs), None))
+    return results
 
 
 def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> EvolveResult:
@@ -135,15 +110,9 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
     """
     config.validate()
     archive = make_archive(config)
-    genomes_by_counter = {}
-    envs_by_counter = {}
     events: list[InsertionEvent] = []
     stats: list[GenerationStats] = []
     counter = 0
-
-    executor = None
-    if config.n_jobs > 1 and evaluate is None:
-        executor = ProcessPoolExecutor(max_workers=config.n_jobs)
 
     def enqueue(jobs, genome):
         """Queue `genome` as the next evaluation, in its own environment draw."""
@@ -151,15 +120,11 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
         env = NORMAL_ENV
         if config.algorithm == "qed":
             env = generate_environment(derive_rng(config.seed, "env", counter))
-        genomes_by_counter[counter] = genome
-        envs_by_counter[counter] = env
         jobs.append((counter, genome, env, trial_seeds(config.trials, config.seed, "trial", counter)))
         counter += 1
 
-    def consume(results):
-        for res_counter, perf, descriptor, error in sorted(results):
-            env = envs_by_counter.pop(res_counter)
-            genome = genomes_by_counter.pop(res_counter)
+    def consume(jobs, results):
+        for (res_counter, genome, env, _), (perf, descriptor, error) in zip(jobs, results):
             if config.algorithm == "qed":
                 descriptor = env_descriptor(env)
             if error is not None:
@@ -192,11 +157,12 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
             )
         )
 
-    try:
+    # A custom evaluator runs in this process: it need not be picklable.
+    with evaluator(config.n_jobs if evaluate is None else 1) as run:
         jobs = []
         for i in range(config.initial_population):
             enqueue(jobs, random_genome(derive_rng(config.seed, "init", i)))
-        consume(_run_batch(jobs, config, evaluate, executor))
+        consume(jobs, _run_batch(jobs, config, evaluate, run))
         snapshot(0)
 
         for generation in range(1, config.generations + 1):
@@ -209,10 +175,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
                 parent = archive.cells[keys[int(selector.integers(0, len(keys)))]]
                 child = mutate(parent.genome, config.mutation, derive_rng(config.seed, "mutate", counter))
                 enqueue(jobs, child)
-            consume(_run_batch(jobs, config, evaluate, executor))
+            consume(jobs, _run_batch(jobs, config, evaluate, run))
             snapshot(generation)
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     return EvolveResult(archive=archive, stats=stats, events=events)

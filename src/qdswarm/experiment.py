@@ -18,7 +18,7 @@ import numpy as np
 from .archive import generate_cvt_centroids, load_archive, save_archive
 from .environment import NORMAL_ENV
 from .evolve import DESCRIPTOR_DIMS, EvolutionConfig, evolve
-from .descriptors import compute_hbd, compute_sdbc, compute_spirit
+from .descriptors import descriptor_to_csv
 from .recovery import (
     evaluate_archive,
     fault_recovery_records,
@@ -28,7 +28,7 @@ from .recovery import (
 from .seeding import derive_rng, derive_seed, trial_seeds
 from .sim import run_trial, trial_log_to_csv
 from .stats import cliffs_delta, signature
-from .tasks import TaskKind
+from .tasks import DESCRIPTORS, TaskKind
 
 # key -> (type, desk default, paper default); cvt.seeds "auto" resolves per
 # algorithm (behaviour-space dimensionality drives the seed-cloud size)
@@ -567,13 +567,8 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                 run_trial(NORMAL_ENV, genome, seed=s, duration=config["evolve.trial_duration"])
                 for s in trial_seeds(config["reevaluate.trials"], seed)
             ]
-            from .descriptors import descriptor_to_csv
-
-            descriptor_to_csv("hbd", compute_hbd(logs), rep_dir / f"descriptor_hbd_{key:05d}.csv")
-            descriptor_to_csv("sdbc", compute_sdbc(logs), rep_dir / f"descriptor_sdbc_{key:05d}.csv")
-            descriptor_to_csv(
-                "spirit", compute_spirit(logs), rep_dir / f"descriptor_spirit_{key:05d}.csv"
-            )
+            for kind, describe in DESCRIPTORS.items():
+                descriptor_to_csv(kind, describe(logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
             log(f"export: {rep_dir} descriptors for cell {key}")
         elif what == "projection":
             centroids = generate_cvt_centroids(

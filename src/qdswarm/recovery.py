@@ -8,18 +8,15 @@ fault-free re-evaluation, so the all-NONE fault reproduces the normal scores
 exactly and the resilience >= impact inequality holds without tolerance.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .archive import nearest_centroid
-from .descriptors import compute_spirit
 from .environment import NORMAL_ENV
 from .seeding import trial_seeds
-from .sim import FaultType, run_trial
-from .tasks import mean_fitness, performance
+from .sim import FaultType, PlacementError
+from .tasks import evaluator, performance
 
 N_FAULT_TYPES = len(FaultType)
 
@@ -48,25 +45,28 @@ def evaluate_archive(
     same `seed`, which keeps comparisons paired. Results are independent of
     `n_jobs`.
     """
+    with evaluator(min(n_jobs, len(archive.cells))) as run:
+        scores, _ = _run_elites(run, archive, task, env, fault, trials, seed, duration)
+    return scores
+
+
+def _run_elites(run, archive, task, env, fault, trials, seed, duration, kind=None):
+    """({key: performance}, {key: descriptor}) of every elite over the shared
+    trial seeds; `kind` names the descriptor, as in `tasks.evaluate_job`."""
     if not archive.cells:
         raise ValueError("archive is empty")
-    score = partial(
-        performance,
-        task,
-        env,
-        faults=fault,
-        seeds=trial_seeds(trials, seed, "recovery-trial"),
-        duration=duration,
-    )
     keys = sorted(archive.cells)
-    genomes = [archive.cells[k].genome for k in keys]
-    if n_jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            chunk = max(1, len(genomes) // (8 * n_jobs))
-            values = list(pool.map(score, genomes, chunksize=chunk))
-    else:
-        values = [score(genome) for genome in genomes]
-    return dict(zip(keys, values))
+    seeds = trial_seeds(trials, seed, "recovery-trial")
+    results = run(
+        [(task, env, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
+    )
+    for _, _, error in results:
+        if error is not None:
+            raise PlacementError(error)
+    return (
+        {key: perf for key, (perf, _, _) in zip(keys, results)},
+        {key: descriptor for key, (_, descriptor, _) in zip(keys, results)},
+    )
 
 
 def _argbest(scores: dict[int, float]) -> tuple[int, float]:
@@ -176,18 +176,15 @@ def project_archive(
     Diversity is the mean pairwise behaviour distance over the representative
     descriptors of the filled centroids (0 for fewer than two).
     """
-    if not archive.cells:
-        raise ValueError("archive is empty")
-    seeds = trial_seeds(trials, seed, "recovery-trial")
+    with evaluator(1) as run:
+        scores, descriptors = _run_elites(
+            run, archive, task, env, None, trials, seed, duration, "spirit"
+        )
     cells: dict[int, tuple] = {}
-    for key in sorted(archive.cells):
-        genome = archive.cells[key].genome
-        logs = [run_trial(env, genome, faults=None, seed=s, duration=duration) for s in seeds]
-        perf = mean_fitness(task, logs)
-        descriptor = compute_spirit(logs)
-        cid = nearest_centroid(descriptor.ravel(), centroids)
+    for key, perf in scores.items():
+        cid = nearest_centroid(descriptors[key].ravel(), centroids)
         if cid not in cells or perf > cells[cid][1]:
-            cells[cid] = (key, perf, descriptor)
+            cells[cid] = (key, perf, descriptors[key])
     reps = [cells[cid][2] for cid in sorted(cells)]
     if len(reps) < 2:
         diversity = 0.0
@@ -234,45 +231,35 @@ def fault_recovery_records(
     """Run the full recovery analysis for a batch of combined faults.
 
     The behavioural distance of each record compares the recovery solution
-    with the normal-best solution, both replayed fault free in the normal
-    operating environment. Recovered performance is also reported normalised
+    with the normal-best solution by the policy profiles of the fault-free
+    pass in the normal operating environment. Recovered performance is also reported normalised
     by the empirical maximum performance observed across this batch.
     """
     task = str(getattr(task, "value", task))
-    normal_scores = evaluate_archive(archive, task, None, trials, seed, duration, n_jobs=n_jobs)
-    best_key, best_normal = _argbest(normal_scores)
-    if best_normal == 0:
-        raise ValueError(
-            f"task {task}: every elite scores 0 fault free, so impact and "
-            "resilience (changes relative to the normal-best score) are undefined"
+    with evaluator(min(n_jobs, len(archive.cells))) as run:
+        normal_scores, descriptors = _run_elites(
+            run, archive, task, NORMAL_ENV, None, trials, seed, duration, "spirit"
         )
-    seeds = trial_seeds(trials, seed, "recovery-trial")
+        best_key, best_normal = _argbest(normal_scores)
+        if best_normal == 0:
+            raise ValueError(
+                f"task {task}: every elite scores 0 fault free, so impact and "
+                "resilience (changes relative to the normal-best score) are undefined"
+            )
+        empirical_max = max(normal_scores.values())
 
-    descriptor_cache: dict[int, np.ndarray] = {}
-
-    def replay_descriptor(key: int) -> np.ndarray:
-        if key not in descriptor_cache:
-            genome = archive.cells[key].genome
-            logs = [
-                run_trial(NORMAL_ENV, genome, faults=None, seed=s, duration=duration)
-                for s in seeds
-            ]
-            descriptor_cache[key] = compute_spirit(logs)
-        return descriptor_cache[key]
-
-    normal_descriptor = replay_descriptor(best_key)
-    empirical_max = max(normal_scores.values())
-
-    raw = []
-    for idx, fault in enumerate(faults):
-        faulty_scores = evaluate_archive(archive, task, fault, trials, seed, duration, n_jobs=n_jobs)
-        rec_key, rec_perf = _argbest(faulty_scores)
-        rec_impact = proportional_change(faulty_scores[best_key], best_normal)
-        rec_resilience = proportional_change(rec_perf, best_normal)
-        distance = spirit_distance(replay_descriptor(rec_key), normal_descriptor)
-        empirical_max = max(empirical_max, rec_perf)
-        fid = fault_ids[idx] if fault_ids else str(idx)
-        raw.append((fid, fault, rec_impact, rec_perf, rec_resilience, distance, rec_key))
+        raw = []
+        for idx, fault in enumerate(faults):
+            faulty_scores, _ = _run_elites(
+                run, archive, task, NORMAL_ENV, fault, trials, seed, duration
+            )
+            rec_key, rec_perf = _argbest(faulty_scores)
+            rec_impact = proportional_change(faulty_scores[best_key], best_normal)
+            rec_resilience = proportional_change(rec_perf, best_normal)
+            distance = spirit_distance(descriptors[rec_key], descriptors[best_key])
+            empirical_max = max(empirical_max, rec_perf)
+            fid = fault_ids[idx] if fault_ids else str(idx)
+            raw.append((fid, fault, rec_impact, rec_perf, rec_resilience, distance, rec_key))
 
     records = []
     for fid, fault, rec_impact, rec_perf, rec_resilience, distance, rec_key in raw:

@@ -7,11 +7,14 @@ patrolling uses a 10 x 10 cell grid whose values decay linearly at 0.005/s
 between visits.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from enum import Enum
 
 import numpy as np
 
-from .sim import CONTROL_DT, TrialLog, run_trial
+from .descriptors import compute_hbd, compute_sdbc, compute_spirit
+from .sim import CONTROL_DT, PlacementError, TrialLog, run_trial
 
 
 class TaskKind(str, Enum):
@@ -92,15 +95,12 @@ def patrol_cell_trace(log: TrialLog) -> np.ndarray:
     """
     cell = log.arena.side / PATROL_GRID_SIZE
     ij = np.clip((log.poses[:, :, :2] // cell).astype(int), 0, PATROL_GRID_SIZE - 1)
-    trace = np.zeros((log.n_cycles, PATROL_GRID_SIZE, PATROL_GRID_SIZE))
-    last_visit = np.full((PATROL_GRID_SIZE, PATROL_GRID_SIZE), -1, dtype=int)
-    for t in range(log.n_cycles):
-        last_visit[ij[t, :, 0], ij[t, :, 1]] = t
-        visited = last_visit >= 0
-        trace[t][visited] = np.maximum(
-            0.0, 1.0 - PATROL_DECAY_PER_CYCLE * (t - last_visit[visited])
-        )
-    return trace
+    t = np.arange(log.n_cycles)
+    visits = np.full((log.n_cycles, PATROL_GRID_SIZE, PATROL_GRID_SIZE), -1, dtype=int)
+    visits[t[:, None], ij[:, :, 0], ij[:, :, 1]] = t[:, None]
+    last_visit = np.maximum.accumulate(visits, axis=0)
+    age = t[:, None, None] - last_visit
+    return np.where(last_visit >= 0, np.maximum(0.0, 1.0 - PATROL_DECAY_PER_CYCLE * age), 0.0)
 
 
 def _border_mask() -> np.ndarray:
@@ -147,3 +147,46 @@ def performance(task, env, genome, faults, seeds, duration: float = 400.0) -> fl
     return mean_fitness(
         task, (run_trial(env, genome, faults=faults, seed=s, duration=duration) for s in seeds)
     )
+
+
+# Lambdas look the descriptor functions up at call time, so a wrapper put on
+# a module-level name (a profiler's, say) sees the calls made through here.
+DESCRIPTORS = {
+    "hbd": lambda logs: compute_hbd(logs),
+    "sdbc": lambda logs: compute_sdbc(logs),
+    "spirit": lambda logs: compute_spirit(logs),
+}
+
+
+def evaluate_job(job):
+    """Score one genome: job = (task, env, genome, faults, seeds, duration, kind).
+
+    Returns (mean fitness, descriptor or None, placement error or None); the
+    descriptor is `DESCRIPTORS[kind]` of the trial logs, and with `kind` None
+    no log is kept past its fitness. A failed placement scores 0.
+    """
+    task, env, genome, faults, seeds, duration, kind = job
+    try:
+        if kind is None:
+            return performance(task, env, genome, faults, seeds, duration), None, None
+        logs = [run_trial(env, genome, faults=faults, seed=s, duration=duration) for s in seeds]
+    except PlacementError as exc:
+        return 0.0, None, str(exc)
+    return mean_fitness(task, logs), DESCRIPTORS[kind](logs), None
+
+
+@contextmanager
+def evaluator(n_jobs: int):
+    """Yield `run(jobs)`, the `evaluate_job` results in job order.
+
+    With one worker the jobs run in this process; otherwise every `run`
+    shares one pool of `n_jobs` worker processes. Results do not depend on
+    `n_jobs`.
+    """
+    if n_jobs <= 1:
+        yield lambda jobs: [evaluate_job(job) for job in jobs]
+        return
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        yield lambda jobs: list(
+            pool.map(evaluate_job, jobs, chunksize=max(1, len(jobs) // (8 * n_jobs)))
+        )

@@ -1,7 +1,8 @@
 """Byte-identity lock on the pipeline's primary outputs.
 
 A tiny QED run and a tiny SDBC run go through evolve -> reevaluate -> faults,
-and the SHA-256 of every CSV they write is compared with a pinned value.
+and the SHA-256 of every CSV they write is compared with a pinned value, on
+one worker and on two (outputs must not depend on `--threads`).
 Refactors must keep these bytes; a change that alters results on purpose
 updates the hashes and says why.
 """
@@ -59,12 +60,14 @@ def _csv_digests(rep):
     }
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("algorithm", sorted(CONFIGS))
-def test_primary_csvs_byte_identical(tmp_path, algorithm):
+def test_primary_csvs_byte_identical(tmp_path, algorithm, threads):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(COMMON + CONFIGS[algorithm])
     out = str(tmp_path / "run")
-    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
-    assert main(["reevaluate", "--out", out]) == 0
-    assert main(["faults", "--out", out]) == 0
+    workers = ["--threads", threads]
+    assert main(["evolve", "--config", str(cfg), "--out", out, *workers]) == 0
+    assert main(["reevaluate", "--out", out, *workers]) == 0
+    assert main(["faults", "--out", out, *workers]) == 0
     assert _csv_digests(tmp_path / "run" / "rep00") == GOLDEN[algorithm]

@@ -222,18 +222,18 @@ class TestFaultRecoveryRecords:
         assert records[0].distance == 0.0
 
     def test_zero_normal_best_rejected_before_faulty_runs(self, monkeypatch):
-        import qdswarm.recovery as recovery
+        import qdswarm.tasks as tasks
 
         archive = Archive.qed()
         archive.try_insert(0, Elite(genome=Genome(), performance=0.0, env=NORMAL_ENV))
         faults_seen = []
-        original = recovery.evaluate_archive
+        original = tasks.evaluate_job
 
-        def spy(archive, task, fault=None, *args, **kwargs):
-            faults_seen.append(fault)
-            return original(archive, task, fault, *args, **kwargs)
+        def spy(job):
+            faults_seen.append(job[3])
+            return original(job)
 
-        monkeypatch.setattr(recovery, "evaluate_archive", spy)
+        monkeypatch.setattr(tasks, "evaluate_job", spy)
         with pytest.raises(ValueError, match="flocking"):
             fault_recovery_records(
                 archive,

@@ -166,6 +166,22 @@ class TestPatrolling:
         assert np.all(trace >= 0.0)
         assert np.all(trace <= 1.0)
 
+    @pytest.mark.parametrize("cycles, robots", [(60, 1), (1001, 3), (300, 20)])
+    def test_trace_matches_per_cycle_oracle(self, cycles, robots):
+        rng = np.random.default_rng(cycles + robots)
+        # a few positions fall outside the arena to exercise the edge clipping
+        positions = rng.uniform(-0.2, 4.2, size=(cycles, robots, 2))
+        log = make_log(positions)
+        cells = np.clip((positions // 0.4).astype(int), 0, 9)
+        expected = np.zeros((cycles, 10, 10))
+        last_visit = {}
+        for t in range(cycles):
+            for i, j in cells[t]:
+                last_visit[i, j] = t
+            for (i, j), visit in last_visit.items():
+                expected[t, i, j] = linear_decay(1.0, t - visit)
+        assert np.array_equal(patrol_cell_trace(log), expected)
+
 
 class TestAllFitnessesBounded:
     def test_random_logs_in_unit_interval(self):

@@ -65,6 +65,7 @@ from .sim import (
     apply_faults,
     differential_drive_step,
     run_trial,
+    run_trials,
     sense_proximity,
     sense_rab,
     trial_log_to_csv,

@@ -200,30 +200,41 @@ def mutate(genome: Genome, params: MutationParams, rng: np.random.Generator) -> 
 
 
 class CompiledNetwork:
-    """Dense-matrix form of a genome for fast, batched synchronous updates.
+    """Dense-matrix form of genomes for fast, batched synchronous updates.
 
-    Non-input nodes are ordered [output 0, output 1, hidden...]; `step`
-    advances one control cycle for a batch of robots sharing the genome.
+    Non-input nodes are ordered [output 0, output 1, hidden...]. One genome
+    gives (k, 16) input and (k, k) recurrent weights and `step` advances a
+    batch of robots sharing it. A sequence of B genomes gives (B, K, 16) and
+    (B, K, K) weights, zero-padded to the largest K, and `step` advances
+    (B, robots, K) states; the padding units stay at 0 and add exact zeros,
+    so each genome's outputs do not depend on the others.
     """
 
-    def __init__(self, genome: Genome):
-        k = N_OUTPUTS + genome.hidden
+    def __init__(self, genomes):
+        single = isinstance(genomes, Genome)
+        genomes = [genomes] if single else list(genomes)
+        k = N_OUTPUTS + max(g.hidden for g in genomes)
         self.n_units = k
-        self.w_in = np.zeros((k, N_INPUTS))
-        self.w_rec = np.zeros((k, k))
-        for c in genome.connections:
-            row = c.target - FIRST_OUTPUT_ID
-            if c.source < N_INPUTS:
-                self.w_in[row, c.source] = c.weight
-            else:
-                self.w_rec[row, c.source - FIRST_OUTPUT_ID] = c.weight
+        self.w_in = np.zeros((len(genomes), k, N_INPUTS))
+        self.w_rec = np.zeros((len(genomes), k, k))
+        for b, genome in enumerate(genomes):
+            for c in genome.connections:
+                row = c.target - FIRST_OUTPUT_ID
+                if c.source < N_INPUTS:
+                    self.w_in[b, row, c.source] = c.weight
+                else:
+                    self.w_rec[b, row, c.source - FIRST_OUTPUT_ID] = c.weight
+        if single:
+            self.w_in, self.w_rec = self.w_in[0], self.w_rec[0]
 
     def initial_state(self, batch: int = 1) -> np.ndarray:
-        return np.zeros((batch, self.n_units))
+        return np.zeros(self.w_in.shape[:-2] + (batch, self.n_units))
 
     def step(self, state: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """One synchronous update; returns the new activation matrix."""
-        return np.tanh(inputs @ self.w_in.T + state @ self.w_rec.T)
+        return np.tanh(
+            inputs @ np.swapaxes(self.w_in, -1, -2) + state @ np.swapaxes(self.w_rec, -1, -2)
+        )
 
     @staticmethod
     def outputs(state: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ def evaluate_archive(
 
 def _run_elites(run, archive, task, env, fault, trials, seed, duration, kind=None):
     """({key: performance}, {key: descriptor}) of every elite over the shared
-    trial seeds; `kind` names the descriptor, as in `tasks.evaluate_job`."""
+    trial seeds; `kind` names the descriptor, as in `tasks.evaluate_jobs`."""
     if not archive.cells:
         raise ValueError("archive is empty")
     keys = sorted(archive.cells)

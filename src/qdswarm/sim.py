@@ -7,7 +7,9 @@ degree cones. One forward-Euler integration step is taken per control cycle
 discs are pushed apart along their centre line, robots are pushed out of
 obstacles, and positions are clamped to the walls. Per-robot sensor/actuator
 faults can be injected each cycle. A trial is a pure function of
-(environment, genome, fault assignment, seed).
+(environment, genome, fault assignment, seed). Trials that share an
+environment and a duration step together in `run_trials`, and a trial's log
+is the same whatever batch it runs in.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,11 @@ MAX_ANGULAR_SPEED = 2.2222  # rad/s, 127.32 deg/s
 OBSTACLE_SIDE = 0.25
 PLACEMENT_ATTEMPTS = 10_000
 MAX_RESOLUTION_PASSES = 64
+# Robot-cycles of trial logs one `run_trials` call may hold (176 bytes each).
+TRIAL_BATCH_ROBOT_CYCLES = 160_000
 PAIR_OVERLAP_TOL = 1e-9
+# Slack on the proximity ray-casting cut-off, far above its rounding error.
+CULL_MARGIN = 1e-6
 
 # Body-frame ray angles: five frontal, two rear.
 PROXIMITY_ANGLES = np.radians([-40.0, -20.0, 0.0, 20.0, 40.0, 160.0, -160.0])
@@ -49,7 +55,12 @@ class FaultType(IntEnum):
 
 
 class PlacementError(RuntimeError):
-    """Raised when rejection sampling cannot place all robots/obstacles."""
+    """Raised when rejection sampling cannot place all robots/obstacles.
+
+    From `run_trials`, `trial` is the index of the failing trial in the batch.
+    """
+
+    trial = None
 
 
 @dataclass(frozen=True)
@@ -165,29 +176,36 @@ def differential_drive_step(pose, vl: float, vr: float, body: RobotBody) -> np.n
 
 # ---------------------------------------------------------------------------
 # Ray casting
+#
+# The sensing, fault and collision functions below act on B trials at once:
+# poses are (B, N, 3) and obstacle centres (B, K, 2). Each element of a trial
+# goes through the same arithmetic whatever the other trials hold, so a
+# trial's readings are the same bits in any batch.
 
 
 def _ray_wall_t(origins, dirs, side):
     with np.errstate(divide="ignore", invalid="ignore"):
         tx = np.where(
-            dirs[:, 0] > 0,
-            (side - origins[:, 0]) / dirs[:, 0],
-            np.where(dirs[:, 0] < 0, -origins[:, 0] / dirs[:, 0], np.inf),
+            dirs[..., 0] > 0,
+            (side - origins[..., 0]) / dirs[..., 0],
+            np.where(dirs[..., 0] < 0, -origins[..., 0] / dirs[..., 0], np.inf),
         )
         ty = np.where(
-            dirs[:, 1] > 0,
-            (side - origins[:, 1]) / dirs[:, 1],
-            np.where(dirs[:, 1] < 0, -origins[:, 1] / dirs[:, 1], np.inf),
+            dirs[..., 1] > 0,
+            (side - origins[..., 1]) / dirs[..., 1],
+            np.where(dirs[..., 1] < 0, -origins[..., 1] / dirs[..., 1], np.inf),
         )
     return np.minimum(tx, ty)
 
 
 def _ray_box_t(origins, dirs, centers, half):
-    """Slab test of rays against axis-aligned boxes; (K, O) hit distances."""
+    """Slab test of P bundles of rays (P, R, 2) from `origins` (P, 2) against
+    one axis-aligned box each, centred at `centers` (P, 2); (P, R) hit
+    distances, inf when missed."""
     o = origins[:, None, :]
-    d = dirs[:, None, :]
-    lo = centers[None, :, :] - half
-    hi = centers[None, :, :] + half
+    d = dirs
+    lo = centers[:, None, :] - half
+    hi = centers[:, None, :] + half
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - o) / d
         t2 = (hi - o) / d
@@ -203,42 +221,56 @@ def _ray_box_t(origins, dirs, centers, half):
     return np.where(hit, np.maximum(near, 0.0), np.inf)
 
 
-def _ray_circle_t(origins, dirs, centers, radius, self_index=None):
-    """Entry distances of rays against circles; (K, C), inf when missed."""
-    oc = centers[None, :, :] - origins[:, None, :]
-    b = np.einsum("kci,ki->kc", oc, dirs)
-    c = np.einsum("kci,kci->kc", oc, oc) - radius * radius
+def _ray_circle_t(oc, dirs, radius):
+    """Entry distances of P bundles of rays (P, R, 2) into one disc each,
+    centred at offset `oc` (P, 2) from the rays' origin; (P, R), inf when missed."""
+    b = oc[:, None, 0] * dirs[..., 0] + oc[:, None, 1] * dirs[..., 1]
+    c = (oc[:, 0] * oc[:, 0] + oc[:, 1] * oc[:, 1] - radius * radius)[:, None]
     disc = b * b - c
     t = b - np.sqrt(np.maximum(disc, 0.0))
-    valid = (disc >= 0.0) & (t > 1e-12)
-    t = np.where(valid, t, np.inf)
-    if self_index is not None:
-        t[np.arange(len(origins)), self_index] = np.inf
-    return t
+    return np.where((disc >= 0.0) & (t > 1e-12), t, np.inf)
 
 
-def proximity_activations(poses, arena: ArenaSpec, body: RobotBody) -> np.ndarray:
-    """Batched proximity readings, (N, 7) activations in [0, 1].
+def pairwise_offsets(poses) -> np.ndarray:
+    """(..., N, N, 2) world-frame offsets: entry [i, j] is robot j's position minus robot i's."""
+    poses = np.asarray(poses, dtype=float)
+    return poses[..., None, :, :2] - poses[..., :, None, :2]
 
-    Activation is 1 - d / range clipped to [0, 1], with d the distance from
-    the body surface to the nearest wall, obstacle, or robot along the ray.
+
+def proximity_activations(poses, obstacles, side: float, body: RobotBody, rel=None) -> np.ndarray:
+    """Proximity readings of B trials, (B, N, 7) activations in [0, 1].
+
+    `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side; `rel`
+    is `pairwise_offsets(poses)` when the caller has it. Activation is
+    1 - d / range clipped to [0, 1], with d the distance from the body
+    surface to the nearest wall, obstacle, or robot along the ray. Only
+    obstacles and robots within reach of a robot are ray-cast: anything
+    farther is more than the range away along every ray, so its reading
+    would clip to 0 whether it is cast or not.
     """
     poses = np.asarray(poses, dtype=float)
-    n = poses.shape[0]
-    angles = poses[:, 2:3] + PROXIMITY_ANGLES[None, :]
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(-1, 2)
-    origins = np.repeat(poses[:, :2], N_PROXIMITY_RAYS, axis=0)
-    t = _ray_wall_t(origins, dirs, arena.side)
-    if len(arena.obstacles):
-        t = np.minimum(t, _ray_box_t(origins, dirs, arena.obstacles, OBSTACLE_SIDE / 2).min(axis=1))
+    batch, n = poses.shape[:2]
+    xy = poses[..., :2]
+    angles = poses[..., 2:3] + PROXIMITY_ANGLES
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    t = _ray_wall_t(xy[:, :, None, :], dirs, side)
+    reach = body.proximity_range + body.radius + CULL_MARGIN
+    if obstacles.shape[1]:
+        half = OBSTACLE_SIDE / 2
+        b, i, k = np.nonzero(_circle_box_distance(xy, obstacles, half) <= reach)
+        if len(b):
+            np.minimum.at(t, (b, i), _ray_box_t(xy[b, i], dirs[b, i], obstacles[b, k], half))
     if n > 1:
-        self_index = np.repeat(np.arange(n), N_PROXIMITY_RAYS)
-        t = np.minimum(
-            t, _ray_circle_t(origins, dirs, poses[:, :2], body.radius, self_index).min(axis=1)
-        )
+        if rel is None:
+            rel = pairwise_offsets(poses)
+        reach += body.radius
+        near = rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1] <= reach * reach
+        near.reshape(batch, -1)[:, :: n + 1] = False
+        b, i, j = np.nonzero(near)
+        if len(b):
+            np.minimum.at(t, (b, i), _ray_circle_t(rel[b, i, j], dirs[b, i], body.radius))
     distance = t - body.radius
-    activation = np.clip(1.0 - distance / body.proximity_range, 0.0, 1.0)
-    return activation.reshape(n, N_PROXIMITY_RAYS)
+    return np.clip(1.0 - distance / body.proximity_range, 0.0, 1.0)
 
 
 _OFFDIAG_MASKS: dict[int, np.ndarray] = {}
@@ -252,35 +284,35 @@ def _offdiag_mask(n: int) -> np.ndarray:
     return mask
 
 
-def body_frame_offsets(poses) -> np.ndarray:
-    """(N, N-1, 2) offsets from each robot to the others in its body frame.
+def body_frame_offsets(poses, rel=None) -> np.ndarray:
+    """(..., N, N-1, 2) offsets from each robot to the others in its body frame.
 
-    Row i lists the other robots in ascending index order.
+    Row i lists the other robots in ascending index order; `rel` is
+    `pairwise_offsets(poses)` when the caller has it.
     """
     poses = np.asarray(poses, dtype=float)
-    n = poses.shape[0]
-    rel = poses[None, :, :2] - poses[:, None, :2]
-    cos = np.cos(poses[:, 2])
-    sin = np.sin(poses[:, 2])
-    rx = rel[..., 0] * cos[:, None] + rel[..., 1] * sin[:, None]
-    ry = -rel[..., 0] * sin[:, None] + rel[..., 1] * cos[:, None]
+    n = poses.shape[-2]
+    if rel is None:
+        rel = pairwise_offsets(poses)
+    cos = np.cos(poses[..., 2])[..., None]
+    sin = np.sin(poses[..., 2])[..., None]
+    rx = rel[..., 0] * cos + rel[..., 1] * sin
+    ry = -rel[..., 0] * sin + rel[..., 1] * cos
     rotated = np.stack([rx, ry], axis=-1)
-    return rotated[_offdiag_mask(n)].reshape(n, n - 1, 2)
+    return rotated[..., _offdiag_mask(n), :].reshape(poses.shape[:-2] + (n, n - 1, 2))
 
 
 def rab_activations(neighbor_rel, rab_range: float) -> np.ndarray:
-    """Range-and-bearing readings from body-frame neighbour offsets.
+    """Range-and-bearing readings from body-frame neighbour offsets (..., K, 2); (..., 8).
 
     Cone k is centred at k * 45 degrees (cone 0 on the heading). Each cone
     reports the range of its closest neighbour as a fraction of `rab_range`,
     or 1 if no neighbour is within range.
     """
     rel = np.asarray(neighbor_rel, dtype=float)
-    squeeze = rel.ndim == 2
-    if squeeze:
-        rel = rel[None, :, :]
-    batch, count = rel.shape[:2]
-    closest = np.full((batch, N_RAB_CONES), np.inf)
+    lead, count = rel.shape[:-2], rel.shape[-2]
+    rel = rel.reshape((int(np.prod(lead)), count, 2))
+    closest = np.full((len(rel), N_RAB_CONES), np.inf)
     if count:
         ranges = np.hypot(rel[..., 0], rel[..., 1])
         bearings = np.arctan2(rel[..., 1], rel[..., 0])
@@ -290,11 +322,13 @@ def rab_activations(neighbor_rel, rab_range: float) -> np.ndarray:
         rows, cols = np.nonzero(ranges <= rab_range)
         np.minimum.at(closest, (rows, cones[rows, cols]), ranges[rows, cols])
     out = np.where(np.isfinite(closest), closest / rab_range, 1.0)
-    return out[0] if squeeze else out
+    return out.reshape(lead + (N_RAB_CONES,))
 
 
 def sense_proximity(world: World, robot_index: int) -> np.ndarray:
-    return proximity_activations(world.poses, world.arena, world.body)[robot_index]
+    poses = np.asarray(world.poses, dtype=float)[None]
+    obstacles = world.arena.obstacles[None]
+    return proximity_activations(poses, obstacles, world.arena.side, world.body)[0, robot_index]
 
 
 def sense_rab(world: World, robot_index: int) -> np.ndarray:
@@ -306,7 +340,7 @@ def sense_frame(world: World, robot_index: int) -> SensorFrame:
     """Full sensor frame of one robot (before any fault is applied)."""
     rel = body_frame_offsets(world.poses)[robot_index]
     return SensorFrame(
-        proximity=proximity_activations(world.poses, world.arena, world.body)[robot_index],
+        proximity=sense_proximity(world, robot_index),
         rab=rab_activations(rel, world.body.rab_range),
         neighbor_rel=rel,
         rab_range=world.body.rab_range,
@@ -357,61 +391,82 @@ def apply_faults(frame: SensorFrame, commands, fault: FaultType, rng: np.random.
 
 
 @dataclass
-class _FaultMasks:
-    """Per-trial-constant boolean masks for the swarm's fault assignment."""
+class _FaultPlan:
+    """The fault assignments of B trials: (B, N) masks, actuator scales, and
+    every cycle's PRAND/ROFS noise drawn up front, one (T, W) column block
+    per trial."""
 
     pmin: np.ndarray
     pmax: np.ndarray
     prand: np.ndarray
     rofs: np.ndarray
-    n_prand: int
-    n_rofs: int
     any_prox: bool
-    actuator_scale: np.ndarray
+    actuator_scale: np.ndarray  # (B, N, 2)
     any_actuator: bool
+    noise: np.ndarray  # (T, W): the noise of cycle t is row t
+    prand_cols: np.ndarray  # (PRAND robots, 5) noise columns, robots in (trial, index) order
+    radius_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset radii
+    angle_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset angles
 
 
-def _compile_faults(fault_arr: np.ndarray) -> _FaultMasks:
-    pmin = fault_arr == int(FaultType.PMIN)
-    pmax = fault_arr == int(FaultType.PMAX)
+def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
+    """Plan of the (B, N) fault assignment `fault_arr`; trial b's noise comes from `rngs[b]`.
+
+    Each trial draws, per cycle, 5 values per PRAND robot (ascending robot
+    index), then one offset radius per ROFS robot, then one offset angle per
+    ROFS robot. Drawing all cycles as one block of `Generator.uniform` calls
+    with per-column bounds consumes the stream in that same order, and each
+    value goes through the same low + (high - low) * u as a per-cycle draw.
+    """
     prand = fault_arr == int(FaultType.PRAND)
     rofs = fault_arr == int(FaultType.ROFS)
-    scale = np.ones((len(fault_arr), 2))
+    pmin = fault_arr == int(FaultType.PMIN)
+    pmax = fault_arr == int(FaultType.PMAX)
+    scale = np.ones(fault_arr.shape + (2,))
     scale[fault_arr == int(FaultType.LW_H), 0] = 0.5
     scale[fault_arr == int(FaultType.RW_H), 1] = 0.5
     scale[fault_arr == int(FaultType.BW_H), :] = 0.5
-    return _FaultMasks(
+    blocks, prand_cols, radius_cols, angle_cols = [], [], [], []
+    width = 0
+    for rng, n_prand, n_rofs in zip(rngs, prand.sum(axis=1), rofs.sum(axis=1)):
+        counts = [N_FRONT_PROXIMITY * n_prand, n_rofs, n_rofs]
+        low = np.repeat([0.0, 0.75, -np.pi], counts)
+        high = np.repeat([1.0, 1.0, np.pi], counts)
+        if len(low):
+            blocks.append(rng.uniform(low, high, size=(n_cycles, len(low))))
+        prand_cols.append(width + np.arange(counts[0]).reshape(n_prand, N_FRONT_PROXIMITY))
+        radius_cols.append(width + counts[0] + np.arange(n_rofs))
+        angle_cols.append(width + counts[0] + n_rofs + np.arange(n_rofs))
+        width += len(low)
+    return _FaultPlan(
         pmin=pmin,
         pmax=pmax,
         prand=prand,
         rofs=rofs,
-        n_prand=int(prand.sum()),
-        n_rofs=int(rofs.sum()),
         any_prox=bool(pmin.any() or pmax.any() or prand.any()),
         actuator_scale=scale,
         any_actuator=bool((scale != 1.0).any()),
+        noise=np.concatenate(blocks, axis=1) if blocks else np.empty((n_cycles, 0)),
+        prand_cols=np.concatenate(prand_cols),
+        radius_cols=np.concatenate(radius_cols),
+        angle_cols=np.concatenate(angle_cols),
     )
 
 
-def _apply_sensor_faults_batch(proximity, neighbor_rel, masks: _FaultMasks, rab_range, rng):
-    """Faulted (proximity, rab) arrays for the whole swarm, one cycle.
-
-    Draw order is fixed: all PRAND rows (ascending robot index), then all
-    ROFS offsets.
-    """
+def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_range, noise):
+    """Faulted (proximity, rab) arrays of B trials for one cycle; `noise` is
+    the cycle's row of `plan.noise`."""
     rab = rab_activations(neighbor_rel, rab_range)
-    if masks.any_prox:
+    if plan.any_prox:
         proximity = proximity.copy()
-        proximity[masks.pmin, :N_FRONT_PROXIMITY] = 0.0
-        proximity[masks.pmax, :N_FRONT_PROXIMITY] = 1.0
-        if masks.n_prand:
-            proximity[masks.prand, :N_FRONT_PROXIMITY] = rng.random(
-                (masks.n_prand, N_FRONT_PROXIMITY)
-            )
-    if masks.n_rofs:
-        offsets = _rofs_offsets(rng, masks.n_rofs, rab_range)
-        shifted = neighbor_rel[masks.rofs] + offsets[:, None, :]
-        rab[masks.rofs] = rab_activations(shifted, rab_range)
+        proximity[plan.pmin, :N_FRONT_PROXIMITY] = 0.0
+        proximity[plan.pmax, :N_FRONT_PROXIMITY] = 1.0
+        proximity[plan.prand, :N_FRONT_PROXIMITY] = noise[plan.prand_cols]
+    if len(plan.radius_cols):
+        r = noise[plan.radius_cols] * rab_range
+        theta = noise[plan.angle_cols]
+        offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        rab[plan.rofs] = rab_activations(neighbor_rel[plan.rofs] + offsets[:, None, :], rab_range)
     return proximity, rab
 
 
@@ -420,9 +475,11 @@ def _apply_sensor_faults_batch(proximity, neighbor_rel, masks: _FaultMasks, rab_
 
 
 def _circle_box_distance(xy, centers, half):
-    """Distance from points (N, 2) to boxes (K, 2); (N, K)."""
-    nearest = np.clip(xy[:, None, :], centers[None] - half, centers[None] + half)
-    return np.hypot(*(xy[:, None, :] - nearest).transpose(2, 0, 1))
+    """Distance from points (..., N, 2) to boxes (..., K, 2); (..., N, K)."""
+    boxes = centers[..., None, :, :]
+    nearest = np.clip(xy[..., :, None, :], boxes - half, boxes + half)
+    delta = xy[..., :, None, :] - nearest
+    return np.hypot(delta[..., 0], delta[..., 1])
 
 
 def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
@@ -462,65 +519,223 @@ def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
     return obstacles, poses
 
 
-def resolve_collisions(poses, arena: ArenaSpec, body: RobotBody) -> np.ndarray:
-    """Project robots out of walls, obstacles, and each other.
+def _push_out_of_boxes(xy, boxes, r, half) -> np.ndarray:
+    """Push discs (A, N, 2) out of the boxes (A, K, 2) they overlap, in place;
+    returns which of the A trials had a disc pushed.
 
-    Iterates positional corrections until no two discs overlap by more than
-    1e-9 m; walls are clamped last so robots can never leave the arena.
+    A robot's pushes apply in ascending box order, each to the position the
+    previous one left. `np.add.at` keeps that order for the usual push along
+    the centre-to-box line; a robot whose centre is inside a box takes the
+    per-pair loop instead, because its exit reads the current position.
+    """
+    n = xy.shape[1]
+    pushed = np.zeros(len(xy), dtype=bool)
+    nearest = np.clip(xy[:, :, None, :], boxes[:, None] - half, boxes[:, None] + half)
+    delta = xy[:, :, None, :] - nearest
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    a, i, k = np.nonzero(dist < r)
+    if not len(a):
+        return pushed
+    pushed[a] = True
+    d = dist[a, i, k]
+    row = a * n + i
+    inside_rows = row[d <= 1e-12]
+    if len(inside_rows):
+        slow = np.isin(row, inside_rows)
+        for a_, i_, k_, d_ in zip(a[slow], i[slow], k[slow], d[slow]):
+            if d_ > 1e-12:
+                xy[a_, i_] += delta[a_, i_, k_] / d_ * (r - d_)
+            else:  # centre inside the box: exit along the shallower axis
+                gap = xy[a_, i_] - boxes[a_, k_]
+                axis = int(np.argmin(half - np.abs(gap)))
+                direction = 1.0 if gap[axis] >= 0 else -1.0
+                xy[a_, i_, axis] = boxes[a_, k_, axis] + direction * (half + r)
+        a, i, k, d, row = a[~slow], i[~slow], k[~slow], d[~slow], row[~slow]
+    np.add.at(xy.reshape(-1, 2), row, delta[a, i, k] / d[:, None] * (r - d)[:, None])
+    return pushed
+
+
+def _push_pairs_apart(xy, overlapping, diff, dist, overlap):
+    """Push every overlapping pair (i < j) of discs (A, N, 2) apart by half
+    the overlap each, in place, summing each robot's pushes in the order of
+    a loop over the pairs (i, j) before adding them to its position.
+
+    In that loop a robot's pushes as the j of a pair all come before its
+    pushes as the i of one, so `np.add.at` over every j-side push followed
+    by every i-side push, each in pair order, adds them in the same order.
+    """
+    n = xy.shape[1]
+    a, i, j = np.nonzero(overlapping)
+    upper = i < j
+    a, i, j = a[upper], i[upper], j[upper]
+    d = dist[a, i, j]
+    distinct = d > 1e-12
+    unit = diff[a, i, j] / np.where(distinct, d, 1.0)[:, None]
+    unit[~distinct] = (1.0, 0.0)  # coincident centres
+    step = 0.5 * overlap[a, i, j][:, None] * unit
+    push = np.zeros((xy.size // 2, 2))
+    np.add.at(push, np.concatenate([a * n + j, a * n + i]), np.concatenate([-step, step]))
+    xy += push.reshape(xy.shape)
+
+
+def resolve_collisions(poses, obstacles, side: float, body: RobotBody) -> np.ndarray:
+    """Project the robots of B trials out of walls, obstacles, and each other.
+
+    `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side. Each
+    trial iterates positional corrections until no two of its discs overlap
+    by more than 1e-9 m, for at most MAX_RESOLUTION_PASSES passes; a trial
+    that has converged takes no further pass. Walls are clamped last so
+    robots can never leave the arena.
     """
     poses = np.array(poses, dtype=float)
-    xy = poses[:, :2]
-    n = len(xy)
+    batch, n = poses.shape[:2]
     r = body.radius
     half = OBSTACLE_SIDE / 2.0
-    has_obstacles = len(arena.obstacles) > 0
+    resolved = poses[..., :2].copy()
+    active = np.arange(batch)
     for _ in range(MAX_RESOLUTION_PASSES):
-        np.clip(xy, r, arena.side - r, out=xy)
-        if has_obstacles:
-            nearest = np.clip(xy[:, None, :], arena.obstacles[None] - half, arena.obstacles[None] + half)
-            delta = xy[:, None, :] - nearest
-            dist = np.hypot(delta[..., 0], delta[..., 1])
-            for i, k in zip(*np.nonzero(dist < r)):
-                d = dist[i, k]
-                if d > 1e-12:
-                    xy[i] += delta[i, k] / d * (r - d)
-                else:  # centre inside the box: exit along the shallower axis
-                    gap = xy[i] - arena.obstacles[k]
-                    axis = int(np.argmin(half - np.abs(gap)))
-                    direction = 1.0 if gap[axis] >= 0 else -1.0
-                    xy[i][axis] = arena.obstacles[k][axis] + direction * (half + r)
-        clean = True
+        every = len(active) == batch
+        xy = resolved if every else resolved[active]
+        boxes = obstacles if every else obstacles[active]
+        np.clip(xy, r, side - r, out=xy)
+        # A trial that nothing pushes in this pass stays clipped and clear of
+        # every box, so only pushed trials need the wall and box checks.
+        box_pushed = (
+            _push_out_of_boxes(xy, boxes, r, half) if boxes.shape[1] else np.zeros(len(xy), bool)
+        )
+        clean = np.ones(len(xy), dtype=bool)
         if n > 1:
-            diff = xy[:, None, :] - xy[None, :, :]
+            diff = xy[:, :, None, :] - xy[:, None, :, :]
             dist = np.hypot(diff[..., 0], diff[..., 1])
-            np.fill_diagonal(dist, np.inf)
+            dist.reshape(len(xy), -1)[:, :: n + 1] = np.inf
             overlap = 2 * r - dist
-            if (overlap > PAIR_OVERLAP_TOL).any():
-                clean = False
-                push = np.zeros_like(xy)
-                for i, j in zip(*np.nonzero(np.triu(overlap > PAIR_OVERLAP_TOL, k=1))):
-                    d = dist[i, j]
-                    if d > 1e-12:
-                        unit = diff[i, j] / d
-                    else:
-                        unit = np.array([1.0, 0.0])
-                    push[i] += 0.5 * overlap[i, j] * unit
-                    push[j] -= 0.5 * overlap[i, j] * unit
-                xy += push
-        if has_obstacles:
-            sep = _circle_box_distance(xy, arena.obstacles, half)
-            if (sep < r - PAIR_OVERLAP_TOL).any():
-                clean = False
-        if (xy < r).any() or (xy > arena.side - r).any():
-            clean = False
-        if clean:
+            overlapping = overlap > PAIR_OVERLAP_TOL
+            clean = ~overlapping.reshape(len(xy), -1).any(axis=1)
+            if not clean.all():
+                _push_pairs_apart(xy, overlapping, diff, dist, overlap)
+        check = clean & box_pushed
+        if check.any():
+            moved = xy[check]
+            inside_box = _circle_box_distance(moved, boxes[check], half) < r - PAIR_OVERLAP_TOL
+            off_arena = (moved < r) | (moved > side - r)
+            clean[check] = ~(inside_box.any(axis=(1, 2)) | off_arena.any(axis=(1, 2)))
+        if not every:
+            resolved[active] = xy
+        active = active[~clean]
+        if not len(active):
             break
-    np.clip(xy, r, arena.side - r, out=xy)
+    np.clip(resolved, r, side - r, out=poses[..., :2])
     return poses
 
 
 # ---------------------------------------------------------------------------
 # Trial execution
+
+
+def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 400.0) -> list:
+    """Simulate B trials that share `env` and `duration`; one TrialLog each.
+
+    Trial b runs `genomes[b]` under the fault assignment `faults[b]` (None
+    for fault free) from `seeds[b]`. Robots and obstacles are placed
+    uniformly at random without overlap; the swarms then run duration / 0.2
+    control cycles of sense, fault injection, clonal controller update,
+    actuation, integration, and collision resolution, all B trials in one
+    set of numpy operations per cycle. Each trial keeps its own RNG (its
+    placement, then its fault noise), controller state and collision
+    passes, so its log is a deterministic function of its own arguments:
+    bit-identical alone or in any batch.
+
+    Raises PlacementError for the first trial that cannot be placed; the
+    error's `trial` attribute is that trial's index in the batch.
+    """
+    body = RobotBody.from_env(env)
+    n = env.n_robots
+    batch = len(seeds)
+    if not len(genomes) == len(faults) == batch:
+        raise ValueError("genomes, faults and seeds differ in length")
+    fault_arr = np.full((batch, n), int(FaultType.NONE))
+    for b, assignment in enumerate(faults):
+        if assignment is not None:
+            if len(assignment) != n:
+                raise ValueError(f"fault assignment length {len(assignment)} != swarm size {n}")
+            fault_arr[b] = [int(f) for f in assignment]
+    rngs, arenas = [], []
+    poses = np.empty((batch, n, 3))
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        try:
+            obstacles, poses[b] = place_entities(rng, env)
+        except PlacementError as exc:
+            exc.trial = b
+            raise
+        rngs.append(rng)
+        arenas.append(ArenaSpec(env.arena_side, obstacles))
+    obstacles = np.empty((batch, env.n_obstacles, 2))
+    for b, arena in enumerate(arenas):
+        obstacles[b] = arena.obstacles
+    n_cycles = int(round(duration / CONTROL_DT))
+    plan = _compile_faults(fault_arr, rngs, n_cycles)
+
+    net = CompiledNetwork(genomes)
+    activations = net.initial_state(n)
+
+    log_poses = np.empty((batch, n_cycles, n, 3))
+    log_prox = np.empty((batch, n_cycles, n, N_PROXIMITY_RAYS))
+    log_rab = np.empty((batch, n_cycles, n, N_RAB_CONES))
+    log_cmds = np.empty((batch, n_cycles, n, 2))
+    log_v = np.empty((batch, n_cycles, n))
+    log_omega = np.empty((batch, n_cycles, n))
+
+    inputs = np.empty((batch, n, N_INPUTS))
+    inputs[..., -1] = 1.0  # bias
+
+    for t in range(n_cycles):
+        rel = pairwise_offsets(poses)
+        prox = proximity_activations(poses, obstacles, env.arena_side, body, rel)
+        neighbors = body_frame_offsets(poses, rel)
+        prox, rab = _apply_sensor_faults_batch(prox, neighbors, plan, body.rab_range, plan.noise[t])
+
+        inputs[..., :7] = sensor_input_scale(prox)
+        inputs[..., 7:15] = sensor_input_scale(rab)
+        activations = net.step(activations, inputs)
+        commands = net.outputs(activations) * body.max_linear_speed
+        if plan.any_actuator:
+            commands = commands * plan.actuator_scale
+
+        v = 0.5 * (commands[..., 0] + commands[..., 1])
+        omega = np.clip(
+            (commands[..., 1] - commands[..., 0]) / body.axle_length,
+            -body.max_angular_speed,
+            body.max_angular_speed,
+        )
+
+        log_poses[:, t] = poses
+        log_prox[:, t] = prox
+        log_rab[:, t] = rab
+        log_cmds[:, t] = commands
+        log_v[:, t] = v
+        log_omega[:, t] = omega
+
+        moved = np.empty_like(poses)
+        moved[..., 0] = poses[..., 0] + v * CONTROL_DT * np.cos(poses[..., 2])
+        moved[..., 1] = poses[..., 1] + v * CONTROL_DT * np.sin(poses[..., 2])
+        moved[..., 2] = wrap_angle(poses[..., 2] + omega * CONTROL_DT)
+        poses = resolve_collisions(moved, obstacles, env.arena_side, body)
+
+    return [
+        TrialLog(
+            arena=arenas[b],
+            body=body,
+            poses=log_poses[b],
+            proximity=log_prox[b],
+            rab=log_rab[b],
+            commands=log_cmds[b],
+            linear_velocity=log_v[b],
+            angular_velocity=log_omega[b],
+            final_poses=poses[b].copy(),
+        )
+        for b in range(batch)
+    ]
 
 
 def run_trial(
@@ -530,83 +745,11 @@ def run_trial(
     seed=0,
     duration: float = 400.0,
 ) -> TrialLog:
-    """Simulate one trial and return its complete log.
+    """Simulate one trial and return its complete log: `run_trials` with a
+    batch of one, so the result is a deterministic function of the arguments."""
+    return run_trials(env, [genome], [faults], [seed], duration)[0]
 
-    Robots and obstacles are placed uniformly at random without overlap; the
-    swarm then runs duration / 0.2 control cycles of sense, fault injection,
-    clonal controller update, actuation, integration, and collision
-    resolution. The result is a deterministic function of all arguments.
-    """
-    rng = np.random.default_rng(seed)
-    body = RobotBody.from_env(env)
-    n = env.n_robots
-    if faults is None:
-        fault_arr = np.full(n, int(FaultType.NONE))
-    else:
-        fault_arr = np.asarray([int(f) for f in faults])
-        if len(fault_arr) != n:
-            raise ValueError(f"fault assignment length {len(fault_arr)} != swarm size {n}")
-    obstacles, poses = place_entities(rng, env)
-    arena = ArenaSpec(env.arena_side, obstacles)
-    n_cycles = int(round(duration / CONTROL_DT))
-    masks = _compile_faults(fault_arr)
 
-    net = CompiledNetwork(genome)
-    activations = net.initial_state(n)
-
-    log_poses = np.empty((n_cycles, n, 3))
-    log_prox = np.empty((n_cycles, n, N_PROXIMITY_RAYS))
-    log_rab = np.empty((n_cycles, n, N_RAB_CONES))
-    log_cmds = np.empty((n_cycles, n, 2))
-    log_v = np.empty((n_cycles, n))
-    log_omega = np.empty((n_cycles, n))
-
-    inputs = np.empty((n, N_INPUTS))
-    inputs[:, -1] = 1.0  # bias
-
-    for t in range(n_cycles):
-        prox = proximity_activations(poses, arena, body)
-        rel = body_frame_offsets(poses)
-        prox, rab = _apply_sensor_faults_batch(prox, rel, masks, body.rab_range, rng)
-
-        inputs[:, :7] = sensor_input_scale(prox)
-        inputs[:, 7:15] = sensor_input_scale(rab)
-        activations = net.step(activations, inputs)
-        commands = net.outputs(activations) * body.max_linear_speed
-        if masks.any_actuator:
-            commands = commands * masks.actuator_scale
-
-        v = 0.5 * (commands[:, 0] + commands[:, 1])
-        omega = np.clip(
-            (commands[:, 1] - commands[:, 0]) / body.axle_length,
-            -body.max_angular_speed,
-            body.max_angular_speed,
-        )
-
-        log_poses[t] = poses
-        log_prox[t] = prox
-        log_rab[t] = rab
-        log_cmds[t] = commands
-        log_v[t] = v
-        log_omega[t] = omega
-
-        moved = np.empty_like(poses)
-        moved[:, 0] = poses[:, 0] + v * CONTROL_DT * np.cos(poses[:, 2])
-        moved[:, 1] = poses[:, 1] + v * CONTROL_DT * np.sin(poses[:, 2])
-        moved[:, 2] = wrap_angle(poses[:, 2] + omega * CONTROL_DT)
-        poses = resolve_collisions(moved, arena, body)
-
-    return TrialLog(
-        arena=arena,
-        body=body,
-        poses=log_poses,
-        proximity=log_prox,
-        rab=log_rab,
-        commands=log_cmds,
-        linear_velocity=log_v,
-        angular_velocity=log_omega,
-        final_poses=poses,
-    )
 
 
 def trial_log_to_csv(log: TrialLog, path) -> None:

@@ -14,7 +14,14 @@ from enum import Enum
 import numpy as np
 
 from .descriptors import compute_hbd, compute_sdbc, compute_spirit
-from .sim import CONTROL_DT, PlacementError, TrialLog, run_trial
+from .sim import (
+    CONTROL_DT,
+    TRIAL_BATCH_ROBOT_CYCLES,
+    PlacementError,
+    TrialLog,
+    run_trial,
+    run_trials,
+)
 
 
 class TaskKind(str, Enum):
@@ -158,35 +165,72 @@ DESCRIPTORS = {
 }
 
 
-def evaluate_job(job):
-    """Score one genome: job = (task, env, genome, faults, seeds, duration, kind).
+def evaluate_jobs(jobs):
+    """Score genomes: each job is (task, env, genome, faults, seeds, duration, kind).
 
-    Returns (mean fitness, descriptor or None, placement error or None); the
-    descriptor is `DESCRIPTORS[kind]` of the trial logs, and with `kind` None
-    no log is kept past its fitness. A failed placement scores 0.
+    Returns one (mean fitness, descriptor or None, placement error or None)
+    per job, in job order; the descriptor is `DESCRIPTORS[kind]` of the
+    job's trial logs, and a job's logs are dropped once it is scored.
+    Jobs that share (env, duration) run their trials together through
+    `run_trials`, in batches of at most TRIAL_BATCH_ROBOT_CYCLES
+    robot-cycles. A trial's log does not depend on its batch, so a job's
+    result does not depend on the other jobs. A job with a trial that
+    cannot be placed scores 0 with the placement error, and only that job.
     """
-    task, env, genome, faults, seeds, duration, kind = job
-    try:
-        if kind is None:
-            return performance(task, env, genome, faults, seeds, duration), None, None
-        logs = [run_trial(env, genome, faults=faults, seed=s, duration=duration) for s in seeds]
-    except PlacementError as exc:
-        return 0.0, None, str(exc)
-    return mean_fitness(task, logs), DESCRIPTORS[kind](logs), None
+    for job in jobs:
+        if not len(job[4]):
+            raise ValueError("at least one trial seed is required")
+    results = [None] * len(jobs)
+    groups = {}
+    for index, (_, env, _, _, _, duration, _) in enumerate(jobs):
+        groups.setdefault((env, duration), []).append(index)
+    for (env, duration), members in groups.items():
+        robot_cycles = env.n_robots * max(1, int(round(duration / CONTROL_DT)))
+        size = max(1, TRIAL_BATCH_ROBOT_CYCLES // robot_cycles)
+        pending = [(index, seed) for index in members for seed in jobs[index][4]]
+        logs = {index: [] for index in members}
+        while pending:
+            batch, pending = pending[:size], pending[size:]
+            try:
+                trial_logs = run_trials(
+                    env,
+                    [jobs[index][2] for index, _ in batch],
+                    [jobs[index][3] for index, _ in batch],
+                    [seed for _, seed in batch],
+                    duration,
+                )
+            except PlacementError as exc:
+                failed = batch[exc.trial][0]
+                results[failed] = (0.0, None, str(exc))
+                del logs[failed]
+                pending = [trial for trial in batch + pending if trial[0] != failed]
+                continue
+            for (index, _), log in zip(batch, trial_logs):
+                task, _, _, _, seeds, _, kind = jobs[index]
+                logs[index].append(log)
+                if len(logs[index]) == len(seeds):
+                    done = logs.pop(index)
+                    descriptor = None if kind is None else DESCRIPTORS[kind](done)
+                    results[index] = (mean_fitness(task, done), descriptor, None)
+    return results
 
 
 @contextmanager
 def evaluator(n_jobs: int):
-    """Yield `run(jobs)`, the `evaluate_job` results in job order.
+    """Yield `run(jobs)`, the `evaluate_jobs` results in job order.
 
     With one worker the jobs run in this process; otherwise every `run`
-    shares one pool of `n_jobs` worker processes. Results do not depend on
-    `n_jobs`.
+    shares one pool of `n_jobs` worker processes and hands each worker one
+    contiguous chunk of the jobs. Results do not depend on `n_jobs`.
     """
     if n_jobs <= 1:
-        yield lambda jobs: [evaluate_job(job) for job in jobs]
+        yield evaluate_jobs
         return
+
+    def run(jobs):
+        bounds = [len(jobs) * w // n_jobs for w in range(n_jobs + 1)]
+        chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        return [result for chunk in pool.map(evaluate_jobs, chunks) for result in chunk]
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        yield lambda jobs: list(
-            pool.map(evaluate_job, jobs, chunksize=max(1, len(jobs) // (8 * n_jobs)))
-        )
+        yield run

@@ -227,13 +227,13 @@ class TestFaultRecoveryRecords:
         archive = Archive.qed()
         archive.try_insert(0, Elite(genome=Genome(), performance=0.0, env=NORMAL_ENV))
         faults_seen = []
-        original = tasks.evaluate_job
+        original = tasks.evaluate_jobs
 
-        def spy(job):
-            faults_seen.append(job[3])
-            return original(job)
+        def spy(jobs):
+            faults_seen.extend(job[3] for job in jobs)
+            return original(jobs)
 
-        monkeypatch.setattr(tasks, "evaluate_job", spy)
+        monkeypatch.setattr(tasks, "evaluate_jobs", spy)
         with pytest.raises(ValueError, match="flocking"):
             fault_recovery_records(
                 archive,

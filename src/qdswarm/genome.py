@@ -202,17 +202,15 @@ def mutate(genome: Genome, params: MutationParams, rng: np.random.Generator) -> 
 class CompiledNetwork:
     """Dense-matrix form of genomes for fast, batched synchronous updates.
 
-    Non-input nodes are ordered [output 0, output 1, hidden...]. One genome
-    gives (k, 16) input and (k, k) recurrent weights and `step` advances a
-    batch of robots sharing it. A sequence of B genomes gives (B, K, 16) and
-    (B, K, K) weights, zero-padded to the largest K, and `step` advances
-    (B, robots, K) states; the padding units stay at 0 and add exact zeros,
-    so each genome's outputs do not depend on the others.
+    Non-input nodes are ordered [output 0, output 1, hidden...]. A sequence
+    of B genomes gives (B, K, 16) input and (B, K, K) recurrent weights,
+    zero-padded to the largest K, and `step` advances (B, robots, K)
+    states; the padding units stay at 0 and add exact zeros, so each
+    genome's outputs do not depend on the others.
     """
 
     def __init__(self, genomes):
-        single = isinstance(genomes, Genome)
-        genomes = [genomes] if single else list(genomes)
+        genomes = list(genomes)
         k = N_OUTPUTS + max(g.hidden for g in genomes)
         self.n_units = k
         self.w_in = np.zeros((len(genomes), k, N_INPUTS))
@@ -224,11 +222,9 @@ class CompiledNetwork:
                     self.w_in[b, row, c.source] = c.weight
                 else:
                     self.w_rec[b, row, c.source - FIRST_OUTPUT_ID] = c.weight
-        if single:
-            self.w_in, self.w_rec = self.w_in[0], self.w_rec[0]
 
     def initial_state(self, batch: int = 1) -> np.ndarray:
-        return np.zeros(self.w_in.shape[:-2] + (batch, self.n_units))
+        return np.zeros((len(self.w_in), batch, self.n_units))
 
     def step(self, state: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """One synchronous update; returns the new activation matrix."""
@@ -264,8 +260,8 @@ def forward(
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (N_INPUTS,):
         raise ValueError(f"expected {N_INPUTS} inputs, got shape {inputs.shape}")
-    net = CompiledNetwork(genome)
-    new = net.step(state.activations[np.newaxis, :], inputs[np.newaxis, :])[0]
+    net = CompiledNetwork([genome])
+    new = net.step(state.activations[None, None], inputs[None, None])[0, 0]
     return new[:N_OUTPUTS].copy(), NetworkState(new)
 
 

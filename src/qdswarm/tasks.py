@@ -7,6 +7,7 @@ patrolling uses a 10 x 10 cell grid whose values decay linearly at 0.005/s
 between visits.
 """
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from enum import Enum
@@ -19,7 +20,6 @@ from .sim import (
     TRIAL_BATCH_ROBOT_CYCLES,
     PlacementError,
     TrialLog,
-    run_trial,
     run_trials,
 )
 
@@ -142,20 +142,6 @@ def fitness(task, log: TrialLog) -> float:
     return _FITNESS[TaskKind(task)](log)
 
 
-def mean_fitness(task, logs) -> float:
-    """Mean fitness over trial logs; a generator is consumed one log at a time."""
-    return float(np.mean([fitness(task, log) for log in logs]))
-
-
-def performance(task, env, genome, faults, seeds, duration: float = 400.0) -> float:
-    """Mean fitness over one independent trial per seed."""
-    if not len(seeds):
-        raise ValueError("at least one trial seed is required")
-    return mean_fitness(
-        task, (run_trial(env, genome, faults=faults, seed=s, duration=duration) for s in seeds)
-    )
-
-
 # Lambdas look the descriptor functions up at call time, so a wrapper put on
 # a module-level name (a profiler's, say) sees the calls made through here.
 DESCRIPTORS = {
@@ -165,30 +151,35 @@ DESCRIPTORS = {
 }
 
 
+def _group_jobs(jobs) -> dict:
+    """Job indices by (env, duration), in order of first appearance."""
+    groups = {}
+    for index, job in enumerate(jobs):
+        groups.setdefault((job[1], job[5]), []).append(index)
+    return groups
+
+
 def evaluate_jobs(jobs):
     """Score genomes: each job is (task, env, genome, faults, seeds, duration, kind).
 
     Returns one (mean fitness, descriptor or None, placement error or None)
     per job, in job order; the descriptor is `DESCRIPTORS[kind]` of the
-    job's trial logs, and a job's logs are dropped once it is scored.
-    Jobs that share (env, duration) run their trials together through
-    `run_trials`, in batches of at most TRIAL_BATCH_ROBOT_CYCLES
-    robot-cycles. A trial's log does not depend on its batch, so a job's
-    result does not depend on the other jobs. A job with a trial that
-    cannot be placed scores 0 with the placement error, and only that job.
+    job's trial logs. Jobs that share (env, duration) run their trials
+    together through `run_trials`, in batches of at most
+    TRIAL_BATCH_ROBOT_CYCLES robot-cycles. A trial's log does not depend on
+    its batch, so a job's result does not depend on the other jobs. A job
+    with a trial that cannot be placed scores 0 with the placement error,
+    and only that job.
     """
     for job in jobs:
         if not len(job[4]):
             raise ValueError("at least one trial seed is required")
     results = [None] * len(jobs)
-    groups = {}
-    for index, (_, env, _, _, _, duration, _) in enumerate(jobs):
-        groups.setdefault((env, duration), []).append(index)
-    for (env, duration), members in groups.items():
+    for (env, duration), members in _group_jobs(jobs).items():
         robot_cycles = env.n_robots * max(1, int(round(duration / CONTROL_DT)))
         size = max(1, TRIAL_BATCH_ROBOT_CYCLES // robot_cycles)
         pending = [(index, seed) for index in members for seed in jobs[index][4]]
-        logs = {index: [] for index in members}
+        partial = {index: ([], []) for index in members}
         while pending:
             batch, pending = pending[:size], pending[size:]
             try:
@@ -202,17 +193,43 @@ def evaluate_jobs(jobs):
             except PlacementError as exc:
                 failed = batch[exc.trial][0]
                 results[failed] = (0.0, None, str(exc))
-                del logs[failed]
+                del partial[failed]
                 pending = [trial for trial in batch + pending if trial[0] != failed]
                 continue
-            for (index, _), log in zip(batch, trial_logs):
-                task, _, _, _, seeds, _, kind = jobs[index]
-                logs[index].append(log)
-                if len(logs[index]) == len(seeds):
-                    done = logs.pop(index)
-                    descriptor = None if kind is None else DESCRIPTORS[kind](done)
-                    results[index] = (mean_fitness(task, done), descriptor, None)
+            continuing = pending[0][0] if pending else None
+            _fold_batch(jobs, batch, trial_logs, continuing, partial, results)
+            del trial_logs
     return results
+
+
+def _fold_batch(jobs, batch, trial_logs, continuing, partial, results):
+    """Add a batch's trials to `partial`, each job's (fitnesses, logs) so far,
+    and score every job whose last trial ran.
+
+    Only jobs with a descriptor keep logs. The logs are views of the batch's
+    arrays, so the job `continuing` into the next batch keeps copies: once
+    this returns, nothing holds the batch and the next one can reuse its
+    memory.
+    """
+    for (index, _), log in zip(batch, trial_logs):
+        task, _, _, _, seeds, _, kind = jobs[index]
+        fits, logs = partial[index]
+        fits.append(fitness(task, log))
+        if kind is not None:
+            logs.append(copy.deepcopy(log) if index == continuing else log)
+        if len(fits) == len(seeds):
+            del partial[index]
+            descriptor = None if kind is None else DESCRIPTORS[kind](logs)
+            results[index] = (float(np.mean(fits)), descriptor, None)
+
+
+def performance(task, env, genome, faults, seeds, duration: float = 400.0) -> float:
+    """Mean fitness over one independent trial per seed: one `evaluate_jobs`
+    job, with a placement failure raised as PlacementError."""
+    score, _, error = evaluate_jobs([(task, env, genome, faults, seeds, duration, None)])[0]
+    if error is not None:
+        raise PlacementError(error)
+    return score
 
 
 @contextmanager
@@ -220,17 +237,27 @@ def evaluator(n_jobs: int):
     """Yield `run(jobs)`, the `evaluate_jobs` results in job order.
 
     With one worker the jobs run in this process; otherwise every `run`
-    shares one pool of `n_jobs` worker processes and hands each worker one
-    contiguous chunk of the jobs. Results do not depend on `n_jobs`.
+    shares one pool of `n_jobs` worker processes. The jobs that share (env,
+    duration) are cut into at most `n_jobs` contiguous slices, so a worker
+    batches their trials, and `pool.map` hands the slices out one at a time
+    as workers come free. Results do not depend on `n_jobs`.
     """
     if n_jobs <= 1:
         yield evaluate_jobs
         return
 
     def run(jobs):
-        bounds = [len(jobs) * w // n_jobs for w in range(n_jobs + 1)]
-        chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        return [result for chunk in pool.map(evaluate_jobs, chunks) for result in chunk]
+        slices = []
+        for members in _group_jobs(jobs).values():
+            parts = min(n_jobs, len(members))
+            bounds = [len(members) * p // parts for p in range(parts + 1)]
+            slices += [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        results = [None] * len(jobs)
+        scored = pool.map(evaluate_jobs, [[jobs[i] for i in members] for members in slices])
+        for members, chunk in zip(slices, scored):
+            for index, result in zip(members, chunk):
+                results[index] = result
+        return results
 
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         yield run

@@ -3,6 +3,7 @@ layer above it: a trial's log, and a job's result, must not depend on what
 else runs in the same batch, chunk, or worker pool."""
 
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +63,11 @@ GENOMES = (
     _genome_with_hidden(0, 1),
     _genome_with_hidden(20, 2),
     _genome_with_hidden(20, 3),
+    # Padded to 22 units next to a 20-hidden genome: BLAS must not sum the
+    # nonzero terms in another order when K grows.
+    _genome_with_hidden(3, 4),
+    _genome_with_hidden(7, 5),
+    _genome_with_hidden(13, 6),
 )
 N_FAULT_TYPES = len(FaultType)
 
@@ -105,8 +111,10 @@ EVERY_FAULT = [FaultType(i % N_FAULT_TYPES) for i in range(20)]
     (
         EnvironmentSpec(max_linear_speed=0.20, n_robots=20, arena_side=2.0, n_obstacles=6),
         list(GENOMES) * 2,
-        [EVERY_FAULT, None, [FaultType.PRAND] * 20, [FaultType.ROFS] * 20, EVERY_FAULT[::-1]] * 2,
-        list(range(10)),
+        ([EVERY_FAULT, None, [FaultType.PRAND] * 20, [FaultType.ROFS] * 20, EVERY_FAULT[::-1]] * 4)[
+            : 2 * len(GENOMES)
+        ],
+        list(range(2 * len(GENOMES))),
     )
 )
 @example(
@@ -241,6 +249,25 @@ def test_job_results_do_not_depend_on_neighbours():
             assert_results_equal(run(jobs), alone)
             shuffled = run([jobs[i] for i in order])
         assert_results_equal(shuffled, [alone[i] for i in order])
+
+
+def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
+    """With a budget of a few trials, batches end inside jobs: the results
+    stay the same, and no array of a batch is alive when the next one runs."""
+    jobs = mixed_jobs()
+    alone = [evaluate_jobs([job])[0] for job in jobs]
+    previous = []
+
+    def spy(*args):
+        assert all(ref() is None for ref in previous)
+        logs = run_trials(*args)
+        previous[:] = [weakref.ref(log.poses.base) for log in logs]
+        return logs
+
+    monkeypatch.setattr(tasks, "run_trials", spy)
+    # 3 normal-environment trials of 5 cycles, 4 five-robot trials of 7 cycles
+    monkeypatch.setattr(tasks, "TRIAL_BATCH_ROBOT_CYCLES", 150)
+    assert_results_equal(evaluate_jobs(jobs), alone)
 
 
 def test_failed_placement_fails_its_job_alone():

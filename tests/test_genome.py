@@ -207,13 +207,13 @@ class TestForward:
 
     def test_batch_matches_single(self, rng):
         g = random_genome(rng)
-        net = CompiledNetwork(g)
-        inputs = rng.uniform(-1, 1, (4, 16))
-        inputs[:, 15] = 1.0
+        net = CompiledNetwork([g])
+        inputs = rng.uniform(-1, 1, (1, 4, 16))
+        inputs[..., 15] = 1.0
         batch = net.step(net.initial_state(4), inputs)
         for i in range(4):
-            out, _ = forward(g, NetworkState.initial(g), inputs[i])
-            assert out == pytest.approx(batch[i, :2], abs=1e-15)
+            out, _ = forward(g, NetworkState.initial(g), inputs[0, i])
+            assert out == pytest.approx(batch[0, i, :2], abs=1e-15)
 
     def test_input_length_checked(self):
         g = Genome()

@@ -13,8 +13,8 @@ from qdswarm import (
     compute_hbd,
     compute_sdbc,
     compute_spirit,
-    decode_env_descriptor,
-    env_descriptor,
+    env_from_index,
+    env_index,
     generate_environment,
     random_genome,
     run_trial,
@@ -39,11 +39,11 @@ print(f"policy profile: {spirit.shape[0]} states x {spirit.shape[1]} actions, "
 assert np.allclose(spirit.sum(axis=1), 1.0)
 
 print("\nenvironment descriptors (attribute indices in their perturbation sets):")
-print(f"  normal environment -> {env_descriptor(NORMAL_ENV)}")
+print(f"  normal environment -> {env_index(NORMAL_ENV)}")
 for _ in range(3):
     env = generate_environment(rng)
-    idx = env_descriptor(env)
-    assert decode_env_descriptor(idx) == env
+    idx = env_index(env)
+    assert env_from_index(idx) == env
     print(f"  {idx} <- speed={env.max_linear_speed} robots={env.n_robots} "
           f"side={env.arena_side} obstacles={env.n_obstacles} "
           f"rab={env.rab_range} prox={env.proximity_range}")

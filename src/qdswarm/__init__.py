@@ -19,8 +19,6 @@ from .descriptors import (
     compute_hbd,
     compute_sdbc,
     compute_spirit,
-    decode_env_descriptor,
-    env_descriptor,
     geometric_median,
 )
 from .environment import (
@@ -35,8 +33,6 @@ from .evolve import EvolutionConfig, EvolveResult, evolve
 from .genome import (
     Genome,
     MutationParams,
-    NetworkState,
-    forward,
     genome_from_text,
     genome_to_text,
     mutate,
@@ -59,15 +55,10 @@ from .sim import (
     FaultType,
     PlacementError,
     RobotBody,
-    SensorFrame,
     TrialLog,
-    World,
-    apply_faults,
     differential_drive_step,
     run_trial,
     run_trials,
-    sense_proximity,
-    sense_rab,
     trial_log_to_csv,
 )
 from .stats import (

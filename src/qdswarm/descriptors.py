@@ -4,12 +4,12 @@ Four descriptor families are provided: a 3-d hand-coded descriptor over the
 swarm's visitation pattern, a 10-d descriptor of summary statistics of five
 per-cycle swarm features, a 1024-d state-action policy profile (64
 conditional distributions over 16 wheel-command actions), and the 6-d
-environment index used by the environment-diversity archive.
+environment index used by the environment-diversity archive
+(`environment.env_index`).
 """
 
 import numpy as np
 
-from .environment import EnvironmentSpec, env_from_index, env_index
 from .sim import TrialLog
 
 HBD_CELL_SIZE = 0.11  # robot-sized visitation cells
@@ -166,20 +166,6 @@ def compute_spirit(logs: list[TrialLog]) -> np.ndarray:
     visited = totals[:, 0] > 0
     profile[visited] = counts[visited] / totals[visited]
     return profile
-
-
-# ---------------------------------------------------------------------------
-# Environment descriptor
-
-
-def env_descriptor(spec: EnvironmentSpec) -> tuple[int, ...]:
-    """Index of each environment attribute within its perturbation set."""
-    return env_index(spec)
-
-
-def decode_env_descriptor(indices) -> EnvironmentSpec:
-    """Inverse of :func:`env_descriptor`."""
-    return env_from_index(indices)
 
 
 def descriptor_to_csv(kind: str, values, path) -> None:

@@ -14,8 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .archive import Archive, Elite, archive_best, archive_mean
-from .descriptors import env_descriptor
-from .environment import NORMAL_ENV, generate_environment
+from .environment import NORMAL_ENV, env_index, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
 from .seeding import derive_rng, trial_seeds
 from .tasks import DESCRIPTORS, TaskKind, evaluator
@@ -126,7 +125,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
     def consume(jobs, results):
         for (res_counter, genome, env, _), (perf, descriptor, error) in zip(jobs, results):
             if config.algorithm == "qed":
-                descriptor = env_descriptor(env)
+                descriptor = env_index(env)
             if error is not None:
                 log.warning("evaluation %d failed placement: %s", res_counter, error)
                 if descriptor is None:

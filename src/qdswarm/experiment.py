@@ -133,20 +133,18 @@ def _validate(config: dict) -> None:
         if config[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
     if config["cvt.seeds"] != "auto":
-        _coerce_auto_seeds(config["cvt.seeds"])
-
-
-def _coerce_auto_seeds(raw) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"cvt.seeds must be an integer or 'auto', got {raw!r}") from None
+        try:
+            int(config["cvt.seeds"])
+        except ValueError:
+            raise ConfigError(
+                f"cvt.seeds must be an integer or 'auto', got {config['cvt.seeds']!r}"
+            ) from None
 
 
 def cvt_seed_count(config: dict) -> int:
-    if config["cvt.seeds"] == "auto":
-        return AUTO_CVT_SEEDS[config.get("_preset", "desk")][config["algorithm"]]
-    return _coerce_auto_seeds(config["cvt.seeds"])
+    """Seed-cloud size of an sdbc or spirit config; `resolve_config` has
+    already turned "auto" into a number for those algorithms."""
+    return int(config["cvt.seeds"])
 
 
 def config_text(config: dict) -> str:

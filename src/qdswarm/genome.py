@@ -237,34 +237,6 @@ class CompiledNetwork:
         return state[..., :N_OUTPUTS]
 
 
-@dataclass
-class NetworkState:
-    """Previous-cycle activations of one robot's controller; zeros at trial start."""
-
-    activations: np.ndarray
-
-    @classmethod
-    def initial(cls, genome: Genome) -> "NetworkState":
-        return cls(np.zeros(N_OUTPUTS + genome.hidden))
-
-
-def forward(
-    genome: Genome, state: NetworkState, inputs
-) -> tuple[np.ndarray, NetworkState]:
-    """Evaluate one synchronous step of the controller.
-
-    `inputs` are the 16 scaled sensory activations in [-1, 1] with the bias
-    entry fixed at 1 by the caller. Returns the two wheel outputs in (-1, 1)
-    and the next-cycle state.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (N_INPUTS,):
-        raise ValueError(f"expected {N_INPUTS} inputs, got shape {inputs.shape}")
-    net = CompiledNetwork([genome])
-    new = net.step(state.activations[None, None], inputs[None, None])[0, 0]
-    return new[:N_OUTPUTS].copy(), NetworkState(new)
-
-
 def genome_to_text(genome: Genome) -> str:
     """Line-oriented serialization: hidden count header, then one
     `source target weight` line per connection with round-trip-exact weights."""

@@ -7,9 +7,13 @@ degree cones. One forward-Euler integration step is taken per control cycle
 discs are pushed apart along their centre line, robots are pushed out of
 obstacles, and positions are clamped to the walls. Per-robot sensor/actuator
 faults can be injected each cycle. A trial is a pure function of
-(environment, genome, fault assignment, seed). Trials that share an
-environment and a duration step together in `run_trials`, and a trial's log
-is the same whatever batch it runs in.
+(environment, genome, fault assignment, seed).
+
+Trials that share an environment and a duration step together in
+`run_trials`, and a trial's log is the same whatever batch it runs in. The
+batched kernel functions it calls, on (B, N, ...) arrays, are the
+simulator's only API; the per-trial reference loop that the tests compare
+the kernel against lives in `tests/oracles.py`.
 """
 
 from dataclasses import dataclass
@@ -83,7 +87,6 @@ class RobotBody:
     axle_length: float = AXLE_LENGTH
     proximity_range: float = 0.11
     rab_range: float = 1.00
-    dt: float = CONTROL_DT
 
     @classmethod
     def from_env(cls, env: EnvironmentSpec) -> "RobotBody":
@@ -92,29 +95,6 @@ class RobotBody:
             proximity_range=env.proximity_range,
             rab_range=env.rab_range,
         )
-
-
-@dataclass
-class World:
-    """Snapshot of a trial: arena, robot body parameters, current poses."""
-
-    arena: ArenaSpec
-    body: RobotBody
-    poses: np.ndarray  # (N, 3) x, y, heading
-
-
-@dataclass(frozen=True)
-class SensorFrame:
-    """One robot's sensor readings for one control cycle.
-
-    `neighbor_rel` holds the body-frame offsets to every other robot (used to
-    re-bin the range-and-bearing readings under the ROFS fault).
-    """
-
-    proximity: np.ndarray  # (7,) activations in [0, 1]
-    rab: np.ndarray  # (8,) activations in [0, 1]
-    neighbor_rel: np.ndarray  # (K, 2)
-    rab_range: float
 
 
 @dataclass
@@ -157,21 +137,25 @@ def sensor_input_scale(activations):
     return 2.0 * np.asarray(activations, dtype=float) - 1.0
 
 
-def differential_drive_step(pose, vl: float, vr: float, body: RobotBody) -> np.ndarray:
-    """Advance one control cycle: translate along the old heading, then turn.
+def differential_drive_step(poses, commands, body: RobotBody):
+    """Integrate one control cycle: translate along the old heading, then turn.
 
-    The angular rate (vr - vl) / axle is clamped to the body's maximum.
+    The poses (B, N, 3) and wheel speeds `commands` (B, N, 2) of B trials
+    give the moved poses (B, N, 3), the linear velocities (vl + vr) / 2 and
+    the angular velocities (vr - vl) / axle, clamped to the body's maximum,
+    each (B, N).
     """
-    x, y, heading = np.asarray(pose, dtype=float)
-    v = 0.5 * (vl + vr)
-    omega = np.clip((vr - vl) / body.axle_length, -body.max_angular_speed, body.max_angular_speed)
-    return np.array(
-        [
-            x + v * body.dt * np.cos(heading),
-            y + v * body.dt * np.sin(heading),
-            float(wrap_angle(heading + omega * body.dt)),
-        ]
+    v = 0.5 * (commands[..., 0] + commands[..., 1])
+    omega = np.clip(
+        (commands[..., 1] - commands[..., 0]) / body.axle_length,
+        -body.max_angular_speed,
+        body.max_angular_speed,
     )
+    moved = np.empty_like(poses)
+    moved[..., 0] = poses[..., 0] + v * CONTROL_DT * np.cos(poses[..., 2])
+    moved[..., 1] = poses[..., 1] + v * CONTROL_DT * np.sin(poses[..., 2])
+    moved[..., 2] = wrap_angle(poses[..., 2] + omega * CONTROL_DT)
+    return moved, v, omega
 
 
 # ---------------------------------------------------------------------------
@@ -325,69 +309,8 @@ def rab_activations(neighbor_rel, rab_range: float) -> np.ndarray:
     return out.reshape(lead + (N_RAB_CONES,))
 
 
-def sense_proximity(world: World, robot_index: int) -> np.ndarray:
-    poses = np.asarray(world.poses, dtype=float)[None]
-    obstacles = world.arena.obstacles[None]
-    return proximity_activations(poses, obstacles, world.arena.side, world.body)[0, robot_index]
-
-
-def sense_rab(world: World, robot_index: int) -> np.ndarray:
-    rel = body_frame_offsets(world.poses)[robot_index]
-    return rab_activations(rel, world.body.rab_range)
-
-
-def sense_frame(world: World, robot_index: int) -> SensorFrame:
-    """Full sensor frame of one robot (before any fault is applied)."""
-    rel = body_frame_offsets(world.poses)[robot_index]
-    return SensorFrame(
-        proximity=sense_proximity(world, robot_index),
-        rab=rab_activations(rel, world.body.rab_range),
-        neighbor_rel=rel,
-        rab_range=world.body.rab_range,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fault injection
-
-
-def _rofs_offsets(rng: np.random.Generator, count: int, rab_range: float) -> np.ndarray:
-    r = rng.uniform(0.75, 1.0, size=count) * rab_range
-    theta = rng.uniform(-np.pi, np.pi, size=count)
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-
-
-def apply_faults(frame: SensorFrame, commands, fault: FaultType, rng: np.random.Generator):
-    """Apply one robot's fault to its sensor frame and wheel commands.
-
-    Sensor faults (PMIN/PMAX/PRAND/ROFS) act before the controller, actuator
-    faults (LW_H/RW_H/BW_H) after it; this helper applies both sides at once
-    for a given cycle. NONE is the identity. Random faults redraw each call.
-    """
-    vl, vr = float(commands[0]), float(commands[1])
-    proximity = frame.proximity
-    rab = frame.rab
-    if fault == FaultType.PMIN:
-        proximity = proximity.copy()
-        proximity[:N_FRONT_PROXIMITY] = 0.0
-    elif fault == FaultType.PMAX:
-        proximity = proximity.copy()
-        proximity[:N_FRONT_PROXIMITY] = 1.0
-    elif fault == FaultType.PRAND:
-        proximity = proximity.copy()
-        proximity[:N_FRONT_PROXIMITY] = rng.random(N_FRONT_PROXIMITY)
-    elif fault == FaultType.ROFS:
-        offset = _rofs_offsets(rng, 1, frame.rab_range)[0]
-        rab = rab_activations(frame.neighbor_rel + offset, frame.rab_range)
-    elif fault == FaultType.LW_H:
-        vl *= 0.5
-    elif fault == FaultType.RW_H:
-        vr *= 0.5
-    elif fault == FaultType.BW_H:
-        vl *= 0.5
-        vr *= 0.5
-    new_frame = SensorFrame(proximity, rab, frame.neighbor_rel, frame.rab_range)
-    return new_frame, (vl, vr)
 
 
 @dataclass
@@ -702,12 +625,7 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
         if plan.any_actuator:
             commands = commands * plan.actuator_scale
 
-        v = 0.5 * (commands[..., 0] + commands[..., 1])
-        omega = np.clip(
-            (commands[..., 1] - commands[..., 0]) / body.axle_length,
-            -body.max_angular_speed,
-            body.max_angular_speed,
-        )
+        moved, v, omega = differential_drive_step(poses, commands, body)
 
         log_poses[:, t] = poses
         log_prox[:, t] = prox
@@ -716,10 +634,6 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
         log_v[:, t] = v
         log_omega[:, t] = omega
 
-        moved = np.empty_like(poses)
-        moved[..., 0] = poses[..., 0] + v * CONTROL_DT * np.cos(poses[..., 2])
-        moved[..., 1] = poses[..., 1] + v * CONTROL_DT * np.sin(poses[..., 2])
-        moved[..., 2] = wrap_angle(poses[..., 2] + omega * CONTROL_DT)
         poses = resolve_collisions(moved, obstacles, env.arena_side, body)
 
     return [
@@ -748,8 +662,6 @@ def run_trial(
     """Simulate one trial and return its complete log: `run_trials` with a
     batch of one, so the result is a deterministic function of the arguments."""
     return run_trials(env, [genome], [faults], [seed], duration)[0]
-
-
 
 
 def trial_log_to_csv(log: TrialLog, path) -> None:

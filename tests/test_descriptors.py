@@ -6,8 +6,6 @@ from qdswarm.descriptors import (
     compute_hbd,
     compute_sdbc,
     compute_spirit,
-    decode_env_descriptor,
-    env_descriptor,
     geometric_median,
     spirit_actions,
     spirit_states,
@@ -16,6 +14,8 @@ from qdswarm.environment import (
     NORMAL_ENV,
     EnvironmentSpec,
     all_environments,
+    env_from_index,
+    env_index,
     env_index_from_flat,
     flat_env_index,
 )
@@ -196,14 +196,14 @@ class TestComputeSpirit:
 
 class TestEnvDescriptor:
     def test_normal_environment_indices(self):
-        assert env_descriptor(NORMAL_ENV) == (1, 1, 2, 0, 2, 1)
+        assert env_index(NORMAL_ENV) == (1, 1, 2, 0, 2, 1)
 
     def test_bijection_over_all_4096(self):
         seen = set()
         count = 0
         for env in all_environments():
-            idx = env_descriptor(env)
-            assert decode_env_descriptor(idx) == env
+            idx = env_index(env)
+            assert env_from_index(idx) == env
             seen.add(idx)
             count += 1
         assert count == 4096
@@ -215,4 +215,4 @@ class TestEnvDescriptor:
 
     def test_non_member_attribute_rejected(self):
         with pytest.raises(ValueError):
-            env_descriptor(EnvironmentSpec(max_linear_speed=0.12))
+            env_index(EnvironmentSpec(max_linear_speed=0.12))

@@ -11,8 +11,6 @@ from qdswarm.genome import (
     Connection,
     Genome,
     MutationParams,
-    NetworkState,
-    forward,
     genome_from_text,
     genome_to_text,
     load_genome,
@@ -162,63 +160,63 @@ class TestMutate:
         assert child.hidden == 1
 
 
+def bias_inputs(rng=None, robots=1):
+    """(1, robots, 16) controller inputs: uniform in [-1, 1] (zero without
+    `rng`), with the bias entry at 1."""
+    inputs = np.zeros((1, robots, 16)) if rng is None else rng.uniform(-1, 1, (1, robots, 16))
+    inputs[..., 15] = 1.0
+    return inputs
+
+
 class TestForward:
     def test_no_connections_outputs_zero(self):
-        g = Genome()
-        out, _ = forward(g, NetworkState.initial(g), np.zeros(16))
-        assert np.array_equal(out, np.zeros(2))
+        net = CompiledNetwork([Genome()])
+        state = net.step(net.initial_state(1), np.zeros((1, 1, 16)))
+        assert np.array_equal(net.outputs(state), np.zeros((1, 1, 2)))
 
     def test_single_connection(self):
-        g = Genome(0, (Connection(0, 16, 2.0),))
-        inputs = np.zeros(16)
-        inputs[0] = 1.0
-        inputs[15] = 1.0
-        out, _ = forward(g, NetworkState.initial(g), inputs)
+        net = CompiledNetwork([Genome(0, (Connection(0, 16, 2.0),))])
+        inputs = bias_inputs()
+        inputs[..., 0] = 1.0
+        out = net.outputs(net.step(net.initial_state(1), inputs))[0, 0]
         assert out[0] == pytest.approx(np.tanh(2.0), abs=1e-15)
         assert out[1] == 0.0
 
     def test_purity(self, rng):
-        g = random_genome(rng)
-        state = NetworkState.initial(g)
-        inputs = np.clip(rng.uniform(-1, 1, 16), -1, 1)
-        inputs[15] = 1.0
-        out1, _ = forward(g, state, inputs)
-        out2, _ = forward(g, state, inputs)
-        assert np.array_equal(out1, out2)
+        net = CompiledNetwork([random_genome(rng)])
+        state = net.initial_state(1)
+        inputs = bias_inputs(rng)
+        assert np.array_equal(net.step(state, inputs), net.step(state, inputs))
 
     def test_recurrence_uses_previous_activation(self):
         # self-loop on output 0 plus bias drive
-        g = Genome(0, (Connection(15, 16, 1.0), Connection(16, 16, 1.0)))
-        state = NetworkState.initial(g)
-        out1, state = forward(g, state, np.eye(16)[15])
-        assert out1[0] == pytest.approx(np.tanh(1.0))
-        out2, _ = forward(g, state, np.eye(16)[15])
-        assert out2[0] == pytest.approx(np.tanh(1.0 + np.tanh(1.0)))
+        net = CompiledNetwork([Genome(0, (Connection(15, 16, 1.0), Connection(16, 16, 1.0)))])
+        state = net.step(net.initial_state(1), bias_inputs())
+        assert state[0, 0, 0] == pytest.approx(np.tanh(1.0))
+        state = net.step(state, bias_inputs())
+        assert state[0, 0, 0] == pytest.approx(np.tanh(1.0 + np.tanh(1.0)))
 
     def test_outputs_bounded(self, rng):
         for _ in range(20):
-            g = random_genome(rng)
-            state = NetworkState.initial(g)
+            net = CompiledNetwork([random_genome(rng)])
+            state = net.initial_state(3)
             for _ in range(10):
-                inputs = rng.uniform(-1, 1, 16)
-                inputs[15] = 1.0
-                out, state = forward(g, state, inputs)
-                assert np.all(np.abs(out) < 1.0)
+                state = net.step(state, bias_inputs(rng, robots=3))
+                assert np.all(np.abs(net.outputs(state)) < 1.0)
 
     def test_batch_matches_single(self, rng):
-        g = random_genome(rng)
-        net = CompiledNetwork([g])
-        inputs = rng.uniform(-1, 1, (1, 4, 16))
-        inputs[..., 15] = 1.0
+        # one robot's update does not depend on the other robots in the call
+        net = CompiledNetwork([random_genome(rng)])
+        inputs = bias_inputs(rng, robots=4)
         batch = net.step(net.initial_state(4), inputs)
         for i in range(4):
-            out, _ = forward(g, NetworkState.initial(g), inputs[0, i])
-            assert out == pytest.approx(batch[0, i, :2], abs=1e-15)
+            alone = net.step(net.initial_state(1), inputs[:, i : i + 1])
+            assert alone[0, 0] == pytest.approx(batch[0, i], abs=1e-15)
 
     def test_input_length_checked(self):
-        g = Genome()
+        net = CompiledNetwork([Genome()])
         with pytest.raises(ValueError):
-            forward(g, NetworkState.initial(g), np.zeros(15))
+            net.step(net.initial_state(1), np.zeros((1, 1, 15)))
 
 
 class TestSerialization:

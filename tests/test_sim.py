@@ -4,37 +4,47 @@ import pytest
 from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
 from qdswarm.genome import Connection, Genome
 from qdswarm.sim import (
+    CONTROL_DT,
     ArenaSpec,
     FaultType,
     PlacementError,
     RobotBody,
-    SensorFrame,
-    World,
-    apply_faults,
     body_frame_offsets,
     differential_drive_step,
     place_entities,
+    proximity_activations,
     rab_activations,
     run_trial,
-    sense_frame,
-    sense_proximity,
-    sense_rab,
     trial_log_to_csv,
     wrap_angle,
 )
 
 BODY = RobotBody()
+# Ten robots in a 0.6 m arena: every front proximity ray reads something.
+CROWDED = EnvironmentSpec(n_robots=10, arena_side=0.6)
 
 
 def empty_arena(side=4.0):
     return ArenaSpec(side=side, obstacles=np.empty((0, 2)))
 
 
+def proximity(poses, obstacles=(), side=4.0):
+    """(N, 7) proximity readings of one trial's robots, through the batched kernel."""
+    poses = np.array(poses, dtype=float)
+    obstacles = np.array(obstacles, dtype=float).reshape(-1, 2)
+    return proximity_activations(poses[None], obstacles[None], side, BODY)[0]
+
+
+def rab(poses, i):
+    """Range-and-bearing readings of robot i of one trial."""
+    return rab_activations(body_frame_offsets(np.array(poses, dtype=float))[i], BODY.rab_range)
+
+
 class TestBodyAndArena:
     def test_angular_cap_consistent_with_wheel_geometry(self):
         # opposing wheels at the normal +-0.10 m/s give the rated turn speed
         assert abs(BODY.max_angular_speed - 2 * 0.10 / BODY.axle_length) < 1e-3
-        assert BODY.dt == 0.20
+        assert CONTROL_DT == 0.20
 
     def test_body_from_environment(self):
         env = EnvironmentSpec(max_linear_speed=0.20, rab_range=0.25, proximity_range=0.44)
@@ -52,22 +62,35 @@ class TestBodyAndArena:
 
 class TestDifferentialDrive:
     def test_straight_drive_one_cycle(self):
-        pose = differential_drive_step((0.0, 0.0, 0.0), 0.10, 0.10, BODY)
-        assert pose == pytest.approx([0.02, 0.0, 0.0], abs=1e-12)
+        poses = np.array([[[0.0, 0.0, 0.0]], [[1.0, 1.0, np.pi / 2]]])
+        moved, v, omega = differential_drive_step(poses, np.full((2, 1, 2), 0.10), BODY)
+        assert moved[0, 0] == pytest.approx([0.02, 0.0, 0.0], abs=1e-12)
+        assert moved[1, 0] == pytest.approx([1.0, 1.02, np.pi / 2], abs=1e-12)
+        assert np.array_equal(v, np.full((2, 1), 0.10))
+        assert np.array_equal(omega, np.zeros((2, 1)))
 
     def test_zero_commands_identity(self):
-        pose = differential_drive_step((0.3, -0.2, 1.1), 0.0, 0.0, BODY)
-        assert pose == pytest.approx([0.3, -0.2, 1.1], abs=0)
+        poses = np.array([[[0.3, -0.2, 1.1], [2.0, 3.0, 0.0]], [[1.5, 0.5, 3.0], [0.1, 0.2, 0.3]]])
+        moved, v, omega = differential_drive_step(poses, np.zeros((2, 2, 2)), BODY)
+        assert np.array_equal(moved, poses)
+        assert np.array_equal(v, np.zeros((2, 2)))
+        assert np.array_equal(omega, np.zeros((2, 2)))
 
     def test_pure_rotation_clamped(self):
-        # (vr - vl) / axle = 0.2 / 0.09 exceeds the 2.2222 rad/s cap
-        pose = differential_drive_step((0.0, 0.0, 0.0), -0.10, 0.10, BODY)
-        assert pose[:2] == pytest.approx([0.0, 0.0], abs=0)
-        assert pose[2] == pytest.approx(2.2222 * 0.2, abs=1e-12)
+        # |vr - vl| / axle = 0.2 / 0.09 exceeds the 2.2222 rad/s cap
+        poses = np.zeros((1, 2, 3))
+        commands = np.array([[[-0.10, 0.10], [0.10, -0.10]]])
+        moved, v, omega = differential_drive_step(poses, commands, BODY)
+        assert np.array_equal(moved[..., :2], np.zeros((1, 2, 2)))
+        assert np.array_equal(v, np.zeros((1, 2)))
+        assert np.array_equal(omega, [[2.2222, -2.2222]])
+        assert moved[0, :, 2] == pytest.approx([2.2222 * 0.2, -2.2222 * 0.2], abs=1e-12)
 
     def test_heading_wraps(self):
-        pose = differential_drive_step((0.0, 0.0, np.pi - 0.01), -0.05, 0.05, BODY)
-        assert -np.pi < pose[2] <= np.pi
+        poses = np.array([[[0.0, 0.0, np.pi - 0.01]]])
+        moved, _, omega = differential_drive_step(poses, np.array([[[-0.05, 0.05]]]), BODY)
+        assert -np.pi < moved[0, 0, 2] <= np.pi
+        assert moved[0, 0, 2] == pytest.approx(np.pi - 0.01 + omega[0, 0] * 0.2 - 2 * np.pi)
 
     def test_wrap_angle_range(self):
         angles = np.linspace(-12.0, 12.0, 1001)
@@ -80,48 +103,37 @@ class TestDifferentialDrive:
 
 class TestProximity:
     def test_alone_at_center_reads_zero(self):
-        world = World(empty_arena(), BODY, np.array([[2.0, 2.0, 0.3]]))
-        assert sense_proximity(world, 0) == pytest.approx(np.zeros(7), abs=0)
+        assert proximity([[2.0, 2.0, 0.3]])[0] == pytest.approx(np.zeros(7), abs=0)
 
     def test_wall_ahead_half_range(self):
         # surface 0.055 m from the wall: activation 1 - 0.055/0.11 = 0.5
         x = 4.0 - BODY.radius - 0.055
-        world = World(empty_arena(), BODY, np.array([[x, 2.0, 0.0]]))
-        readings = sense_proximity(world, 0)
-        assert readings[2] == pytest.approx(0.5, abs=1e-12)
+        assert proximity([[x, 2.0, 0.0]])[0, 2] == pytest.approx(0.5, abs=1e-12)
 
     def test_wall_contact_saturates(self):
-        world = World(empty_arena(), BODY, np.array([[4.0 - BODY.radius, 2.0, 0.0]]))
-        assert sense_proximity(world, 0)[2] == pytest.approx(1.0, abs=1e-12)
+        assert proximity([[4.0 - BODY.radius, 2.0, 0.0]])[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_sees_other_robot(self):
-        poses = np.array([[2.0, 2.0, 0.0], [2.0 + 2 * BODY.radius + 0.05, 2.0, 0.0]])
-        world = World(empty_arena(), BODY, poses)
-        readings = sense_proximity(world, 0)
+        readings = proximity([[2.0, 2.0, 0.0], [2.0 + 2 * BODY.radius + 0.05, 2.0, 0.0]])
         # surface gap 0.05 -> activation 1 - 0.05/0.11
-        assert readings[2] == pytest.approx(1.0 - 0.05 / 0.11, abs=1e-12)
+        assert readings[0, 2] == pytest.approx(1.0 - 0.05 / 0.11, abs=1e-12)
         # the rear sensors of robot 1 point at robot 0
-        assert sense_proximity(world, 1)[2] == pytest.approx(0.0, abs=0)
+        assert readings[1, 2] == pytest.approx(0.0, abs=0)
 
     def test_obstacle_detected(self):
-        arena = ArenaSpec(side=4.0, obstacles=np.array([[2.5, 2.0]]))
-        world = World(arena, BODY, np.array([[2.0, 2.0, 0.0]]))
         # box face at x = 2.375, surface distance 0.375 - 0.06 = 0.315 > range
-        assert sense_proximity(world, 0)[2] == 0.0
-        near = World(arena, BODY, np.array([[2.3, 2.0, 0.0]]))
+        assert proximity([[2.0, 2.0, 0.0]], [[2.5, 2.0]])[0, 2] == 0.0
         d = 2.375 - 2.3 - BODY.radius
-        assert sense_proximity(near, 0)[2] == pytest.approx(1.0 - d / 0.11, abs=1e-12)
+        near = proximity([[2.3, 2.0, 0.0]], [[2.5, 2.0]])[0, 2]
+        assert near == pytest.approx(1.0 - d / 0.11, abs=1e-12)
 
 
 class TestRab:
     def test_no_neighbours_all_ones(self):
-        world = World(empty_arena(), BODY, np.array([[2.0, 2.0, 0.0]]))
-        assert sense_rab(world, 0) == pytest.approx(np.ones(8), abs=0)
+        assert rab([[2.0, 2.0, 0.0]], 0) == pytest.approx(np.ones(8), abs=0)
 
     def test_neighbour_dead_ahead(self):
-        poses = np.array([[2.0, 2.0, 0.0], [2.5, 2.0, 1.0]])
-        world = World(empty_arena(), BODY, poses)
-        readings = sense_rab(world, 0)
+        readings = rab([[2.0, 2.0, 0.0], [2.5, 2.0, 1.0]], 0)
         assert readings[0] == pytest.approx(0.5, abs=1e-12)
         assert np.sum(readings == 1.0) == 7
 
@@ -148,65 +160,101 @@ class TestRab:
 
     def test_heading_rotates_frame(self):
         # robot facing +y sees a neighbour at +y as dead ahead
-        poses = np.array([[2.0, 2.0, np.pi / 2], [2.0, 2.4, 0.0]])
-        world = World(empty_arena(), BODY, poses)
-        assert sense_rab(world, 0)[0] == pytest.approx(0.4, abs=1e-12)
+        assert rab([[2.0, 2.0, np.pi / 2], [2.0, 2.4, 0.0]], 0)[0] == pytest.approx(0.4, abs=1e-12)
 
 
-def frame_with(prox=None, rab=None, neighbor_rel=None, rab_range=1.0):
-    if prox is None:
-        prox = np.array([0.3, 0.9, 0.1, 0.0, 0.0, 0.2, 0.7])
-    if rab is None:
-        rab = np.linspace(0.1, 0.8, 8)
-    if neighbor_rel is None:
-        neighbor_rel = np.array([[0.5, 0.0]])
-    return SensorFrame(np.asarray(prox, float), np.asarray(rab, float), neighbor_rel, rab_range)
+def spinning_genome():
+    # constant bias drive: left wheel back, right wheel forward
+    return Genome(0, (Connection(15, 16, -2.0), Connection(15, 17, 2.0)))
+
+
+def still_logs(faults, seed=3):
+    """Logs of a still swarm (`Genome()` outputs 0 whatever it senses) in
+    CROWDED with `faults` and without, from one seed: the robots sit at the
+    same poses in every cycle of both runs, so every reading lines up."""
+    clean = run_trial(CROWDED, Genome(), seed=seed, duration=2.0)
+    faulty = run_trial(CROWDED, Genome(), faults=faults, seed=seed, duration=2.0)
+    assert np.array_equal(faulty.poses, clean.poses)
+    assert np.array_equal(clean.poses[0], clean.poses[-1])
+    return clean, faulty
+
+
+def alternating(fault):
+    """`fault` on the even robots of CROWDED, NONE on the odd; (faults, mask)."""
+    faults = [fault, FaultType.NONE] * (CROWDED.n_robots // 2)
+    return faults, np.array([f == fault for f in faults])
 
 
 class TestFaults:
-    def test_none_is_identity(self, rng):
-        frame = frame_with()
-        out, cmds = apply_faults(frame, (0.1, -0.02), FaultType.NONE, rng)
-        assert np.array_equal(out.proximity, frame.proximity)
-        assert np.array_equal(out.rab, frame.rab)
-        assert cmds == (0.1, -0.02)
+    def test_none_is_identity(self):
+        faults = list(FaultType) + [FaultType.NONE] * (CROWDED.n_robots - len(FaultType))
+        none = np.array([f == FaultType.NONE for f in faults])
+        clean, faulty = still_logs(faults)
+        assert np.array_equal(faulty.proximity[:, none], clean.proximity[:, none])
+        assert np.array_equal(faulty.rab[:, none], clean.rab[:, none])
+        assert not np.array_equal(faulty.proximity, clean.proximity)
 
-    def test_pmin_zeroes_front_keeps_rear(self, rng):
-        frame = frame_with()
-        out, _ = apply_faults(frame, (0.0, 0.0), FaultType.PMIN, rng)
-        assert np.array_equal(out.proximity[:5], np.zeros(5))
-        assert np.array_equal(out.proximity[5:], frame.proximity[5:])
+    def test_pmin_zeroes_front_keeps_rear(self):
+        faults, hit = alternating(FaultType.PMIN)
+        clean, faulty = still_logs(faults)
+        assert (clean.proximity[:, hit, :5] > 0).any(axis=(0, 1)).all()  # every front ray reads
+        assert np.all(faulty.proximity[:, hit, :5] == 0.0)
+        assert np.array_equal(faulty.proximity[:, hit, 5:], clean.proximity[:, hit, 5:])
+        assert np.array_equal(faulty.proximity[:, ~hit], clean.proximity[:, ~hit])
+        assert np.array_equal(faulty.rab, clean.rab)
 
-    def test_pmax_saturates_front(self, rng):
-        out, _ = apply_faults(frame_with(), (0.0, 0.0), FaultType.PMAX, rng)
-        assert np.array_equal(out.proximity[:5], np.ones(5))
+    def test_pmax_saturates_front(self):
+        faults, hit = alternating(FaultType.PMAX)
+        clean, faulty = still_logs(faults)
+        assert (clean.proximity[:, hit, :5] < 1).all()
+        assert np.all(faulty.proximity[:, hit, :5] == 1.0)
+        assert np.array_equal(faulty.proximity[:, hit, 5:], clean.proximity[:, hit, 5:])
+        assert np.array_equal(faulty.proximity[:, ~hit], clean.proximity[:, ~hit])
 
     def test_prand_in_unit_interval_and_redrawn(self):
-        rng = np.random.default_rng(7)
-        frame = frame_with()
-        first, _ = apply_faults(frame, (0.0, 0.0), FaultType.PRAND, rng)
-        second, _ = apply_faults(frame, (0.0, 0.0), FaultType.PRAND, rng)
-        assert np.all((first.proximity[:5] >= 0) & (first.proximity[:5] <= 1))
-        assert not np.array_equal(first.proximity[:5], second.proximity[:5])
+        faults, hit = alternating(FaultType.PRAND)
+        clean, faulty = still_logs(faults)
+        front = faulty.proximity[:, hit, :5]
+        assert np.all((front >= 0) & (front < 1))
+        # a fresh draw for every robot in every cycle
+        draws = front.reshape(-1, 5)
+        assert len(np.unique(draws, axis=0)) == len(draws)
+        assert np.array_equal(faulty.proximity[:, hit, 5:], clean.proximity[:, hit, 5:])
+        assert np.array_equal(faulty.proximity[:, ~hit], clean.proximity[:, ~hit])
 
-    def test_wheel_faults(self, rng):
-        _, cmds = apply_faults(frame_with(), (0.10, -0.04), FaultType.BW_H, rng)
-        assert cmds == pytest.approx((0.05, -0.02), abs=0)
-        _, cmds = apply_faults(frame_with(), (0.10, -0.04), FaultType.LW_H, rng)
-        assert cmds == pytest.approx((0.05, -0.04), abs=0)
-        _, cmds = apply_faults(frame_with(), (0.10, -0.04), FaultType.RW_H, rng)
-        assert cmds == pytest.approx((0.10, -0.02), abs=0)
+    def test_wheel_faults(self):
+        faults = [FaultType.LW_H, FaultType.RW_H, FaultType.BW_H, FaultType.NONE, FaultType.NONE] * 2
+        scale = {FaultType.LW_H: (0.5, 1.0), FaultType.RW_H: (1.0, 0.5), FaultType.BW_H: (0.5, 0.5)}
+        expected = np.array([scale.get(f, (1.0, 1.0)) for f in faults])
+        clean = run_trial(NORMAL_ENV, spinning_genome(), seed=4, duration=4.0)
+        faulty = run_trial(NORMAL_ENV, spinning_genome(), faults=faults, seed=4, duration=4.0)
+        # the bias-only controller commands the same speeds in every cycle
+        assert np.all(clean.commands == clean.commands[0, 0])
+        assert clean.commands[0, 0, 0] < 0 < clean.commands[0, 0, 1]
+        assert np.array_equal(faulty.commands, clean.commands * expected)
+        assert np.array_equal(
+            faulty.linear_velocity, 0.5 * (faulty.commands[..., 0] + faulty.commands[..., 1])
+        )
 
     def test_rofs_rebins_from_offset_neighbours(self):
-        rel = np.array([[0.5, 0.0]])
-        frame = SensorFrame(np.zeros(7), rab_activations(rel, 1.0), rel, 1.0)
-        out, _ = apply_faults(frame, (0.0, 0.0), FaultType.ROFS, np.random.default_rng(11))
-        check = np.random.default_rng(11)
-        r = check.uniform(0.75, 1.0, size=1)
-        theta = check.uniform(-np.pi, np.pi, size=1)
-        offset = np.array([r * np.cos(theta), r * np.sin(theta)]).reshape(1, 2)
-        assert np.array_equal(out.rab, rab_activations(rel + offset, 1.0))
-        assert np.array_equal(out.proximity, frame.proximity)
+        seed = 3
+        faults, hit = alternating(FaultType.ROFS)
+        clean, faulty = still_logs(faults, seed)
+        # the trial's generator places the robots, then draws per cycle one
+        # offset radius for each ROFS robot, then one offset angle for each
+        rng = np.random.default_rng(seed)
+        place_entities(rng, CROWDED)
+        rab_range = CROWDED.rab_range
+        for t in range(faulty.n_cycles):
+            r = rng.uniform(0.75, 1.0, size=hit.sum()) * rab_range
+            theta = rng.uniform(-np.pi, np.pi, size=hit.sum())
+            offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+            neighbours = body_frame_offsets(clean.poses[t])[hit]
+            expected = rab_activations(neighbours + offsets[:, None, :], rab_range)
+            assert np.array_equal(faulty.rab[t, hit], expected)
+        assert not np.array_equal(faulty.rab[:, hit], clean.rab[:, hit])
+        assert np.array_equal(faulty.rab[:, ~hit], clean.rab[:, ~hit])
+        assert np.array_equal(faulty.proximity, clean.proximity)
 
     def test_fault_enum_has_eight_variants(self):
         assert len(FaultType) == 8
@@ -238,11 +286,6 @@ class TestPlacement:
         crowded = EnvironmentSpec(n_robots=10, arena_side=0.25)
         with pytest.raises(PlacementError):
             place_entities(np.random.default_rng(0), crowded)
-
-
-def spinning_genome():
-    # constant bias drive: left wheel back, right wheel forward
-    return Genome(0, (Connection(15, 16, -2.0), Connection(15, 17, 2.0)))
 
 
 class TestRunTrial:
@@ -323,13 +366,3 @@ class TestSensorScaling:
         assert np.all(scaled >= -1.0) and np.all(scaled <= 1.0)
         assert (scaled + 1.0) / 2.0 == pytest.approx(a, abs=1e-15)
 
-
-class TestSensorFrameHelpers:
-    def test_sense_frame_consistent(self):
-        poses = np.array([[2.0, 2.0, 0.0], [2.5, 2.0, 0.5], [1.0, 3.0, -1.0]])
-        world = World(empty_arena(), BODY, poses)
-        frame = sense_frame(world, 0)
-        assert np.array_equal(frame.proximity, sense_proximity(world, 0))
-        assert np.array_equal(frame.rab, sense_rab(world, 0))
-        assert frame.neighbor_rel.shape == (2, 2)
-        assert np.array_equal(frame.neighbor_rel, body_frame_offsets(poses)[0])

@@ -24,7 +24,6 @@ from .descriptors import (
 from .environment import (
     NORMAL_ENV,
     EnvironmentSpec,
-    all_environments,
     env_from_index,
     env_index,
     generate_environment,
@@ -43,10 +42,7 @@ from .recovery import (
     RecoveryRecord,
     evaluate_archive,
     fault_recovery_records,
-    impact,
     project_archive,
-    recover,
-    resilience,
     sample_combined_fault,
     spirit_distance,
 )
@@ -78,7 +74,6 @@ from .tasks import (
     fitness_dispersion,
     fitness_flocking,
     fitness_patrolling,
-    performance,
 )
 
 __version__ = "0.1.0"

@@ -14,15 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .environment import (
-    EnvironmentSpec,
-    N_LEVELS,
-    env_from_index,
-    env_index_from_flat,
-)
+from .environment import EnvironmentSpec, N_LEVELS
 from .genome import Genome, load_genome, save_genome
 
 ARCHIVE_CAPACITY = 4096
+CVT_ALGORITHMS = ("sdbc", "spirit")
 HBD_BINS = 16
 
 
@@ -107,6 +103,18 @@ class Archive:
     @property
     def coverage(self) -> int:
         return len(self.cells)
+
+
+def make_archive(algorithm: str, centroids=None) -> Archive:
+    """Empty archive of an algorithm: hbd and qed grids, or a CVT over
+    `centroids` for sdbc and spirit."""
+    if algorithm == "hbd":
+        return Archive.hbd()
+    if algorithm == "qed":
+        return Archive.qed()
+    if algorithm in CVT_ALGORITHMS:
+        return Archive.cvt(centroids)
+    raise ValueError(f"unknown archive kind {algorithm!r}")
 
 
 def archive_best(archive) -> Elite:
@@ -274,14 +282,10 @@ def load_archive(directory, kind: str):
     `kind` is one of hbd/sdbc/spirit/qed; CVT kinds require the centroid file
     saved next to the index. Descriptors are not persisted and are left None.
     """
-    if kind in ("sdbc", "spirit"):
-        archive = Archive.cvt(load_centroids(os.path.join(directory, "centroids.csv")))
-    elif kind == "hbd":
-        archive = Archive.hbd()
-    elif kind == "qed":
-        archive = Archive.qed()
-    else:
-        raise ValueError(f"unknown archive kind {kind!r}")
+    centroids = None
+    if kind in CVT_ALGORITHMS:
+        centroids = load_centroids(os.path.join(directory, "centroids.csv"))
+    archive = make_archive(kind, centroids)
     index_path = os.path.join(directory, "index.csv")
     with open(index_path, encoding="utf-8") as fh:
         rows = [line for line in fh if not line.startswith("#")]
@@ -300,8 +304,3 @@ def load_archive(directory, kind: str):
             genome=genome, performance=float(row["performance"]), env=env
         )
     return archive
-
-
-def qed_key_environment(key: int) -> EnvironmentSpec:
-    """Decode a QED archive cell key back to its evaluation environment."""
-    return env_from_index(env_index_from_flat(key))

@@ -10,7 +10,6 @@ environment-diversity archive.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -34,7 +33,6 @@ ATTRIBUTE_SETS = (
 
 N_ATTRIBUTES = 6
 N_LEVELS = 4
-N_ENVIRONMENTS = N_LEVELS**N_ATTRIBUTES  # 4096
 
 
 @dataclass(frozen=True)
@@ -89,31 +87,7 @@ def env_from_index(indices) -> EnvironmentSpec:
     return EnvironmentSpec(*values)
 
 
-def flat_env_index(indices) -> int:
-    """Flatten a 6-tuple of indices to a single integer in 0..4095."""
-    flat = 0
-    for i in indices:
-        flat = flat * N_LEVELS + int(i)
-    return flat
-
-
-def env_index_from_flat(flat: int) -> tuple[int, ...]:
-    if not 0 <= flat < N_ENVIRONMENTS:
-        raise ValueError(f"flat environment index {flat} out of range")
-    indices = []
-    for _ in range(N_ATTRIBUTES):
-        indices.append(flat % N_LEVELS)
-        flat //= N_LEVELS
-    return tuple(reversed(indices))
-
-
 def generate_environment(rng: np.random.Generator) -> EnvironmentSpec:
     """Draw an environment with each attribute i.i.d. uniform over its set."""
     draws = rng.integers(0, N_LEVELS, size=N_ATTRIBUTES)
     return env_from_index(draws)
-
-
-def all_environments():
-    """Iterate all 4096 environment specs in flat-index order."""
-    for indices in product(range(N_LEVELS), repeat=N_ATTRIBUTES):
-        yield env_from_index(indices)

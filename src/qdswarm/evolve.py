@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .archive import Archive, Elite, archive_best, archive_mean
+from .archive import CVT_ALGORITHMS, Elite, archive_best, archive_mean, make_archive
 from .environment import NORMAL_ENV, env_index, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
 from .seeding import derive_rng, trial_seeds
@@ -46,7 +46,7 @@ class EvolutionConfig:
         for name in ("initial_population", "generations", "evals_per_generation", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.algorithm in ("sdbc", "spirit") and self.centroids is None:
+        if self.algorithm in CVT_ALGORITHMS and self.centroids is None:
             raise ValueError(f"{self.algorithm} needs CVT centroids")
 
 
@@ -72,14 +72,6 @@ class EvolveResult:
     archive: object
     stats: list[GenerationStats]
     events: list[InsertionEvent]
-
-
-def make_archive(config: EvolutionConfig):
-    if config.algorithm == "qed":
-        return Archive.qed()
-    if config.algorithm == "hbd":
-        return Archive.hbd()
-    return Archive.cvt(config.centroids)
 
 
 def _run_batch(jobs, config: EvolutionConfig, evaluate, run):
@@ -108,7 +100,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
     the environment-descriptor algorithm, which never inspects behaviour).
     """
     config.validate()
-    archive = make_archive(config)
+    archive = make_archive(config.algorithm, config.centroids)
     events: list[InsertionEvent] = []
     stats: list[GenerationStats] = []
     counter = 0

@@ -15,18 +15,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import generate_cvt_centroids, load_archive, save_archive
+from .archive import (
+    ARCHIVE_CAPACITY,
+    CVT_ALGORITHMS,
+    generate_cvt_centroids,
+    load_archive,
+    save_archive,
+)
 from .environment import NORMAL_ENV
 from .evolve import DESCRIPTOR_DIMS, EvolutionConfig, evolve
 from .descriptors import descriptor_to_csv
 from .recovery import (
+    RecoveryRecord,
+    _argbest,
     evaluate_archive,
     fault_recovery_records,
     project_archive,
     sample_combined_fault,
 )
 from .seeding import derive_rng, derive_seed, trial_seeds
-from .sim import run_trial, trial_log_to_csv
+from .sim import CONTROL_DT, run_trial, run_trials, trial_log_to_csv
 from .stats import cliffs_delta, signature
 from .tasks import DESCRIPTORS, TaskKind
 
@@ -99,7 +107,7 @@ def resolve_config(preset: str = "desk", file_text: str = "", overrides: dict | 
         config[key] = _coerce(key, str(value))
     _validate(config)
     # materialize the seed-cloud size so stored configs are self-contained
-    if config["cvt.seeds"] == "auto" and config["algorithm"] in ("sdbc", "spirit"):
+    if config["cvt.seeds"] == "auto" and config["algorithm"] in CVT_ALGORITHMS:
         config["cvt.seeds"] = str(AUTO_CVT_SEEDS[preset][config["algorithm"]])
     return config
 
@@ -132,19 +140,24 @@ def _validate(config: dict) -> None:
     ):
         if config[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
+    # a trial shorter than one control cycle would have no cycles to score
+    if not CONTROL_DT <= config["evolve.trial_duration"] < np.inf:
+        raise ConfigError(
+            f"evolve.trial_duration must be at least one {CONTROL_DT} s control cycle, "
+            f"got {config['evolve.trial_duration']!r}"
+        )
     if config["cvt.seeds"] != "auto":
         try:
-            int(config["cvt.seeds"])
+            seeds = int(config["cvt.seeds"])
         except ValueError:
             raise ConfigError(
                 f"cvt.seeds must be an integer or 'auto', got {config['cvt.seeds']!r}"
             ) from None
-
-
-def cvt_seed_count(config: dict) -> int:
-    """Seed-cloud size of an sdbc or spirit config; `resolve_config` has
-    already turned "auto" into a number for those algorithms."""
-    return int(config["cvt.seeds"])
+        if config["algorithm"] in CVT_ALGORITHMS and seeds < ARCHIVE_CAPACITY:
+            raise ConfigError(
+                f"cvt.seeds must be at least the {ARCHIVE_CAPACITY} archive cells "
+                f"for {config['algorithm']}, got {seeds}"
+            )
 
 
 def config_text(config: dict) -> str:
@@ -249,15 +262,16 @@ def _replicate_seed(config: dict, rep: int) -> int:
     return derive_seed(config["seed"], "replicate", rep)
 
 
-def _build_centroids(config: dict, rep_seed: int) -> np.ndarray | None:
-    algorithm = config["algorithm"]
-    if algorithm not in ("sdbc", "spirit"):
+def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.ndarray | None:
+    """CVT of the sdbc or spirit behaviour space, one centroid per archive
+    cell; None for the grid-indexed algorithms."""
+    if algorithm not in CVT_ALGORITHMS:
         return None
     return generate_cvt_centroids(
-        k=4096,
+        k=ARCHIVE_CAPACITY,
         dim=DESCRIPTOR_DIMS[algorithm],
-        n_seeds=cvt_seed_count(config),
-        seed=derive_seed(rep_seed, "cvt"),
+        n_seeds=int(n_seeds),
+        seed=seed,
         simplex_blocks=algorithm == "spirit",
         max_iter=config["cvt.iterations"],
     )
@@ -283,7 +297,9 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
             continue
         rep_dir.mkdir(parents=True, exist_ok=True)
         rep_seed = _replicate_seed(config, rep)
-        centroids = _build_centroids(config, rep_seed)
+        centroids = _build_centroids(
+            config, config["algorithm"], config["cvt.seeds"], derive_seed(rep_seed, "cvt")
+        )
         evo = EvolutionConfig(
             task=config["task"],
             algorithm=config["algorithm"],
@@ -347,7 +363,7 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             duration=config["evolve.trial_duration"],
             n_jobs=n_jobs,
         )
-        best_key = max(sorted(scores), key=lambda k: scores[k])
+        best_key, _ = _argbest(scores)
         _write_csv(
             rep_dir / "reevaluation.csv",
             header,
@@ -434,8 +450,6 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
 
 def load_records_csv(path):
     """Records plus their provenance (algorithm/task) from one records.csv."""
-    from .recovery import RecoveryRecord
-
     meta = read_provenance(path)
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -548,34 +562,30 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
     for rep, rep_dir in enumerate(replicate_dirs(config)):
         archive = load_archive(rep_dir / "archive", config["algorithm"])
         rep_seed = _replicate_seed(config, rep)
-        if cell is not None:
-            key = cell
-        else:
-            key = max(sorted(archive.cells), key=lambda k: archive.cells[k].performance)
+        key = cell
+        if key is None:
+            key, _ = _argbest({k: elite.performance for k, elite in archive.cells.items()})
+        if key not in archive.cells:
+            raise ConfigError(f"{rep_dir / 'archive'} has no elite at cell {key}")
         genome = archive.cells[key].genome
         seed = derive_seed(rep_seed, "export")
+        duration = config["evolve.trial_duration"]
         if what == "triallog":
-            trial = run_trial(
-                NORMAL_ENV, genome, seed=seed, duration=config["evolve.trial_duration"]
-            )
+            trial = run_trial(NORMAL_ENV, genome, seed=seed, duration=duration)
             trial_log_to_csv(trial, rep_dir / f"trial_cell_{key:05d}.csv")
             log(f"export: {rep_dir} trial log for cell {key}")
         elif what == "descriptors":
-            logs = [
-                run_trial(NORMAL_ENV, genome, seed=s, duration=config["evolve.trial_duration"])
-                for s in trial_seeds(config["reevaluate.trials"], seed)
-            ]
+            n = config["reevaluate.trials"]
+            logs = run_trials(NORMAL_ENV, [genome] * n, [None] * n, trial_seeds(n, seed), duration)
             for kind, describe in DESCRIPTORS.items():
                 descriptor_to_csv(kind, describe(logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
             log(f"export: {rep_dir} descriptors for cell {key}")
         elif what == "projection":
-            centroids = generate_cvt_centroids(
-                k=4096,
-                dim=1024,
-                n_seeds=AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
-                seed=derive_seed(config["seed"], "projection-cvt"),
-                simplex_blocks=True,
-                max_iter=config["cvt.iterations"],
+            centroids = _build_centroids(
+                config,
+                "spirit",
+                AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
+                derive_seed(config["seed"], "projection-cvt"),
             )
             projected = project_archive(
                 archive,
@@ -583,7 +593,7 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                 config["task"],
                 trials=config["reevaluate.trials"],
                 seed=derive_seed(rep_seed, "projection"),
-                duration=config["evolve.trial_duration"],
+                duration=duration,
             )
             _write_csv(
                 rep_dir / "projection.csv",

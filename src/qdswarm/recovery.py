@@ -16,7 +16,7 @@ from .archive import nearest_centroid
 from .environment import NORMAL_ENV
 from .seeding import trial_seeds
 from .sim import FaultType, PlacementError
-from .tasks import evaluator, performance
+from .tasks import evaluator
 
 N_FAULT_TYPES = len(FaultType)
 
@@ -36,17 +36,17 @@ def evaluate_archive(
     trials: int = 10,
     seed: int = 0,
     duration: float = 400.0,
-    env=NORMAL_ENV,
     n_jobs: int = 1,
 ) -> dict[int, float]:
-    """Re-score every elite under the given fault (None = fault free).
+    """Re-score every elite in the normal operating environment under the
+    given fault (None = fault free).
 
     The same trial seeds are used for every elite and every fault under the
     same `seed`, which keeps comparisons paired. Results are independent of
     `n_jobs`.
     """
     with evaluator(min(n_jobs, len(archive.cells))) as run:
-        scores, _ = _run_elites(run, archive, task, env, fault, trials, seed, duration)
+        scores, _ = _run_elites(run, archive, task, NORMAL_ENV, fault, trials, seed, duration)
     return scores
 
 
@@ -71,23 +71,8 @@ def _run_elites(run, archive, task, env, fault, trials, seed, duration, kind=Non
 
 def _argbest(scores: dict[int, float]) -> tuple[int, float]:
     """Highest score; ties broken by the lowest cell key."""
-    best_key = None
-    best = -np.inf
-    for key in sorted(scores):
-        if scores[key] > best:
-            best = scores[key]
-            best_key = key
-    return best_key, best
-
-
-def recover(archive, task, fault, trials: int = 10, seed: int = 0, duration: float = 400.0):
-    """Search the archive for the best controller under `fault`.
-
-    Returns (cell key, genome, mean performance over the shared trials).
-    """
-    scores = evaluate_archive(archive, task, fault, trials, seed, duration)
-    key, best = _argbest(scores)
-    return key, archive.cells[key].genome, best
+    best_key = max(sorted(scores), key=scores.__getitem__)
+    return best_key, scores[best_key]
 
 
 def proportional_change(after: float, before: float) -> float:
@@ -95,45 +80,6 @@ def proportional_change(after: float, before: float) -> float:
     if before == 0:
         raise ZeroDivisionError("proportional change undefined for zero baseline")
     return (after - before) / before
-
-
-def impact(
-    archive,
-    task,
-    fault,
-    trials: int = 10,
-    seed: int = 0,
-    duration: float = 400.0,
-    normal_scores: dict | None = None,
-) -> float:
-    """Proportional performance change of the normal-best elite under `fault`."""
-    if normal_scores is None:
-        normal_scores = evaluate_archive(archive, task, None, trials, seed, duration)
-    best_key, best_normal = _argbest(normal_scores)
-    seeds = trial_seeds(trials, seed, "recovery-trial")
-    faulty = performance(task, NORMAL_ENV, archive.cells[best_key].genome, fault, seeds, duration)
-    return proportional_change(faulty, best_normal)
-
-
-def resilience(
-    archive,
-    task,
-    fault,
-    trials: int = 10,
-    seed: int = 0,
-    duration: float = 400.0,
-    normal_scores: dict | None = None,
-    faulty_scores: dict | None = None,
-) -> float:
-    """Proportional change between the archive's faulty-environment best and
-    its normal-environment best."""
-    if normal_scores is None:
-        normal_scores = evaluate_archive(archive, task, None, trials, seed, duration)
-    if faulty_scores is None:
-        faulty_scores = evaluate_archive(archive, task, fault, trials, seed, duration)
-    _, best_normal = _argbest(normal_scores)
-    _, best_faulty = _argbest(faulty_scores)
-    return proportional_change(best_faulty, best_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +131,13 @@ def project_archive(
         cid = nearest_centroid(descriptors[key].ravel(), centroids)
         if cid not in cells or perf > cells[cid][1]:
             cells[cid] = (key, perf, descriptors[key])
-    reps = [cells[cid][2] for cid in sorted(cells)]
-    if len(reps) < 2:
-        diversity = 0.0
-    else:
-        total = 0.0
-        pairs = 0
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                total += spirit_distance(reps[i], reps[j])
-                pairs += 1
-        diversity = total / pairs
+    # Mean pairwise spirit_distance in O(n log n): per dimension, the k-th
+    # smallest of n values is the larger one of k pairs and the smaller one
+    # of n - 1 - k, so its pairwise |a - b| sum to sum_k (2k - n + 1) x_(k).
+    ranked = np.sort([cells[cid][2].ravel() for cid in cells], axis=0)
+    n = len(ranked)
+    total = float(((2.0 * np.arange(n) - n + 1.0) @ ranked).sum()) / (2.0 * 64.0)
+    diversity = total / (n * (n - 1) / 2.0) if n >= 2 else 0.0
     return ProjectedMap(cells=cells, diversity=diversity)
 
 
@@ -248,32 +190,26 @@ def fault_recovery_records(
             )
         empirical_max = max(normal_scores.values())
 
-        raw = []
+        records = []
         for idx, fault in enumerate(faults):
             faulty_scores, _ = _run_elites(
                 run, archive, task, NORMAL_ENV, fault, trials, seed, duration
             )
             rec_key, rec_perf = _argbest(faulty_scores)
-            rec_impact = proportional_change(faulty_scores[best_key], best_normal)
-            rec_resilience = proportional_change(rec_perf, best_normal)
-            distance = spirit_distance(descriptors[rec_key], descriptors[best_key])
             empirical_max = max(empirical_max, rec_perf)
-            fid = fault_ids[idx] if fault_ids else str(idx)
-            raw.append((fid, fault, rec_impact, rec_perf, rec_resilience, distance, rec_key))
-
-    records = []
-    for fid, fault, rec_impact, rec_perf, rec_resilience, distance, rec_key in raw:
-        records.append(
-            RecoveryRecord(
-                fault_id=fid,
-                task=task,
-                faults=tuple(FaultType(int(f)).name for f in fault),
-                impact=rec_impact,
-                recovered=rec_perf,
-                recovered_norm=rec_perf / empirical_max if empirical_max > 0 else 0.0,
-                resilience=rec_resilience,
-                distance=distance,
-                best_key=rec_key,
+            records.append(
+                RecoveryRecord(
+                    fault_id=fault_ids[idx] if fault_ids else str(idx),
+                    task=task,
+                    faults=tuple(FaultType(int(f)).name for f in fault),
+                    impact=proportional_change(faulty_scores[best_key], best_normal),
+                    recovered=rec_perf,
+                    recovered_norm=rec_perf,  # normalised once every fault has run
+                    resilience=proportional_change(rec_perf, best_normal),
+                    distance=spirit_distance(descriptors[rec_key], descriptors[best_key]),
+                    best_key=rec_key,
+                )
             )
-        )
+    for record in records:
+        record.recovered_norm = record.recovered / empirical_max if empirical_max > 0 else 0.0
     return records

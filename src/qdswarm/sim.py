@@ -569,13 +569,17 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
     bit-identical alone or in any batch.
 
     Raises PlacementError for the first trial that cannot be placed; the
-    error's `trial` attribute is that trial's index in the batch.
+    error's `trial` attribute is that trial's index in the batch. A duration
+    that rounds to no control cycle raises ValueError before any placement.
     """
     body = RobotBody.from_env(env)
     n = env.n_robots
     batch = len(seeds)
     if not len(genomes) == len(faults) == batch:
         raise ValueError("genomes, faults and seeds differ in length")
+    n_cycles = int(round(duration / CONTROL_DT))
+    if n_cycles < 1:
+        raise ValueError(f"duration {duration!r} s is under one {CONTROL_DT} s control cycle")
     fault_arr = np.full((batch, n), int(FaultType.NONE))
     for b, assignment in enumerate(faults):
         if assignment is not None:
@@ -596,7 +600,6 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
     obstacles = np.empty((batch, env.n_obstacles, 2))
     for b, arena in enumerate(arenas):
         obstacles[b] = arena.obstacles
-    n_cycles = int(round(duration / CONTROL_DT))
     plan = _compile_faults(fault_arr, rngs, n_cycles)
 
     net = CompiledNetwork(genomes)

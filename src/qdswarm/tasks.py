@@ -223,15 +223,6 @@ def _fold_batch(jobs, batch, trial_logs, continuing, partial, results):
             results[index] = (float(np.mean(fits)), descriptor, None)
 
 
-def performance(task, env, genome, faults, seeds, duration: float = 400.0) -> float:
-    """Mean fitness over one independent trial per seed: one `evaluate_jobs`
-    job, with a placement failure raised as PlacementError."""
-    score, _, error = evaluate_jobs([(task, env, genome, faults, seeds, duration, None)])[0]
-    if error is not None:
-        raise PlacementError(error)
-    return score
-
-
 @contextmanager
 def evaluator(n_jobs: int):
     """Yield `run(jobs)`, the `evaluate_jobs` results in job order.

@@ -7,21 +7,19 @@ full fidelity.
 """
 
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from conftest import make_log
 from qdswarm.archive import Archive, generate_cvt_centroids
-from qdswarm.environment import all_environments, env_index
+from qdswarm.environment import env_from_index, env_index
 from qdswarm.evolve import EvolutionConfig, evolve
 from qdswarm.experiment import resolve_config, stage_evolve, stage_faults, stage_reevaluate
 from qdswarm.recovery import (
     evaluate_archive,
     fault_recovery_records,
-    impact,
-    resilience,
     sample_combined_fault,
     spirit_distance,
 )
@@ -176,7 +174,7 @@ def test_criterion_4_descriptor_capacity():
     assert Archive.hbd().capacity == 16**3 == 4096
     assert Archive.qed().capacity == 4**6 == 4096
 
-    envs = list(all_environments())
+    envs = [env_from_index(indices) for indices in product(range(4), repeat=6)]
     assert len(envs) == 4096
     assert len({env_index(e) for e in envs}) == 4096
 
@@ -301,10 +299,11 @@ def test_criterion_7_recovery_inequality(qed_archive_small):
         assert record.resilience >= record.impact, record.fault_id
 
     none_fault = np.array([FaultType.NONE] * 10, dtype=object)
-    assert impact(archive, "aggregation", none_fault, trials=3, seed=70, duration=10.0) == 0.0
-    assert (
-        resilience(archive, "aggregation", none_fault, trials=3, seed=70, duration=10.0) == 0.0
+    (neutral,) = fault_recovery_records(
+        archive, "aggregation", [none_fault], trials=3, seed=70, duration=10.0
     )
+    assert neutral.impact == 0.0
+    assert neutral.resilience == 0.0
     print(
         f"\n[PASS] criterion 7: resilience >= impact for 25/25 faults on a "
         f"{archive.coverage}-elite archive; all-NONE fault exactly neutral"

@@ -9,7 +9,6 @@ from qdswarm.archive import (
     hbd_bins,
     load_archive,
     nearest_centroid,
-    qed_key_environment,
     sample_simplex_blocks,
     save_archive,
 )
@@ -17,6 +16,7 @@ from qdswarm.environment import (
     ATTRIBUTE_SETS,
     NORMAL_ENV,
     EnvironmentSpec,
+    env_from_index,
     env_index,
     generate_environment,
 )
@@ -137,7 +137,7 @@ class TestGridGeometry:
         for _ in range(50):
             env = generate_environment(rng)
             key = archive.key_of(env_index(env))
-            assert qed_key_environment(key) == env
+            assert env_from_index(np.unravel_index(key, archive.dims)) == env
 
 
 class TestGenerateEnvironment:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from qdswarm.archive import load_archive
 from qdswarm.cli import main
 from qdswarm.experiment import (
     ConfigError,
     config_hash,
-    cvt_seed_count,
     parse_config_text,
     read_provenance,
     resolve_config,
@@ -76,11 +76,11 @@ class TestConfig:
 
     def test_auto_cvt_seeds(self):
         sdbc = resolve_config("desk", "algorithm = sdbc")
-        assert cvt_seed_count(sdbc) == 20_000
+        assert int(sdbc["cvt.seeds"]) == 20_000
         spirit = resolve_config("paper", "algorithm = spirit")
-        assert cvt_seed_count(spirit) == 1_000_000
-        explicit = resolve_config("desk", "algorithm = sdbc\ncvt.seeds = 512")
-        assert cvt_seed_count(explicit) == 512
+        assert int(spirit["cvt.seeds"]) == 1_000_000
+        explicit = resolve_config("desk", "algorithm = sdbc\ncvt.seeds = 5000")
+        assert int(explicit["cvt.seeds"]) == 5000
 
 
 class TestPipeline:
@@ -191,6 +191,34 @@ class TestPipeline:
         code = main(["evolve", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("algorithm = qed", "algorithm = sdbc\ncvt.seeds = 100"),
+            ("algorithm = qed", "algorithm = spirit\ncvt.seeds = 4095"),
+            ("evolve.trial_duration = 2.0", "evolve.trial_duration = 0.05"),
+            ("evolve.trial_duration = 2.0", "evolve.trial_duration = -1"),
+        ],
+        ids=["sdbc-seeds-below-capacity", "spirit-seeds-below-capacity", "under-one-cycle",
+             "negative-duration"],
+    )
+    def test_invalid_config_rejected_before_config_written(self, tmp_path, capsys, old, new):
+        cfg = write_cfg(tmp_path, TINY.replace(old, new))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        key = new.splitlines()[-1].split(" = ")[0]
+        assert capsys.readouterr().err.startswith(f"error: {key} must be at least")
+        assert not (tmp_path / "run" / "config.txt").exists()
+
+    def test_export_of_empty_cell_names_it(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        archive_dir = tmp_path / "run" / "rep00" / "archive"
+        empty = min(set(range(4096)) - set(load_archive(archive_dir, "qed").cells))
+        capsys.readouterr()
+        assert main(["export", "--out", out, "--cell", str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: {archive_dir} has no elite at cell {empty}\n"
 
 
 class TestAnalyze:

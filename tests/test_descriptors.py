@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,12 @@ from qdswarm.descriptors import (
     spirit_actions,
     spirit_states,
 )
+from qdswarm.archive import Archive
 from qdswarm.environment import (
     NORMAL_ENV,
     EnvironmentSpec,
-    all_environments,
     env_from_index,
     env_index,
-    env_index_from_flat,
-    flat_env_index,
 )
 
 
@@ -201,17 +201,21 @@ class TestEnvDescriptor:
     def test_bijection_over_all_4096(self):
         seen = set()
         count = 0
-        for env in all_environments():
+        for indices in product(range(4), repeat=6):
+            env = env_from_index(indices)
             idx = env_index(env)
+            assert idx == indices
             assert env_from_index(idx) == env
-            seen.add(idx)
+            seen.add(env)
             count += 1
         assert count == 4096
         assert len(seen) == 4096
 
     def test_flat_index_round_trip(self):
+        archive = Archive.qed()
         for flat in (0, 1, 17, 4095):
-            assert flat_env_index(env_index_from_flat(flat)) == flat
+            indices = np.unravel_index(flat, archive.dims)
+            assert archive.key_of(env_index(env_from_index(indices))) == flat
 
     def test_non_member_attribute_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_log
-from qdswarm.archive import generate_cvt_centroids, qed_key_environment
+from qdswarm.archive import generate_cvt_centroids
+from qdswarm.environment import env_from_index, env_index
 from qdswarm.evolve import EvolutionConfig, evolve
 from qdswarm.genome import MutationParams
 from qdswarm.seeding import trial_seeds
@@ -73,8 +74,10 @@ class TestEvolveBasics:
 
     def test_qed_keys_decode_to_elite_environment(self):
         result = evolve(tiny_config(), evaluate=stub_evaluate)
-        for key, elite in result.archive.cells.items():
-            assert qed_key_environment(key) == elite.env
+        archive = result.archive
+        for key, elite in archive.cells.items():
+            assert archive.key_of(env_index(elite.env)) == key
+            assert env_from_index(np.unravel_index(key, archive.dims)) == elite.env
 
     def test_evaluation_seeds_stable(self):
         assert trial_seeds(3, 1, "trial", 5) == trial_seeds(3, 1, "trial", 5)

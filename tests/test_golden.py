@@ -2,7 +2,9 @@
 
 A tiny QED run and a tiny SDBC run go through evolve -> reevaluate -> faults,
 and the SHA-256 of every CSV they write is compared with a pinned value, on
-one worker and on two (outputs must not depend on `--threads`).
+one worker and on two (outputs must not depend on `--threads`). The files
+that `export --what descriptors` and `export --what triallog` write for the
+QED run's best elite are pinned the same way.
 Refactors must keep these bytes; a change that alters results on purpose
 updates the hashes and says why.
 """
@@ -52,6 +54,13 @@ GOLDEN = {
     },
 }
 
+EXPORT_GOLDEN = {
+    "descriptor_hbd_01123.csv": "914be0f82cb6b1da6890f926b70486716c1e7b3e6e02e038300b0159ea119a18",
+    "descriptor_sdbc_01123.csv": "be4c5d45a601caf192c98e803adb00f87d2f8fca5a1e97ebd49bb63d73aa9b5e",
+    "descriptor_spirit_01123.csv": "3f141874d915c843ec27b3042e529898823a4cec282c2f2a0b19c85f6f1e5f45",
+    "trial_cell_01123.csv": "baa94c44bdc37f807448b86780b2d941a8d282fd2c81e4c45b1e61d79d6481d0",
+}
+
 
 def _csv_digests(rep):
     return {
@@ -71,3 +80,14 @@ def test_primary_csvs_byte_identical(tmp_path, algorithm, threads):
     assert main(["reevaluate", "--out", out, *workers]) == 0
     assert main(["faults", "--out", out, *workers]) == 0
     assert _csv_digests(tmp_path / "run" / "rep00") == GOLDEN[algorithm]
+
+
+def test_export_csvs_byte_identical(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(COMMON + CONFIGS["qed"])
+    out = str(tmp_path / "run")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    assert main(["export", "--out", out, "--what", "descriptors"]) == 0
+    assert main(["export", "--out", out, "--what", "triallog"]) == 0
+    digests = _csv_digests(tmp_path / "run" / "rep00")
+    assert {name: digests[name] for name in EXPORT_GOLDEN if name in digests} == EXPORT_GOLDEN

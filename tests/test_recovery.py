@@ -6,17 +6,16 @@ from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
 from qdswarm.genome import Connection, Genome, random_genome
 from qdswarm.recovery import (
     RecoveryRecord,
+    _run_elites,
     evaluate_archive,
     fault_recovery_records,
-    impact,
     project_archive,
     proportional_change,
-    recover,
-    resilience,
     sample_combined_fault,
     spirit_distance,
 )
 from qdswarm.sim import FaultType
+from qdswarm.tasks import evaluate_jobs
 
 DUR = 2.0
 TRIALS = 2
@@ -67,18 +66,21 @@ class TestSampleCombinedFault:
 
 
 class TestRecoverImpactResilience:
+    """The recovery metrics of `fault_recovery_records` against the
+    per-elite scores of `evaluate_archive` on the same trial seeds."""
+
     def test_singleton_archive_returns_its_elite(self):
         archive = small_archive(1)
         fault = [FaultType.BW_H] * 10
-        key, genome, perf = recover(archive, "aggregation", fault, TRIALS, 0, DUR)
-        assert key == 0
-        assert genome is archive.cells[0].genome
+        (record,) = fault_recovery_records(archive, "aggregation", [fault], TRIALS, 0, DUR)
+        assert record.best_key == 0
 
     def test_all_none_fault_is_neutral(self):
         archive = small_archive(4)
         none_fault = [FaultType.NONE] * 10
-        assert impact(archive, "aggregation", none_fault, TRIALS, 0, DUR) == 0.0
-        assert resilience(archive, "aggregation", none_fault, TRIALS, 0, DUR) == 0.0
+        (record,) = fault_recovery_records(archive, "aggregation", [none_fault], TRIALS, 0, DUR)
+        assert record.impact == 0.0
+        assert record.resilience == 0.0
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         faulted = evaluate_archive(archive, "aggregation", none_fault, TRIALS, 0, DUR)
         assert normal == faulted
@@ -88,30 +90,25 @@ class TestRecoverImpactResilience:
         rng = np.random.default_rng(9)
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         best_key = max(sorted(normal), key=lambda k: normal[k])
-        for _ in range(3):
-            fault = sample_combined_fault(rng, 10)
+        faults = [sample_combined_fault(rng, 10) for _ in range(3)]
+        records = fault_recovery_records(archive, "aggregation", faults, TRIALS, 0, DUR)
+        for fault, record in zip(faults, records):
             scores = evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR)
-            _, _, recovered = recover(archive, "aggregation", fault, TRIALS, 0, DUR)
-            assert recovered >= scores[best_key]
+            assert record.recovered == max(scores.values())
+            assert record.recovered >= scores[best_key]
 
     def test_resilience_geq_impact_exhaustive(self):
         archive = small_archive(5)
         rng = np.random.default_rng(11)
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
-        for _ in range(4):
-            fault = sample_combined_fault(rng, 10)
+        best_key = max(sorted(normal), key=lambda k: normal[k])
+        faults = [sample_combined_fault(rng, 10) for _ in range(4)]
+        records = fault_recovery_records(archive, "aggregation", faults, TRIALS, 0, DUR)
+        for fault, record in zip(faults, records):
             faulty = evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR)
-            imp = impact(archive, "aggregation", fault, TRIALS, 0, DUR, normal_scores=normal)
-            res = resilience(
-                archive,
-                "aggregation",
-                fault,
-                TRIALS,
-                0,
-                DUR,
-                normal_scores=normal,
-                faulty_scores=faulty,
-            )
+            imp = proportional_change(faulty[best_key], normal[best_key])
+            res = proportional_change(max(faulty.values()), normal[best_key])
+            assert (record.impact, record.resilience) == (imp, res)
             assert res >= imp
 
     def test_proportional_change_values(self):
@@ -178,15 +175,21 @@ class TestProjection:
 
     def test_three_point_diversity_matches_hand_mean(self):
         archive = small_archive(6, seed=3)
-        projected = project_archive(archive, self.CENTROIDS, "aggregation", trials=1, duration=DUR)
+        # centroids at the elites' own fault-free profiles (the same trial
+        # seeds as the projection) give each distinct profile its own cell
+        _, profiles = _run_elites(
+            evaluate_jobs, archive, "aggregation", NORMAL_ENV, None, 1, 0, DUR, "spirit"
+        )
+        centroids = np.array([profiles[key].ravel() for key in sorted(profiles)])
+        projected = project_archive(archive, centroids, "aggregation", trials=1, duration=DUR)
+        assert projected.coverage >= 3
         reps = [projected.cells[c][2] for c in sorted(projected.cells)]
-        if len(reps) >= 2:
-            total, pairs = 0.0, 0
-            for i in range(len(reps)):
-                for j in range(i + 1, len(reps)):
-                    total += spirit_distance(reps[i], reps[j])
-                    pairs += 1
-            assert projected.diversity == pytest.approx(total / pairs, abs=1e-12)
+        total, pairs = 0.0, 0
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                total += spirit_distance(reps[i], reps[j])
+                pairs += 1
+        assert projected.diversity == pytest.approx(total / pairs, abs=1e-12)
 
 
 class TestFaultRecoveryRecords:

@@ -15,6 +15,7 @@ from qdswarm.sim import (
     proximity_activations,
     rab_activations,
     run_trial,
+    run_trials,
     trial_log_to_csv,
     wrap_angle,
 )
@@ -344,6 +345,12 @@ class TestRunTrial:
     def test_fault_assignment_length_checked(self):
         with pytest.raises(ValueError):
             run_trial(NORMAL_ENV, Genome(), faults=[FaultType.NONE] * 3, seed=0, duration=2.0)
+
+    @pytest.mark.parametrize("duration", [0.05, 0.1, 0.0, -1.0])
+    def test_duration_under_one_cycle_rejected(self, duration):
+        with pytest.raises(ValueError, match="under one 0.2 s control cycle"):
+            run_trials(NORMAL_ENV, [Genome()], [None], [0], duration)
+        assert run_trial(NORMAL_ENV, Genome(), seed=0, duration=0.15).n_cycles == 1
 
     def test_csv_export(self, tmp_path):
         log = run_trial(EnvironmentSpec(n_robots=5), Genome(), seed=1, duration=1.0)

@@ -8,6 +8,7 @@ from qdswarm.seeding import derive_seed
 from qdswarm.tasks import (
     PATROL_DECAY_PER_CYCLE,
     TaskKind,
+    evaluate_jobs,
     fitness,
     fitness_aggregation,
     fitness_border_patrolling,
@@ -16,7 +17,6 @@ from qdswarm.tasks import (
     fitness_patrolling,
     linear_decay,
     patrol_cell_trace,
-    performance,
 )
 
 T = 40
@@ -198,29 +198,34 @@ class TestAllFitnessesBounded:
 
 
 class TestPerformance:
+    """Mean fitness over seeds: one `evaluate_jobs` job per genome."""
+
     ENV = EnvironmentSpec(n_robots=5, arena_side=2.0)
+
+    def score(self, seeds, duration):
+        job = (TaskKind.AGGREGATION, self.ENV, Genome(), None, seeds, duration, None)
+        ((perf, descriptor, error),) = evaluate_jobs([job])
+        assert descriptor is None and error is None
+        return perf
 
     def test_single_seed_equals_single_trial(self):
         from qdswarm.sim import run_trial
 
-        p = performance(TaskKind.AGGREGATION, self.ENV, Genome(), None, [11], duration=4.0)
+        p = self.score([11], duration=4.0)
         log = run_trial(self.ENV, Genome(), seed=11, duration=4.0)
         assert p == fitness_aggregation(log)
 
     def test_identical_seeds_collapse(self):
-        p1 = performance(TaskKind.AGGREGATION, self.ENV, Genome(), None, [7], duration=4.0)
-        pk = performance(TaskKind.AGGREGATION, self.ENV, Genome(), None, [7] * 4, duration=4.0)
+        p1 = self.score([7], duration=4.0)
+        pk = self.score([7] * 4, duration=4.0)
         assert pk == pytest.approx(p1, abs=1e-15)
 
     def test_mean_matches_streaming_mean(self):
         seeds = [derive_seed(0, "perf", t) for t in range(50)]
-        values = [
-            performance(TaskKind.AGGREGATION, self.ENV, Genome(), None, [s], duration=2.0)
-            for s in seeds
-        ]
-        combined = performance(TaskKind.AGGREGATION, self.ENV, Genome(), None, seeds, duration=2.0)
+        values = [self.score([s], duration=2.0) for s in seeds]
+        combined = self.score(seeds, duration=2.0)
         assert combined == pytest.approx(np.mean(values), abs=1e-12)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            performance(TaskKind.AGGREGATION, self.ENV, Genome(), None, [])
+            self.score([], duration=400.0)

@@ -4,7 +4,9 @@ A tiny QED run and a tiny SDBC run go through evolve -> reevaluate -> faults,
 and the SHA-256 of every CSV they write is compared with a pinned value, on
 one worker and on two (outputs must not depend on `--threads`). The files
 that `export --what descriptors` and `export --what triallog` write for the
-QED run's best elite are pinned the same way.
+QED run's best elite are pinned the same way, as are the tables that
+`analyze` writes over the QED and SDBC runs together and the two that
+`export --what projection` writes for the SDBC run.
 Refactors must keep these bytes; a change that alters results on purpose
 updates the hashes and says why.
 """
@@ -61,6 +63,28 @@ EXPORT_GOLDEN = {
     "trial_cell_01123.csv": "baa94c44bdc37f807448b86780b2d941a8d282fd2c81e4c45b1e61d79d6481d0",
 }
 
+ANALYZE_GOLDEN = {
+    "signature_impact_distance_aggregation_qed.csv":
+        "9cc140df64dfafcf388b1e7f7a430135e0157ad0def941f500e8e873f97ebf4e",
+    "signature_impact_distance_aggregation_sdbc.csv":
+        "edd07dc6030eaf2d9dee4f9f5c18ea575a643c0a2da7c2e77bbc67f49d492ca6",
+    "signature_impact_resilience_aggregation_qed.csv":
+        "2582e1ff20bdb054fdd84d6b13d9f3b88e87d3e9a222c75c7b0d85bdc5589885",
+    "signature_impact_resilience_aggregation_sdbc.csv":
+        "56553e49857d01e2c2ea48047a16dc02904a7f9623f66fa6c3c17efd1f4c0dc0",
+    "signature_resilience_distance_aggregation_qed.csv":
+        "bbb9755786bc008fd2843718ce38138e904ed85e5fadd47da5059dec815435b2",
+    "signature_resilience_distance_aggregation_sdbc.csv":
+        "2cd3175719f2c1d7a8839a98933163957f42f09ed3ef90822994d7ace30b3dc7",
+    "signatures.csv": "96a0a3a1b3c42b5aff01640290896f48a00726d86708e28d12269dc83623f5f3",
+    "stats_tables.csv": "f6c6927123a2291a003c5d7fe42a58da68d1d5c78f577edf185a1794fb77a46d",
+}
+
+PROJECTION_GOLDEN = {
+    "projection.csv": "209f38ac44098294f493f2bfbdf4386e9fcc83ac2503e093439581f8a6fc507b",
+    "projection_summary.csv": "54203f136e2cc1e94759a981b6f8ecb50f5b6d241207197eb6260e7ac5b465fb",
+}
+
 
 def _csv_digests(rep):
     return {
@@ -69,17 +93,36 @@ def _csv_digests(rep):
     }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
-def test_primary_csvs_byte_identical(tmp_path, algorithm, threads):
-    cfg = tmp_path / "exp.cfg"
+def _pipeline(tmp_path, algorithm, threads, name="run"):
+    """Run evolve -> reevaluate -> faults of one golden config into `tmp_path / name`."""
+    cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(COMMON + CONFIGS[algorithm])
-    out = str(tmp_path / "run")
+    out = str(tmp_path / name)
     workers = ["--threads", threads]
     assert main(["evolve", "--config", str(cfg), "--out", out, *workers]) == 0
     assert main(["reevaluate", "--out", out, *workers]) == 0
     assert main(["faults", "--out", out, *workers]) == 0
-    assert _csv_digests(tmp_path / "run" / "rep00") == GOLDEN[algorithm]
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_primary_csvs_byte_identical(tmp_path, algorithm, threads):
+    run = _pipeline(tmp_path, algorithm, threads)
+    assert _csv_digests(run / "rep00") == GOLDEN[algorithm]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_analyze_and_projection_csvs_byte_identical(tmp_path, threads):
+    qed = _pipeline(tmp_path, "qed", threads, name="qed")
+    sdbc = _pipeline(tmp_path, "sdbc", threads, name="sdbc")
+    records = [str(run / "rep00" / "records.csv") for run in (qed, sdbc)]
+    assert main(["analyze", "--out", str(qed), *records]) == 0
+    assert _csv_digests(qed / "analysis") == ANALYZE_GOLDEN
+    # the SDBC config has cvt.iterations = 1, which keeps the projection CVT cheap
+    assert main(["export", "--out", str(sdbc), "--what", "projection"]) == 0
+    digests = _csv_digests(sdbc / "rep00")
+    assert {name: digests[name] for name in PROJECTION_GOLDEN if name in digests} == PROJECTION_GOLDEN
 
 
 def test_export_csvs_byte_identical(tmp_path):

@@ -9,7 +9,7 @@ around k-means centroids.
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -229,6 +229,32 @@ def load_centroids(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def write_table(path, header: str, columns, rows) -> None:
+    """Write a table: the provenance `header` line (none when empty), the
+    column names, then `rows`.
+
+    A float cell is written as `repr(float(v))`, so numpy scalars print as
+    plain numbers; None is an empty cell.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header:
+            fh.write(header.rstrip("\n") + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def read_table(path):
+    """Yield one dict per row of a :func:`write_table` table."""
+    with open(path, encoding="utf-8") as fh:
+        yield from csv.DictReader(line for line in fh if not line.startswith("#"))
+
+
+_ENV_FIELDS = fields(EnvironmentSpec)
+
+
 def save_archive(archive, directory, header: str = "") -> None:
     """Write the archive index CSV plus one genome file per elite.
 
@@ -236,42 +262,17 @@ def save_archive(archive, directory, header: str = "") -> None:
     elite was evaluated in, and its genome file name.
     """
     os.makedirs(os.path.join(directory, "genomes"), exist_ok=True)
-    index_path = os.path.join(directory, "index.csv")
-    with open(index_path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            fh.write(header.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "key",
-                "performance",
-                "max_linear_speed",
-                "n_robots",
-                "arena_side",
-                "n_obstacles",
-                "rab_range",
-                "proximity_range",
-                "genome_file",
-            ]
-        )
-        for key in sorted(archive.cells):
-            elite = archive.cells[key]
-            env = elite.env if elite.env is not None else EnvironmentSpec()
-            name = f"cell_{key:05d}.txt"
-            save_genome(elite.genome, os.path.join(directory, "genomes", name))
-            writer.writerow(
-                [
-                    key,
-                    repr(float(elite.performance)),
-                    repr(float(env.max_linear_speed)),
-                    env.n_robots,
-                    repr(float(env.arena_side)),
-                    env.n_obstacles,
-                    repr(float(env.rab_range)),
-                    repr(float(env.proximity_range)),
-                    name,
-                ]
-            )
+    rows = []
+    for key in sorted(archive.cells):
+        elite = archive.cells[key]
+        env = elite.env if elite.env is not None else EnvironmentSpec()
+        name = f"cell_{key:05d}.txt"
+        save_genome(elite.genome, os.path.join(directory, "genomes", name))
+        # each attribute through its field type: EnvironmentSpec(arena_side=4) writes 4.0
+        attributes = [f.type(getattr(env, f.name)) for f in _ENV_FIELDS]
+        rows.append([key, float(elite.performance), *attributes, name])
+    columns = ["key", "performance", *(f.name for f in _ENV_FIELDS), "genome_file"]
+    write_table(os.path.join(directory, "index.csv"), header, columns, rows)
     if archive.centroids is not None:
         save_centroids(archive.centroids, os.path.join(directory, "centroids.csv"))
 
@@ -286,21 +287,8 @@ def load_archive(directory, kind: str):
     if kind in CVT_ALGORITHMS:
         centroids = load_centroids(os.path.join(directory, "centroids.csv"))
     archive = make_archive(kind, centroids)
-    index_path = os.path.join(directory, "index.csv")
-    with open(index_path, encoding="utf-8") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(rows)
-    for row in reader:
-        env = EnvironmentSpec(
-            max_linear_speed=float(row["max_linear_speed"]),
-            n_robots=int(row["n_robots"]),
-            arena_side=float(row["arena_side"]),
-            n_obstacles=int(row["n_obstacles"]),
-            rab_range=float(row["rab_range"]),
-            proximity_range=float(row["proximity_range"]),
-        )
+    for row in read_table(os.path.join(directory, "index.csv")):
+        env = EnvironmentSpec(**{f.name: f.type(row[f.name]) for f in _ENV_FIELDS})
         genome = load_genome(os.path.join(directory, "genomes", row["genome_file"]))
-        archive.cells[int(row["key"])] = Elite(
-            genome=genome, performance=float(row["performance"]), env=env
-        )
+        archive.cells[int(row["key"])] = Elite(genome, float(row["performance"]), env=env)
     return archive

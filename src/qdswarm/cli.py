@@ -59,15 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    overrides = {"out": args.out, "seed": args.seed}
+    """Resolve `--config`, else the config that the evolve stage stored in
+    the run directory, else the preset defaults."""
+    text = ""
     if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
-        return resolve_config(args.preset, text, overrides)
-    # fall back to the config the evolve stage stored in the run directory
-    if args.out and (Path(args.out) / "config.txt").exists():
+    elif args.out and (Path(args.out) / "config.txt").exists():
         text = (Path(args.out) / "config.txt").read_text(encoding="utf-8")
-        return resolve_config(args.preset, text, overrides)
-    return resolve_config(args.preset, "", overrides)
+    return resolve_config(args.preset, text, {"out": args.out, "seed": args.seed})
 
 
 def main(argv=None) -> int:
@@ -75,24 +74,22 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        config = _load_config(args)
         if args.command == "analyze":
-            config = _load_config(args)
             records = list(args.records)
             if not records:
                 records = sorted(str(p) for p in Path(config["out"]).glob("rep*/records.csv"))
             if not records:
                 raise FileNotFoundError("no records.csv files found; run the faults stage first")
             stage_analyze(records, Path(config["out"]) / "analysis", header=provenance(config))
-        else:
-            config = _load_config(args)
-            if args.command == "evolve":
-                stage_evolve(config, n_jobs=args.threads)
-            elif args.command == "reevaluate":
-                stage_reevaluate(config, n_jobs=args.threads)
-            elif args.command == "faults":
-                stage_faults(config, n_jobs=args.threads)
-            elif args.command == "export":
-                stage_export(config, what=args.what, cell=args.cell)
+        elif args.command == "evolve":
+            stage_evolve(config, n_jobs=args.threads)
+        elif args.command == "reevaluate":
+            stage_reevaluate(config, n_jobs=args.threads)
+        elif args.command == "faults":
+            stage_faults(config, n_jobs=args.threads)
+        elif args.command == "export":
+            stage_export(config, what=args.what, cell=args.cell)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

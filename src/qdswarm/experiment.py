@@ -2,15 +2,21 @@
 
 Configuration is a flat key = value text format with dotted section keys;
 unknown keys are errors. Two presets ship: `desk` (default, runs on a
-workstation) and `paper` (the full-scale budget). Every output file carries a
-provenance header line with the config hash and master seed, and each
-pipeline stage writes a `.done` manifest of output hashes so that rerunning a
-completed stage verifies the files and becomes a no-op.
+workstation) and `paper` (the full-scale budget). Every result table is
+written by :func:`~qdswarm.archive.write_table` and starts with a provenance
+header line with the config hash and master seed: `archive/index.csv`,
+`stats.csv`, `events.csv`, `reevaluation.csv`, `reevaluation_summary.csv`,
+`records.csv`, `projection.csv`, `projection_summary.csv`, and the
+`analysis/` files `signatures.csv`, `signature_*.csv` and `stats_tables.csv`.
+The number grids `archive/centroids.csv`, `trial_cell_*.csv` and
+`descriptor_*.csv` have no header. Each pipeline stage writes a `.done`
+manifest of output hashes so that rerunning a completed stage verifies the
+files and becomes a no-op.
 """
 
-import csv
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +26,12 @@ from .archive import (
     CVT_ALGORITHMS,
     generate_cvt_centroids,
     load_archive,
+    read_table,
     save_archive,
+    write_table,
 )
 from .environment import NORMAL_ENV
-from .evolve import DESCRIPTOR_DIMS, EvolutionConfig, evolve
+from .evolve import DESCRIPTOR_DIMS, EvolutionConfig, GenerationStats, InsertionEvent, evolve
 from .descriptors import descriptor_to_csv
 from .recovery import (
     RecoveryRecord,
@@ -233,15 +241,6 @@ def write_manifest(directory, stage: str, files) -> None:
     )
 
 
-def _write_csv(path, header: str, columns, rows) -> None:
-    """Write the provenance `header` line, the column names, then `rows`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def _tree_files(directory, root) -> list[str]:
     out = []
     for path in sorted(Path(directory).rglob("*")):
@@ -260,6 +259,22 @@ def replicate_dirs(config: dict) -> list[Path]:
 
 def _replicate_seed(config: dict, rep: int) -> int:
     return derive_seed(config["seed"], "replicate", rep)
+
+
+def _pending(config: dict, stage: str, log):
+    """Yield (rep, rep_dir, rep_seed) of each replicate whose `stage` manifest
+    is missing or stale; log the complete ones as skipped."""
+    for rep, rep_dir in enumerate(replicate_dirs(config)):
+        if stage_is_complete(rep_dir, stage):
+            log(f"{stage}: {rep_dir} already complete, skipping")
+            continue
+        yield rep, rep_dir, _replicate_seed(config, rep)
+
+
+def _write_dataclasses(path, header: str, cls, items) -> None:
+    """One row per item of dataclass `cls`, one column per field."""
+    names = [f.name for f in fields(cls)]
+    write_table(path, header, names, ([getattr(item, name) for name in names] for item in items))
 
 
 def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.ndarray | None:
@@ -291,12 +306,8 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     stored.write_text(config_text(config))
     header = provenance(config)
-    for rep, rep_dir in enumerate(replicate_dirs(config)):
-        if stage_is_complete(rep_dir, "evolve"):
-            log(f"evolve: {rep_dir} already complete, skipping")
-            continue
+    for _, rep_dir, rep_seed in _pending(config, "evolve", log):
         rep_dir.mkdir(parents=True, exist_ok=True)
-        rep_seed = _replicate_seed(config, rep)
         centroids = _build_centroids(
             config, config["algorithm"], config["cvt.seeds"], derive_seed(rep_seed, "cvt")
         )
@@ -316,29 +327,8 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
         archive_dir = rep_dir / "archive"
         archive_dir.mkdir(exist_ok=True)
         save_archive(result.archive, archive_dir, header=header)
-        _write_csv(
-            rep_dir / "stats.csv",
-            header,
-            ["generation", "evaluations", "coverage", "best", "mean"],
-            (
-                [row.generation, row.evaluations, row.coverage, repr(row.best), repr(row.mean)]
-                for row in result.stats
-            ),
-        )
-        _write_csv(
-            rep_dir / "events.csv",
-            header,
-            ["evaluation", "key", "previous", "performance"],
-            (
-                [
-                    ev.evaluation,
-                    ev.key,
-                    "" if ev.previous is None else repr(ev.previous),
-                    repr(ev.performance),
-                ]
-                for ev in result.events
-            ),
-        )
+        _write_dataclasses(rep_dir / "stats.csv", header, GenerationStats, result.stats)
+        _write_dataclasses(rep_dir / "events.csv", header, InsertionEvent, result.events)
         files = sorted(set(_tree_files(rep_dir, rep_dir)) - {"evolve.done"})
         write_manifest(rep_dir, "evolve", files)
         log(f"evolve: {rep_dir} coverage={result.archive.coverage}")
@@ -348,12 +338,8 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
 def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
     """Re-score every elite in the normal operating environment."""
     header = provenance(config)
-    for rep, rep_dir in enumerate(replicate_dirs(config)):
-        if stage_is_complete(rep_dir, "reevaluate"):
-            log(f"reevaluate: {rep_dir} already complete, skipping")
-            continue
+    for _, rep_dir, rep_seed in _pending(config, "reevaluate", log):
         archive = load_archive(rep_dir / "archive", config["algorithm"])
-        rep_seed = _replicate_seed(config, rep)
         scores = evaluate_archive(
             archive,
             config["task"],
@@ -364,17 +350,12 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             n_jobs=n_jobs,
         )
         best_key, _ = _argbest(scores)
-        _write_csv(
-            rep_dir / "reevaluation.csv",
-            header,
-            ["key", "performance"],
-            ([key, repr(scores[key])] for key in sorted(scores)),
-        )
-        _write_csv(
+        write_table(rep_dir / "reevaluation.csv", header, ["key", "performance"], sorted(scores.items()))
+        write_table(
             rep_dir / "reevaluation_summary.csv",
             header,
             ["best_key", "best", "mean"],
-            [[best_key, repr(scores[best_key]), repr(float(np.mean(list(scores.values()))))]],
+            [[best_key, scores[best_key], float(np.mean(list(scores.values())))]],
         )
         write_manifest(rep_dir, "reevaluate", ["reevaluation.csv", "reevaluation_summary.csv"])
         log(
@@ -383,32 +364,35 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
         )
 
 
-RECORD_COLUMNS = [
-    "task",
-    "fault_id",
-    "fault_codes",
-    "impact",
-    "recovered_perf",
-    "recovered_perf_norm",
-    "resilience",
-    "distance",
-    "best_cell_key",
-]
+# records.csv column -> (RecoveryRecord field, parser of its cell); the
+# fault tuple is written joined by ";"
+RECORD_COLUMNS = {
+    "task": ("task", str),
+    "fault_id": ("fault_id", str),
+    "fault_codes": ("faults", lambda cell: tuple(cell.split(";"))),
+    "impact": ("impact", float),
+    "recovered_perf": ("recovered", float),
+    "recovered_perf_norm": ("recovered_norm", float),
+    "resilience": ("resilience", float),
+    "distance": ("distance", float),
+    "best_cell_key": ("best_key", int),
+}
+
+
+def _record_row(record: RecoveryRecord) -> list:
+    values = (getattr(record, name) for name, _ in RECORD_COLUMNS.values())
+    return [";".join(v) if isinstance(v, tuple) else v for v in values]
 
 
 def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
     """Sample combined faults per replicate and write recovery records."""
     header = provenance(config)
-    for rep, rep_dir in enumerate(replicate_dirs(config)):
-        if stage_is_complete(rep_dir, "faults"):
-            log(f"faults: {rep_dir} already complete, skipping")
-            continue
+    for rep, rep_dir, rep_seed in _pending(config, "faults", log):
         if not (rep_dir / "reevaluation.csv").exists():
             raise FileNotFoundError(
                 f"{rep_dir} has no reevaluation.csv; run the reevaluate stage first"
             )
         archive = load_archive(rep_dir / "archive", config["algorithm"])
-        rep_seed = _replicate_seed(config, rep)
         fault_rng = derive_rng(config["seed"], "faults", rep)
         faults = [
             sample_combined_fault(fault_rng, NORMAL_ENV.n_robots)
@@ -425,25 +409,7 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
             fault_ids=fault_ids,
             n_jobs=n_jobs,
         )
-        _write_csv(
-            rep_dir / "records.csv",
-            header,
-            RECORD_COLUMNS,
-            (
-                [
-                    r.task,
-                    r.fault_id,
-                    ";".join(r.faults),
-                    repr(r.impact),
-                    repr(r.recovered),
-                    repr(r.recovered_norm),
-                    repr(r.resilience),
-                    repr(r.distance),
-                    r.best_key,
-                ]
-                for r in records
-            ),
-        )
+        write_table(rep_dir / "records.csv", header, RECORD_COLUMNS, map(_record_row, records))
         write_manifest(rep_dir, "faults", ["records.csv"])
         log(f"faults: {rep_dir} wrote {len(records)} records")
 
@@ -451,23 +417,12 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
 def load_records_csv(path):
     """Records plus their provenance (algorithm/task) from one records.csv."""
     meta = read_provenance(path)
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    for row in csv.DictReader(rows):
-        records.append(
-            RecoveryRecord(
-                fault_id=row["fault_id"],
-                task=row["task"],
-                faults=tuple(row["fault_codes"].split(";")),
-                impact=float(row["impact"]),
-                recovered=float(row["recovered_perf"]),
-                recovered_norm=float(row["recovered_perf_norm"]),
-                resilience=float(row["resilience"]),
-                distance=float(row["distance"]),
-                best_key=int(row["best_cell_key"]),
-            )
+    records = [
+        RecoveryRecord(
+            **{name: parse(row[column]) for column, (name, parse) in RECORD_COLUMNS.items()}
         )
+        for row in read_table(path)
+    ]
     return meta.get("algorithm", "unknown"), records
 
 
@@ -496,20 +451,20 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
                 summary_rows.append([task, algorithm, x_field, y_field, "", "", ""])
                 continue
             grid_name = f"signature_{x_field}_{y_field}_{task}_{algorithm}.csv"
-            _write_csv(
+            write_table(
                 out / grid_name,
                 header,
                 [x_field, y_field, "density"],
                 (
-                    [repr(float(gx)), repr(float(gy)), repr(float(sig.density[i, j]))]
+                    [gx, gy, sig.density[i, j]]
                     for i, gx in enumerate(sig.x_grid)
                     for j, gy in enumerate(sig.y_grid)
                 ),
             )
             summary_rows.append(
-                [task, algorithm, x_field, y_field, repr(sig.slope), repr(sig.correlation), grid_name]
+                [task, algorithm, x_field, y_field, sig.slope, sig.correlation, grid_name]
             )
-    _write_csv(
+    write_table(
         out / "signatures.csv",
         header,
         ["task", "algorithm", "x_field", "y_field", "slope", "correlation", "grid_file"],
@@ -534,18 +489,10 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
                         b = [v / task_max for v in b]
                     result = cliffs_delta(a, b)
                     table_rows.append(
-                        [
-                            task,
-                            metric,
-                            alg_a,
-                            alg_b,
-                            repr(result.p_value),
-                            repr(result.delta),
-                            result.magnitude,
-                        ]
+                        [task, metric, alg_a, alg_b, result.p_value, result.delta, result.magnitude]
                     )
     if table_rows:
-        _write_csv(
+        write_table(
             out / "stats_tables.csv",
             header,
             ["task", "metric", "algorithm_a", "algorithm_b", "p_value", "cliffs_delta", "magnitude"],
@@ -559,6 +506,15 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
 
 def stage_export(config: dict, what: str, cell: int | None = None, log=print) -> None:
     """Debug/export helpers: trial log, descriptors, or a projection."""
+    projection_centroids = None
+    if what == "projection":
+        # the projection CVT's seed does not depend on the replicate: build it once
+        projection_centroids = _build_centroids(
+            config,
+            "spirit",
+            AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
+            derive_seed(config["seed"], "projection-cvt"),
+        )
     for rep, rep_dir in enumerate(replicate_dirs(config)):
         archive = load_archive(rep_dir / "archive", config["algorithm"])
         rep_seed = _replicate_seed(config, rep)
@@ -581,34 +537,25 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                 descriptor_to_csv(kind, describe(logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
             log(f"export: {rep_dir} descriptors for cell {key}")
         elif what == "projection":
-            centroids = _build_centroids(
-                config,
-                "spirit",
-                AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
-                derive_seed(config["seed"], "projection-cvt"),
-            )
             projected = project_archive(
                 archive,
-                centroids,
+                projection_centroids,
                 config["task"],
                 trials=config["reevaluate.trials"],
                 seed=derive_seed(rep_seed, "projection"),
                 duration=duration,
             )
-            _write_csv(
+            write_table(
                 rep_dir / "projection.csv",
                 provenance(config),
                 ["centroid", "source_key", "performance"],
-                (
-                    [cid, projected.cells[cid][0], repr(projected.cells[cid][1])]
-                    for cid in sorted(projected.cells)
-                ),
+                ([cid, *projected.cells[cid][:2]] for cid in sorted(projected.cells)),
             )
-            _write_csv(
+            write_table(
                 rep_dir / "projection_summary.csv",
                 provenance(config),
                 ["coverage", "diversity"],
-                [[projected.coverage, repr(projected.diversity)]],
+                [[projected.coverage, projected.diversity]],
             )
             log(
                 f"export: {rep_dir} projection coverage={projected.coverage} "

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,10 @@ from qdswarm.archive import (
     hbd_bins,
     load_archive,
     nearest_centroid,
+    read_table,
     sample_simplex_blocks,
     save_archive,
+    write_table,
 )
 from qdswarm.environment import (
     ATTRIBUTE_SETS,
@@ -200,3 +205,43 @@ class TestPersistence:
         assert np.array_equal(loaded.centroids, centroids)
         assert set(loaded.cells) == set(archive.cells)
         assert archive_best(loaded).performance == archive_best(archive).performance
+
+    def test_index_writes_attributes_through_field_types(self, tmp_path, rng):
+        archive = Archive.qed()
+        env = EnvironmentSpec(arena_side=4, rab_range=1)
+        archive.try_insert(7, Elite(genome=random_genome(rng), performance=1, env=env))
+        save_archive(archive, tmp_path)
+        (row,) = read_table(tmp_path / "index.csv")
+        assert (row["performance"], row["arena_side"], row["rab_range"]) == ("1.0", "4.0", "1.0")
+        assert row["n_robots"] == "10"
+        loaded = load_archive(tmp_path, "qed").cells[7]
+        assert loaded.env == EnvironmentSpec() and loaded.performance == 1.0
+
+    def test_table_cell_format(self, tmp_path):
+        rows = [[np.float64(0.1), None, 3], [1.0, "x", np.int64(2)]]
+        write_table(tmp_path / "t.csv", "# provenance", ["a", "b", "c"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == b"# provenance\na,b,c\r\n0.1,,3\r\n1.0,x,2\r\n"
+        assert list(read_table(tmp_path / "t.csv")) == [
+            {"a": "0.1", "b": "", "c": "3"},
+            {"a": "1.0", "b": "x", "c": "2"},
+        ]
+        write_table(tmp_path / "bare.csv", "", ["a"], [[2.5]])
+        assert (tmp_path / "bare.csv").read_bytes() == b"a\r\n2.5\r\n"
+
+
+def test_one_module_imports_csv():
+    """Every table goes through `write_table` and `read_table`, so `archive`
+    is the only module that imports `csv`; a second table writer fails here."""
+    package = Path(__file__).resolve().parent.parent / "src" / "qdswarm"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "csv" in modules:
+                importers.append(path.name)
+    assert importers == ["archive.py"]

@@ -1,16 +1,22 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from qdswarm.archive import load_archive
 from qdswarm.cli import main
+from qdswarm.environment import NORMAL_ENV
 from qdswarm.experiment import (
     ConfigError,
     config_hash,
+    load_records_csv,
     parse_config_text,
     read_provenance,
     resolve_config,
     stage_analyze,
 )
+from qdswarm.recovery import fault_recovery_records, sample_combined_fault
+from qdswarm.seeding import derive_rng, derive_seed
 
 TINY = """
 task = aggregation
@@ -146,6 +152,52 @@ class TestPipeline:
             b = (tmp_path / "b" / "rep00" / name).read_bytes()
             assert a == b, name
 
+    def test_records_csv_round_trip(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        for command in (["evolve", "--config", cfg], ["reevaluate"], ["faults"]):
+            assert main([*command, "--out", out]) == 0
+        config = resolve_config("desk", (tmp_path / "run" / "config.txt").read_text())
+        rep = tmp_path / "run" / "rep00"
+        # the faults, seeds and fault ids that the faults stage draws for replicate 0
+        fault_rng = derive_rng(config["seed"], "faults", 0)
+        faults = [sample_combined_fault(fault_rng, NORMAL_ENV.n_robots) for _ in range(2)]
+        expected = fault_recovery_records(
+            load_archive(rep / "archive", "qed"),
+            config["task"],
+            faults,
+            trials=config["faults.trials"],
+            seed=derive_seed(derive_seed(config["seed"], "replicate", 0), "recovery"),
+            duration=config["evolve.trial_duration"],
+            fault_ids=["00-000", "00-001"],
+        )
+
+        def exact(record):
+            """Fields of `record`, floats as hex so that equality is bit-for-bit."""
+            return [float(v).hex() if isinstance(v, float) else v for v in astuple(record)]
+
+        algorithm, records = load_records_csv(rep / "records.csv")
+        assert algorithm == "qed"
+        assert len(records) == config["faults.count"] == 2
+        assert [exact(r) for r in records] == [exact(r) for r in expected]
+        assert all(type(r.faults) is tuple and type(r.best_key) is int for r in records)
+
+    def test_projection_cvt_built_once(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, TINY.replace("replicates = 1", "replicates = 2"))
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        calls = []
+
+        def counting_cvt(k, dim, n_seeds, seed, **kwargs):
+            calls.append((k, dim, n_seeds, seed))
+            return np.full((2, dim), 1.0 / 16)
+
+        monkeypatch.setattr("qdswarm.experiment.generate_cvt_centroids", counting_cvt)
+        assert main(["export", "--out", out, "--what", "projection"]) == 0
+        assert len(calls) == 1
+        for rep in ("rep00", "rep01"):
+            assert (tmp_path / "run" / rep / "projection_summary.csv").exists()
+
     def test_export_triallog(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "run")
@@ -191,6 +243,13 @@ class TestPipeline:
         code = main(["evolve", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "old, new",

@@ -47,10 +47,8 @@ from .recovery import (
     spirit_distance,
 )
 from .sim import (
-    ArenaSpec,
     FaultType,
     PlacementError,
-    RobotBody,
     TrialLog,
     differential_drive_step,
     run_trial,

@@ -10,7 +10,7 @@ environment index used by the environment-diversity archive
 
 import numpy as np
 
-from .sim import TrialLog
+from .sim import MAX_ANGULAR_SPEED, TrialLog
 
 HBD_CELL_SIZE = 0.11  # robot-sized visitation cells
 
@@ -36,7 +36,7 @@ def compute_hbd(logs: list[TrialLog]) -> np.ndarray:
         raise ValueError("at least one trial log is required")
     features = np.zeros((len(logs), 3))
     for k, log in enumerate(logs):
-        side = log.arena.side
+        side = log.env.arena_side
         n_side = int(np.ceil(side / HBD_CELL_SIZE))
         total_cells = n_side * n_side
         xy = log.poses[:, :, :2].reshape(-1, 2)
@@ -48,7 +48,7 @@ def compute_hbd(logs: list[TrialLog]) -> np.ndarray:
         center_dist = np.hypot(xy[:, 0] - side / 2.0, xy[:, 1] - side / 2.0).mean()
         features[k] = (
             entropy,
-            float(center_dist / (log.arena.diagonal / 2.0)),
+            float(center_dist / (log.env.diagonal / 2.0)),
             float((counts > 0).sum() / total_cells),
         )
     return features.mean(axis=0)
@@ -89,11 +89,11 @@ def _per_cycle_features(log: TrialLog) -> np.ndarray:
     """(T, 5) per-cycle swarm features, each normalised to [0, 1]."""
     if log.n_robots < 2:
         raise ValueError("pair features need at least 2 robots")
-    side = log.arena.side
-    m = log.arena.diagonal
+    side = log.env.arena_side
+    m = log.env.diagonal
     xy = log.poses[:, :, :2]
-    v = np.abs(log.linear_velocity).mean(axis=1) / log.body.max_linear_speed
-    w = np.abs(log.angular_velocity).mean(axis=1) / log.body.max_angular_speed
+    v = np.abs(log.linear_velocity).mean(axis=1) / log.env.max_linear_speed
+    w = np.abs(log.angular_velocity).mean(axis=1) / MAX_ANGULAR_SPEED
     wall = np.minimum(
         np.minimum(xy[..., 0], side - xy[..., 0]),
         np.minimum(xy[..., 1], side - xy[..., 1]),
@@ -159,7 +159,7 @@ def compute_spirit(logs: list[TrialLog]) -> np.ndarray:
     counts = np.zeros((SPIRIT_STATES, SPIRIT_ACTIONS))
     for log in logs:
         states = spirit_states(log.proximity, log.rab).ravel()
-        actions = spirit_actions(log.commands, log.body.max_linear_speed).ravel()
+        actions = spirit_actions(log.commands, log.env.max_linear_speed).ravel()
         np.add.at(counts, (states, actions), 1.0)
     totals = counts.sum(axis=1, keepdims=True)
     profile = np.full((SPIRIT_STATES, SPIRIT_ACTIONS), 1.0 / SPIRIT_ACTIONS)

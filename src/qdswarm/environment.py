@@ -60,6 +60,10 @@ class EnvironmentSpec:
             self.proximity_range,
         )
 
+    @property
+    def diagonal(self) -> float:
+        return self.arena_side * np.sqrt(2.0)
+
 
 NORMAL_ENV = EnvironmentSpec()
 

@@ -9,7 +9,7 @@ are bit-reproducible regardless of evaluation parallelism.
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .archive import CVT_ALGORITHMS, Elite, archive_best, archive_mean, make_arc
 from .environment import NORMAL_ENV, env_index, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
 from .seeding import derive_rng, trial_seeds
-from .tasks import DESCRIPTORS, TaskKind, evaluator
+from .tasks import TaskKind, evaluator
 
 log = logging.getLogger(__name__)
 
@@ -74,31 +74,18 @@ class EvolveResult:
     events: list[InsertionEvent]
 
 
-def _run_batch(jobs, config: EvolutionConfig, evaluate, run):
+def _run_batch(jobs, config: EvolutionConfig, run):
     """(performance, descriptor, placement error) of each (counter, genome,
     env, seeds) job, in job order."""
     kind = None if config.algorithm == "qed" else config.algorithm
-    if evaluate is None:
-        return run(
-            [(config.task, env, genome, None, seeds, config.trial_duration, kind)
-             for _, genome, env, seeds in jobs]
-        )
-    results = []
-    for _, genome, env, seeds in jobs:
-        perf, logs = evaluate(genome, env, config.task, seeds, config.trial_duration)
-        if kind is not None and logs is None:
-            raise ValueError("custom evaluator must return logs for behaviour descriptors")
-        results.append((float(perf), None if kind is None else DESCRIPTORS[kind](logs), None))
-    return results
+    return run(
+        [(config.task, env, genome, None, seeds, config.trial_duration, kind)
+         for _, genome, env, seeds in jobs]
+    )
 
 
-def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> EvolveResult:
-    """Run the configured quality-diversity loop and return the archive.
-
-    `evaluate(genome, env, task, seeds, duration) -> (performance, logs)` can
-    replace the built-in simulation-backed evaluator (logs may be None for
-    the environment-descriptor algorithm, which never inspects behaviour).
-    """
+def evolve(config: EvolutionConfig) -> EvolveResult:
+    """Run the configured quality-diversity loop and return the archive."""
     config.validate()
     archive = make_archive(config.algorithm, config.centroids)
     events: list[InsertionEvent] = []
@@ -148,12 +135,11 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
             )
         )
 
-    # A custom evaluator runs in this process: it need not be picklable.
-    with evaluator(config.n_jobs if evaluate is None else 1) as run:
+    with evaluator(config.n_jobs) as run:
         jobs = []
         for i in range(config.initial_population):
             enqueue(jobs, random_genome(derive_rng(config.seed, "init", i)))
-        consume(jobs, _run_batch(jobs, config, evaluate, run))
+        consume(jobs, _run_batch(jobs, config, run))
         snapshot(0)
 
         for generation in range(1, config.generations + 1):
@@ -166,7 +152,7 @@ def evolve(config: EvolutionConfig, evaluate: Optional[Callable] = None) -> Evol
                 parent = archive.cells[keys[int(selector.integers(0, len(keys)))]]
                 child = mutate(parent.genome, config.mutation, derive_rng(config.seed, "mutate", counter))
                 enqueue(jobs, child)
-            consume(jobs, _run_batch(jobs, config, evaluate, run))
+            consume(jobs, _run_batch(jobs, config, run))
             snapshot(generation)
 
     return EvolveResult(archive=archive, stats=stats, events=events)

@@ -46,19 +46,20 @@ def evaluate_archive(
     `n_jobs`.
     """
     with evaluator(min(n_jobs, len(archive.cells))) as run:
-        scores, _ = _run_elites(run, archive, task, NORMAL_ENV, fault, trials, seed, duration)
+        scores, _ = _run_elites(run, archive, task, fault, trials, seed, duration)
     return scores
 
 
-def _run_elites(run, archive, task, env, fault, trials, seed, duration, kind=None):
-    """({key: performance}, {key: descriptor}) of every elite over the shared
-    trial seeds; `kind` names the descriptor, as in `tasks.evaluate_jobs`."""
+def _run_elites(run, archive, task, fault, trials, seed, duration, kind=None):
+    """({key: performance}, {key: descriptor}) of every elite in the normal
+    operating environment over the shared trial seeds; `kind` names the
+    descriptor, as in `tasks.evaluate_jobs`."""
     if not archive.cells:
         raise ValueError("archive is empty")
     keys = sorted(archive.cells)
     seeds = trial_seeds(trials, seed, "recovery-trial")
     results = run(
-        [(task, env, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
+        [(task, NORMAL_ENV, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
     )
     for _, _, error in results:
         if error is not None:
@@ -111,20 +112,19 @@ def project_archive(
     archive,
     centroids,
     task,
-    env=NORMAL_ENV,
     trials: int = 10,
     seed: int = 0,
     duration: float = 400.0,
 ) -> ProjectedMap:
-    """Replay every elite in `env`, bin by nearest policy-profile centroid,
-    and keep the best performer per centroid.
+    """Replay every elite in the normal operating environment, bin by nearest
+    policy-profile centroid, and keep the best performer per centroid.
 
     Diversity is the mean pairwise behaviour distance over the representative
     descriptors of the filled centroids (0 for fewer than two).
     """
     with evaluator(1) as run:
         scores, descriptors = _run_elites(
-            run, archive, task, env, None, trials, seed, duration, "spirit"
+            run, archive, task, None, trials, seed, duration, "spirit"
         )
     cells: dict[int, tuple] = {}
     for key, perf in scores.items():
@@ -180,7 +180,7 @@ def fault_recovery_records(
     task = str(getattr(task, "value", task))
     with evaluator(min(n_jobs, len(archive.cells))) as run:
         normal_scores, descriptors = _run_elites(
-            run, archive, task, NORMAL_ENV, None, trials, seed, duration, "spirit"
+            run, archive, task, None, trials, seed, duration, "spirit"
         )
         best_key, best_normal = _argbest(normal_scores)
         if best_normal == 0:
@@ -192,9 +192,7 @@ def fault_recovery_records(
 
         records = []
         for idx, fault in enumerate(faults):
-            faulty_scores, _ = _run_elites(
-                run, archive, task, NORMAL_ENV, fault, trials, seed, duration
-            )
+            faulty_scores, _ = _run_elites(run, archive, task, fault, trials, seed, duration)
             rec_key, rec_perf = _argbest(faulty_scores)
             empirical_max = max(empirical_max, rec_perf)
             records.append(

@@ -13,7 +13,11 @@ Trials that share an environment and a duration step together in
 `run_trials`, and a trial's log is the same whatever batch it runs in. The
 batched kernel functions it calls, on (B, N, ...) arrays, are the
 simulator's only API; the per-trial reference loop that the tests compare
-the kernel against lives in `tests/oracles.py`.
+the kernel against lives in `tests/oracles.py`. The kernel functions take a
+trial's plain values (arena side, proximity range) and read the fixed body
+from the module constants ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED;
+`run_trials` reads the speed and sensor ranges from the `EnvironmentSpec`,
+and each `TrialLog` carries that `env` and its obstacle centres.
 """
 
 from dataclasses import dataclass
@@ -67,36 +71,6 @@ class PlacementError(RuntimeError):
     trial = None
 
 
-@dataclass(frozen=True)
-class ArenaSpec:
-    """Square arena with axis-aligned square obstacles (side 0.25 m)."""
-
-    side: float
-    obstacles: np.ndarray  # (K, 2) obstacle centres; may be empty
-
-    @property
-    def diagonal(self) -> float:
-        return self.side * np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class RobotBody:
-    radius: float = ROBOT_RADIUS
-    max_linear_speed: float = 0.10
-    max_angular_speed: float = MAX_ANGULAR_SPEED
-    axle_length: float = AXLE_LENGTH
-    proximity_range: float = 0.11
-    rab_range: float = 1.00
-
-    @classmethod
-    def from_env(cls, env: EnvironmentSpec) -> "RobotBody":
-        return cls(
-            max_linear_speed=env.max_linear_speed,
-            proximity_range=env.proximity_range,
-            rab_range=env.rab_range,
-        )
-
-
 @dataclass
 class TrialLog:
     """Complete per-cycle record of one trial.
@@ -107,8 +81,8 @@ class TrialLog:
     integration step.
     """
 
-    arena: ArenaSpec
-    body: RobotBody
+    env: EnvironmentSpec
+    obstacles: np.ndarray  # (K, 2) obstacle centres; may be empty
     poses: np.ndarray  # (T, N, 3)
     proximity: np.ndarray  # (T, N, 7), after sensor faults
     rab: np.ndarray  # (T, N, 8), after sensor faults
@@ -137,19 +111,19 @@ def sensor_input_scale(activations):
     return 2.0 * np.asarray(activations, dtype=float) - 1.0
 
 
-def differential_drive_step(poses, commands, body: RobotBody):
+def differential_drive_step(poses, commands):
     """Integrate one control cycle: translate along the old heading, then turn.
 
     The poses (B, N, 3) and wheel speeds `commands` (B, N, 2) of B trials
     give the moved poses (B, N, 3), the linear velocities (vl + vr) / 2 and
-    the angular velocities (vr - vl) / axle, clamped to the body's maximum,
-    each (B, N).
+    the angular velocities (vr - vl) / AXLE_LENGTH, clamped to
+    MAX_ANGULAR_SPEED, each (B, N).
     """
     v = 0.5 * (commands[..., 0] + commands[..., 1])
     omega = np.clip(
-        (commands[..., 1] - commands[..., 0]) / body.axle_length,
-        -body.max_angular_speed,
-        body.max_angular_speed,
+        (commands[..., 1] - commands[..., 0]) / AXLE_LENGTH,
+        -MAX_ANGULAR_SPEED,
+        MAX_ANGULAR_SPEED,
     )
     moved = np.empty_like(poses)
     moved[..., 0] = poses[..., 0] + v * CONTROL_DT * np.cos(poses[..., 2])
@@ -221,16 +195,17 @@ def pairwise_offsets(poses) -> np.ndarray:
     return poses[..., None, :, :2] - poses[..., :, None, :2]
 
 
-def proximity_activations(poses, obstacles, side: float, body: RobotBody, rel=None) -> np.ndarray:
+def proximity_activations(poses, obstacles, side: float, proximity_range: float, rel=None) -> np.ndarray:
     """Proximity readings of B trials, (B, N, 7) activations in [0, 1].
 
-    `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side; `rel`
-    is `pairwise_offsets(poses)` when the caller has it. Activation is
-    1 - d / range clipped to [0, 1], with d the distance from the body
-    surface to the nearest wall, obstacle, or robot along the ray. Only
-    obstacles and robots within reach of a robot are ray-cast: anything
-    farther is more than the range away along every ray, so its reading
-    would clip to 0 whether it is cast or not.
+    `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side and
+    one sensor range; `rel` is `pairwise_offsets(poses)` when the caller has
+    it. Activation is 1 - d / proximity_range clipped to [0, 1], with d the
+    distance from the body surface (ROBOT_RADIUS from the centre) to the
+    nearest wall, obstacle, or robot along the ray. Only obstacles and
+    robots within reach of a robot are ray-cast: anything farther is more
+    than the range away along every ray, so its reading would clip to 0
+    whether it is cast or not.
     """
     poses = np.asarray(poses, dtype=float)
     batch, n = poses.shape[:2]
@@ -238,7 +213,7 @@ def proximity_activations(poses, obstacles, side: float, body: RobotBody, rel=No
     angles = poses[..., 2:3] + PROXIMITY_ANGLES
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     t = _ray_wall_t(xy[:, :, None, :], dirs, side)
-    reach = body.proximity_range + body.radius + CULL_MARGIN
+    reach = proximity_range + ROBOT_RADIUS + CULL_MARGIN
     if obstacles.shape[1]:
         half = OBSTACLE_SIDE / 2
         b, i, k = np.nonzero(_circle_box_distance(xy, obstacles, half) <= reach)
@@ -247,14 +222,14 @@ def proximity_activations(poses, obstacles, side: float, body: RobotBody, rel=No
     if n > 1:
         if rel is None:
             rel = pairwise_offsets(poses)
-        reach += body.radius
+        reach += ROBOT_RADIUS
         near = rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1] <= reach * reach
         near.reshape(batch, -1)[:, :: n + 1] = False
         b, i, j = np.nonzero(near)
         if len(b):
-            np.minimum.at(t, (b, i), _ray_circle_t(rel[b, i, j], dirs[b, i], body.radius))
-    distance = t - body.radius
-    return np.clip(1.0 - distance / body.proximity_range, 0.0, 1.0)
+            np.minimum.at(t, (b, i), _ray_circle_t(rel[b, i, j], dirs[b, i], ROBOT_RADIUS))
+    distance = t - ROBOT_RADIUS
+    return np.clip(1.0 - distance / proximity_range, 0.0, 1.0)
 
 
 _OFFDIAG_MASKS: dict[int, np.ndarray] = {}
@@ -501,7 +476,7 @@ def _push_pairs_apart(xy, overlapping, diff, dist, overlap):
     xy += push.reshape(xy.shape)
 
 
-def resolve_collisions(poses, obstacles, side: float, body: RobotBody) -> np.ndarray:
+def resolve_collisions(poses, obstacles, side: float) -> np.ndarray:
     """Project the robots of B trials out of walls, obstacles, and each other.
 
     `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side. Each
@@ -512,7 +487,7 @@ def resolve_collisions(poses, obstacles, side: float, body: RobotBody) -> np.nda
     """
     poses = np.array(poses, dtype=float)
     batch, n = poses.shape[:2]
-    r = body.radius
+    r = ROBOT_RADIUS
     half = OBSTACLE_SIDE / 2.0
     resolved = poses[..., :2].copy()
     active = np.arange(batch)
@@ -572,7 +547,6 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
     error's `trial` attribute is that trial's index in the batch. A duration
     that rounds to no control cycle raises ValueError before any placement.
     """
-    body = RobotBody.from_env(env)
     n = env.n_robots
     batch = len(seeds)
     if not len(genomes) == len(faults) == batch:
@@ -586,20 +560,17 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
             if len(assignment) != n:
                 raise ValueError(f"fault assignment length {len(assignment)} != swarm size {n}")
             fault_arr[b] = [int(f) for f in assignment]
-    rngs, arenas = [], []
+    rngs = []
+    obstacles = np.empty((batch, env.n_obstacles, 2))
     poses = np.empty((batch, n, 3))
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         try:
-            obstacles, poses[b] = place_entities(rng, env)
+            obstacles[b], poses[b] = place_entities(rng, env)
         except PlacementError as exc:
             exc.trial = b
             raise
         rngs.append(rng)
-        arenas.append(ArenaSpec(env.arena_side, obstacles))
-    obstacles = np.empty((batch, env.n_obstacles, 2))
-    for b, arena in enumerate(arenas):
-        obstacles[b] = arena.obstacles
     plan = _compile_faults(fault_arr, rngs, n_cycles)
 
     net = CompiledNetwork(genomes)
@@ -617,18 +588,18 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
 
     for t in range(n_cycles):
         rel = pairwise_offsets(poses)
-        prox = proximity_activations(poses, obstacles, env.arena_side, body, rel)
+        prox = proximity_activations(poses, obstacles, env.arena_side, env.proximity_range, rel)
         neighbors = body_frame_offsets(poses, rel)
-        prox, rab = _apply_sensor_faults_batch(prox, neighbors, plan, body.rab_range, plan.noise[t])
+        prox, rab = _apply_sensor_faults_batch(prox, neighbors, plan, env.rab_range, plan.noise[t])
 
         inputs[..., :7] = sensor_input_scale(prox)
         inputs[..., 7:15] = sensor_input_scale(rab)
         activations = net.step(activations, inputs)
-        commands = net.outputs(activations) * body.max_linear_speed
+        commands = net.outputs(activations) * env.max_linear_speed
         if plan.any_actuator:
             commands = commands * plan.actuator_scale
 
-        moved, v, omega = differential_drive_step(poses, commands, body)
+        moved, v, omega = differential_drive_step(poses, commands)
 
         log_poses[:, t] = poses
         log_prox[:, t] = prox
@@ -637,12 +608,12 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
         log_v[:, t] = v
         log_omega[:, t] = omega
 
-        poses = resolve_collisions(moved, obstacles, env.arena_side, body)
+        poses = resolve_collisions(moved, obstacles, env.arena_side)
 
     return [
         TrialLog(
-            arena=arenas[b],
-            body=body,
+            env=env,
+            obstacles=obstacles[b],
             poses=log_poses[b],
             proximity=log_prox[b],
             rab=log_rab[b],

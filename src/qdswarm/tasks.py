@@ -49,7 +49,7 @@ def fitness_aggregation(log: TrialLog) -> float:
     xy = log.poses[:, :, :2]
     centroid = xy.mean(axis=1, keepdims=True)
     distances = np.hypot(*(xy - centroid).transpose(2, 0, 1))
-    return float(np.mean(1.0 - distances / log.arena.diagonal))
+    return float(np.mean(1.0 - distances / log.env.diagonal))
 
 
 def fitness_dispersion(log: TrialLog) -> float:
@@ -60,7 +60,7 @@ def fitness_dispersion(log: TrialLog) -> float:
     idx = np.arange(log.n_robots)
     dist[:, idx, idx] = np.inf
     nearest = dist.min(axis=2)
-    raw = float(np.mean(nearest / (log.arena.diagonal / 2.0)))
+    raw = float(np.mean(nearest / (log.env.diagonal / 2.0)))
     return min(1.0, max(0.0, raw))
 
 
@@ -79,7 +79,7 @@ def fitness_flocking(log: TrialLog) -> float:
     dtheta = np.abs(
         np.remainder(headings[:, :, None] - headings[:, None, :] + np.pi, 2 * np.pi) - np.pi
     )
-    v = log.linear_velocity / log.body.max_linear_speed
+    v = log.linear_velocity / log.env.max_linear_speed
     reward = (1.0 - np.minimum(1.0, dtheta / FLOCKING_ANGLE)) * np.maximum(
         0.0, v[:, :, None] * v[:, None, :]
     )
@@ -89,18 +89,13 @@ def fitness_flocking(log: TrialLog) -> float:
     return total / (log.n_cycles * n * (n - 1) / 2.0)
 
 
-def linear_decay(value: float, cycles: int) -> float:
-    """Patrol cell value after `cycles` unvisited control cycles."""
-    return max(0.0, value - PATROL_DECAY_PER_CYCLE * cycles)
-
-
 def patrol_cell_trace(log: TrialLog) -> np.ndarray:
     """(T, 10, 10) patrol grid values: 1 on visit, linear decay in between.
 
     Cells start at 0; a cell is visited when at least one robot centre lies
     inside it. Both patrolling fitnesses read from this shared trace.
     """
-    cell = log.arena.side / PATROL_GRID_SIZE
+    cell = log.env.arena_side / PATROL_GRID_SIZE
     ij = np.clip((log.poses[:, :, :2] // cell).astype(int), 0, PATROL_GRID_SIZE - 1)
     t = np.arange(log.n_cycles)
     visits = np.full((log.n_cycles, PATROL_GRID_SIZE, PATROL_GRID_SIZE), -1, dtype=int)

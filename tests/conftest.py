@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qdswarm.sim import ArenaSpec, RobotBody, TrialLog
+from qdswarm.environment import EnvironmentSpec
+from qdswarm.sim import TrialLog
 
 
 def make_log(
@@ -9,7 +10,6 @@ def make_log(
     headings=None,
     arena_side=4.0,
     obstacles=None,
-    body=None,
     commands=None,
     linear_velocity=None,
     angular_velocity=None,
@@ -27,8 +27,6 @@ def make_log(
     poses = np.concatenate([positions, np.asarray(headings, dtype=float)[..., None]], axis=2)
     if obstacles is None:
         obstacles = np.empty((0, 2))
-    if body is None:
-        body = RobotBody()
     if commands is None:
         commands = np.zeros((n_cycles, n_robots, 2))
     if linear_velocity is None:
@@ -40,8 +38,8 @@ def make_log(
     if rab is None:
         rab = np.ones((n_cycles, n_robots, 8))
     return TrialLog(
-        arena=ArenaSpec(side=arena_side, obstacles=np.asarray(obstacles, dtype=float)),
-        body=body,
+        env=EnvironmentSpec(arena_side=arena_side),
+        obstacles=np.asarray(obstacles, dtype=float),
         poses=poses,
         proximity=np.asarray(proximity, dtype=float),
         rab=np.asarray(rab, dtype=float),

@@ -7,12 +7,16 @@ The batched kernel must reproduce its logs bit for bit (sign of zeros
 included), whatever the batch a trial runs in.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from qdswarm.environment import EnvironmentSpec
 from qdswarm.genome import FIRST_OUTPUT_ID, N_INPUTS, N_OUTPUTS, Genome
 from qdswarm.sim import (
+    AXLE_LENGTH,
     CONTROL_DT,
+    MAX_ANGULAR_SPEED,
     MAX_RESOLUTION_PASSES,
     N_FRONT_PROXIMITY,
     N_PROXIMITY_RAYS,
@@ -22,14 +26,37 @@ from qdswarm.sim import (
     PROXIMITY_ANGLES,
     RAB_CONE_HALF,
     RAB_CONE_WIDTH,
-    ArenaSpec,
+    ROBOT_RADIUS,
     FaultType,
-    RobotBody,
     TrialLog,
     place_entities,
     sensor_input_scale,
     wrap_angle,
 )
+
+
+@dataclass(frozen=True)
+class ArenaSpec:
+    """A trial's arena: its side and its (K, 2) obstacle centres."""
+
+    side: float
+    obstacles: np.ndarray
+
+
+@dataclass(frozen=True)
+class RobotBody:
+    """The simulator's body constants with one environment's speed and ranges."""
+
+    max_linear_speed: float
+    proximity_range: float
+    rab_range: float
+    radius: float = ROBOT_RADIUS
+    axle_length: float = AXLE_LENGTH
+    max_angular_speed: float = MAX_ANGULAR_SPEED
+
+    @classmethod
+    def from_env(cls, env: EnvironmentSpec) -> "RobotBody":
+        return cls(env.max_linear_speed, env.proximity_range, env.rab_range)
 
 
 class Network:
@@ -272,4 +299,4 @@ def run_trial(env: EnvironmentSpec, genome: Genome, faults=None, seed=0, duratio
         moved[:, 1] = poses[:, 1] + v * CONTROL_DT * np.sin(poses[:, 2])
         moved[:, 2] = wrap_angle(poses[:, 2] + omega * CONTROL_DT)
         poses, _ = resolve_collisions(moved, arena, body)
-    return TrialLog(arena=arena, body=body, final_poses=poses, **logs)
+    return TrialLog(env=env, obstacles=obstacles, final_poses=poses, **logs)

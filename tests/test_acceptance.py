@@ -12,6 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import qdswarm.tasks
 from conftest import make_log
 from qdswarm.archive import Archive, generate_cvt_centroids
 from qdswarm.environment import env_from_index, env_index
@@ -139,9 +140,13 @@ def test_criterion_2_elitism_all_tasks(tmp_path_factory):
 # Criterion 3: QED coverage with 30,000 stub evaluations
 
 
-def test_criterion_3_qed_coverage_30000_evaluations():
-    def stub(genome, env, task, seeds, duration):
-        return (0.37 * genome.hidden + 0.011 * len(genome.connections) + seeds[0] % 1009 / 2e4) % 1.0, None
+def test_criterion_3_qed_coverage_30000_evaluations(monkeypatch):
+    def stub(jobs):
+        results = []
+        for _, _, genome, _, seeds, _, _ in jobs:
+            score = 0.37 * genome.hidden + 0.011 * len(genome.connections) + seeds[0] % 1009 / 2e4
+            results.append((score % 1.0, None, None))
+        return results
 
     config = EvolutionConfig(
         task="aggregation",
@@ -152,8 +157,9 @@ def test_criterion_3_qed_coverage_30000_evaluations():
         trials=1,
         seed=123,
     )
+    monkeypatch.setattr(qdswarm.tasks, "evaluate_jobs", stub)
     start = time.perf_counter()
-    result = evolve(config, evaluate=stub)
+    result = evolve(config)
     elapsed = time.perf_counter() - start
     total_evals = 2000 + 1400 * 20
     assert total_evals == 30_000

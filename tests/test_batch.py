@@ -16,10 +16,8 @@ from qdswarm.environment import NORMAL_ENV, PROXIMITY_RANGES, RAB_RANGES, Enviro
 from qdswarm.genome import Connection, Genome, random_genome
 from qdswarm.sim import (
     MAX_RESOLUTION_PASSES,
-    ArenaSpec,
     FaultType,
     PlacementError,
-    RobotBody,
     resolve_collisions,
     run_trial,
     run_trials,
@@ -43,8 +41,8 @@ def bits_equal(a, b) -> bool:
 
 
 def assert_logs_identical(log, ref):
-    assert bits_equal(log.arena.obstacles, ref.arena.obstacles)
-    assert log.body == ref.body
+    assert bits_equal(log.obstacles, ref.obstacles)
+    assert log.env == ref.env
     for field in LOG_FIELDS:
         assert bits_equal(getattr(log, field), getattr(ref, field)), field
 
@@ -152,7 +150,7 @@ def test_placement_error_names_the_trial():
 # Collision resolution
 
 
-BODY = RobotBody()
+BODY = oracles.RobotBody.from_env(NORMAL_ENV)
 
 
 def _crowded_cases():
@@ -182,19 +180,21 @@ def test_vectorised_collisions_match_loop_oracle():
     arena_side = 1.0
     expected, passes = [], []
     for obstacles, poses in cases:
-        resolved, count = oracles.resolve_collisions(poses, ArenaSpec(arena_side, obstacles), BODY)
+        resolved, count = oracles.resolve_collisions(
+            poses, oracles.ArenaSpec(arena_side, obstacles), BODY
+        )
         expected.append(resolved)
         passes.append(count)
     assert passes[2] == MAX_RESOLUTION_PASSES  # the jammed case runs every pass
     assert min(passes) < MAX_RESOLUTION_PASSES  # ...while others converge early
     obstacles = np.stack([c[0] for c in cases])
     poses = np.stack([c[1] for c in cases])
-    batched = resolve_collisions(poses, obstacles, arena_side, BODY)
+    batched = resolve_collisions(poses, obstacles, arena_side)
     for b, ref in enumerate(expected):
         assert bits_equal(batched[b], ref), b
-        alone = resolve_collisions(poses[b : b + 1], obstacles[b : b + 1], arena_side, BODY)
+        alone = resolve_collisions(poses[b : b + 1], obstacles[b : b + 1], arena_side)
         assert bits_equal(alone[0], ref), b
-    reversed_order = resolve_collisions(poses[::-1], obstacles[::-1], arena_side, BODY)
+    reversed_order = resolve_collisions(poses[::-1], obstacles[::-1], arena_side)
     assert bits_equal(reversed_order[::-1], batched)
 
 

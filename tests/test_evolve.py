@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qdswarm.tasks
 from conftest import make_log
 from qdswarm.archive import generate_cvt_centroids
 from qdswarm.environment import env_from_index, env_index
@@ -24,35 +25,54 @@ def tiny_config(**overrides):
     return EvolutionConfig(**base)
 
 
-def stub_evaluate(genome, env, task, seeds, duration):
-    # deterministic pseudo-fitness from structure and seed, no simulation
-    score = 0.13 * genome.hidden + 0.01 * len(genome.connections) + (seeds[0] % 977) / 1e5
-    return score % 1.0, None
+def score_jobs(jobs):
+    """`evaluate_jobs` stand-in: a deterministic pseudo-fitness from structure
+    and seed, no simulation and no descriptor."""
+    results = []
+    for _, _, genome, _, seeds, _, _ in jobs:
+        score = 0.13 * genome.hidden + 0.01 * len(genome.connections) + (seeds[0] % 977) / 1e5
+        results.append((score % 1.0, None, None))
+    return results
 
 
-def make_stub_logs(genome, env, task, seeds, duration):
-    rng = np.random.default_rng(seeds[0] % 2**32)
-    positions = rng.uniform(0, env.arena_side, size=(10, env.n_robots, 2))
-    v = rng.uniform(-0.1, 0.1, size=(10, env.n_robots))
-    log = make_log(positions, arena_side=env.arena_side, linear_velocity=v)
-    return float(rng.random()), [log]
+def describe_stub_logs(jobs):
+    """`evaluate_jobs` stand-in: a random score and the job's descriptor of
+    one random log, no simulation."""
+    results = []
+    for _, env, _, _, seeds, _, kind in jobs:
+        rng = np.random.default_rng(seeds[0] % 2**32)
+        positions = rng.uniform(0, env.arena_side, size=(10, env.n_robots, 2))
+        v = rng.uniform(-0.1, 0.1, size=(10, env.n_robots))
+        log = make_log(positions, arena_side=env.arena_side, linear_velocity=v)
+        results.append((float(rng.random()), qdswarm.tasks.DESCRIPTORS[kind]([log]), None))
+    return results
+
+
+@pytest.fixture
+def stub_scores(monkeypatch):
+    monkeypatch.setattr(qdswarm.tasks, "evaluate_jobs", score_jobs)
+
+
+@pytest.fixture
+def stub_logs(monkeypatch):
+    monkeypatch.setattr(qdswarm.tasks, "evaluate_jobs", describe_stub_logs)
 
 
 class TestEvolveBasics:
-    def test_archive_size_bounds_after_init(self):
-        result = evolve(tiny_config(generations=1, evals_per_generation=1), evaluate=stub_evaluate)
+    def test_archive_size_bounds_after_init(self, stub_scores):
+        result = evolve(tiny_config(generations=1, evals_per_generation=1))
         assert result.archive.coverage <= 8 + 1
         assert result.archive.coverage <= 4096
 
-    def test_stats_row_count_and_monotone_coverage(self):
-        result = evolve(tiny_config(), evaluate=stub_evaluate)
+    def test_stats_row_count_and_monotone_coverage(self, stub_scores):
+        result = evolve(tiny_config())
         assert len(result.stats) == 5 + 1
         coverages = [s.coverage for s in result.stats]
         assert all(a <= b for a, b in zip(coverages, coverages[1:]))
         assert result.stats[-1].evaluations == 8 + 5 * 3
 
-    def test_per_cell_traces_non_decreasing(self):
-        result = evolve(tiny_config(generations=30), evaluate=stub_evaluate)
+    def test_per_cell_traces_non_decreasing(self, stub_scores):
+        result = evolve(tiny_config(generations=30))
         last = {}
         for event in result.events:
             if event.key in last:
@@ -61,9 +81,9 @@ class TestEvolveBasics:
                 assert event.performance > event.previous
             last[event.key] = event.performance
 
-    def test_determinism_bit_identical(self):
-        a = evolve(tiny_config(), evaluate=stub_evaluate)
-        b = evolve(tiny_config(), evaluate=stub_evaluate)
+    def test_determinism_bit_identical(self, stub_scores):
+        a = evolve(tiny_config())
+        b = evolve(tiny_config())
         assert set(a.archive.cells) == set(b.archive.cells)
         for key in a.archive.cells:
             ea, eb = a.archive.cells[key], b.archive.cells[key]
@@ -72,8 +92,8 @@ class TestEvolveBasics:
         assert a.stats == b.stats
         assert a.events == b.events
 
-    def test_qed_keys_decode_to_elite_environment(self):
-        result = evolve(tiny_config(), evaluate=stub_evaluate)
+    def test_qed_keys_decode_to_elite_environment(self, stub_scores):
+        result = evolve(tiny_config())
         archive = result.archive
         for key, elite in archive.cells.items():
             assert archive.key_of(env_index(elite.env)) == key
@@ -125,31 +145,25 @@ class TestEvolveSimulationBacked:
 
 
 class TestEvolveCvt:
-    def test_sdbc_mode_with_custom_logs(self):
+    def test_sdbc_mode_with_custom_logs(self, stub_logs):
         centroids = generate_cvt_centroids(32, 10, 300, seed=1)
         config = tiny_config(algorithm="sdbc", centroids=centroids, generations=3)
-        result = evolve(config, evaluate=make_stub_logs)
+        result = evolve(config)
         assert 1 <= result.archive.coverage <= 32
         for elite in result.archive.cells.values():
             assert np.asarray(elite.descriptor).shape == (10,)
 
-    def test_spirit_mode_with_custom_logs(self):
+    def test_spirit_mode_with_custom_logs(self, stub_logs):
         centroids = generate_cvt_centroids(16, 1024, 64, seed=2, simplex_blocks=True, max_iter=3)
         config = tiny_config(algorithm="spirit", centroids=centroids, generations=2)
-        result = evolve(config, evaluate=make_stub_logs)
+        result = evolve(config)
         assert result.archive.coverage >= 1
         for elite in result.archive.cells.values():
             assert np.asarray(elite.descriptor).shape == (64, 16)
 
-    def test_custom_evaluator_without_logs_rejected_for_behaviour_modes(self):
-        centroids = generate_cvt_centroids(8, 10, 64, seed=3)
-        config = tiny_config(algorithm="sdbc", centroids=centroids)
-        with pytest.raises(ValueError):
-            evolve(config, evaluate=stub_evaluate)
-
 
 class TestMutationRateConfig:
-    def test_zero_rate_mutation_explores_nothing(self):
+    def test_zero_rate_mutation_explores_nothing(self, stub_scores):
         from qdswarm.genome import random_genome
         from qdswarm.seeding import derive_rng
 
@@ -161,7 +175,7 @@ class TestMutationRateConfig:
             conn_modify_rate=0.0,
             weight_rate=0.0,
         )
-        result = evolve(tiny_config(mutation=params, generations=10), evaluate=stub_evaluate)
+        result = evolve(tiny_config(mutation=params, generations=10))
         # all children are exact copies, so every elite genome must be one of
         # the initial random genomes
         init_genomes = {random_genome(derive_rng(42, "init", i)) for i in range(8)}

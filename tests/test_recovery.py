@@ -177,9 +177,7 @@ class TestProjection:
         archive = small_archive(6, seed=3)
         # centroids at the elites' own fault-free profiles (the same trial
         # seeds as the projection) give each distinct profile its own cell
-        _, profiles = _run_elites(
-            evaluate_jobs, archive, "aggregation", NORMAL_ENV, None, 1, 0, DUR, "spirit"
-        )
+        _, profiles = _run_elites(evaluate_jobs, archive, "aggregation", None, 1, 0, DUR, "spirit")
         centroids = np.array([profiles[key].ravel() for key in sorted(profiles)])
         projected = project_archive(archive, centroids, "aggregation", trials=1, duration=DUR)
         assert projected.coverage >= 3

@@ -4,11 +4,12 @@ import pytest
 from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
 from qdswarm.genome import Connection, Genome
 from qdswarm.sim import (
+    AXLE_LENGTH,
     CONTROL_DT,
-    ArenaSpec,
+    MAX_ANGULAR_SPEED,
+    ROBOT_RADIUS,
     FaultType,
     PlacementError,
-    RobotBody,
     body_frame_offsets,
     differential_drive_step,
     place_entities,
@@ -20,51 +21,55 @@ from qdswarm.sim import (
     wrap_angle,
 )
 
-BODY = RobotBody()
 # Ten robots in a 0.6 m arena: every front proximity ray reads something.
 CROWDED = EnvironmentSpec(n_robots=10, arena_side=0.6)
 
 
-def empty_arena(side=4.0):
-    return ArenaSpec(side=side, obstacles=np.empty((0, 2)))
-
-
-def proximity(poses, obstacles=(), side=4.0):
+def proximity(poses, obstacles=(), side=4.0, proximity_range=NORMAL_ENV.proximity_range):
     """(N, 7) proximity readings of one trial's robots, through the batched kernel."""
     poses = np.array(poses, dtype=float)
     obstacles = np.array(obstacles, dtype=float).reshape(-1, 2)
-    return proximity_activations(poses[None], obstacles[None], side, BODY)[0]
+    return proximity_activations(poses[None], obstacles[None], side, proximity_range)[0]
 
 
 def rab(poses, i):
     """Range-and-bearing readings of robot i of one trial."""
-    return rab_activations(body_frame_offsets(np.array(poses, dtype=float))[i], BODY.rab_range)
+    return rab_activations(body_frame_offsets(np.array(poses, dtype=float))[i], NORMAL_ENV.rab_range)
 
 
 class TestBodyAndArena:
     def test_angular_cap_consistent_with_wheel_geometry(self):
         # opposing wheels at the normal +-0.10 m/s give the rated turn speed
-        assert abs(BODY.max_angular_speed - 2 * 0.10 / BODY.axle_length) < 1e-3
+        assert abs(MAX_ANGULAR_SPEED - 2 * 0.10 / AXLE_LENGTH) < 1e-3
         assert CONTROL_DT == 0.20
 
     def test_body_from_environment(self):
-        env = EnvironmentSpec(max_linear_speed=0.20, rab_range=0.25, proximity_range=0.44)
-        body = RobotBody.from_env(env)
-        assert body.max_linear_speed == 0.20
-        assert body.rab_range == 0.25
-        assert body.proximity_range == 0.44
-        assert body.radius == BODY.radius
-        assert body.max_angular_speed == BODY.max_angular_speed
+        # the trial takes its speed and sensor ranges from its environment
+        env = EnvironmentSpec(
+            max_linear_speed=0.20, arena_side=0.6, rab_range=0.25, proximity_range=0.44
+        )
+        log = run_trial(env, spinning_genome(), seed=3, duration=1.0)
+        assert log.env == env
+        assert log.obstacles.shape == (0, 2)
+        # tanh(2) of the top speed on each wheel turns faster than the cap
+        assert np.abs(log.commands) == pytest.approx(np.full(log.commands.shape, 0.20 * np.tanh(2.0)))
+        assert np.all(log.angular_velocity == MAX_ANGULAR_SPEED)
+        for t in range(log.n_cycles):
+            readings = proximity(log.poses[t], side=0.6, proximity_range=0.44)
+            assert np.array_equal(log.proximity[t], readings)
+            assert not np.array_equal(readings, proximity(log.poses[t], side=0.6))
+            assert np.array_equal(log.rab[t], rab_activations(body_frame_offsets(log.poses[t]), 0.25))
 
     def test_arena_diagonal(self):
         for side in (2.0, 3.0, 4.0, 5.0):
-            assert empty_arena(side).diagonal == pytest.approx(side * np.sqrt(2.0), abs=0)
+            diagonal = EnvironmentSpec(arena_side=side).diagonal
+            assert diagonal == pytest.approx(side * np.sqrt(2.0), abs=0)
 
 
 class TestDifferentialDrive:
     def test_straight_drive_one_cycle(self):
         poses = np.array([[[0.0, 0.0, 0.0]], [[1.0, 1.0, np.pi / 2]]])
-        moved, v, omega = differential_drive_step(poses, np.full((2, 1, 2), 0.10), BODY)
+        moved, v, omega = differential_drive_step(poses, np.full((2, 1, 2), 0.10))
         assert moved[0, 0] == pytest.approx([0.02, 0.0, 0.0], abs=1e-12)
         assert moved[1, 0] == pytest.approx([1.0, 1.02, np.pi / 2], abs=1e-12)
         assert np.array_equal(v, np.full((2, 1), 0.10))
@@ -72,7 +77,7 @@ class TestDifferentialDrive:
 
     def test_zero_commands_identity(self):
         poses = np.array([[[0.3, -0.2, 1.1], [2.0, 3.0, 0.0]], [[1.5, 0.5, 3.0], [0.1, 0.2, 0.3]]])
-        moved, v, omega = differential_drive_step(poses, np.zeros((2, 2, 2)), BODY)
+        moved, v, omega = differential_drive_step(poses, np.zeros((2, 2, 2)))
         assert np.array_equal(moved, poses)
         assert np.array_equal(v, np.zeros((2, 2)))
         assert np.array_equal(omega, np.zeros((2, 2)))
@@ -81,7 +86,7 @@ class TestDifferentialDrive:
         # |vr - vl| / axle = 0.2 / 0.09 exceeds the 2.2222 rad/s cap
         poses = np.zeros((1, 2, 3))
         commands = np.array([[[-0.10, 0.10], [0.10, -0.10]]])
-        moved, v, omega = differential_drive_step(poses, commands, BODY)
+        moved, v, omega = differential_drive_step(poses, commands)
         assert np.array_equal(moved[..., :2], np.zeros((1, 2, 2)))
         assert np.array_equal(v, np.zeros((1, 2)))
         assert np.array_equal(omega, [[2.2222, -2.2222]])
@@ -89,7 +94,7 @@ class TestDifferentialDrive:
 
     def test_heading_wraps(self):
         poses = np.array([[[0.0, 0.0, np.pi - 0.01]]])
-        moved, _, omega = differential_drive_step(poses, np.array([[[-0.05, 0.05]]]), BODY)
+        moved, _, omega = differential_drive_step(poses, np.array([[[-0.05, 0.05]]]))
         assert -np.pi < moved[0, 0, 2] <= np.pi
         assert moved[0, 0, 2] == pytest.approx(np.pi - 0.01 + omega[0, 0] * 0.2 - 2 * np.pi)
 
@@ -108,14 +113,14 @@ class TestProximity:
 
     def test_wall_ahead_half_range(self):
         # surface 0.055 m from the wall: activation 1 - 0.055/0.11 = 0.5
-        x = 4.0 - BODY.radius - 0.055
+        x = 4.0 - ROBOT_RADIUS - 0.055
         assert proximity([[x, 2.0, 0.0]])[0, 2] == pytest.approx(0.5, abs=1e-12)
 
     def test_wall_contact_saturates(self):
-        assert proximity([[4.0 - BODY.radius, 2.0, 0.0]])[0, 2] == pytest.approx(1.0, abs=1e-12)
+        assert proximity([[4.0 - ROBOT_RADIUS, 2.0, 0.0]])[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_sees_other_robot(self):
-        readings = proximity([[2.0, 2.0, 0.0], [2.0 + 2 * BODY.radius + 0.05, 2.0, 0.0]])
+        readings = proximity([[2.0, 2.0, 0.0], [2.0 + 2 * ROBOT_RADIUS + 0.05, 2.0, 0.0]])
         # surface gap 0.05 -> activation 1 - 0.05/0.11
         assert readings[0, 2] == pytest.approx(1.0 - 0.05 / 0.11, abs=1e-12)
         # the rear sensors of robot 1 point at robot 0
@@ -124,7 +129,7 @@ class TestProximity:
     def test_obstacle_detected(self):
         # box face at x = 2.375, surface distance 0.375 - 0.06 = 0.315 > range
         assert proximity([[2.0, 2.0, 0.0]], [[2.5, 2.0]])[0, 2] == 0.0
-        d = 2.375 - 2.3 - BODY.radius
+        d = 2.375 - 2.3 - ROBOT_RADIUS
         near = proximity([[2.3, 2.0, 0.0]], [[2.5, 2.0]])[0, 2]
         assert near == pytest.approx(1.0 - d / 0.11, abs=1e-12)
 
@@ -266,12 +271,12 @@ class TestPlacement:
         obstacles, poses = place_entities(rng, NORMAL_ENV)
         assert obstacles.shape == (0, 2)
         assert poses.shape == (10, 3)
-        assert np.all(poses[:, :2] >= BODY.radius)
-        assert np.all(poses[:, :2] <= 4.0 - BODY.radius)
+        assert np.all(poses[:, :2] >= ROBOT_RADIUS)
+        assert np.all(poses[:, :2] <= 4.0 - ROBOT_RADIUS)
         diff = poses[None, :, :2] - poses[:, None, :2]
         dist = np.hypot(diff[..., 0], diff[..., 1])
         np.fill_diagonal(dist, np.inf)
-        assert dist.min() >= 2 * BODY.radius
+        assert dist.min() >= 2 * ROBOT_RADIUS
 
     def test_obstacles_do_not_overlap(self, rng):
         env = EnvironmentSpec(n_obstacles=6, arena_side=3.0)
@@ -317,7 +322,7 @@ class TestRunTrial:
         g = random_genome(rng)
         env = EnvironmentSpec(n_robots=15, arena_side=2.0, n_obstacles=2)
         log = run_trial(env, g, seed=21, duration=20.0)
-        r = log.body.radius
+        r = ROBOT_RADIUS
         assert np.all(log.poses[:, :, :2] >= r - 1e-12)
         assert np.all(log.poses[:, :, :2] <= 2.0 - r + 1e-12)
         for t in range(0, log.n_cycles, 7):

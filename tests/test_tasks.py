@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_log
+from qdswarm.descriptors import _per_cycle_features, compute_spirit
 from qdswarm.environment import EnvironmentSpec
 from qdswarm.genome import Genome
 from qdswarm.seeding import derive_seed
@@ -15,9 +18,9 @@ from qdswarm.tasks import (
     fitness_dispersion,
     fitness_flocking,
     fitness_patrolling,
-    linear_decay,
     patrol_cell_trace,
 )
+from qdswarm.sim import MAX_ANGULAR_SPEED
 
 T = 40
 M4 = 4.0 * np.sqrt(2.0)
@@ -25,6 +28,29 @@ M4 = 4.0 * np.sqrt(2.0)
 
 def stack_positions(points, cycles=T):
     return np.tile(np.asarray(points, dtype=float)[None, :, :], (cycles, 1, 1))
+
+
+def linear_decay(value: float, cycles: int) -> float:
+    """Patrol cell value after `cycles` unvisited control cycles."""
+    return max(0.0, value - PATROL_DECAY_PER_CYCLE * cycles)
+
+
+def test_speed_normalisation_reads_trial_env():
+    # wheels at 0.05 m/s: half the default 0.10 m/s top speed, a quarter of 0.20
+    positions = stack_positions([[2.0, 2.0], [2.3, 2.0]])
+    slow = make_log(positions, commands=np.full((T, 2, 2), 0.05), angular_velocity=np.ones((T, 2)))
+    fast = dataclasses.replace(slow, env=EnvironmentSpec(max_linear_speed=0.20))
+    assert fitness_flocking(slow) == pytest.approx(0.5 * 0.5, abs=1e-12)
+    assert fitness_flocking(fast) == pytest.approx(0.25 * 0.25, abs=1e-12)
+    slow_features, fast_features = _per_cycle_features(slow), _per_cycle_features(fast)
+    assert slow_features[:, 0] == pytest.approx(np.full(T, 0.5), abs=1e-12)
+    assert fast_features[:, 0] == pytest.approx(np.full(T, 0.25), abs=1e-12)
+    # the angular speed is normalised by the body's fixed cap in any env
+    assert np.array_equal(slow_features[:, 1], np.full(T, 1.0 / MAX_ANGULAR_SPEED))
+    assert np.array_equal(fast_features[:, 1], slow_features[:, 1])
+    # each wheel lands in speed bin 3 of 4 at 0.10 m/s and in bin 2 at 0.20 m/s
+    assert compute_spirit([slow])[0, 3 * 4 + 3] == 1.0
+    assert compute_spirit([fast])[0, 2 * 4 + 2] == 1.0
 
 
 class TestAggregation:
@@ -139,9 +165,12 @@ class TestPatrolling:
         assert cell[1000] == 0.0
 
     def test_decay_formula_exact(self):
-        for v0 in (1.0, 0.731, 0.002):
-            for k in (0, 1, 7, 400, 1000, 5000):
-                assert linear_decay(v0, k) == max(0.0, v0 - 0.005 * 0.2 * k)
+        # a cell visited once, at cycle 0, reads max(0, 1 - 0.001 k) k cycles later
+        positions = np.tile([[3.5, 3.5]], (5001, 1, 1))
+        positions[1:] = [[0.1, 0.1]]
+        cell = patrol_cell_trace(make_log(positions))[:, 8, 8]
+        for k in (0, 1, 7, 400, 1000, 5000):
+            assert cell[k] == max(0.0, 1.0 - 0.005 * 0.2 * k)
 
     def test_border_mask_has_36_cells(self):
         from qdswarm.tasks import BORDER_MASK

@@ -532,7 +532,9 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
             log(f"export: {rep_dir} trial log for cell {key}")
         elif what == "descriptors":
             n = config["reevaluate.trials"]
-            logs = run_trials(NORMAL_ENV, [genome] * n, [None] * n, trial_seeds(n, seed), duration)
+            logs = run_trials(
+                [NORMAL_ENV] * n, [genome] * n, [None] * n, trial_seeds(n, seed), duration
+            )
             for kind, describe in DESCRIPTORS.items():
                 descriptor_to_csv(kind, describe(logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
             log(f"export: {rep_dir} descriptors for cell {key}")

@@ -9,15 +9,18 @@ obstacles, and positions are clamped to the walls. Per-robot sensor/actuator
 faults can be injected each cycle. A trial is a pure function of
 (environment, genome, fault assignment, seed).
 
-Trials that share an environment and a duration step together in
-`run_trials`, and a trial's log is the same whatever batch it runs in. The
-batched kernel functions it calls, on (B, N, ...) arrays, are the
-simulator's only API; the per-trial reference loop that the tests compare
-the kernel against lives in `tests/oracles.py`. The kernel functions take a
-trial's plain values (arena side, proximity range) and read the fixed body
-from the module constants ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED;
-`run_trials` reads the speed and sensor ranges from the `EnvironmentSpec`,
-and each `TrialLog` carries that `env` and its obstacle centres.
+Trials that share a swarm size and a duration step together in
+`run_trials`, each in its own environment, and a trial's log is the same
+whatever batch it runs in. The batched kernel functions it calls, on
+(B, N, ...) arrays, are the simulator's only API; the per-trial reference
+loop that the tests compare the kernel against lives in `tests/oracles.py`.
+The kernel functions take each trial's arena side and sensor range as a
+scalar or a (B,) array, and read the fixed body from the module constants
+ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. A batch's obstacle arrays
+are padded to its largest obstacle count with boxes centred at
+PADDING_BOX_CENTRE, far outside every arena: never within a sensor's reach,
+never pushing a robot. Each `TrialLog` carries its trial's `env` and its own
+obstacle centres.
 """
 
 from dataclasses import dataclass
@@ -40,6 +43,8 @@ TRIAL_BATCH_ROBOT_CYCLES = 160_000
 PAIR_OVERLAP_TOL = 1e-9
 # Slack on the proximity ray-casting cut-off, far above its rounding error.
 CULL_MARGIN = 1e-6
+# Both coordinates of the boxes that pad a batch's obstacle arrays.
+PADDING_BOX_CENTRE = -1e6
 
 # Body-frame ray angles: five frontal, two rear.
 PROXIMITY_ANGLES = np.radians([-40.0, -20.0, 0.0, 20.0, 40.0, 160.0, -160.0])
@@ -195,20 +200,22 @@ def pairwise_offsets(poses) -> np.ndarray:
     return poses[..., None, :, :2] - poses[..., :, None, :2]
 
 
-def proximity_activations(poses, obstacles, side: float, proximity_range: float, rel=None) -> np.ndarray:
+def proximity_activations(poses, obstacles, side, proximity_range, rel=None) -> np.ndarray:
     """Proximity readings of B trials, (B, N, 7) activations in [0, 1].
 
-    `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side and
-    one sensor range; `rel` is `pairwise_offsets(poses)` when the caller has
-    it. Activation is 1 - d / proximity_range clipped to [0, 1], with d the
-    distance from the body surface (ROBOT_RADIUS from the centre) to the
-    nearest wall, obstacle, or robot along the ray. Only obstacles and
-    robots within reach of a robot are ray-cast: anything farther is more
-    than the range away along every ray, so its reading would clip to 0
-    whether it is cast or not.
+    `poses` (B, N, 3) and `obstacles` (B, K, 2) go with one arena side and
+    one sensor range per trial, each a (B,) array or a scalar shared by all;
+    `rel` is `pairwise_offsets(poses)` when the caller has it. Activation is
+    1 - d / proximity_range clipped to [0, 1], with d the distance from the
+    body surface (ROBOT_RADIUS from the centre) to the nearest wall,
+    obstacle, or robot along the ray. Only obstacles and robots within reach
+    of a robot are ray-cast: anything farther is more than the range away
+    along every ray, so its reading would clip to 0 whether it is cast or not.
     """
     poses = np.asarray(poses, dtype=float)
     batch, n = poses.shape[:2]
+    side = np.reshape(side, (-1, 1, 1))
+    proximity_range = np.reshape(proximity_range, (-1, 1, 1))
     xy = poses[..., :2]
     angles = poses[..., 2:3] + PROXIMITY_ANGLES
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -261,16 +268,18 @@ def body_frame_offsets(poses, rel=None) -> np.ndarray:
     return rotated[..., _offdiag_mask(n), :].reshape(poses.shape[:-2] + (n, n - 1, 2))
 
 
-def rab_activations(neighbor_rel, rab_range: float) -> np.ndarray:
+def rab_activations(neighbor_rel, rab_range) -> np.ndarray:
     """Range-and-bearing readings from body-frame neighbour offsets (..., K, 2); (..., 8).
 
     Cone k is centred at k * 45 degrees (cone 0 on the heading). Each cone
     reports the range of its closest neighbour as a fraction of `rab_range`,
-    or 1 if no neighbour is within range.
+    or 1 if no neighbour is within range. `rab_range` broadcasts against the
+    leading axes `...`: a scalar, or one range per reading robot.
     """
     rel = np.asarray(neighbor_rel, dtype=float)
     lead, count = rel.shape[:-2], rel.shape[-2]
     rel = rel.reshape((int(np.prod(lead)), count, 2))
+    rab_range = np.broadcast_to(rab_range, lead).reshape(-1, 1)
     closest = np.full((len(rel), N_RAB_CONES), np.inf)
     if count:
         ranges = np.hypot(rel[..., 0], rel[..., 1])
@@ -352,8 +361,9 @@ def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
 
 
 def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_range, noise):
-    """Faulted (proximity, rab) arrays of B trials for one cycle; `noise` is
-    the cycle's row of `plan.noise`."""
+    """Faulted (proximity, rab) arrays of B trials for one cycle; `rab_range`
+    is (B,) and `noise` is the cycle's row of `plan.noise`."""
+    rab_range = rab_range[:, None]
     rab = rab_activations(neighbor_rel, rab_range)
     if plan.any_prox:
         proximity = proximity.copy()
@@ -361,6 +371,7 @@ def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_ra
         proximity[plan.pmax, :N_FRONT_PROXIMITY] = 1.0
         proximity[plan.prand, :N_FRONT_PROXIMITY] = noise[plan.prand_cols]
     if len(plan.radius_cols):
+        rab_range = np.broadcast_to(rab_range, plan.rofs.shape)[plan.rofs]
         r = noise[plan.radius_cols] * rab_range
         theta = noise[plan.angle_cols]
         offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
@@ -384,36 +395,39 @@ def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
     """Rejection-sample non-overlapping obstacle centres and robot poses.
 
     Raises PlacementError after 10,000 failed attempts for any single entity,
-    signalling that the arena is too crowded.
+    signalling that the arena is too crowded. A robot's heading is drawn as
+    soon as its position is accepted and wrapped once all are placed.
     """
     side = env.arena_side
     half = OBSTACLE_SIDE / 2.0
-    obstacles = np.empty((0, 2))
-    for _ in range(env.n_obstacles):
+    obstacles = np.empty((env.n_obstacles, 2))
+    for k in range(env.n_obstacles):
         for _ in range(PLACEMENT_ATTEMPTS):
             c = rng.uniform(half, side - half, size=2)
-            if not len(obstacles) or np.all(
-                np.max(np.abs(obstacles - c), axis=1) >= OBSTACLE_SIDE
-            ):
-                obstacles = np.vstack([obstacles, c])
+            if not k or np.all(np.max(np.abs(obstacles[:k] - c), axis=1) >= OBSTACLE_SIDE):
+                obstacles[k] = c
                 break
         else:
-            raise PlacementError(
-                f"could not place obstacle {len(obstacles) + 1} of {env.n_obstacles}"
-            )
-    poses = np.empty((0, 3))
-    for _ in range(env.n_robots):
+            raise PlacementError(f"could not place obstacle {k + 1} of {env.n_obstacles}")
+    lo, hi = obstacles - half, obstacles + half
+    poses = np.empty((env.n_robots, 3))
+    for i in range(env.n_robots):
         for _ in range(PLACEMENT_ATTEMPTS):
             xy = rng.uniform(ROBOT_RADIUS, side - ROBOT_RADIUS, size=2)
-            if len(poses) and np.min(np.hypot(*(poses[:, :2] - xy).T)) < 2 * ROBOT_RADIUS:
-                continue
-            if len(obstacles) and _circle_box_distance(xy[None], obstacles, half).min() < ROBOT_RADIUS:
-                continue
-            heading = float(wrap_angle(rng.uniform(-np.pi, np.pi)))
-            poses = np.vstack([poses, [xy[0], xy[1], heading]])
+            if i:
+                d = poses[:i, :2] - xy
+                if np.hypot(d[:, 0], d[:, 1]).min() < 2 * ROBOT_RADIUS:
+                    continue
+            if len(obstacles):
+                d = xy - np.clip(xy, lo, hi)
+                if np.hypot(d[:, 0], d[:, 1]).min() < ROBOT_RADIUS:
+                    continue
+            poses[i, :2] = xy
+            poses[i, 2] = rng.uniform(-np.pi, np.pi)
             break
         else:
-            raise PlacementError(f"could not place robot {len(poses) + 1} of {env.n_robots}")
+            raise PlacementError(f"could not place robot {i + 1} of {env.n_robots}")
+    poses[:, 2] = wrap_angle(poses[:, 2])
     return obstacles, poses
 
 
@@ -476,26 +490,29 @@ def _push_pairs_apart(xy, overlapping, diff, dist, overlap):
     xy += push.reshape(xy.shape)
 
 
-def resolve_collisions(poses, obstacles, side: float) -> np.ndarray:
+def resolve_collisions(poses, obstacles, side) -> np.ndarray:
     """Project the robots of B trials out of walls, obstacles, and each other.
 
-    `poses` (B, N, 3) and `obstacles` (B, K, 2) share one arena side. Each
-    trial iterates positional corrections until no two of its discs overlap
-    by more than 1e-9 m, for at most MAX_RESOLUTION_PASSES passes; a trial
-    that has converged takes no further pass. Walls are clamped last so
-    robots can never leave the arena.
+    `poses` (B, N, 3) and `obstacles` (B, K, 2) go with one arena side per
+    trial, a (B,) array or a scalar shared by all. Each trial iterates
+    positional corrections until no two of its discs overlap by more than
+    1e-9 m, for at most MAX_RESOLUTION_PASSES passes; a trial that has
+    converged takes no further pass. Walls are clamped last so robots can
+    never leave the arena.
     """
     poses = np.array(poses, dtype=float)
     batch, n = poses.shape[:2]
     r = ROBOT_RADIUS
     half = OBSTACLE_SIDE / 2.0
+    high = np.broadcast_to(np.reshape(side, (-1, 1, 1)) - r, (batch, 1, 1))
     resolved = poses[..., :2].copy()
     active = np.arange(batch)
     for _ in range(MAX_RESOLUTION_PASSES):
         every = len(active) == batch
         xy = resolved if every else resolved[active]
         boxes = obstacles if every else obstacles[active]
-        np.clip(xy, r, side - r, out=xy)
+        wall = high if every else high[active]
+        np.clip(xy, r, wall, out=xy)
         # A trial that nothing pushes in this pass stays clipped and clear of
         # every box, so only pushed trials need the wall and box checks.
         box_pushed = (
@@ -515,14 +532,14 @@ def resolve_collisions(poses, obstacles, side: float) -> np.ndarray:
         if check.any():
             moved = xy[check]
             inside_box = _circle_box_distance(moved, boxes[check], half) < r - PAIR_OVERLAP_TOL
-            off_arena = (moved < r) | (moved > side - r)
+            off_arena = (moved < r) | (moved > wall[check])
             clean[check] = ~(inside_box.any(axis=(1, 2)) | off_arena.any(axis=(1, 2)))
         if not every:
             resolved[active] = xy
         active = active[~clean]
         if not len(active):
             break
-    np.clip(resolved, r, side - r, out=poses[..., :2])
+    np.clip(resolved, r, high, out=poses[..., :2])
     return poses
 
 
@@ -530,27 +547,36 @@ def resolve_collisions(poses, obstacles, side: float) -> np.ndarray:
 # Trial execution
 
 
-def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 400.0) -> list:
-    """Simulate B trials that share `env` and `duration`; one TrialLog each.
+def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
+    """Simulate B trials that share a swarm size and `duration`; one TrialLog each.
 
-    Trial b runs `genomes[b]` under the fault assignment `faults[b]` (None
-    for fault free) from `seeds[b]`. Robots and obstacles are placed
-    uniformly at random without overlap; the swarms then run duration / 0.2
-    control cycles of sense, fault injection, clonal controller update,
-    actuation, integration, and collision resolution, all B trials in one
-    set of numpy operations per cycle. Each trial keeps its own RNG (its
+    Trial b runs `genomes[b]` in environment `envs[b]` under the fault
+    assignment `faults[b]` (None for fault free) from `seeds[b]`; the
+    environments may differ in every attribute but `n_robots`. Robots and
+    obstacles are placed uniformly at random without overlap; the swarms
+    then run duration / 0.2 control cycles of sense, fault injection, clonal
+    controller update, actuation, integration, and collision resolution, all
+    B trials in one set of numpy operations per cycle, with each trial's
+    arena side, speed and sensor ranges as (B,) arrays and its obstacles
+    padded with PADDING_BOX_CENTRE boxes. Each trial keeps its own RNG (its
     placement, then its fault noise), controller state and collision
     passes, so its log is a deterministic function of its own arguments:
     bit-identical alone or in any batch.
 
     Raises PlacementError for the first trial that cannot be placed; the
-    error's `trial` attribute is that trial's index in the batch. A duration
-    that rounds to no control cycle raises ValueError before any placement.
+    error's `trial` attribute is that trial's index in the batch. An empty
+    batch, argument lists of different lengths, environments of different
+    swarm sizes, or a duration that rounds to no control cycle raise
+    ValueError before any placement.
     """
-    n = env.n_robots
     batch = len(seeds)
-    if not len(genomes) == len(faults) == batch:
-        raise ValueError("genomes, faults and seeds differ in length")
+    if not batch:
+        raise ValueError("run_trials needs at least one trial")
+    if not len(envs) == len(genomes) == len(faults) == batch:
+        raise ValueError("envs, genomes, faults and seeds differ in length")
+    n = envs[0].n_robots
+    if any(env.n_robots != n for env in envs):
+        raise ValueError("the environments of one batch differ in n_robots")
     n_cycles = int(round(duration / CONTROL_DT))
     if n_cycles < 1:
         raise ValueError(f"duration {duration!r} s is under one {CONTROL_DT} s control cycle")
@@ -560,13 +586,16 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
             if len(assignment) != n:
                 raise ValueError(f"fault assignment length {len(assignment)} != swarm size {n}")
             fault_arr[b] = [int(f) for f in assignment]
+    side, speed, rab_range, proximity_range = np.array(
+        [(e.arena_side, e.max_linear_speed, e.rab_range, e.proximity_range) for e in envs]
+    ).T
     rngs = []
-    obstacles = np.empty((batch, env.n_obstacles, 2))
+    obstacles = np.full((batch, max(env.n_obstacles for env in envs), 2), PADDING_BOX_CENTRE)
     poses = np.empty((batch, n, 3))
-    for b, seed in enumerate(seeds):
+    for b, (env, seed) in enumerate(zip(envs, seeds)):
         rng = np.random.default_rng(seed)
         try:
-            obstacles[b], poses[b] = place_entities(rng, env)
+            obstacles[b, : env.n_obstacles], poses[b] = place_entities(rng, env)
         except PlacementError as exc:
             exc.trial = b
             raise
@@ -588,14 +617,14 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
 
     for t in range(n_cycles):
         rel = pairwise_offsets(poses)
-        prox = proximity_activations(poses, obstacles, env.arena_side, env.proximity_range, rel)
+        prox = proximity_activations(poses, obstacles, side, proximity_range, rel)
         neighbors = body_frame_offsets(poses, rel)
-        prox, rab = _apply_sensor_faults_batch(prox, neighbors, plan, env.rab_range, plan.noise[t])
+        prox, rab = _apply_sensor_faults_batch(prox, neighbors, plan, rab_range, plan.noise[t])
 
         inputs[..., :7] = sensor_input_scale(prox)
         inputs[..., 7:15] = sensor_input_scale(rab)
         activations = net.step(activations, inputs)
-        commands = net.outputs(activations) * env.max_linear_speed
+        commands = net.outputs(activations) * speed[:, None, None]
         if plan.any_actuator:
             commands = commands * plan.actuator_scale
 
@@ -608,12 +637,12 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
         log_v[:, t] = v
         log_omega[:, t] = omega
 
-        poses = resolve_collisions(moved, obstacles, env.arena_side)
+        poses = resolve_collisions(moved, obstacles, side)
 
     return [
         TrialLog(
             env=env,
-            obstacles=obstacles[b],
+            obstacles=obstacles[b, : env.n_obstacles],
             poses=log_poses[b],
             proximity=log_prox[b],
             rab=log_rab[b],
@@ -622,7 +651,7 @@ def run_trials(env: EnvironmentSpec, genomes, faults, seeds, duration: float = 4
             angular_velocity=log_omega[b],
             final_poses=poses[b].copy(),
         )
-        for b in range(batch)
+        for b, env in enumerate(envs)
     ]
 
 
@@ -635,7 +664,7 @@ def run_trial(
 ) -> TrialLog:
     """Simulate one trial and return its complete log: `run_trials` with a
     batch of one, so the result is a deterministic function of the arguments."""
-    return run_trials(env, [genome], [faults], [seed], duration)[0]
+    return run_trials([env], [genome], [faults], [seed], duration)[0]
 
 
 def trial_log_to_csv(log: TrialLog, path) -> None:

@@ -147,10 +147,10 @@ DESCRIPTORS = {
 
 
 def _group_jobs(jobs) -> dict:
-    """Job indices by (env, duration), in order of first appearance."""
+    """Job indices by (swarm size, duration), in order of first appearance."""
     groups = {}
     for index, job in enumerate(jobs):
-        groups.setdefault((job[1], job[5]), []).append(index)
+        groups.setdefault((job[1].n_robots, job[5]), []).append(index)
     return groups
 
 
@@ -159,19 +159,19 @@ def evaluate_jobs(jobs):
 
     Returns one (mean fitness, descriptor or None, placement error or None)
     per job, in job order; the descriptor is `DESCRIPTORS[kind]` of the
-    job's trial logs. Jobs that share (env, duration) run their trials
-    together through `run_trials`, in batches of at most
-    TRIAL_BATCH_ROBOT_CYCLES robot-cycles. A trial's log does not depend on
-    its batch, so a job's result does not depend on the other jobs. A job
-    with a trial that cannot be placed scores 0 with the placement error,
-    and only that job.
+    job's trial logs. Jobs that share a swarm size and a duration run their
+    trials together through `run_trials`, each trial in its job's
+    environment, in batches of at most TRIAL_BATCH_ROBOT_CYCLES
+    robot-cycles. A trial's log does not depend on its batch, so a job's
+    result does not depend on the other jobs. A job with a trial that cannot
+    be placed scores 0 with the placement error, and only that job.
     """
     for job in jobs:
         if not len(job[4]):
             raise ValueError("at least one trial seed is required")
     results = [None] * len(jobs)
-    for (env, duration), members in _group_jobs(jobs).items():
-        robot_cycles = env.n_robots * max(1, int(round(duration / CONTROL_DT)))
+    for (n_robots, duration), members in _group_jobs(jobs).items():
+        robot_cycles = n_robots * max(1, int(round(duration / CONTROL_DT)))
         size = max(1, TRIAL_BATCH_ROBOT_CYCLES // robot_cycles)
         pending = [(index, seed) for index in members for seed in jobs[index][4]]
         partial = {index: ([], []) for index in members}
@@ -179,7 +179,7 @@ def evaluate_jobs(jobs):
             batch, pending = pending[:size], pending[size:]
             try:
                 trial_logs = run_trials(
-                    env,
+                    [jobs[index][1] for index, _ in batch],
                     [jobs[index][2] for index, _ in batch],
                     [jobs[index][3] for index, _ in batch],
                     [seed for _, seed in batch],
@@ -223,10 +223,11 @@ def evaluator(n_jobs: int):
     """Yield `run(jobs)`, the `evaluate_jobs` results in job order.
 
     With one worker the jobs run in this process; otherwise every `run`
-    shares one pool of `n_jobs` worker processes. The jobs that share (env,
-    duration) are cut into at most `n_jobs` contiguous slices, so a worker
-    batches their trials, and `pool.map` hands the slices out one at a time
-    as workers come free. Results do not depend on `n_jobs`.
+    shares one pool of `n_jobs` worker processes. The jobs that share a
+    swarm size and a duration, whatever their environments, are cut into at
+    most `n_jobs` contiguous slices, so a worker batches their trials, and
+    `pool.map` hands the slices out one at a time as workers come free.
+    Results do not depend on `n_jobs`.
     """
     if n_jobs <= 1:
         yield evaluate_jobs

@@ -4,7 +4,8 @@ This is the simulator's original one-trial-at-a-time loop, kept outside the
 package: every helper below acts on one trial's arrays, resolves collisions
 with per-pair Python loops, and draws fault noise cycle by cycle.
 The batched kernel must reproduce its logs bit for bit (sign of zeros
-included), whatever the batch a trial runs in.
+included), whatever the batch a trial runs in; `place_entities` is the
+reference for `qdswarm.sim.place_entities`.
 """
 
 from dataclasses import dataclass
@@ -23,13 +24,14 @@ from qdswarm.sim import (
     N_RAB_CONES,
     OBSTACLE_SIDE,
     PAIR_OVERLAP_TOL,
+    PLACEMENT_ATTEMPTS,
     PROXIMITY_ANGLES,
     RAB_CONE_HALF,
     RAB_CONE_WIDTH,
     ROBOT_RADIUS,
     FaultType,
+    PlacementError,
     TrialLog,
-    place_entities,
     sensor_input_scale,
     wrap_angle,
 )
@@ -188,6 +190,40 @@ def apply_sensor_faults(proximity, neighbor_rel, fault_arr, rab_range, rng):
 def _circle_box_distance(xy, centers, half):
     nearest = np.clip(xy[:, None, :], centers[None] - half, centers[None] + half)
     return np.hypot(*(xy[:, None, :] - nearest).transpose(2, 0, 1))
+
+
+def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
+    """Rejection-sample obstacle centres, then robot poses, stacking one row
+    onto each array per placed entity."""
+    side = env.arena_side
+    half = OBSTACLE_SIDE / 2.0
+    obstacles = np.empty((0, 2))
+    for _ in range(env.n_obstacles):
+        for _ in range(PLACEMENT_ATTEMPTS):
+            c = rng.uniform(half, side - half, size=2)
+            if not len(obstacles) or np.all(
+                np.max(np.abs(obstacles - c), axis=1) >= OBSTACLE_SIDE
+            ):
+                obstacles = np.vstack([obstacles, c])
+                break
+        else:
+            raise PlacementError(
+                f"could not place obstacle {len(obstacles) + 1} of {env.n_obstacles}"
+            )
+    poses = np.empty((0, 3))
+    for _ in range(env.n_robots):
+        for _ in range(PLACEMENT_ATTEMPTS):
+            xy = rng.uniform(ROBOT_RADIUS, side - ROBOT_RADIUS, size=2)
+            if len(poses) and np.min(np.hypot(*(poses[:, :2] - xy).T)) < 2 * ROBOT_RADIUS:
+                continue
+            if len(obstacles) and _circle_box_distance(xy[None], obstacles, half).min() < ROBOT_RADIUS:
+                continue
+            heading = float(wrap_angle(rng.uniform(-np.pi, np.pi)))
+            poses = np.vstack([poses, [xy[0], xy[1], heading]])
+            break
+        else:
+            raise PlacementError(f"could not place robot {len(poses) + 1} of {env.n_robots}")
+    return obstacles, poses
 
 
 def resolve_collisions(poses, arena: ArenaSpec, body: RobotBody):

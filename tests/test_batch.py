@@ -12,12 +12,22 @@ from hypothesis import strategies as st
 
 import oracles
 import qdswarm.tasks as tasks
-from qdswarm.environment import NORMAL_ENV, PROXIMITY_RANGES, RAB_RANGES, EnvironmentSpec
+from qdswarm.environment import (
+    ARENA_SIDES,
+    MAX_LINEAR_SPEEDS,
+    NORMAL_ENV,
+    OBSTACLE_COUNTS,
+    PROXIMITY_RANGES,
+    RAB_RANGES,
+    EnvironmentSpec,
+    generate_environment,
+)
 from qdswarm.genome import Connection, Genome, random_genome
 from qdswarm.sim import (
     MAX_RESOLUTION_PASSES,
     FaultType,
     PlacementError,
+    place_entities,
     resolve_collisions,
     run_trial,
     run_trials,
@@ -71,43 +81,67 @@ N_FAULT_TYPES = len(FaultType)
 
 
 @st.composite
-def trial_batches(draw):
-    """(env, genomes, faults, seeds) of 1-40 trials sharing one crowded environment."""
+def trial_batches(draw, mixed=False):
+    """(envs, genomes, faults, seeds) of 1-40 trials sharing a swarm size:
+    all in one crowded environment or, when `mixed`, each in its own
+    environment drawn from the 4^6 attribute sets."""
     n = draw(st.sampled_from([5, 20]))
-    env = EnvironmentSpec(
-        max_linear_speed=0.20,
-        n_robots=n,
-        arena_side=2.0,
-        n_obstacles=draw(st.sampled_from([0, 6])),
-        rab_range=draw(st.sampled_from(RAB_RANGES)),
-        proximity_range=draw(st.sampled_from(PROXIMITY_RANGES)),
-    )
+    if mixed:
+        env = st.builds(
+            EnvironmentSpec,
+            max_linear_speed=st.sampled_from(MAX_LINEAR_SPEEDS),
+            n_robots=st.just(n),
+            arena_side=st.sampled_from(ARENA_SIDES),
+            n_obstacles=st.sampled_from(OBSTACLE_COUNTS),
+            rab_range=st.sampled_from(RAB_RANGES),
+            proximity_range=st.sampled_from(PROXIMITY_RANGES),
+        )
+    else:
+        env = st.just(
+            EnvironmentSpec(
+                max_linear_speed=0.20,
+                n_robots=n,
+                arena_side=2.0,
+                n_obstacles=draw(st.sampled_from([0, 6])),
+                rab_range=draw(st.sampled_from(RAB_RANGES)),
+                proximity_range=draw(st.sampled_from(PROXIMITY_RANGES)),
+            )
+        )
     fault = st.one_of(
         st.none(), st.lists(st.sampled_from(list(FaultType)), min_size=n, max_size=n)
     )
     trials = draw(
         st.lists(
-            st.tuples(st.sampled_from(GENOMES), fault, st.integers(0, 2**32 - 1)),
+            st.tuples(env, st.sampled_from(GENOMES), fault, st.integers(0, 2**32 - 1)),
             min_size=1,
             max_size=40,
         )
     )
-    genomes, faults, seeds = (list(column) for column in zip(*trials))
-    return env, genomes, faults, seeds
+    return tuple(list(column) for column in zip(*trials))
 
 
 EVERY_FAULT = [FaultType(i % N_FAULT_TYPES) for i in range(20)]
-
-
-@settings(
+BATCH_SETTINGS = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+def assert_batch_matches_oracle(batch):
+    envs, genomes, faults, seeds = batch
+    logs = run_trials(envs, genomes, faults, seeds, duration=1.6)
+    assert len(logs) == len(seeds)
+    for env, genome, fault, seed, log in zip(envs, genomes, faults, seeds, logs):
+        assert_logs_identical(log, oracles.run_trial(env, genome, fault, seed, duration=1.6))
+
+
+@BATCH_SETTINGS
 @given(trial_batches())
 @example(
     (
-        EnvironmentSpec(max_linear_speed=0.20, n_robots=20, arena_side=2.0, n_obstacles=6),
+        [EnvironmentSpec(max_linear_speed=0.20, n_robots=20, arena_side=2.0, n_obstacles=6)]
+        * (2 * len(GENOMES)),
         list(GENOMES) * 2,
         ([EVERY_FAULT, None, [FaultType.PRAND] * 20, [FaultType.ROFS] * 20, EVERY_FAULT[::-1]] * 4)[
             : 2 * len(GENOMES)
@@ -117,24 +151,39 @@ EVERY_FAULT = [FaultType(i % N_FAULT_TYPES) for i in range(20)]
 )
 @example(
     (
-        EnvironmentSpec(max_linear_speed=0.20, n_robots=5, arena_side=2.0, n_obstacles=0),
+        [EnvironmentSpec(max_linear_speed=0.20, n_robots=5, arena_side=2.0, n_obstacles=0)],
         [GENOMES[3]],
         [[FaultType.PRAND, FaultType.ROFS, FaultType.PRAND, FaultType.ROFS, FaultType.NONE]],
         [7],
     )
 )
 def test_batched_logs_match_per_trial_oracle(batch):
-    env, genomes, faults, seeds = batch
-    logs = run_trials(env, genomes, faults, seeds, duration=1.6)
-    assert len(logs) == len(seeds)
-    for genome, fault, seed, log in zip(genomes, faults, seeds, logs):
-        assert_logs_identical(log, oracles.run_trial(env, genome, fault, seed, duration=1.6))
+    assert_batch_matches_oracle(batch)
+
+
+@BATCH_SETTINGS
+@given(trial_batches(mixed=True))
+@example(
+    (
+        [
+            EnvironmentSpec(0.20, 5, 2.0, 6, 2.00, 0.44),
+            EnvironmentSpec(0.05, 5, 5.0, 0, 0.25, 0.055),
+            EnvironmentSpec(0.15, 5, 3.0, 2, 1.00, 0.22),
+            EnvironmentSpec(0.10, 5, 4.0, 6, 0.50, 0.11),
+        ],
+        GENOMES[1:5],
+        [[FaultType.ROFS] * 5, None, EVERY_FAULT[:5], None],
+        [11, 12, 13, 14],
+    )
+)
+def test_mixed_environment_batches_match_per_trial_oracle(batch):
+    assert_batch_matches_oracle(batch)
 
 
 def test_run_trial_is_a_batch_of_one():
     faults = [FaultType.PRAND, FaultType.ROFS] * 5
     alone = run_trial(NORMAL_ENV, GENOMES[3], faults=faults, seed=4, duration=2.0)
-    (batched,) = run_trials(NORMAL_ENV, [GENOMES[3]], [faults], [4], duration=2.0)
+    (batched,) = run_trials([NORMAL_ENV], [GENOMES[3]], [faults], [4], duration=2.0)
     assert_logs_identical(alone, batched)
     assert_logs_identical(alone, oracles.run_trial(NORMAL_ENV, GENOMES[3], faults, 4, 2.0))
 
@@ -142,8 +191,60 @@ def test_run_trial_is_a_batch_of_one():
 def test_placement_error_names_the_trial():
     crowded = EnvironmentSpec(n_robots=20, arena_side=0.8, n_obstacles=2)
     with pytest.raises(PlacementError) as info:
-        run_trials(crowded, [Genome()] * 3, [None] * 3, [1, 8, 0], duration=1.0)
+        run_trials([crowded] * 3, [Genome()] * 3, [None] * 3, [1, 8, 0], duration=1.0)
     assert info.value.trial == 2
+
+
+@pytest.mark.parametrize(
+    "envs, seeds, message",
+    [
+        ([], [], "at least one trial"),
+        ([NORMAL_ENV], [1, 2], "differ in length"),
+        ([NORMAL_ENV, EnvironmentSpec(n_robots=5)], [1, 2], "differ in n_robots"),
+    ],
+    ids=["empty", "envs-length", "swarm-sizes"],
+)
+def test_malformed_batch_rejected(envs, seeds, message):
+    with pytest.raises(ValueError, match=message):
+        run_trials(envs, [Genome()] * len(seeds), [None] * len(seeds), seeds, duration=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Placement
+
+
+def _placement_envs():
+    """Sampled environments of the 4^6 space, then crowded ones: one that
+    places only from some seeds, two that never place a robot, and one that
+    cannot place its second obstacle."""
+    rng = np.random.default_rng(9)
+    return [generate_environment(rng) for _ in range(40)] + [
+        EnvironmentSpec(n_robots=20, arena_side=0.8, n_obstacles=2),
+        EnvironmentSpec(n_robots=10, arena_side=0.25),
+        EnvironmentSpec(n_robots=20, arena_side=0.5, n_obstacles=1),
+        EnvironmentSpec(n_robots=5, arena_side=0.5, n_obstacles=6),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_placement_matches_oracle(seed):
+    """Same arrays, or the same PlacementError message, and the generator
+    left at the same point of its stream."""
+    for env in _placement_envs():
+        outcomes = []
+        for place in (place_entities, oracles.place_entities):
+            rng = np.random.default_rng(seed)
+            try:
+                placed = place(rng, env)
+            except PlacementError as exc:
+                placed = str(exc)
+            outcomes.append((placed, rng.random()))
+        (got, got_next), (want, want_next) = outcomes
+        assert got_next == want_next, env
+        if isinstance(want, str):
+            assert got == want, env
+        else:
+            assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1]), env
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +369,37 @@ def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
     # 3 normal-environment trials of 5 cycles, 4 five-robot trials of 7 cycles
     monkeypatch.setattr(tasks, "TRIAL_BATCH_ROBOT_CYCLES", 150)
     assert_results_equal(evaluate_jobs(jobs), alone)
+
+
+def test_qed_jobs_run_one_batch_per_swarm_size(monkeypatch):
+    """Jobs in distinct environments, as QED evolution makes them, share a
+    `run_trials` call per swarm size and score as each does alone."""
+    envs = [
+        EnvironmentSpec(0.20, 5, 2.0, 6, 2.00, 0.44),
+        EnvironmentSpec(0.05, 20, 5.0, 0, 0.25, 0.055),
+        EnvironmentSpec(0.15, 5, 4.0, 0, 1.00, 0.22),
+        EnvironmentSpec(0.10, 20, 3.0, 6, 0.50, 0.11),
+        EnvironmentSpec(0.10, 5, 5.0, 2, 0.25, 0.11),
+    ]
+    jobs = [
+        _job(env=env, genome=GENOMES[2 + i], seeds=(i, 7 + i), kind=(None, "spirit")[i % 2])
+        for i, env in enumerate(envs)
+    ]
+    failing = _job(env=CROWDED, seeds=(1, 0))  # 20 robots; the second trial cannot be placed
+    alone = [evaluate_jobs([job])[0] for job in jobs + [failing]]
+    assert [error is None for _, _, error in alone] == [True] * len(jobs) + [False]
+    calls = []
+
+    def spy(envs, *args):
+        calls.append({env.n_robots for env in envs})
+        return run_trials(envs, *args)
+
+    monkeypatch.setattr(tasks, "run_trials", spy)
+    assert_results_equal(evaluate_jobs(jobs), alone[:-1])
+    assert calls == [{5}, {20}]
+    for n_jobs in (1, 2):
+        with evaluator(n_jobs) as run:
+            assert_results_equal(run(jobs + [failing]), alone)
 
 
 def test_failed_placement_fails_its_job_alone():

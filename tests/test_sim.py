@@ -354,7 +354,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("duration", [0.05, 0.1, 0.0, -1.0])
     def test_duration_under_one_cycle_rejected(self, duration):
         with pytest.raises(ValueError, match="under one 0.2 s control cycle"):
-            run_trials(NORMAL_ENV, [Genome()], [None], [0], duration)
+            run_trials([NORMAL_ENV], [Genome()], [None], [0], duration)
         assert run_trial(NORMAL_ENV, Genome(), seed=0, duration=0.15).n_cycles == 1
 
     def test_csv_export(self, tmp_path):

@@ -229,21 +229,29 @@ def load_centroids(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _table_line(row) -> str:
+    cells = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+    line = ",".join(cells)
+    if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
+        raise ValueError(f"table row {cells!r} needs CSV quoting, which tables never use")
+    return line + "\r\n"
+
+
 def write_table(path, header: str, columns, rows) -> None:
     """Write a table: the provenance `header` line (none when empty), the
-    column names, then `rows`.
+    column names, then `rows`, streamed one line at a time.
 
-    A float cell is written as `repr(float(v))`, so numpy scalars print as
-    plain numbers; None is an empty cell.
+    Each line is its cells joined by "," and ended by CRLF. A float cell is
+    written as `repr(float(v))`, so numpy scalars print as plain numbers;
+    None is an empty cell, and anything else goes through `str`. The format
+    has no quoting: a cell holding ",", '"', CR or LF, or a row that would
+    be a blank line, raises ValueError.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header:
             fh.write(header.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
-        )
+        fh.write(_table_line(columns))
+        fh.writelines(map(_table_line, rows))
 
 
 def read_table(path):

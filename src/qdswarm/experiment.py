@@ -15,6 +15,7 @@ files and becomes a no-op.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -385,12 +386,22 @@ def _record_row(record: RecoveryRecord) -> list:
 
 
 def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
-    """Sample combined faults per replicate and write recovery records."""
+    """Sample combined faults per replicate and write recovery records.
+
+    A replicate's `reevaluation.csv` must exist and carry this config's hash.
+    """
     header = provenance(config)
     for rep, rep_dir, rep_seed in _pending(config, "faults", log):
-        if not (rep_dir / "reevaluation.csv").exists():
+        reevaluation = rep_dir / "reevaluation.csv"
+        if not reevaluation.exists():
             raise FileNotFoundError(
                 f"{rep_dir} has no reevaluation.csv; run the reevaluate stage first"
+            )
+        stored_hash = read_provenance(reevaluation).get("config_hash")
+        if stored_hash != config_hash(config):
+            raise ConfigError(
+                f"{reevaluation} was written under config_hash={stored_hash}, not this "
+                f"run's config_hash={config_hash(config)}; rerun reevaluate with this config"
             )
         archive = load_archive(rep_dir / "archive", config["algorithm"])
         fault_rng = derive_rng(config["seed"], "faults", rep)
@@ -451,14 +462,19 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
                 summary_rows.append([task, algorithm, x_field, y_field, "", "", ""])
                 continue
             grid_name = f"signature_{x_field}_{y_field}_{task}_{algorithm}.csv"
+            # one row per (x, y) grid point, x-major; each axis value is
+            # formatted once, not once per row
+            xs = [repr(v) for v in sig.x_grid.tolist()]
+            ys = [repr(v) for v in sig.y_grid.tolist()]
             write_table(
                 out / grid_name,
                 header,
                 [x_field, y_field, "density"],
                 (
-                    [gx, gy, sig.density[i, j]]
-                    for i, gx in enumerate(sig.x_grid)
-                    for j, gy in enumerate(sig.y_grid)
+                    [gx, gy, density]
+                    for (gx, gy), density in zip(
+                        itertools.product(xs, ys), sig.density.ravel().tolist()
+                    )
                 ),
             )
             summary_rows.append(

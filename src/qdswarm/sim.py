@@ -20,7 +20,9 @@ ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. A batch's obstacle arrays
 are padded to its largest obstacle count with boxes centred at
 PADDING_BOX_CENTRE, far outside every arena: never within a sensor's reach,
 never pushing a robot. Each `TrialLog` carries its trial's `env` and its own
-obstacle centres.
+obstacle centres. Trials of one call that share an (environment, seed) pair
+are placed once, and collision passes compute the geometry of the pairs
+i < j only.
 """
 
 from dataclasses import dataclass
@@ -283,12 +285,11 @@ def rab_activations(neighbor_rel, rab_range) -> np.ndarray:
     closest = np.full((len(rel), N_RAB_CONES), np.inf)
     if count:
         ranges = np.hypot(rel[..., 0], rel[..., 1])
-        bearings = np.arctan2(rel[..., 1], rel[..., 0])
-        cones = (
-            np.floor((bearings + RAB_CONE_HALF) / RAB_CONE_WIDTH).astype(int) % N_RAB_CONES
-        )
         rows, cols = np.nonzero(ranges <= rab_range)
-        np.minimum.at(closest, (rows, cones[rows, cols]), ranges[rows, cols])
+        seen = rel[rows, cols]
+        bearings = np.arctan2(seen[:, 1], seen[:, 0])
+        cones = np.floor((bearings + RAB_CONE_HALF) / RAB_CONE_WIDTH).astype(int) % N_RAB_CONES
+        np.minimum.at(closest, (rows, cones), ranges[rows, cols])
     out = np.where(np.isfinite(closest), closest / rab_range, 1.0)
     return out.reshape(lead + (N_RAB_CONES,))
 
@@ -467,24 +468,37 @@ def _push_out_of_boxes(xy, boxes, r, half) -> np.ndarray:
     return pushed
 
 
+_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of n discs, in loop order."""
+    pairs = _PAIRS.get(n)
+    if pairs is None:
+        pairs = _PAIRS[n] = np.triu_indices(n, 1)
+    return pairs
+
+
 def _push_pairs_apart(xy, overlapping, diff, dist, overlap):
     """Push every overlapping pair (i < j) of discs (A, N, 2) apart by half
     the overlap each, in place, summing each robot's pushes in the order of
     a loop over the pairs (i, j) before adding them to its position.
 
-    In that loop a robot's pushes as the j of a pair all come before its
-    pushes as the i of one, so `np.add.at` over every j-side push followed
-    by every i-side push, each in pair order, adds them in the same order.
+    `overlapping`, `dist` and `overlap` are (A, P) and `diff` is (A, P, 2),
+    over the P pairs of `_pairs(N)`. In the loop a robot's pushes as the j of
+    a pair all come before its pushes as the i of one, so `np.add.at` over
+    every j-side push followed by every i-side push, each in pair order, adds
+    them in the same order.
     """
     n = xy.shape[1]
-    a, i, j = np.nonzero(overlapping)
-    upper = i < j
-    a, i, j = a[upper], i[upper], j[upper]
-    d = dist[a, i, j]
+    a, p = np.nonzero(overlapping)
+    i, j = _pairs(n)
+    i, j = i[p], j[p]
+    d = dist[a, p]
     distinct = d > 1e-12
-    unit = diff[a, i, j] / np.where(distinct, d, 1.0)[:, None]
+    unit = diff[a, p] / np.where(distinct, d, 1.0)[:, None]
     unit[~distinct] = (1.0, 0.0)  # coincident centres
-    step = 0.5 * overlap[a, i, j][:, None] * unit
+    step = 0.5 * overlap[a, p][:, None] * unit
     push = np.zeros((xy.size // 2, 2))
     np.add.at(push, np.concatenate([a * n + j, a * n + i]), np.concatenate([-step, step]))
     xy += push.reshape(xy.shape)
@@ -520,12 +534,12 @@ def resolve_collisions(poses, obstacles, side) -> np.ndarray:
         )
         clean = np.ones(len(xy), dtype=bool)
         if n > 1:
-            diff = xy[:, :, None, :] - xy[:, None, :, :]
+            i, j = _pairs(n)
+            diff = xy[:, i] - xy[:, j]
             dist = np.hypot(diff[..., 0], diff[..., 1])
-            dist.reshape(len(xy), -1)[:, :: n + 1] = np.inf
             overlap = 2 * r - dist
             overlapping = overlap > PAIR_OVERLAP_TOL
-            clean = ~overlapping.reshape(len(xy), -1).any(axis=1)
+            clean = ~overlapping.any(axis=1)
             if not clean.all():
                 _push_pairs_apart(xy, overlapping, diff, dist, overlap)
         check = clean & box_pushed
@@ -561,7 +575,10 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     padded with PADDING_BOX_CENTRE boxes. Each trial keeps its own RNG (its
     placement, then its fault noise), controller state and collision
     passes, so its log is a deterministic function of its own arguments:
-    bit-identical alone or in any batch.
+    bit-identical alone or in any batch. A trial whose (env, seed) pair
+    came earlier in the call copies that trial's obstacles and poses and
+    gets a new generator set to its post-placement state, instead of
+    placing again; the copies live only as long as the call.
 
     Raises PlacementError for the first trial that cannot be placed; the
     error's `trial` attribute is that trial's index in the batch. An empty
@@ -592,13 +609,20 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     rngs = []
     obstacles = np.full((batch, max(env.n_obstacles for env in envs), 2), PADDING_BOX_CENTRE)
     poses = np.empty((batch, n, 3))
+    # (env, seed) -> obstacles, poses and generator state after placement
+    placed = {}
     for b, (env, seed) in enumerate(zip(envs, seeds)):
         rng = np.random.default_rng(seed)
-        try:
-            obstacles[b, : env.n_obstacles], poses[b] = place_entities(rng, env)
-        except PlacementError as exc:
-            exc.trial = b
-            raise
+        key = (env, seed)
+        if key in placed:
+            obstacles[b, : env.n_obstacles], poses[b], rng.bit_generator.state = placed[key]
+        else:
+            try:
+                obstacles[b, : env.n_obstacles], poses[b] = place_entities(rng, env)
+            except PlacementError as exc:
+                exc.trial = b
+                raise
+            placed[key] = (obstacles[b, : env.n_obstacles], poses[b], rng.bit_generator.state)
         rngs.append(rng)
     plan = _compile_faults(fault_arr, rngs, n_cycles)
 

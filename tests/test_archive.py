@@ -228,6 +228,27 @@ class TestPersistence:
         write_table(tmp_path / "bare.csv", "", ["a"], [[2.5]])
         assert (tmp_path / "bare.csv").read_bytes() == b"a\r\n2.5\r\n"
 
+    def test_table_bytes_of_edge_cells(self, tmp_path):
+        """Signed zero, subnormal, large and small floats, nan, inf, numpy
+        scalars, None and a string, pinned as the `csv.writer` table wrote them."""
+        rows = [
+            [-0.0, 5e-324, 1e16, 1e-05, float("nan"), float("inf")],
+            [np.float64(0.1), np.float64(-1.5e-300), np.int64(-7), None, "plain", -float("inf")],
+        ]
+        write_table(tmp_path / "t.csv", "# qdswarm provenance", list("abcdef"), iter(rows))
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"# qdswarm provenance\na,b,c,d,e,f\r\n"
+            b"-0.0,5e-324,1e+16,1e-05,nan,inf\r\n"
+            b"0.1,-1.5e-300,-7,,plain,-inf\r\n"
+        )
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    def test_cell_that_needs_quoting_rejected(self, tmp_path, char):
+        with pytest.raises(ValueError, match="quoting"):
+            write_table(tmp_path / "t.csv", "", ["a", "b"], [[1, f"x{char}y"]])
+        with pytest.raises(ValueError, match="quoting"):
+            write_table(tmp_path / "t.csv", "", [f"a{char}", "b"], [])
+
 
 def test_one_module_imports_csv():
     """Every table goes through `write_table` and `read_table`, so `archive`

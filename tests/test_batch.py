@@ -27,7 +27,10 @@ from qdswarm.sim import (
     MAX_RESOLUTION_PASSES,
     FaultType,
     PlacementError,
+    _apply_sensor_faults_batch,
+    _compile_faults,
     place_entities,
+    rab_activations,
     resolve_collisions,
     run_trial,
     run_trials,
@@ -180,6 +183,70 @@ def test_mixed_environment_batches_match_per_trial_oracle(batch):
     assert_batch_matches_oracle(batch)
 
 
+# Two environments of one swarm size and three seeds, so (environment, seed)
+# pairs repeat within a batch under other genomes and faults.
+REPEATED_ENVS = (
+    EnvironmentSpec(max_linear_speed=0.20, n_robots=5, arena_side=2.0, n_obstacles=6),
+    EnvironmentSpec(0.10, 5, 3.0, 2, 0.50, 0.11),
+)
+ROFS_AND_PRAND = [FaultType.ROFS, FaultType.PRAND, FaultType.NONE, FaultType.PRAND, FaultType.ROFS]
+
+
+@st.composite
+def repeated_key_batches(draw):
+    """(envs, genomes, faults, seeds) of 2-24 five-robot trials whose
+    environment comes from a pool of 2 and whose seed from a pool of 3."""
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3, unique=True))
+    fault = st.one_of(
+        st.none(),
+        st.just(ROFS_AND_PRAND),
+        st.lists(st.sampled_from(list(FaultType)), min_size=5, max_size=5),
+    )
+    trials = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(REPEATED_ENVS),
+                st.sampled_from(GENOMES),
+                fault,
+                st.sampled_from(seeds),
+            ),
+            min_size=2,
+            max_size=24,
+        )
+    )
+    return tuple(list(column) for column in zip(*trials))
+
+
+@BATCH_SETTINGS
+@given(repeated_key_batches())
+@example(
+    (
+        [REPEATED_ENVS[0], REPEATED_ENVS[0], REPEATED_ENVS[1], REPEATED_ENVS[0], REPEATED_ENVS[1]],
+        [GENOMES[3], GENOMES[4], GENOMES[3], GENOMES[2], GENOMES[5]],
+        [ROFS_AND_PRAND, [FaultType.PRAND] * 5, None, [FaultType.ROFS] * 5, ROFS_AND_PRAND],
+        [5, 5, 5, 6, 5],
+    )
+)
+def test_repeated_placements_match_per_trial_oracle(batch):
+    """A trial whose (environment, seed) came earlier in the batch starts from
+    a copy of that trial's placement and post-placement generator state, and
+    its log is still the one it has alone."""
+    assert_batch_matches_oracle(batch)
+
+
+def test_repeated_crowded_key_fails_at_its_first_index():
+    crowded = EnvironmentSpec(n_robots=20, arena_side=0.8, n_obstacles=2)  # seed 0 fails, 1 places
+    genomes = [GENOMES[1], GENOMES[3], Genome(), GENOMES[3]]
+    faults = [None, [FaultType.ROFS] * 20, None, [FaultType.PRAND] * 20]
+    assert_batch_matches_oracle(([crowded] * 2, genomes[:2], faults[:2], [1, 1]))
+    with pytest.raises(PlacementError) as info:
+        run_trials([crowded] * 4, genomes, faults, [1, 1, 0, 0], duration=1.0)
+    assert info.value.trial == 2
+    with pytest.raises(PlacementError) as alone:
+        oracles.run_trial(crowded, Genome(), None, 0, 1.0)
+    assert str(info.value) == str(alone.value)
+
+
 def test_run_trial_is_a_batch_of_one():
     faults = [FaultType.PRAND, FaultType.ROFS] * 5
     alone = run_trial(NORMAL_ENV, GENOMES[3], faults=faults, seed=4, duration=2.0)
@@ -207,6 +274,71 @@ def test_placement_error_names_the_trial():
 def test_malformed_batch_rejected(envs, seeds, message):
     with pytest.raises(ValueError, match=message):
         run_trials(envs, [Genome()] * len(seeds), [None] * len(seeds), seeds, duration=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Range and bearing
+
+
+RAB_RANGE = 0.5
+
+
+def _at_bearing(degrees, distance=0.3):
+    theta = np.radians(degrees)
+    return (distance * np.cos(theta), distance * np.sin(theta))
+
+
+RAB_BOUNDARY_CASES = {
+    "at-range": [(RAB_RANGE, 0.0), (0.0, -RAB_RANGE), (-RAB_RANGE, 0.0), (0.3, 0.4)],
+    "just-beyond": [
+        (np.nextafter(RAB_RANGE, np.inf), 0.0),
+        (0.0, -np.nextafter(RAB_RANGE, np.inf)),
+        (0.3, np.nextafter(0.4, np.inf)),
+    ],
+    "cone-edges": [_at_bearing(a) for a in (22.5, -22.5, 157.5, -157.5, 180.0, -180.0)]
+    + [(-0.3, 0.0), (-0.3, -0.0)],
+    "coincident": [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAB_BOUNDARY_CASES))
+def test_rab_boundaries_match_oracle(case):
+    """Each neighbour alone, then all of them together, read by robots of
+    one shared range and of one range each."""
+    rel = np.array(RAB_BOUNDARY_CASES[case])
+    for neighbours in (rel[:, None, :], rel[None]):
+        per_robot = np.full(len(neighbours), RAB_RANGE)
+        for rab_range in (RAB_RANGE, per_robot):
+            got = rab_activations(neighbours, rab_range)
+            want = oracles.rab_activations(neighbours, np.reshape(rab_range, (-1, 1)))
+            assert bits_equal(got, want), rab_range
+
+
+def test_rofs_offsets_move_neighbours_across_the_range():
+    """Robots 0 and 1 have ROFS: each has one neighbour just inside the range
+    that its drawn offset carries out, and one just beyond it that the offset
+    brings in. The kernel's faulted readings equal the oracle's."""
+    fault_arr = np.array([[FaultType.ROFS, FaultType.ROFS, FaultType.NONE]])
+    plan = _compile_faults(fault_arr, [np.random.default_rng(5)], 1)
+    noise = plan.noise[0]
+    theta = noise[plan.angle_cols]
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    rel = np.empty((1, 3, 2, 2))
+    rel[0, :2, 0] = 0.99 * RAB_RANGE * unit  # in range; pushed out along its offset
+    rel[0, :2, 1] = -1.01 * RAB_RANGE * unit  # beyond; the offset brings it to ~0.2 range
+    rel[0, 2] = [(0.2, 0.1), (-0.6, 0.0)]
+    prox = np.full((1, 3, 7), 0.25)
+    clean = rab_activations(rel, RAB_RANGE)
+    got_prox, got = _apply_sensor_faults_batch(prox, rel, plan, np.array([RAB_RANGE]), noise)
+    want_prox, want = oracles.apply_sensor_faults(
+        prox[0], rel[0], fault_arr[0], RAB_RANGE, np.random.default_rng(5)
+    )
+    assert bits_equal(got[0], want) and bits_equal(got_prox[0], want_prox)
+    for robot in (0, 1):
+        # one neighbour read before the offset, the other one after it
+        assert (clean[0, robot] < 1).sum() == (got[0, robot] < 1).sum() == 1
+        assert not np.array_equal(clean[0, robot], got[0, robot])
+    assert bits_equal(got[0, 2], clean[0, 2])
 
 
 # ---------------------------------------------------------------------------

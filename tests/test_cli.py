@@ -214,6 +214,19 @@ class TestPipeline:
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
         assert main(["faults", "--out", out]) != 0
 
+    def test_faults_rejects_reevaluation_of_another_config(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        records = tmp_path / "run" / "rep00" / "records.csv"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out, "--seed", "12"]) == 0
+        capsys.readouterr()
+        assert main(["faults", "--out", out, "--seed", "13"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not records.exists()
+        assert main(["faults", "--out", out, "--seed", "12"]) == 0
+        assert records.exists()
+
     def test_evolve_rejects_another_config_in_same_out(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out]) == 0

@@ -6,16 +6,25 @@ one worker and on two (outputs must not depend on `--threads`). The files
 that `export --what descriptors` and `export --what triallog` write for the
 QED run's best elite are pinned the same way, as are the tables that
 `analyze` writes over the QED and SDBC runs together and the two that
-`export --what projection` writes for the SDBC run.
+`export --what projection` writes for the SDBC run. Below the pipeline, one
+digest covers every task's fitness and every descriptor over a fixed set of
+trials in environments with boxes, some under combined faults with ROFS.
 Refactors must keep these bytes; a change that alters results on purpose
 updates the hashes and says why.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qdswarm.cli import main
+from qdswarm.descriptors import compute_hbd, compute_sdbc, compute_spirit
+from qdswarm.environment import NORMAL_ENV, env_from_index
+from qdswarm.genome import random_genome
+from qdswarm.recovery import sample_combined_fault
+from qdswarm.sim import FaultType, run_trial
+from qdswarm.tasks import TaskKind, fitness
 
 COMMON = """
 task = aggregation
@@ -134,3 +143,41 @@ def test_export_csvs_byte_identical(tmp_path):
     assert main(["export", "--out", out, "--what", "triallog"]) == 0
     digests = _csv_digests(tmp_path / "run" / "rep00")
     assert {name: digests[name] for name in EXPORT_GOLDEN if name in digests} == EXPORT_GOLDEN
+
+
+# (environment index, faulted, trial seed) of the fitness/descriptor digest:
+# every swarm size and box count, in groups of three trials.
+DIGEST_TRIALS = (
+    ((1, 1, 1, 1, 2, 1), False, 0),
+    ((3, 0, 0, 3, 0, 3), True, 1),
+    ((2, 3, 0, 2, 3, 2), True, 2),
+    ((0, 2, 2, 3, 1, 0), False, 3),
+    ((1, 3, 3, 1, 2, 3), True, 4),
+    ((3, 1, 1, 2, 3, 1), True, 5),
+    ((2, 0, 3, 3, 0, 2), False, 6),
+    ((3, 2, 1, 1, 2, 3), True, 7),
+    ((1, 1, 0, 3, 3, 1), True, 8),
+    (None, True, 9),
+    ((0, 3, 2, 2, 1, 2), True, 10),
+    ((2, 2, 0, 1, 3, 0), False, 11),
+)
+FITNESS_DESCRIPTOR_DIGEST = "808fbba5bca754f9f1f8f6cc5e144d9b84e70500507341363691f7924ce82fbb"
+
+
+def test_fitnesses_and_descriptors_bit_identical():
+    digest = hashlib.sha256()
+    logs = []
+    for index, faulted, seed in DIGEST_TRIALS:
+        env = NORMAL_ENV if index is None else env_from_index(index)
+        faults = None
+        if faulted:
+            faults = sample_combined_fault(np.random.default_rng(seed), env.n_robots)
+            faults[0] = FaultType.ROFS
+        log = run_trial(env, random_genome(np.random.default_rng(100 + seed)), faults, seed, 30.0)
+        digest.update(" ".join(repr(fitness(task, log)) for task in TaskKind).encode())
+        logs.append(log)
+    for start in range(0, len(logs), 3):
+        group = logs[start : start + 3]
+        for compute in (compute_hbd, compute_sdbc, compute_spirit):
+            digest.update(compute(group).tobytes())
+    assert digest.hexdigest() == FITNESS_DESCRIPTOR_DIGEST

@@ -11,7 +11,6 @@ for real runs.
 """
 
 from qdswarm import EvolutionConfig, evolve
-from qdswarm.archive import archive_best
 
 for algorithm in ("qed", "hbd"):
     config = EvolutionConfig(
@@ -31,7 +30,7 @@ for algorithm in ("qed", "hbd"):
             f"  gen {row.generation:3d}  evals {row.evaluations:4d}  "
             f"coverage {row.coverage:3d}  best {row.best:.4f}  mean {row.mean:.4f}"
         )
-    best = archive_best(result.archive)
+    best = max(result.archive.cells.values(), key=lambda elite: elite.performance)
     print(f"  best elite: performance {best.performance:.4f} "
           f"({best.genome.hidden} hidden, {len(best.genome.connections)} connections)")
     # elitism: replacements only ever improve a cell, and an equal score

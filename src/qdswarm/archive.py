@@ -20,6 +20,9 @@ from .genome import Genome, load_genome, save_genome
 ARCHIVE_CAPACITY = 4096
 CVT_ALGORITHMS = ("sdbc", "spirit")
 HBD_BINS = 16
+SIMPLEX_BLOCK = 16  # values per probability-simplex block of a spirit seed point
+ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
+CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
 
 
 @dataclass
@@ -117,14 +120,6 @@ def make_archive(algorithm: str, centroids=None) -> Archive:
     raise ValueError(f"unknown archive kind {algorithm!r}")
 
 
-def archive_best(archive) -> Elite:
-    return max(archive.cells.values(), key=lambda e: e.performance)
-
-
-def archive_mean(archive) -> float:
-    return float(np.mean([e.performance for e in archive.cells.values()]))
-
-
 # ---------------------------------------------------------------------------
 # CVT construction
 
@@ -137,24 +132,24 @@ def nearest_centroid(descriptor, centroids) -> int:
     return int(np.argmin(dist))
 
 
-def sample_simplex_blocks(rng, count: int, dim: int, block: int = 16) -> np.ndarray:
-    """Seed points whose consecutive `block`-sized slices each lie on the
-    probability simplex (uniformly, via normalised exponentials)."""
-    if dim % block:
+def sample_simplex_blocks(rng, count: int, dim: int) -> np.ndarray:
+    """Seed points whose consecutive SIMPLEX_BLOCK-sized slices each lie on
+    the probability simplex (uniformly, via normalised exponentials)."""
+    if dim % SIMPLEX_BLOCK:
         raise ValueError("dim must be a multiple of the block size")
-    draws = rng.exponential(1.0, size=(count, dim // block, block))
+    draws = rng.exponential(1.0, size=(count, dim // SIMPLEX_BLOCK, SIMPLEX_BLOCK))
     draws /= draws.sum(axis=2, keepdims=True)
     return draws.reshape(count, dim)
 
 
-def _assign(points, centroids, chunk: int = 2048) -> np.ndarray:
+def _assign(points, centroids) -> np.ndarray:
     """Nearest-centroid labels, chunked to bound memory for large clouds."""
     norms = (centroids**2).sum(axis=1)
     labels = np.empty(len(points), dtype=np.int64)
-    for start in range(0, len(points), chunk):
-        block = points[start : start + chunk]
+    for start in range(0, len(points), ASSIGN_CHUNK):
+        block = points[start : start + ASSIGN_CHUNK]
         scores = norms[None, :] - 2.0 * (block @ centroids.T)
-        labels[start : start + chunk] = np.argmin(scores, axis=1)
+        labels[start : start + ASSIGN_CHUNK] = np.argmin(scores, axis=1)
     return labels
 
 
@@ -178,27 +173,20 @@ def generate_cvt_centroids(
     seed: int = 0,
     simplex_blocks: bool = False,
     max_iter: int = 100,
-    tol: float = 1e-6,
-    points=None,
 ) -> np.ndarray:
     """Lloyd's k-means over a uniform seed cloud.
 
-    With `simplex_blocks`, seeds are drawn per 16-value block uniformly on
+    With `simplex_blocks`, seeds are drawn per SIMPLEX_BLOCK values uniformly on
     the probability simplex, so centroids inherit unit block sums. Iteration
-    stops when the largest centroid shift falls below `tol`. An explicit
-    `points` cloud overrides the internal sampling.
+    stops when the largest centroid shift falls below CVT_TOL.
     """
-    rng = np.random.default_rng(seed)
-    if points is not None:
-        points = np.asarray(points, dtype=float)
-        n_seeds, dim = points.shape
     if n_seeds < k:
         raise ValueError(f"need at least k={k} seed points, got {n_seeds}")
-    if points is None:
-        if simplex_blocks:
-            points = sample_simplex_blocks(rng, n_seeds, dim)
-        else:
-            points = rng.random((n_seeds, dim))
+    rng = np.random.default_rng(seed)
+    if simplex_blocks:
+        points = sample_simplex_blocks(rng, n_seeds, dim)
+    else:
+        points = rng.random((n_seeds, dim))
     # Lloyd starts from a uniform distinct subset of the cloud: on uniform
     # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
     centroids = points[np.sort(rng.choice(len(points), size=k, replace=False))]
@@ -210,7 +198,7 @@ def generate_cvt_centroids(
         new[occupied] = sums[occupied] / counts[occupied, None]
         shift = np.linalg.norm(new - centroids, axis=1).max()
         centroids = new
-        if shift < tol:
+        if shift < CVT_TOL:
             break
     return centroids
 

@@ -10,9 +10,11 @@ environment index used by the environment-diversity archive
 
 import numpy as np
 
-from .sim import MAX_ANGULAR_SPEED, TrialLog
+from .sim import MAX_ANGULAR_SPEED, TrialLog, pair_distances, pair_indices
 
 HBD_CELL_SIZE = 0.11  # robot-sized visitation cells
+GEOMETRIC_MEDIAN_TOL = 1e-9  # Weiszfeld stops once a step is shorter than this
+GEOMETRIC_MEDIAN_MAX_ITER = 1000
 
 SPIRIT_STATES = 64
 SPIRIT_ACTIONS = 16
@@ -58,7 +60,7 @@ def compute_hbd(logs: list[TrialLog]) -> np.ndarray:
 # Systematically derived descriptor
 
 
-def geometric_median(points, tol: float = 1e-9, max_iter: int = 1000) -> np.ndarray:
+def geometric_median(points) -> np.ndarray:
     """Weiszfeld iteration for the point minimising summed Euclidean distance.
 
     An exact hit on an input point is nudged off before continuing, keeping
@@ -70,7 +72,7 @@ def geometric_median(points, tol: float = 1e-9, max_iter: int = 1000) -> np.ndar
     if len(pts) == 1:
         return pts[0].copy()
     x = pts.mean(axis=0)
-    for _ in range(max_iter):
+    for _ in range(GEOMETRIC_MEDIAN_MAX_ITER):
         d = np.linalg.norm(pts - x, axis=1)
         if (d < 1e-15).any():
             x = x + 1e-12
@@ -79,7 +81,7 @@ def geometric_median(points, tol: float = 1e-9, max_iter: int = 1000) -> np.ndar
                 return x
         w = 1.0 / d
         new = (pts * w[:, None]).sum(axis=0) / w.sum()
-        if np.linalg.norm(new - x) < tol:
+        if np.linalg.norm(new - x) < GEOMETRIC_MEDIAN_TOL:
             return new
         x = new
     return x
@@ -98,13 +100,9 @@ def _per_cycle_features(log: TrialLog) -> np.ndarray:
         np.minimum(xy[..., 0], side - xy[..., 0]),
         np.minimum(xy[..., 1], side - xy[..., 1]),
     ).mean(axis=1) / m
-    diff = xy[:, :, None, :] - xy[:, None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    n = log.n_robots
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    pair = dist[:, upper].mean(axis=1) / m
-    idx = np.arange(n)
-    dist[:, idx, idx] = np.inf
+    dist = pair_distances(log.poses)
+    i, j = pair_indices(log.n_robots)
+    pair = dist[:, i, j].mean(axis=1) / m
     nn = dist.min(axis=2).mean(axis=1) / m
     return np.stack([v, w, wall, pair, nn], axis=1)
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import CVT_ALGORITHMS, Elite, archive_best, archive_mean, make_archive
+from .archive import CVT_ALGORITHMS, Elite, make_archive
 from .environment import NORMAL_ENV, env_index, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
 from .seeding import derive_rng, trial_seeds
@@ -21,8 +21,8 @@ from .tasks import TaskKind, evaluator
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = ("hbd", "sdbc", "spirit", "qed")
 DESCRIPTOR_DIMS = {"hbd": 3, "sdbc": 10, "spirit": 1024, "qed": 6}
+ALGORITHMS = tuple(DESCRIPTOR_DIMS)
 
 
 @dataclass
@@ -123,15 +123,14 @@ def evolve(config: EvolutionConfig) -> EvolveResult:
                 )
 
     def snapshot(generation: int):
-        best = archive_best(archive).performance if archive.cells else 0.0
-        mean = archive_mean(archive) if archive.cells else 0.0
+        scores = [elite.performance for elite in archive.cells.values()] or [0.0]
         stats.append(
             GenerationStats(
                 generation=generation,
                 evaluations=counter,
                 coverage=archive.coverage,
-                best=best,
-                mean=mean,
+                best=max(scores),
+                mean=float(np.mean(scores)),
             )
         )
 

@@ -22,9 +22,13 @@ PADDING_BOX_CENTRE, far outside every arena: never within a sensor's reach,
 never pushing a robot. Each `TrialLog` carries its trial's `env` and its own
 obstacle centres. Trials of one call that share an (environment, seed) pair
 are placed once, and collision passes compute the geometry of the pairs
-i < j only.
+i < j only. Each swarm-geometry quantity has one function here, which the
+fitness and descriptor modules call too: `pairwise_offsets`,
+`pair_distances`, `pair_indices`, and `_circle_box_offsets` for discs
+against boxes.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -202,6 +206,25 @@ def pairwise_offsets(poses) -> np.ndarray:
     return poses[..., None, :, :2] - poses[..., :, None, :2]
 
 
+def pair_distances(poses) -> np.ndarray:
+    """(..., N, N) robot-to-robot distances, the lengths of `pairwise_offsets(poses)`,
+    with inf on the diagonal."""
+    rel = pairwise_offsets(poses)
+    dist = np.hypot(rel[..., 0], rel[..., 1])
+    idx = np.arange(dist.shape[-1])
+    dist[..., idx, idx] = np.inf
+    return dist
+
+
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of n robots, in loop order;
+    read-only, since every caller shares them."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def proximity_activations(poses, obstacles, side, proximity_range, rel=None) -> np.ndarray:
     """Proximity readings of B trials, (B, N, 7) activations in [0, 1].
 
@@ -225,7 +248,7 @@ def proximity_activations(poses, obstacles, side, proximity_range, rel=None) -> 
     reach = proximity_range + ROBOT_RADIUS + CULL_MARGIN
     if obstacles.shape[1]:
         half = OBSTACLE_SIDE / 2
-        b, i, k = np.nonzero(_circle_box_distance(xy, obstacles, half) <= reach)
+        b, i, k = np.nonzero(_circle_box_offsets(xy, obstacles, half)[1] <= reach)
         if len(b):
             np.minimum.at(t, (b, i), _ray_box_t(xy[b, i], dirs[b, i], obstacles[b, k], half))
     if n > 1:
@@ -241,15 +264,9 @@ def proximity_activations(poses, obstacles, side, proximity_range, rel=None) -> 
     return np.clip(1.0 - distance / proximity_range, 0.0, 1.0)
 
 
-_OFFDIAG_MASKS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _offdiag_mask(n: int) -> np.ndarray:
-    mask = _OFFDIAG_MASKS.get(n)
-    if mask is None:
-        mask = ~np.eye(n, dtype=bool)
-        _OFFDIAG_MASKS[n] = mask
-    return mask
+    return ~np.eye(n, dtype=bool)
 
 
 def body_frame_offsets(poses, rel=None) -> np.ndarray:
@@ -363,33 +380,35 @@ def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
 
 def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_range, noise):
     """Faulted (proximity, rab) arrays of B trials for one cycle; `rab_range`
-    is (B,) and `noise` is the cycle's row of `plan.noise`."""
+    is (B,) and `noise` is the cycle's row of `plan.noise`. A ROFS robot's
+    neighbour offsets are shifted by its offset before the one RAB reading
+    of the batch."""
     rab_range = rab_range[:, None]
-    rab = rab_activations(neighbor_rel, rab_range)
     if plan.any_prox:
         proximity = proximity.copy()
         proximity[plan.pmin, :N_FRONT_PROXIMITY] = 0.0
         proximity[plan.pmax, :N_FRONT_PROXIMITY] = 1.0
         proximity[plan.prand, :N_FRONT_PROXIMITY] = noise[plan.prand_cols]
     if len(plan.radius_cols):
-        rab_range = np.broadcast_to(rab_range, plan.rofs.shape)[plan.rofs]
-        r = noise[plan.radius_cols] * rab_range
+        r = noise[plan.radius_cols] * np.broadcast_to(rab_range, plan.rofs.shape)[plan.rofs]
         theta = noise[plan.angle_cols]
         offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        rab[plan.rofs] = rab_activations(neighbor_rel[plan.rofs] + offsets[:, None, :], rab_range)
-    return proximity, rab
+        neighbor_rel = neighbor_rel.copy()
+        neighbor_rel[plan.rofs] += offsets[:, None, :]
+    return proximity, rab_activations(neighbor_rel, rab_range)
 
 
 # ---------------------------------------------------------------------------
 # Placement and collision resolution
 
 
-def _circle_box_distance(xy, centers, half):
-    """Distance from points (..., N, 2) to boxes (..., K, 2); (..., N, K)."""
+def _circle_box_offsets(xy, centers, half):
+    """Offsets (..., N, K, 2) of points (..., N, 2) from their nearest points
+    on boxes (..., K, 2) of half side `half`, and their lengths (..., N, K)."""
     boxes = centers[..., None, :, :]
     nearest = np.clip(xy[..., :, None, :], boxes - half, boxes + half)
     delta = xy[..., :, None, :] - nearest
-    return np.hypot(delta[..., 0], delta[..., 1])
+    return delta, np.hypot(delta[..., 0], delta[..., 1])
 
 
 def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
@@ -410,7 +429,6 @@ def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
                 break
         else:
             raise PlacementError(f"could not place obstacle {k + 1} of {env.n_obstacles}")
-    lo, hi = obstacles - half, obstacles + half
     poses = np.empty((env.n_robots, 3))
     for i in range(env.n_robots):
         for _ in range(PLACEMENT_ATTEMPTS):
@@ -420,8 +438,7 @@ def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
                 if np.hypot(d[:, 0], d[:, 1]).min() < 2 * ROBOT_RADIUS:
                     continue
             if len(obstacles):
-                d = xy - np.clip(xy, lo, hi)
-                if np.hypot(d[:, 0], d[:, 1]).min() < ROBOT_RADIUS:
+                if _circle_box_offsets(xy[None], obstacles, half)[1].min() < ROBOT_RADIUS:
                     continue
             poses[i, :2] = xy
             poses[i, 2] = rng.uniform(-np.pi, np.pi)
@@ -443,9 +460,7 @@ def _push_out_of_boxes(xy, boxes, r, half) -> np.ndarray:
     """
     n = xy.shape[1]
     pushed = np.zeros(len(xy), dtype=bool)
-    nearest = np.clip(xy[:, :, None, :], boxes[:, None] - half, boxes[:, None] + half)
-    delta = xy[:, :, None, :] - nearest
-    dist = np.hypot(delta[..., 0], delta[..., 1])
+    delta, dist = _circle_box_offsets(xy, boxes, half)
     a, i, k = np.nonzero(dist < r)
     if not len(a):
         return pushed
@@ -468,31 +483,20 @@ def _push_out_of_boxes(xy, boxes, r, half) -> np.ndarray:
     return pushed
 
 
-_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the pairs i < j of n discs, in loop order."""
-    pairs = _PAIRS.get(n)
-    if pairs is None:
-        pairs = _PAIRS[n] = np.triu_indices(n, 1)
-    return pairs
-
-
 def _push_pairs_apart(xy, overlapping, diff, dist, overlap):
     """Push every overlapping pair (i < j) of discs (A, N, 2) apart by half
     the overlap each, in place, summing each robot's pushes in the order of
     a loop over the pairs (i, j) before adding them to its position.
 
     `overlapping`, `dist` and `overlap` are (A, P) and `diff` is (A, P, 2),
-    over the P pairs of `_pairs(N)`. In the loop a robot's pushes as the j of
-    a pair all come before its pushes as the i of one, so `np.add.at` over
-    every j-side push followed by every i-side push, each in pair order, adds
-    them in the same order.
+    over the P pairs of `pair_indices(N)`. In the loop a robot's pushes as
+    the j of a pair all come before its pushes as the i of one, so
+    `np.add.at` over every j-side push followed by every i-side push, each in
+    pair order, adds them in the same order.
     """
     n = xy.shape[1]
     a, p = np.nonzero(overlapping)
-    i, j = _pairs(n)
+    i, j = pair_indices(n)
     i, j = i[p], j[p]
     d = dist[a, p]
     distinct = d > 1e-12
@@ -534,7 +538,7 @@ def resolve_collisions(poses, obstacles, side) -> np.ndarray:
         )
         clean = np.ones(len(xy), dtype=bool)
         if n > 1:
-            i, j = _pairs(n)
+            i, j = pair_indices(n)
             diff = xy[:, i] - xy[:, j]
             dist = np.hypot(diff[..., 0], diff[..., 1])
             overlap = 2 * r - dist
@@ -545,7 +549,7 @@ def resolve_collisions(poses, obstacles, side) -> np.ndarray:
         check = clean & box_pushed
         if check.any():
             moved = xy[check]
-            inside_box = _circle_box_distance(moved, boxes[check], half) < r - PAIR_OVERLAP_TOL
+            inside_box = _circle_box_offsets(moved, boxes[check], half)[1] < r - PAIR_OVERLAP_TOL
             off_arena = (moved < r) | (moved > wall[check])
             clean[check] = ~(inside_box.any(axis=(1, 2)) | off_arena.any(axis=(1, 2)))
         if not every:

@@ -16,6 +16,8 @@ EXACT_LIMIT = 12  # exact permutation enumeration up to this total sample size
 
 MAGNITUDE_THRESHOLDS = ((0.43, "large"), (0.28, "medium"), (0.11, "small"))
 
+IMPACT_CUTOFF = -0.5  # signature fits leave out performance drops beyond 50%
+
 
 @dataclass(frozen=True)
 class StatResult:
@@ -163,25 +165,23 @@ class SignatureResult:
     density: np.ndarray
 
 
-def signature(
-    records, x_field: str, y_field: str, gridsize: int = 100, impact_cutoff: float = -0.5
-) -> SignatureResult:
+def signature(records, x_field: str, y_field: str) -> SignatureResult:
     """Regression and density signature of one recovery metric against another.
 
-    Records with an impact below `impact_cutoff` (performance drops beyond
-    50%) are excluded from the slope/correlation fit; the density grid uses
-    all records.
+    Records with an impact below IMPACT_CUTOFF (performance drops beyond
+    50%) are excluded from the slope/correlation fit; the density grid, of
+    `kde_grid_2d`'s default size, uses all records.
     """
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least two records")
     xs = np.array([getattr(r, x_field) for r in records], dtype=float)
     ys = np.array([getattr(r, y_field) for r in records], dtype=float)
-    keep = np.array([getattr(r, "impact", 0.0) >= impact_cutoff for r in records])
+    keep = np.array([getattr(r, "impact", 0.0) >= IMPACT_CUTOFF for r in records])
     if keep.sum() < 2:
         raise ValueError("fewer than two records after the impact cut")
     slope, correlation = linear_fit(xs[keep], ys[keep])
-    gx, gy, density = kde_grid_2d(xs, ys, gridsize=gridsize)
+    gx, gy, density = kde_grid_2d(xs, ys)
     return SignatureResult(
         x_field=x_field,
         y_field=y_field,

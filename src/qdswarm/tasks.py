@@ -20,6 +20,7 @@ from .sim import (
     TRIAL_BATCH_ROBOT_CYCLES,
     PlacementError,
     TrialLog,
+    pair_distances,
     run_trials,
 )
 
@@ -39,11 +40,6 @@ FLOCKING_RANGE = 0.5  # metres
 FLOCKING_ANGLE = np.pi / 2.0
 
 
-def _pair_distances(xy):
-    diff = xy[:, :, None, :] - xy[:, None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
-
-
 def fitness_aggregation(log: TrialLog) -> float:
     """Mean of 1 - (distance to swarm centroid) / M over robots and cycles."""
     xy = log.poses[:, :, :2]
@@ -56,10 +52,7 @@ def fitness_dispersion(log: TrialLog) -> float:
     """Mean nearest-neighbour distance normalised by M/2, clamped to [0, 1]."""
     if log.n_robots < 2:
         raise ValueError("dispersion needs at least 2 robots")
-    dist = _pair_distances(log.poses[:, :, :2])
-    idx = np.arange(log.n_robots)
-    dist[:, idx, idx] = np.inf
-    nearest = dist.min(axis=2)
+    nearest = pair_distances(log.poses).min(axis=2)
     raw = float(np.mean(nearest / (log.env.diagonal / 2.0)))
     return min(1.0, max(0.0, raw))
 
@@ -74,7 +67,7 @@ def fitness_flocking(log: TrialLog) -> float:
     n = log.n_robots
     if n < 2:
         raise ValueError("flocking needs at least 2 robots")
-    dist = _pair_distances(log.poses[:, :, :2])
+    dist = pair_distances(log.poses)
     headings = log.poses[:, :, 2]
     dtheta = np.abs(
         np.remainder(headings[:, :, None] - headings[:, None, :] + np.pi, 2 * np.pi) - np.pi
@@ -84,6 +77,8 @@ def fitness_flocking(log: TrialLog) -> float:
         0.0, v[:, :, None] * v[:, None, :]
     )
     in_range = dist < FLOCKING_RANGE
+    # A masked sum over the full array: summing over `pair_indices(n)` instead
+    # reduces in another order and changes the last bits of the fitness.
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     total = float((reward * in_range * upper).sum())
     return total / (log.n_cycles * n * (n - 1) / 2.0)

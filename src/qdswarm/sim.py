@@ -405,9 +405,11 @@ def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_ra
 def _circle_box_offsets(xy, centers, half):
     """Offsets (..., N, K, 2) of points (..., N, 2) from their nearest points
     on boxes (..., K, 2) of half side `half`, and their lengths (..., N, K)."""
+    points = xy[..., :, None, :]
     boxes = centers[..., None, :, :]
-    nearest = np.clip(xy[..., :, None, :], boxes - half, boxes + half)
-    delta = xy[..., :, None, :] - nearest
+    # np.clip's values at a fraction of its call overhead, which placement
+    # pays once per attempt
+    delta = points - np.minimum(np.maximum(points, boxes - half), boxes + half)
     return delta, np.hypot(delta[..., 0], delta[..., 1])
 
 

@@ -146,7 +146,8 @@ def test_export_csvs_byte_identical(tmp_path):
 
 
 # (environment index, faulted, trial seed) of the fitness/descriptor digest:
-# every swarm size and box count, in groups of three trials.
+# every swarm size and box count, in groups of three trials. A faulted trial
+# runs a random combined fault with robot 0 set to ROFS.
 DIGEST_TRIALS = (
     ((1, 1, 1, 1, 2, 1), False, 0),
     ((3, 0, 0, 3, 0, 3), True, 1),

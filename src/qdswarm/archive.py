@@ -82,15 +82,8 @@ class Archive:
     def key_of(self, descriptor) -> int:
         if self.centroids is not None:
             return nearest_centroid(descriptor, self.centroids)
-        bins = self.binner(descriptor)
-        if len(bins) != len(self.dims):
-            raise ValueError("descriptor dimensionality mismatch")
-        key = 0
-        for b, d in zip(bins, self.dims):
-            if not 0 <= b < d:
-                raise ValueError(f"bin {bins} outside grid {self.dims}")
-            key = key * d + b
-        return key
+        # row-major; ValueError for a bin outside the grid or of the wrong length
+        return int(np.ravel_multi_index(self.binner(descriptor), self.dims))
 
     def try_insert(self, key: int, elite: Elite) -> bool:
         """Place `elite` at `key` on a strict improvement; incumbents win ties."""

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .experiment import (
+    PRESETS,
     ConfigError,
     provenance,
     resolve_config,
@@ -34,9 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="run directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
     parser.add_argument("--threads", type=int, default=1, help="parallel evaluation workers")
-    parser.add_argument(
-        "--preset", choices=("desk", "paper"), default="desk", help="configuration preset"
-    )
+    parser.add_argument("--preset", choices=PRESETS, default="desk", help="configuration preset")
 
 
 def build_parser() -> argparse.ArgumentParser:

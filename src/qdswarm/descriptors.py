@@ -154,6 +154,8 @@ def compute_spirit(logs: list[TrialLog]) -> np.ndarray:
     """(64, 16) conditional action distributions p(a|s) from state-action
     frequencies over all robots, cycles, and trials; unvisited states get the
     equiprobable distribution."""
+    if not logs:
+        raise ValueError("at least one trial log is required")
     counts = np.zeros((SPIRIT_STATES, SPIRIT_ACTIONS))
     for log in logs:
         states = spirit_states(log.proximity, log.rab).ravel()

@@ -9,7 +9,7 @@ perturbation set doubles as the environment descriptor used by the
 environment-diversity archive.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -51,14 +51,7 @@ class EnvironmentSpec:
     proximity_range: float = 0.11
 
     def attributes(self) -> tuple:
-        return (
-            self.max_linear_speed,
-            self.n_robots,
-            self.arena_side,
-            self.n_obstacles,
-            self.rab_range,
-            self.proximity_range,
-        )
+        return astuple(self)
 
     @property
     def diagonal(self) -> float:

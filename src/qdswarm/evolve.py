@@ -135,22 +135,21 @@ def evolve(config: EvolutionConfig) -> EvolveResult:
         )
 
     with evaluator(config.n_jobs) as run:
-        jobs = []
-        for i in range(config.initial_population):
-            enqueue(jobs, random_genome(derive_rng(config.seed, "init", i)))
-        consume(jobs, _run_batch(jobs, config, run))
-        snapshot(0)
-
-        for generation in range(1, config.generations + 1):
-            keys = sorted(archive.cells)
-            if not keys:
-                raise RuntimeError("archive is empty after initialisation")
-            selector = derive_rng(config.seed, "select", generation)
+        # generation 0 is the random initial population
+        for generation in range(config.generations + 1):
             jobs = []
-            for _ in range(config.evals_per_generation):
-                parent = archive.cells[keys[int(selector.integers(0, len(keys)))]]
-                child = mutate(parent.genome, config.mutation, derive_rng(config.seed, "mutate", counter))
-                enqueue(jobs, child)
+            if generation == 0:
+                for i in range(config.initial_population):
+                    enqueue(jobs, random_genome(derive_rng(config.seed, "init", i)))
+            else:
+                keys = sorted(archive.cells)
+                if not keys:
+                    raise RuntimeError("archive is empty after initialisation")
+                selector = derive_rng(config.seed, "select", generation)
+                for _ in range(config.evals_per_generation):
+                    parent = archive.cells[keys[int(selector.integers(0, len(keys)))]]
+                    child = mutate(parent.genome, config.mutation, derive_rng(config.seed, "mutate", counter))
+                    enqueue(jobs, child)
             consume(jobs, _run_batch(jobs, config, run))
             snapshot(generation)
 

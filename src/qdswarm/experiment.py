@@ -242,14 +242,6 @@ def write_manifest(directory, stage: str, files) -> None:
     )
 
 
-def _tree_files(directory, root) -> list[str]:
-    out = []
-    for path in sorted(Path(directory).rglob("*")):
-        if path.is_file():
-            out.append(str(path.relative_to(root)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -330,7 +322,8 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
         save_archive(result.archive, archive_dir, header=header)
         _write_dataclasses(rep_dir / "stats.csv", header, GenerationStats, result.stats)
         _write_dataclasses(rep_dir / "events.csv", header, InsertionEvent, result.events)
-        files = sorted(set(_tree_files(rep_dir, rep_dir)) - {"evolve.done"})
+        archive_files = (p for p in sorted(archive_dir.rglob("*")) if p.is_file())
+        files = [str(p.relative_to(rep_dir)) for p in archive_files] + ["stats.csv", "events.csv"]
         write_manifest(rep_dir, "evolve", files)
         log(f"evolve: {rep_dir} coverage={result.archive.coverage}")
     return replicate_dirs(config)
@@ -351,18 +344,16 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             n_jobs=n_jobs,
         )
         best_key, _ = _argbest(scores)
+        mean = float(np.mean(list(scores.values())))
         write_table(rep_dir / "reevaluation.csv", header, ["key", "performance"], sorted(scores.items()))
         write_table(
             rep_dir / "reevaluation_summary.csv",
             header,
             ["best_key", "best", "mean"],
-            [[best_key, scores[best_key], float(np.mean(list(scores.values())))]],
+            [[best_key, scores[best_key], mean]],
         )
         write_manifest(rep_dir, "reevaluate", ["reevaluation.csv", "reevaluation_summary.csv"])
-        log(
-            f"reevaluate: {rep_dir} best={scores[best_key]:.4f} "
-            f"mean={np.mean(list(scores.values())):.4f}"
-        )
+        log(f"reevaluate: {rep_dir} best={scores[best_key]:.4f} mean={mean:.4f}")
 
 
 # records.csv column -> (RecoveryRecord field, parser of its cell); the

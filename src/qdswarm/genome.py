@@ -72,8 +72,7 @@ class MutationParams:
 
 
 def _n_legal_pairs(hidden: int) -> int:
-    n_nodes = N_INPUTS + N_OUTPUTS + hidden
-    return n_nodes * (N_OUTPUTS + hidden)
+    return Genome(hidden).n_nodes() * (N_OUTPUTS + hidden)
 
 
 def _pair_from_flat(index: int, hidden: int) -> tuple[int, int]:
@@ -95,14 +94,9 @@ def random_genome(rng: np.random.Generator) -> Genome:
     return Genome(hidden, connections)
 
 
-def polynomial_mutation(
-    x: float,
-    rng: np.random.Generator,
-    eta: float = 15.0,
-    low: float = -WEIGHT_BOUND,
-    high: float = WEIGHT_BOUND,
-) -> float:
-    """Bounded polynomial mutation (Deb's operator) of a single real."""
+def polynomial_mutation(x: float, rng: np.random.Generator, eta: float = 15.0) -> float:
+    """Bounded polynomial mutation (Deb's operator) of a weight in [-WEIGHT_BOUND, WEIGHT_BOUND]."""
+    low, high = -WEIGHT_BOUND, WEIGHT_BOUND
     u = float(rng.random())
     d1 = (x - low) / (high - low)
     d2 = (high - x) / (high - low)
@@ -174,7 +168,7 @@ def mutate(genome: Genome, params: MutationParams, rng: np.random.Generator) -> 
         idx = int(rng.integers(0, len(connections)))
         old = connections[idx]
         used = {(c.source, c.target) for c in connections}
-        n_nodes = N_INPUTS + N_OUTPUTS + hidden
+        n_nodes = Genome(hidden).n_nodes()
         if rng.random() < 0.5:  # rewire the incoming (source) endpoint
             options = [
                 s for s in range(n_nodes)

@@ -18,26 +18,14 @@ MAGNITUDE_THRESHOLDS = ((0.43, "large"), (0.28, "medium"), (0.11, "small"))
 
 IMPACT_CUTOFF = -0.5  # signature fits leave out performance drops beyond 50%
 
+KDE_EXTEND = 3.0  # bandwidths the density grid reaches beyond the data
+
 
 @dataclass(frozen=True)
 class StatResult:
     p_value: float
     delta: float
     magnitude: str
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
-        i = j
-    return ranks
 
 
 def wilcoxon_rank_sum(x, y) -> float:
@@ -54,7 +42,9 @@ def wilcoxon_rank_sum(x, y) -> float:
         raise ValueError("both samples must be non-empty")
     combined = np.concatenate([x, y])
     total = n + m
-    ranks = _midranks(combined)
+    # a group of c tied values ending at sorted rank r shares the mid-rank r - (c - 1) / 2
+    _, group, tie_counts = np.unique(combined, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2)[group]
     w = float(ranks[:n].sum())
     mu = n * (total + 1) / 2.0
 
@@ -68,7 +58,6 @@ def wilcoxon_rank_sum(x, y) -> float:
                 count += 1
         return count / n_comb
 
-    _, tie_counts = np.unique(combined, return_counts=True)
     tie_term = float(((tie_counts**3) - tie_counts).sum())
     variance = n * m / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
     if variance <= 0:
@@ -129,11 +118,11 @@ def linear_fit(x, y) -> tuple[float, float]:
     return slope, correlation
 
 
-def kde_grid_2d(x, y, gridsize: int = 100, extend: float = 3.0):
+def kde_grid_2d(x, y, gridsize: int = 100):
     """Gaussian product-kernel density on a gridsize x gridsize grid.
 
     Bandwidth follows Scott's rule for d = 2: n^(-1/6) times the per-axis
-    sample standard deviation. The grid spans the data extended by `extend`
+    sample standard deviation. The grid spans the data extended by KDE_EXTEND
     bandwidths so the density integrates to ~1 over the grid.
     """
     x = np.asarray(x, dtype=float)
@@ -144,8 +133,8 @@ def kde_grid_2d(x, y, gridsize: int = 100, extend: float = 3.0):
     factor = n ** (-1.0 / 6.0)
     hx = max(factor * float(np.std(x, ddof=1)), 1e-9)
     hy = max(factor * float(np.std(y, ddof=1)), 1e-9)
-    gx = np.linspace(x.min() - extend * hx, x.max() + extend * hx, gridsize)
-    gy = np.linspace(y.min() - extend * hy, y.max() + extend * hy, gridsize)
+    gx = np.linspace(x.min() - KDE_EXTEND * hx, x.max() + KDE_EXTEND * hx, gridsize)
+    gy = np.linspace(y.min() - KDE_EXTEND * hy, y.max() + KDE_EXTEND * hy, gridsize)
     ux = (gx[:, None] - x[None, :]) / hx
     uy = (gy[:, None] - y[None, :]) / hy
     phi_x = np.exp(-0.5 * ux * ux) / math.sqrt(2.0 * math.pi)

@@ -100,13 +100,8 @@ def patrol_cell_trace(log: TrialLog) -> np.ndarray:
     return np.where(last_visit >= 0, np.maximum(0.0, 1.0 - PATROL_DECAY_PER_CYCLE * age), 0.0)
 
 
-def _border_mask() -> np.ndarray:
-    mask = np.zeros((PATROL_GRID_SIZE, PATROL_GRID_SIZE), dtype=bool)
-    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = True
-    return mask
-
-
-BORDER_MASK = _border_mask()
+BORDER_MASK = np.ones((PATROL_GRID_SIZE, PATROL_GRID_SIZE), dtype=bool)
+BORDER_MASK[1:-1, 1:-1] = False
 
 
 def fitness_patrolling(log: TrialLog) -> float:

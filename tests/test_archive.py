@@ -136,6 +136,20 @@ class TestGridGeometry:
         assert hbd_bins([1.0, 0.999, 0.5]) == (15, 15, 8)
         assert hbd_bins([0.0625, 0.0624, 0.9375]) == (1, 0, 15)
 
+    @pytest.mark.parametrize(
+        "archive, descriptor",
+        [
+            (Archive.hbd(), [0.5, 0.5]),
+            (Archive.hbd(), [0.5, 0.5, 0.5, 0.5]),
+            (Archive.qed(), (0, 1, 2, 3, 0, 4)),
+            (Archive.qed(), (0, 1, 2, 3, 0, -1)),
+            (Archive.qed(), (0, 1, 2)),
+        ],
+    )
+    def test_key_of_rejects_bins_off_the_grid(self, archive, descriptor):
+        with pytest.raises(ValueError):
+            archive.key_of(descriptor)
+
     def test_qed_key_decodes_to_environment(self, rng):
         archive = Archive.qed()
         for _ in range(50):

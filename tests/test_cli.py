@@ -1,3 +1,4 @@
+import json
 from dataclasses import astuple
 
 import numpy as np
@@ -138,6 +139,31 @@ class TestPipeline:
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
         assert "skipping" in capsys.readouterr().out
         assert (rep / "archive" / "index.csv").read_bytes() == before
+
+    def test_evolve_manifest_lists_only_evolve_outputs(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        rep = tmp_path / "run" / "rep00"
+        (rep / "evolve.done").unlink()
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        listed = set(json.loads((rep / "evolve.done").read_text())["files"])
+        genomes = {str(p.relative_to(rep)) for p in (rep / "archive" / "genomes").iterdir()}
+        assert genomes
+        assert listed == {"archive/index.csv", "stats.csv", "events.csv"} | genomes
+
+    def test_edited_evolve_output_reruns_evolve(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        stats = tmp_path / "run" / "rep00" / "stats.csv"
+        original = stats.read_bytes()
+        stats.write_bytes(original + b"edited\n")
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert stats.read_bytes() == original
 
     def test_byte_identical_across_directories(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -157,6 +157,12 @@ class TestSpiritStatesActions:
         assert spirit_actions(np.array([0.049, -0.051]), vmax) == 2 * 4 + 0
 
 
+@pytest.mark.parametrize("compute", [compute_hbd, compute_sdbc, compute_spirit])
+def test_no_logs_is_an_error(compute):
+    with pytest.raises(ValueError, match="at least one trial log is required"):
+        compute([])
+
+
 class TestComputeSpirit:
     def test_empty_log_gives_uniform(self):
         log = make_log(np.zeros((0, 2, 2)))

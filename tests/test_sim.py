@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from qdswarm.genome import Connection, Genome
 from qdswarm.sim import (
     AXLE_LENGTH,
     CONTROL_DT,
+    LOG_FIELDS,
     MAX_ANGULAR_SPEED,
     ROBOT_RADIUS,
     FaultType,
     PlacementError,
+    TrialLog,
     body_frame_offsets,
     differential_drive_step,
     place_entities,
@@ -311,6 +315,15 @@ class TestRunTrial:
         assert np.array_equal(a.proximity, b.proximity)
         assert np.array_equal(a.rab, b.rab)
         assert np.array_equal(a.commands, b.commands)
+
+    def test_log_table_is_the_per_cycle_fields(self):
+        names = [f.name for f in fields(TrialLog)]
+        assert list(LOG_FIELDS) == names[names.index("poses") : names.index("final_poses")]
+        # the 176 bytes per robot-cycle of TRIAL_BATCH_ROBOT_CYCLES and the README
+        assert 8 * sum(int(np.prod(shape)) for shape in LOG_FIELDS.values()) == 176
+        log = run_trial(NORMAL_ENV, spinning_genome(), seed=2, duration=1.0)
+        for name, shape in LOG_FIELDS.items():
+            assert getattr(log, name).shape == (5, NORMAL_ENV.n_robots) + shape, name
 
     def test_two_thousand_cycles_for_400s(self):
         log = run_trial(EnvironmentSpec(n_robots=5), Genome(), seed=1, duration=400.0)

@@ -176,7 +176,7 @@ class TestKde:
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1.0, 1250)
         y = rng.normal(0, 1.0, 1250)
-        gx, gy, _ = kde_grid_2d(x, y, extend=3.0)
+        gx, gy, _ = kde_grid_2d(x, y)
         h = 1250 ** (-1.0 / 6.0) * np.std(x, ddof=1)
         assert gx[0] == pytest.approx(x.min() - 3 * h, abs=1e-12)
         assert gx[-1] == pytest.approx(x.max() + 3 * h, abs=1e-12)

@@ -101,7 +101,7 @@ class Archive:
         return len(self.cells)
 
 
-def make_archive(algorithm: str, centroids=None) -> Archive:
+def make_archive(algorithm: str, centroids) -> Archive:
     """Empty archive of an algorithm: hbd and qed grids, or a CVT over
     `centroids` for sdbc and spirit."""
     if algorithm == "hbd":

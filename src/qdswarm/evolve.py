@@ -7,7 +7,6 @@ evaluation counter), and archive insertions happen in counter order, so runs
 are bit-reproducible regardless of evaluation parallelism.
 """
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,8 +17,6 @@ from .environment import NORMAL_ENV, env_index, generate_environment
 from .genome import Genome, MutationParams, mutate, random_genome
 from .seeding import derive_rng, trial_seeds
 from .tasks import TaskKind, evaluator
-
-log = logging.getLogger(__name__)
 
 DESCRIPTOR_DIMS = {"hbd": 3, "sdbc": 10, "spirit": 1024, "qed": 6}
 ALGORITHMS = tuple(DESCRIPTOR_DIMS)
@@ -75,8 +72,8 @@ class EvolveResult:
 
 
 def _run_batch(jobs, config: EvolutionConfig, run):
-    """(performance, descriptor, placement error) of each (counter, genome,
-    env, seeds) job, in job order."""
+    """(performance, descriptor) of each (counter, genome, env, seeds) job,
+    in job order."""
     kind = None if config.algorithm == "qed" else config.algorithm
     return run(
         [(config.task, env, genome, None, seeds, config.trial_duration, kind)
@@ -102,13 +99,9 @@ def evolve(config: EvolutionConfig) -> EvolveResult:
         counter += 1
 
     def consume(jobs, results):
-        for (res_counter, genome, env, _), (perf, descriptor, error) in zip(jobs, results):
+        for (res_counter, genome, env, _), (perf, descriptor) in zip(jobs, results):
             if config.algorithm == "qed":
                 descriptor = env_index(env)
-            if error is not None:
-                log.warning("evaluation %d failed placement: %s", res_counter, error)
-                if descriptor is None:
-                    continue
             key = archive.key_of(descriptor)
             incumbent = archive.cells.get(key)
             elite = Elite(genome=genome, performance=perf, descriptor=descriptor, env=env)
@@ -143,8 +136,6 @@ def evolve(config: EvolutionConfig) -> EvolveResult:
                     enqueue(jobs, random_genome(derive_rng(config.seed, "init", i)))
             else:
                 keys = sorted(archive.cells)
-                if not keys:
-                    raise RuntimeError("archive is empty after initialisation")
                 selector = derive_rng(config.seed, "select", generation)
                 for _ in range(config.evals_per_generation):
                     parent = archive.cells[keys[int(selector.integers(0, len(keys)))]]

@@ -217,7 +217,7 @@ class CompiledNetwork:
                 else:
                     self.w_rec[b, row, c.source - FIRST_OUTPUT_ID] = c.weight
 
-    def initial_state(self, batch: int = 1) -> np.ndarray:
+    def initial_state(self, batch: int) -> np.ndarray:
         return np.zeros((len(self.w_in), batch, self.n_units))
 
     def step(self, state: np.ndarray, inputs: np.ndarray) -> np.ndarray:

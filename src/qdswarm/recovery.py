@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import nearest_centroid
+from .descriptors import SPIRIT_STATES
 from .environment import NORMAL_ENV
 from .seeding import trial_seeds
-from .sim import FaultType, PlacementError
+from .sim import FaultType
 from .tasks import evaluator
 
 N_FAULT_TYPES = len(FaultType)
@@ -61,12 +62,9 @@ def _run_elites(run, archive, task, fault, trials, seed, duration, kind=None):
     results = run(
         [(task, NORMAL_ENV, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
     )
-    for _, _, error in results:
-        if error is not None:
-            raise PlacementError(error)
     return (
-        {key: perf for key, (perf, _, _) in zip(keys, results)},
-        {key: descriptor for key, (_, descriptor, _) in zip(keys, results)},
+        {key: perf for key, (perf, _) in zip(keys, results)},
+        {key: descriptor for key, (_, descriptor) in zip(keys, results)},
     )
 
 
@@ -93,7 +91,7 @@ def spirit_distance(p1, p2) -> float:
     b = np.asarray(p2, dtype=float)
     if a.shape != b.shape:
         raise ValueError("descriptor shapes differ")
-    return float(np.abs(a - b).sum() / (2.0 * 64.0))
+    return float(np.abs(a - b).sum() / (2.0 * SPIRIT_STATES))
 
 
 @dataclass
@@ -136,7 +134,7 @@ def project_archive(
     # of n - 1 - k, so its pairwise |a - b| sum to sum_k (2k - n + 1) x_(k).
     ranked = np.sort([cells[cid][2].ravel() for cid in cells], axis=0)
     n = len(ranked)
-    total = float(((2.0 * np.arange(n) - n + 1.0) @ ranked).sum()) / (2.0 * 64.0)
+    total = float(((2.0 * np.arange(n) - n + 1.0) @ ranked).sum()) / (2.0 * SPIRIT_STATES)
     diversity = total / (n * (n - 1) / 2.0) if n >= 2 else 0.0
     return ProjectedMap(cells=cells, diversity=diversity)
 

@@ -35,7 +35,7 @@ from enum import IntEnum
 import numpy as np
 
 from .environment import EnvironmentSpec
-from .genome import BIAS_INDEX, CompiledNetwork, Genome, N_INPUTS
+from .genome import BIAS_INDEX, N_INPUTS, N_PROXIMITY, N_RAB, CompiledNetwork, Genome
 
 CONTROL_DT = 0.20
 ROBOT_RADIUS = 0.06
@@ -53,12 +53,13 @@ CULL_MARGIN = 1e-6
 # Both coordinates of the boxes that pad a batch's obstacle arrays.
 PADDING_BOX_CENTRE = -1e6
 
-# Body-frame ray angles: five frontal, two rear.
+# Body-frame ray angles: five frontal, two rear. The sensor counts are the
+# network's input layout, which `genome` owns.
 PROXIMITY_ANGLES = np.radians([-40.0, -20.0, 0.0, 20.0, 40.0, 160.0, -160.0])
-N_PROXIMITY_RAYS = 7
+N_PROXIMITY_RAYS = N_PROXIMITY
 N_FRONT_PROXIMITY = 5
 
-N_RAB_CONES = 8
+N_RAB_CONES = N_RAB
 RAB_CONE_WIDTH = 2.0 * np.pi / N_RAB_CONES
 RAB_CONE_HALF = RAB_CONE_WIDTH / 2.0
 
@@ -75,12 +76,7 @@ class FaultType(IntEnum):
 
 
 class PlacementError(RuntimeError):
-    """Raised when rejection sampling cannot place all robots/obstacles.
-
-    From `run_trials`, `trial` is the index of the failing trial in the batch.
-    """
-
-    trial = None
+    """Raised when rejection sampling cannot place all robots/obstacles."""
 
 
 @dataclass
@@ -594,8 +590,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     gets a new generator set to its post-placement state, instead of
     placing again; the copies live only as long as the call.
 
-    Raises PlacementError for the first trial that cannot be placed; the
-    error's `trial` attribute is that trial's index in the batch. An empty
+    Raises PlacementError for the first trial that cannot be placed. An empty
     batch, argument lists of different lengths, environments of different
     swarm sizes, or a duration that rounds to no control cycle raise
     ValueError before any placement.
@@ -631,11 +626,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
         if key in placed:
             obstacles[b, : env.n_obstacles], poses[b], rng.bit_generator.state = placed[key]
         else:
-            try:
-                obstacles[b, : env.n_obstacles], poses[b] = place_entities(rng, env)
-            except PlacementError as exc:
-                exc.trial = b
-                raise
+            obstacles[b, : env.n_obstacles], poses[b] = place_entities(rng, env)
             placed[key] = (obstacles[b, : env.n_obstacles], poses[b], rng.bit_generator.state)
         rngs.append(rng)
     plan = _compile_faults(fault_arr, rngs, n_cycles)

@@ -19,6 +19,7 @@ MAGNITUDE_THRESHOLDS = ((0.43, "large"), (0.28, "medium"), (0.11, "small"))
 IMPACT_CUTOFF = -0.5  # signature fits leave out performance drops beyond 50%
 
 KDE_EXTEND = 3.0  # bandwidths the density grid reaches beyond the data
+KDE_GRIDSIZE = 100  # points per axis of the density grid
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def linear_fit(x, y) -> tuple[float, float]:
     return slope, correlation
 
 
-def kde_grid_2d(x, y, gridsize: int = 100):
-    """Gaussian product-kernel density on a gridsize x gridsize grid.
+def kde_grid_2d(x, y):
+    """Gaussian product-kernel density on a KDE_GRIDSIZE x KDE_GRIDSIZE grid.
 
     Bandwidth follows Scott's rule for d = 2: n^(-1/6) times the per-axis
     sample standard deviation. The grid spans the data extended by KDE_EXTEND
@@ -133,8 +134,8 @@ def kde_grid_2d(x, y, gridsize: int = 100):
     factor = n ** (-1.0 / 6.0)
     hx = max(factor * float(np.std(x, ddof=1)), 1e-9)
     hy = max(factor * float(np.std(y, ddof=1)), 1e-9)
-    gx = np.linspace(x.min() - KDE_EXTEND * hx, x.max() + KDE_EXTEND * hx, gridsize)
-    gy = np.linspace(y.min() - KDE_EXTEND * hy, y.max() + KDE_EXTEND * hy, gridsize)
+    gx = np.linspace(x.min() - KDE_EXTEND * hx, x.max() + KDE_EXTEND * hx, KDE_GRIDSIZE)
+    gy = np.linspace(y.min() - KDE_EXTEND * hy, y.max() + KDE_EXTEND * hy, KDE_GRIDSIZE)
     ux = (gx[:, None] - x[None, :]) / hx
     uy = (gy[:, None] - y[None, :]) / hy
     phi_x = np.exp(-0.5 * ux * ux) / math.sqrt(2.0 * math.pi)
@@ -158,8 +159,8 @@ def signature(records, x_field: str, y_field: str) -> SignatureResult:
     """Regression and density signature of one recovery metric against another.
 
     Records with an impact below IMPACT_CUTOFF (performance drops beyond
-    50%) are excluded from the slope/correlation fit; the density grid, of
-    `kde_grid_2d`'s default size, uses all records.
+    50%) are excluded from the slope/correlation fit; the density grid uses
+    all records.
     """
     records = list(records)
     if len(records) < 2:

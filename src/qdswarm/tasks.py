@@ -18,7 +18,6 @@ from .descriptors import compute_hbd, compute_sdbc, compute_spirit
 from .sim import (
     CONTROL_DT,
     TRIAL_BATCH_ROBOT_CYCLES,
-    PlacementError,
     TrialLog,
     pair_distances,
     run_trials,
@@ -147,14 +146,12 @@ def _group_jobs(jobs) -> dict:
 def evaluate_jobs(jobs):
     """Score genomes: each job is (task, env, genome, faults, seeds, duration, kind).
 
-    Returns one (mean fitness, descriptor or None, placement error or None)
-    per job, in job order; the descriptor is `DESCRIPTORS[kind]` of the
-    job's trial logs. Jobs that share a swarm size and a duration run their
-    trials together through `run_trials`, each trial in its job's
-    environment, in batches of at most TRIAL_BATCH_ROBOT_CYCLES
-    robot-cycles. A trial's log does not depend on its batch, so a job's
-    result does not depend on the other jobs. A job with a trial that cannot
-    be placed scores 0 with the placement error, and only that job.
+    Returns one (mean fitness, descriptor or None) per job, in job order;
+    the descriptor is `DESCRIPTORS[kind]` of the job's trial logs. Jobs that
+    share a swarm size and a duration run their trials together through
+    `run_trials`, each trial in its job's environment, in batches of at most
+    TRIAL_BATCH_ROBOT_CYCLES robot-cycles. A trial's log does not depend on
+    its batch, so a job's result does not depend on the other jobs.
     """
     for job in jobs:
         if not len(job[4]):
@@ -167,20 +164,13 @@ def evaluate_jobs(jobs):
         partial = {index: ([], []) for index in members}
         while pending:
             batch, pending = pending[:size], pending[size:]
-            try:
-                trial_logs = run_trials(
-                    [jobs[index][1] for index, _ in batch],
-                    [jobs[index][2] for index, _ in batch],
-                    [jobs[index][3] for index, _ in batch],
-                    [seed for _, seed in batch],
-                    duration,
-                )
-            except PlacementError as exc:
-                failed = batch[exc.trial][0]
-                results[failed] = (0.0, None, str(exc))
-                del partial[failed]
-                pending = [trial for trial in batch + pending if trial[0] != failed]
-                continue
+            trial_logs = run_trials(
+                [jobs[index][1] for index, _ in batch],
+                [jobs[index][2] for index, _ in batch],
+                [jobs[index][3] for index, _ in batch],
+                [seed for _, seed in batch],
+                duration,
+            )
             continuing = pending[0][0] if pending else None
             _fold_batch(jobs, batch, trial_logs, continuing, partial, results)
             del trial_logs
@@ -205,7 +195,7 @@ def _fold_batch(jobs, batch, trial_logs, continuing, partial, results):
         if len(fits) == len(seeds):
             del partial[index]
             descriptor = None if kind is None else DESCRIPTORS[kind](logs)
-            results[index] = (float(np.mean(fits)), descriptor, None)
+            results[index] = (float(np.mean(fits)), descriptor)
 
 
 @contextmanager

@@ -145,7 +145,7 @@ def test_criterion_3_qed_coverage_30000_evaluations(monkeypatch):
         results = []
         for _, _, genome, _, seeds, _, _ in jobs:
             score = 0.37 * genome.hidden + 0.011 * len(genome.connections) + seeds[0] % 1009 / 2e4
-            results.append((score % 1.0, None, None))
+            results.append((score % 1.0, None))
         return results
 
     config = EvolutionConfig(

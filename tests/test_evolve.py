@@ -31,7 +31,7 @@ def score_jobs(jobs):
     results = []
     for _, _, genome, _, seeds, _, _ in jobs:
         score = 0.13 * genome.hidden + 0.01 * len(genome.connections) + (seeds[0] % 977) / 1e5
-        results.append((score % 1.0, None, None))
+        results.append((score % 1.0, None))
     return results
 
 
@@ -44,7 +44,7 @@ def describe_stub_logs(jobs):
         positions = rng.uniform(0, env.arena_side, size=(10, env.n_robots, 2))
         v = rng.uniform(-0.1, 0.1, size=(10, env.n_robots))
         log = make_log(positions, arena_side=env.arena_side, linear_velocity=v)
-        results.append((float(rng.random()), qdswarm.tasks.DESCRIPTORS[kind]([log]), None))
+        results.append((float(rng.random()), qdswarm.tasks.DESCRIPTORS[kind]([log])))
     return results
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,19 @@ class TestMutate:
             child = mutate(g, params, rng)
             for c in child.connections:
                 assert -2.0 <= c.weight <= 2.0
+
+    def test_connection_added_to_the_last_free_pair(self):
+        """With 35 of a hidden-0 genome's 36 legal pairs used, the 64
+        rejection draws often all miss and `mutate` enumerates the free
+        pairs; either way the child gains the one free pair."""
+        pairs = [(source, target) for source in range(18) for target in (16, 17)]
+        free = pairs.pop(21)
+        parent = Genome(0, tuple(Connection(s, t, 0.5) for s, t in pairs))
+        params = replace(ZERO_RATES, conn_add_rate=1.0)
+        for seed in range(40):
+            child = mutate(parent, params, np.random.default_rng(seed))
+            assert child.connections[:-1] == parent.connections
+            assert (child.connections[-1].source, child.connections[-1].target) == free
 
     def test_node_deletion_renumbers(self):
         # force a deletion: rates picked so only deletion fires

@@ -3,7 +3,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
+from qdswarm.environment import (
+    ARENA_SIDES,
+    NORMAL_ENV,
+    OBSTACLE_COUNTS,
+    SWARM_SIZES,
+    EnvironmentSpec,
+)
 from qdswarm.genome import Connection, Genome
 from qdswarm.sim import (
     AXLE_LENGTH,
@@ -296,6 +302,18 @@ class TestPlacement:
         crowded = EnvironmentSpec(n_robots=10, arena_side=0.25)
         with pytest.raises(PlacementError):
             place_entities(np.random.default_rng(0), crowded)
+
+    def test_most_crowded_grid_environment_places(self):
+        """The largest swarm and the most boxes in the smallest arena of the
+        environment grid place from every seed tried, so no environment that
+        evolution draws raises PlacementError."""
+        env = EnvironmentSpec(
+            n_robots=max(SWARM_SIZES), arena_side=min(ARENA_SIDES), n_obstacles=max(OBSTACLE_COUNTS)
+        )
+        for seed in range(200):
+            obstacles, poses = place_entities(np.random.default_rng(seed), env)
+            assert obstacles.shape == (env.n_obstacles, 2)
+            assert poses.shape == (env.n_robots, 3)
 
 
 class TestRunTrial:

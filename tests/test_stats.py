@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from qdswarm.stats import (
+    KDE_GRIDSIZE,
     StatResult,
     cliffs_delta,
     kde_grid_2d,
@@ -168,8 +169,8 @@ class TestKde:
     def test_density_nonnegative_and_shaped(self, rng):
         x = rng.uniform(-1, 0, 50)
         y = rng.uniform(0, 1, 50)
-        gx, gy, density = kde_grid_2d(x, y, gridsize=64)
-        assert density.shape == (64, 64)
+        gx, gy, density = kde_grid_2d(x, y)
+        assert density.shape == (KDE_GRIDSIZE, KDE_GRIDSIZE)
         assert np.all(density >= 0.0)
 
     def test_scott_bandwidth_used(self):

@@ -233,8 +233,8 @@ class TestPerformance:
 
     def score(self, seeds, duration):
         job = (TaskKind.AGGREGATION, self.ENV, Genome(), None, seeds, duration, None)
-        ((perf, descriptor, error),) = evaluate_jobs([job])
-        assert descriptor is None and error is None
+        ((perf, descriptor),) = evaluate_jobs([job])
+        assert descriptor is None
         return perf
 
     def test_single_seed_equals_single_trial(self):

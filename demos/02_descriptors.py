@@ -10,9 +10,7 @@ import numpy as np
 
 from qdswarm import (
     NORMAL_ENV,
-    compute_hbd,
-    compute_sdbc,
-    compute_spirit,
+    describe,
     env_from_index,
     env_index,
     generate_environment,
@@ -24,15 +22,15 @@ rng = np.random.default_rng(5)
 genome = random_genome(rng)
 logs = [run_trial(NORMAL_ENV, genome, seed=s, duration=100.0) for s in range(3)]
 
-hbd = compute_hbd(logs)
+hbd = describe("hbd", logs)
 print("hand-coded descriptor (uniformity, centre distance, coverage):")
 print(f"  {hbd.round(4)}")
 
-sdbc = compute_sdbc(logs)
+sdbc = describe("sdbc", logs)
 print("feature-statistics descriptor (5 means then 5 SDs):")
 print(f"  {sdbc.round(4)}")
 
-spirit = compute_spirit(logs)
+spirit = describe("spirit", logs)
 visited = int((spirit != 1.0 / 16.0).any(axis=1).sum())
 print(f"policy profile: {spirit.shape[0]} states x {spirit.shape[1]} actions, "
       f"{visited} states visited (rest uniform)")

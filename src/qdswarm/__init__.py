@@ -15,12 +15,7 @@ from .archive import (
     nearest_centroid,
     save_archive,
 )
-from .descriptors import (
-    compute_hbd,
-    compute_sdbc,
-    compute_spirit,
-    geometric_median,
-)
+from .descriptors import describe, geometric_median
 from .environment import (
     NORMAL_ENV,
     EnvironmentSpec,

@@ -30,30 +30,21 @@ REAR_RAB_CONES = (3, 4, 5, 6)
 # Hand-coded descriptor
 
 
-def compute_hbd(logs: list[TrialLog]) -> np.ndarray:
-    """3-d descriptor: visitation uniformity, mean distance to the arena
-    centre (normalised by M/2), and fraction of cells visited; averaged
-    across trials."""
-    if not logs:
-        raise ValueError("at least one trial log is required")
-    features = np.zeros((len(logs), 3))
-    for k, log in enumerate(logs):
-        side = log.env.arena_side
-        n_side = int(np.ceil(side / HBD_CELL_SIZE))
-        total_cells = n_side * n_side
-        xy = log.poses[:, :, :2].reshape(-1, 2)
-        ij = np.clip((xy // HBD_CELL_SIZE).astype(int), 0, n_side - 1)
-        counts = np.zeros((n_side, n_side))
-        np.add.at(counts, (ij[:, 0], ij[:, 1]), 1.0)
-        p = counts[counts > 0] / counts.sum()
-        entropy = float(-(p * np.log(p)).sum() / np.log(total_cells))
-        center_dist = np.hypot(xy[:, 0] - side / 2.0, xy[:, 1] - side / 2.0).mean()
-        features[k] = (
-            entropy,
-            float(center_dist / (log.env.diagonal / 2.0)),
-            float((counts > 0).sum() / total_cells),
-        )
-    return features.mean(axis=0)
+def hbd_features(log: TrialLog) -> np.ndarray:
+    """(3,) hand-coded features of one trial: visitation uniformity, mean
+    distance to the arena centre (normalised by M/2), and fraction of cells
+    visited."""
+    side = log.env.arena_side
+    n_side = int(np.ceil(side / HBD_CELL_SIZE))
+    total_cells = n_side * n_side
+    xy = log.poses[:, :, :2].reshape(-1, 2)
+    ij = np.clip((xy // HBD_CELL_SIZE).astype(int), 0, n_side - 1)
+    counts = np.zeros((n_side, n_side))
+    np.add.at(counts, (ij[:, 0], ij[:, 1]), 1.0)
+    p = counts[counts > 0] / counts.sum()
+    entropy = float(-(p * np.log(p)).sum() / np.log(total_cells))
+    center_dist = np.hypot(xy[:, 0] - side / 2.0, xy[:, 1] - side / 2.0).mean()
+    return np.array([entropy, center_dist / (log.env.diagonal / 2.0), (counts > 0).sum() / total_cells])
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +98,11 @@ def _per_cycle_features(log: TrialLog) -> np.ndarray:
     return np.stack([v, w, wall, pair, nn], axis=1)
 
 
-def compute_sdbc(logs: list[TrialLog]) -> np.ndarray:
-    """10-d descriptor: per-trial means then standard deviations of the five
-    per-cycle features, combined across trials by the geometric median."""
-    if not logs:
-        raise ValueError("at least one trial log is required")
-    vectors = []
-    for log in logs:
-        feats = _per_cycle_features(log)
-        vectors.append(np.concatenate([feats.mean(axis=0), feats.std(axis=0)]))
-    return geometric_median(np.asarray(vectors))
+def sdbc_features(log: TrialLog) -> np.ndarray:
+    """(10,) feature statistics of one trial: the means then the standard
+    deviations of the five per-cycle features."""
+    feats = _per_cycle_features(log)
+    return np.concatenate([feats.mean(axis=0), feats.std(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +136,43 @@ def spirit_actions(commands, max_speed: float) -> np.ndarray:
     return bins[..., 0] * 4 + bins[..., 1]
 
 
-def compute_spirit(logs: list[TrialLog]) -> np.ndarray:
-    """(64, 16) conditional action distributions p(a|s) from state-action
-    frequencies over all robots, cycles, and trials; unvisited states get the
-    equiprobable distribution."""
-    if not logs:
-        raise ValueError("at least one trial log is required")
+def spirit_counts(log: TrialLog) -> np.ndarray:
+    """(64, 16) state-action frequencies of one trial over all robots and
+    cycles."""
+    states = spirit_states(log.proximity, log.rab).ravel()
+    actions = spirit_actions(log.commands, log.env.max_linear_speed).ravel()
     counts = np.zeros((SPIRIT_STATES, SPIRIT_ACTIONS))
-    for log in logs:
-        states = spirit_states(log.proximity, log.rab).ravel()
-        actions = spirit_actions(log.commands, log.env.max_linear_speed).ravel()
-        np.add.at(counts, (states, actions), 1.0)
+    np.add.at(counts, (states, actions), 1.0)
+    return counts
+
+
+def _spirit_profile(trial_counts) -> np.ndarray:
+    """(64, 16) conditional action distributions p(a|s) from the summed
+    counts; unvisited states get the equiprobable distribution. Counts are
+    integer-valued, so any order of summing them is exact."""
+    counts = np.sum(trial_counts, axis=0)
     totals = counts.sum(axis=1, keepdims=True)
     profile = np.full((SPIRIT_STATES, SPIRIT_ACTIONS), 1.0 / SPIRIT_ACTIONS)
     visited = totals[:, 0] > 0
     profile[visited] = counts[visited] / totals[visited]
     return profile
+
+
+# kind -> (summarise one trial's log, combine the trials' summaries)
+DESCRIPTORS = {
+    "hbd": (hbd_features, lambda features: np.mean(features, axis=0)),
+    "sdbc": (sdbc_features, geometric_median),
+    "spirit": (spirit_counts, _spirit_profile),
+}
+
+
+def describe(kind: str, logs: list[TrialLog]) -> np.ndarray:
+    """The `kind` descriptor of a controller from its trial logs: each log is
+    summarised on its own, and the summaries are combined across trials."""
+    if not logs:
+        raise ValueError("at least one trial log is required")
+    summarise, combine = DESCRIPTORS[kind]
+    return combine([summarise(log) for log in logs])
 
 
 def descriptor_to_csv(kind: str, values, path) -> None:

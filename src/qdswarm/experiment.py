@@ -33,7 +33,7 @@ from .archive import (
 )
 from .environment import NORMAL_ENV
 from .evolve import DESCRIPTOR_DIMS, EvolutionConfig, GenerationStats, InsertionEvent, evolve
-from .descriptors import descriptor_to_csv
+from .descriptors import DESCRIPTORS, describe, descriptor_to_csv
 from .recovery import (
     RecoveryRecord,
     _argbest,
@@ -45,7 +45,7 @@ from .recovery import (
 from .seeding import derive_rng, derive_seed, trial_seeds
 from .sim import CONTROL_DT, run_trial, run_trials, trial_log_to_csv
 from .stats import cliffs_delta, signature
-from .tasks import DESCRIPTORS, TaskKind
+from .tasks import TaskKind
 
 # key -> (type, desk default, paper default); cvt.seeds "auto" resolves per
 # algorithm (behaviour-space dimensionality drives the seed-cloud size)
@@ -146,6 +146,7 @@ def _validate(config: dict) -> None:
         "reevaluate.trials",
         "faults.count",
         "faults.trials",
+        "cvt.iterations",
     ):
         if config[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
@@ -542,8 +543,8 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
             logs = run_trials(
                 [NORMAL_ENV] * n, [genome] * n, [None] * n, trial_seeds(n, seed), duration
             )
-            for kind, describe in DESCRIPTORS.items():
-                descriptor_to_csv(kind, describe(logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
+            for kind in DESCRIPTORS:
+                descriptor_to_csv(kind, describe(kind, logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
             log(f"export: {rep_dir} descriptors for cell {key}")
         elif what == "projection":
             projected = project_archive(

@@ -7,14 +7,13 @@ patrolling uses a 10 x 10 cell grid whose values decay linearly at 0.005/s
 between visits.
 """
 
-import copy
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from enum import Enum
 
 import numpy as np
 
-from .descriptors import compute_hbd, compute_sdbc, compute_spirit
+from .descriptors import DESCRIPTORS
 from .sim import (
     CONTROL_DT,
     TRIAL_BATCH_ROBOT_CYCLES,
@@ -126,15 +125,6 @@ def fitness(task, log: TrialLog) -> float:
     return _FITNESS[TaskKind(task)](log)
 
 
-# Lambdas look the descriptor functions up at call time, so a wrapper put on
-# a module-level name (a profiler's, say) sees the calls made through here.
-DESCRIPTORS = {
-    "hbd": lambda logs: compute_hbd(logs),
-    "sdbc": lambda logs: compute_sdbc(logs),
-    "spirit": lambda logs: compute_spirit(logs),
-}
-
-
 def _group_jobs(jobs) -> dict:
     """Job indices by (swarm size, duration), in order of first appearance."""
     groups = {}
@@ -147,11 +137,13 @@ def evaluate_jobs(jobs):
     """Score genomes: each job is (task, env, genome, faults, seeds, duration, kind).
 
     Returns one (mean fitness, descriptor or None) per job, in job order;
-    the descriptor is `DESCRIPTORS[kind]` of the job's trial logs. Jobs that
+    the descriptor is `describe(kind, logs)` of the job's trial logs. Jobs that
     share a swarm size and a duration run their trials together through
     `run_trials`, each trial in its job's environment, in batches of at most
     TRIAL_BATCH_ROBOT_CYCLES robot-cycles. A trial's log does not depend on
-    its batch, so a job's result does not depend on the other jobs.
+    its batch, so a job's result does not depend on the other jobs. Each trial
+    is reduced to its fitness and descriptor summary inside the batch that
+    ran it, so a batch's logs are the only logs alive.
     """
     for job in jobs:
         if not len(job[4]):
@@ -161,41 +153,26 @@ def evaluate_jobs(jobs):
         robot_cycles = n_robots * max(1, int(round(duration / CONTROL_DT)))
         size = max(1, TRIAL_BATCH_ROBOT_CYCLES // robot_cycles)
         pending = [(index, seed) for index in members for seed in jobs[index][4]]
-        partial = {index: ([], []) for index in members}
-        while pending:
-            batch, pending = pending[:size], pending[size:]
-            trial_logs = run_trials(
+        trials = {index: [] for index in members}  # (fitness, summary) pairs so far
+        for start in range(0, len(pending), size):
+            batch = pending[start : start + size]
+            logs = run_trials(
                 [jobs[index][1] for index, _ in batch],
                 [jobs[index][2] for index, _ in batch],
                 [jobs[index][3] for index, _ in batch],
                 [seed for _, seed in batch],
                 duration,
             )
-            continuing = pending[0][0] if pending else None
-            _fold_batch(jobs, batch, trial_logs, continuing, partial, results)
-            del trial_logs
+            for (index, _), log in zip(batch, logs):
+                task, _, _, _, seeds, _, kind = jobs[index]
+                summary = None if kind is None else DESCRIPTORS[kind][0](log)
+                trials[index].append((fitness(task, log), summary))
+                if len(trials[index]) == len(seeds):
+                    fits, summaries = zip(*trials.pop(index))
+                    descriptor = None if kind is None else DESCRIPTORS[kind][1](summaries)
+                    results[index] = (float(np.mean(fits)), descriptor)
+            del logs, log
     return results
-
-
-def _fold_batch(jobs, batch, trial_logs, continuing, partial, results):
-    """Add a batch's trials to `partial`, each job's (fitnesses, logs) so far,
-    and score every job whose last trial ran.
-
-    Only jobs with a descriptor keep logs. The logs are views of the batch's
-    arrays, so the job `continuing` into the next batch keeps copies: once
-    this returns, nothing holds the batch and the next one can reuse its
-    memory.
-    """
-    for (index, _), log in zip(batch, trial_logs):
-        task, _, _, _, seeds, _, kind = jobs[index]
-        fits, logs = partial[index]
-        fits.append(fitness(task, log))
-        if kind is not None:
-            logs.append(copy.deepcopy(log) if index == continuing else log)
-        if len(fits) == len(seeds):
-            del partial[index]
-            descriptor = None if kind is None else DESCRIPTORS[kind](logs)
-            results[index] = (float(np.mean(fits)), descriptor)
 
 
 @contextmanager

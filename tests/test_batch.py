@@ -2,6 +2,7 @@
 layer above it: a trial's log, and a job's result, must not depend on what
 else runs in the same batch, chunk, or worker pool."""
 
+import gc
 import random
 import weakref
 
@@ -27,6 +28,7 @@ from qdswarm.sim import (
     MAX_RESOLUTION_PASSES,
     FaultType,
     PlacementError,
+    TrialLog,
     _apply_sensor_faults_batch,
     _compile_faults,
     place_entities,
@@ -476,13 +478,15 @@ def test_job_results_do_not_depend_on_neighbours():
 
 def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
     """With a budget of a few trials, batches end inside jobs: the results
-    stay the same, and no array of a batch is alive when the next one runs."""
+    stay the same, and no array or log of a batch is alive when the next one
+    runs (a job that continues keeps only its trials' summaries)."""
     jobs = mixed_jobs()
     alone = [evaluate_jobs([job])[0] for job in jobs]
     previous = []
 
     def spy(*args):
         assert all(ref() is None for ref in previous)
+        assert not any(isinstance(obj, TrialLog) for obj in gc.get_objects())
         logs = run_trials(*args)
         previous[:] = [weakref.ref(log.poses.base) for log in logs]
         return logs

@@ -308,6 +308,14 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith(f"error: {key} must be at least")
         assert not (tmp_path / "run" / "config.txt").exists()
 
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_cvt_without_lloyd_iterations_rejected(self, tmp_path, capsys, iterations):
+        # with no Lloyd iteration the random seed subset would become the centroids
+        cfg = write_cfg(tmp_path, TINY + f"cvt.iterations = {iterations}\n")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: cvt.iterations must be >= 1\n"
+        assert not (tmp_path / "run" / "config.txt").exists()
+
     def test_export_of_empty_cell_names_it(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "run")

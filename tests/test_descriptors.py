@@ -5,9 +5,8 @@ import pytest
 
 from conftest import make_log
 from qdswarm.descriptors import (
-    compute_hbd,
-    compute_sdbc,
-    compute_spirit,
+    DESCRIPTORS,
+    describe,
     geometric_median,
     spirit_actions,
     spirit_states,
@@ -29,7 +28,7 @@ def stationary_log(points, cycles=50, side=4.0):
 class TestHbd:
     def test_pinned_at_center(self):
         log = stationary_log([[2.0, 2.0], [2.0, 2.0]])
-        hbd = compute_hbd([log])
+        hbd = describe("hbd", [log])
         n_side = int(np.ceil(4.0 / 0.11))
         assert hbd[0] == pytest.approx(0.0, abs=0)  # degenerate distribution
         assert hbd[1] == pytest.approx(0.0, abs=0)
@@ -45,26 +44,26 @@ class TestHbd:
                 )
         positions = np.asarray(points)[:, None, :]
         log = make_log(positions, arena_side=2.0)
-        hbd = compute_hbd([log])
+        hbd = describe("hbd", [log])
         assert hbd[0] == pytest.approx(1.0, abs=1e-12)
         assert hbd[2] == pytest.approx(1.0, abs=0)
 
     def test_trial_averaging_idempotent(self):
         log = stationary_log([[1.0, 1.0], [3.0, 2.0]])
-        one = compute_hbd([log])
-        two = compute_hbd([log, log])
+        one = describe("hbd", [log])
+        two = describe("hbd", [log, log])
         assert np.array_equal(one, two)
 
     def test_components_in_unit_interval(self, rng):
         for _ in range(10):
             positions = rng.uniform(0, 4, size=(30, 4, 2))
             log = make_log(positions)
-            hbd = compute_hbd([log])
+            hbd = describe("hbd", [log])
             assert np.all(hbd >= 0.0) and np.all(hbd <= 1.0)
 
     def test_corner_robot_distance_feature(self):
         log = stationary_log([[0.0, 0.0]])
-        assert compute_hbd([log])[1] == pytest.approx(1.0, abs=1e-12)
+        assert describe("hbd", [log])[1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGeometricMedian:
@@ -100,7 +99,7 @@ class TestGeometricMedian:
 class TestSdbc:
     def test_stationary_swarm_features(self):
         log = stationary_log([[1.0, 2.0], [3.0, 2.0]])
-        sdbc = compute_sdbc([log])
+        sdbc = describe("sdbc", [log])
         assert sdbc[0] == 0.0  # mean |v|
         assert sdbc[1] == 0.0  # mean |omega|
         assert np.all(sdbc[5:7] == 0.0)  # velocity SDs exactly zero
@@ -114,8 +113,8 @@ class TestSdbc:
         positions = rng.uniform(0, 4, size=(40, 3, 2))
         v = rng.uniform(-0.1, 0.1, size=(40, 3))
         log = make_log(positions, linear_velocity=v)
-        one = compute_sdbc([log])
-        dup = compute_sdbc([log, log, log])
+        one = describe("sdbc", [log])
+        dup = describe("sdbc", [log, log, log])
         assert one == pytest.approx(dup, abs=1e-9)
 
     def test_components_in_unit_interval(self, rng):
@@ -124,12 +123,12 @@ class TestSdbc:
             v = rng.uniform(-0.1, 0.1, size=(30, 4))
             w = rng.uniform(-2.2222, 2.2222, size=(30, 4))
             log = make_log(positions, linear_velocity=v, angular_velocity=w)
-            sdbc = compute_sdbc([log])
+            sdbc = describe("sdbc", [log])
             assert np.all(sdbc >= 0.0) and np.all(sdbc <= 1.0)
 
     def test_single_robot_rejected(self):
         with pytest.raises(ValueError):
-            compute_sdbc([stationary_log([[1.0, 1.0]])])
+            describe("sdbc", [stationary_log([[1.0, 1.0]])])
 
 
 class TestSpiritStatesActions:
@@ -157,16 +156,16 @@ class TestSpiritStatesActions:
         assert spirit_actions(np.array([0.049, -0.051]), vmax) == 2 * 4 + 0
 
 
-@pytest.mark.parametrize("compute", [compute_hbd, compute_sdbc, compute_spirit])
-def test_no_logs_is_an_error(compute):
+@pytest.mark.parametrize("kind", DESCRIPTORS)
+def test_no_logs_is_an_error(kind):
     with pytest.raises(ValueError, match="at least one trial log is required"):
-        compute([])
+        describe(kind, [])
 
 
 class TestComputeSpirit:
     def test_empty_log_gives_uniform(self):
         log = make_log(np.zeros((0, 2, 2)))
-        profile = compute_spirit([log])
+        profile = describe("spirit", [log])
         assert profile.shape == (64, 16)
         assert np.array_equal(profile, np.full((64, 16), 1.0 / 16.0))
 
@@ -176,7 +175,7 @@ class TestComputeSpirit:
         commands[2] = commands[3] = [-0.10, -0.10]  # action 0
         positions = np.tile([[2.0, 2.0]], (4, 1, 1))
         log = make_log(positions, commands=commands)
-        profile = compute_spirit([log])
+        profile = describe("spirit", [log])
         assert profile[0, 15] == 0.5
         assert profile[0, 0] == 0.5
         assert profile[0, 1:15].sum() == 0.0
@@ -190,14 +189,14 @@ class TestComputeSpirit:
             rab = rng.uniform(0, 1, size=(30, n, 8))
             commands = rng.uniform(-0.1, 0.1, size=(30, n, 2))
             log = make_log(positions, proximity=prox, rab=rab, commands=commands)
-            profile = compute_spirit([log])
+            profile = describe("spirit", [log])
             assert profile.sum(axis=1) == pytest.approx(np.ones(64), abs=1e-9)
             assert np.all(profile >= 0.0)
 
     def test_deterministic(self, rng):
         positions = rng.uniform(0, 4, size=(20, 3, 2))
         log = make_log(positions)
-        assert np.array_equal(compute_spirit([log]), compute_spirit([log]))
+        assert np.array_equal(describe("spirit", [log]), describe("spirit", [log]))
 
 
 class TestEnvDescriptor:

@@ -4,6 +4,7 @@ import pytest
 import qdswarm.tasks
 from conftest import make_log
 from qdswarm.archive import generate_cvt_centroids
+from qdswarm.descriptors import describe
 from qdswarm.environment import env_from_index, env_index
 from qdswarm.evolve import EvolutionConfig, evolve
 from qdswarm.genome import MutationParams
@@ -44,7 +45,7 @@ def describe_stub_logs(jobs):
         positions = rng.uniform(0, env.arena_side, size=(10, env.n_robots, 2))
         v = rng.uniform(-0.1, 0.1, size=(10, env.n_robots))
         log = make_log(positions, arena_side=env.arena_side, linear_velocity=v)
-        results.append((float(rng.random()), qdswarm.tasks.DESCRIPTORS[kind]([log])))
+        results.append((float(rng.random()), describe(kind, [log])))
     return results
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qdswarm.cli import main
-from qdswarm.descriptors import compute_hbd, compute_sdbc, compute_spirit
+from qdswarm.descriptors import DESCRIPTORS, describe
 from qdswarm.environment import NORMAL_ENV, env_from_index
 from qdswarm.genome import random_genome
 from qdswarm.recovery import sample_combined_fault
@@ -179,6 +179,6 @@ def test_fitnesses_and_descriptors_bit_identical():
         logs.append(log)
     for start in range(0, len(logs), 3):
         group = logs[start : start + 3]
-        for compute in (compute_hbd, compute_sdbc, compute_spirit):
-            digest.update(compute(group).tobytes())
+        for kind in DESCRIPTORS:
+            digest.update(describe(kind, group).tobytes())
     assert digest.hexdigest() == FITNESS_DESCRIPTOR_DIGEST

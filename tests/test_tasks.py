@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_log
-from qdswarm.descriptors import _per_cycle_features, compute_spirit
+from qdswarm.descriptors import _per_cycle_features, describe
 from qdswarm.environment import EnvironmentSpec
 from qdswarm.genome import Genome
 from qdswarm.seeding import derive_seed
@@ -49,8 +49,8 @@ def test_speed_normalisation_reads_trial_env():
     assert np.array_equal(slow_features[:, 1], np.full(T, 1.0 / MAX_ANGULAR_SPEED))
     assert np.array_equal(fast_features[:, 1], slow_features[:, 1])
     # each wheel lands in speed bin 3 of 4 at 0.10 m/s and in bin 2 at 0.20 m/s
-    assert compute_spirit([slow])[0, 3 * 4 + 3] == 1.0
-    assert compute_spirit([fast])[0, 2 * 4 + 2] == 1.0
+    assert describe("spirit", [slow])[0, 3 * 4 + 3] == 1.0
+    assert describe("spirit", [fast])[0, 2 * 4 + 2] == 1.0
 
 
 class TestAggregation:

@@ -8,7 +8,13 @@ by searching the archive for the best controller under that fault.
 
 import numpy as np
 
-from qdswarm import EvolutionConfig, evolve, fault_recovery_records, sample_combined_fault
+from qdswarm import (
+    EvolutionConfig,
+    evaluate_archive,
+    evolve,
+    fault_recovery_records,
+    sample_combined_fault,
+)
 
 config = EvolutionConfig(
     task="aggregation",
@@ -25,8 +31,10 @@ print(f"archive: {archive.coverage} elites")
 
 rng = np.random.default_rng(10)
 faults = [sample_combined_fault(rng, 10) for _ in range(10)]
+# the fault-free scores that each fault is compared against, on the same trial seeds
+normal = evaluate_archive(archive, "aggregation", trials=2, seed=1, duration=10.0, n_jobs=2)
 records = fault_recovery_records(
-    archive, "aggregation", faults, trials=2, seed=1, duration=10.0, n_jobs=2
+    archive, "aggregation", normal, faults, trials=2, seed=1, duration=10.0, n_jobs=2
 )
 
 print(f"{'fault':>5} {'impact':>8} {'recovered':>9} {'resilience':>10} {'distance':>8}")

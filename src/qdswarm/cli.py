@@ -34,7 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="configuration file (key = value lines)")
     parser.add_argument("--out", help="run directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel evaluation workers")
     parser.add_argument("--preset", choices=PRESETS, default="desk", help="configuration preset")
 
 
@@ -49,6 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     export_p = sub.add_parser("export", help="export trial logs, descriptors, or a projection")
     for p in (evolve_p, reeval_p, faults_p, analyze_p, export_p):
         _add_common(p)
+    for p in (evolve_p, reeval_p, faults_p, export_p):
+        p.add_argument("--threads", type=int, default=1, help="parallel evaluation workers")
     analyze_p.add_argument("records", nargs="*", help="records.csv files (default: out/rep*/records.csv)")
     export_p.add_argument(
         "--what", choices=("triallog", "descriptors", "projection"), default="triallog"
@@ -71,7 +72,7 @@ def _load_config(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError("--threads must be >= 1")
         config = _load_config(args)
         if args.command == "analyze":
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
         elif args.command == "faults":
             stage_faults(config, n_jobs=args.threads)
         elif args.command == "export":
-            stage_export(config, what=args.what, cell=args.cell)
+            stage_export(config, what=args.what, cell=args.cell, n_jobs=args.threads)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -380,14 +380,16 @@ def _record_row(record: RecoveryRecord) -> list:
 def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
     """Sample combined faults per replicate and write recovery records.
 
-    A replicate's `reevaluation.csv` must exist and carry this config's hash.
+    The normal scores come from the replicate's `reevaluation.csv`, which the
+    reevaluate manifest must verify and which must carry this config's hash
+    and score exactly the archive's cells.
     """
     header = provenance(config)
     for rep, rep_dir, rep_seed in _pending(config, "faults", log):
         reevaluation = rep_dir / "reevaluation.csv"
-        if not reevaluation.exists():
+        if not stage_is_complete(rep_dir, "reevaluate"):
             raise FileNotFoundError(
-                f"{rep_dir} has no reevaluation.csv; run the reevaluate stage first"
+                f"{rep_dir} has no verified reevaluation.csv; run the reevaluate stage first"
             )
         stored_hash = read_provenance(reevaluation).get("config_hash")
         if stored_hash != config_hash(config):
@@ -396,6 +398,9 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
                 f"run's config_hash={config_hash(config)}; rerun reevaluate with this config"
             )
         archive = load_archive(rep_dir / "archive", config["algorithm"])
+        normal_scores = {int(r["key"]): float(r["performance"]) for r in read_table(reevaluation)}
+        if normal_scores.keys() != archive.cells.keys():
+            raise ConfigError(f"{reevaluation} scores other cells than {rep_dir / 'archive'}")
         fault_rng = derive_rng(config["seed"], "faults", rep)
         faults = [
             sample_combined_fault(fault_rng, NORMAL_ENV.n_robots)
@@ -405,6 +410,7 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
         records = fault_recovery_records(
             archive,
             config["task"],
+            normal_scores,
             faults,
             trials=config["faults.trials"],
             seed=derive_seed(rep_seed, "recovery"),
@@ -512,7 +518,9 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
     )
 
 
-def stage_export(config: dict, what: str, cell: int | None = None, log=print) -> None:
+def stage_export(
+    config: dict, what: str, cell: int | None = None, n_jobs: int = 1, log=print
+) -> None:
     """Debug/export helpers: trial log, descriptors, or a projection."""
     projection_centroids = None
     if what == "projection":
@@ -554,6 +562,7 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                 trials=config["reevaluate.trials"],
                 seed=derive_seed(rep_seed, "projection"),
                 duration=duration,
+                n_jobs=n_jobs,
             )
             write_table(
                 rep_dir / "projection.csv",

@@ -3,9 +3,10 @@ impact / recovered-performance / resilience metrics.
 
 A combined fault assigns one fault type to every robot of the swarm. Recovery
 re-evaluates every elite of an archive in the normal operating environment
-with the fault applied, using trial seeds shared across elites and with the
-fault-free re-evaluation, so the all-NONE fault reproduces the normal scores
-exactly and the resilience >= impact inequality holds without tolerance.
+with the fault applied, on trial seeds shared across elites, against the
+fault-free scores the caller passes in (the pipeline's `reevaluation.csv`).
+Scored with the same trials and seed, those make the all-NONE fault exactly
+neutral. The resilience >= impact inequality holds without tolerance.
 """
 
 from dataclasses import dataclass
@@ -46,26 +47,21 @@ def evaluate_archive(
     same `seed`, which keeps comparisons paired. Results are independent of
     `n_jobs`.
     """
-    with evaluator(min(n_jobs, len(archive.cells))) as run:
-        scores, _ = _run_elites(run, archive, task, fault, trials, seed, duration)
-    return scores
+    keys = sorted(archive.cells)
+    with evaluator(min(n_jobs, len(keys))) as run:
+        results = _run_elites(run, archive, keys, task, fault, trials, seed, duration)
+    return {key: perf for key, (perf, _) in results.items()}
 
 
-def _run_elites(run, archive, task, fault, trials, seed, duration, kind=None):
-    """({key: performance}, {key: descriptor}) of every elite in the normal
+def _run_elites(run, archive, keys, task, fault, trials, seed, duration, kind=None):
+    """{key: (performance, descriptor)} of the elites at `keys` in the normal
     operating environment over the shared trial seeds; `kind` names the
     descriptor, as in `tasks.evaluate_jobs`."""
     if not archive.cells:
         raise ValueError("archive is empty")
-    keys = sorted(archive.cells)
     seeds = trial_seeds(trials, seed, "recovery-trial")
-    results = run(
-        [(task, NORMAL_ENV, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
-    )
-    return (
-        {key: perf for key, (perf, _) in zip(keys, results)},
-        {key: descriptor for key, (_, descriptor) in zip(keys, results)},
-    )
+    jobs = [(task, NORMAL_ENV, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
+    return dict(zip(keys, run(jobs)))
 
 
 def _argbest(scores: dict[int, float]) -> tuple[int, float]:
@@ -113,22 +109,23 @@ def project_archive(
     trials: int = 10,
     seed: int = 0,
     duration: float = 400.0,
+    n_jobs: int = 1,
 ) -> ProjectedMap:
     """Replay every elite in the normal operating environment, bin by nearest
     policy-profile centroid, and keep the best performer per centroid.
 
     Diversity is the mean pairwise behaviour distance over the representative
-    descriptors of the filled centroids (0 for fewer than two).
+    descriptors of the filled centroids (0 for fewer than two). Results are
+    independent of `n_jobs`.
     """
-    with evaluator(1) as run:
-        scores, descriptors = _run_elites(
-            run, archive, task, None, trials, seed, duration, "spirit"
-        )
+    keys = sorted(archive.cells)
+    with evaluator(min(n_jobs, len(keys))) as run:
+        results = _run_elites(run, archive, keys, task, None, trials, seed, duration, "spirit")
     cells: dict[int, tuple] = {}
-    for key, perf in scores.items():
-        cid = nearest_centroid(descriptors[key].ravel(), centroids)
+    for key, (perf, descriptor) in results.items():
+        cid = nearest_centroid(descriptor.ravel(), centroids)
         if cid not in cells or perf > cells[cid][1]:
-            cells[cid] = (key, perf, descriptors[key])
+            cells[cid] = (key, perf, descriptor)
     # Mean pairwise spirit_distance in O(n log n): per dimension, the k-th
     # smallest of n values is the larger one of k pairs and the smaller one
     # of n - 1 - k, so its pairwise |a - b| sum to sum_k (2k - n + 1) x_(k).
@@ -161,6 +158,7 @@ class RecoveryRecord:
 def fault_recovery_records(
     archive,
     task,
+    normal_scores: dict[int, float],
     faults: list,
     trials: int = 10,
     seed: int = 0,
@@ -170,42 +168,42 @@ def fault_recovery_records(
 ) -> list[RecoveryRecord]:
     """Run the full recovery analysis for a batch of combined faults.
 
-    The behavioural distance of each record compares the recovery solution
-    with the normal-best solution by the policy profiles of the fault-free
-    pass in the normal operating environment. Recovered performance is also reported normalised
-    by the empirical maximum performance observed across this batch.
+    `normal_scores` is every elite's fault-free score, as `evaluate_archive`
+    returns it; the all-NONE fault is exactly neutral when they were scored
+    with the same `trials` and `seed`, and neutral only up to the trial
+    sample otherwise. Each record's behavioural distance compares the
+    recovery and normal-best solutions by their fault-free policy profiles,
+    computed for those elites only. Recovered performance is also reported
+    normalised by the empirical maximum performance observed across this batch.
     """
     task = str(getattr(task, "value", task))
-    with evaluator(min(n_jobs, len(archive.cells))) as run:
-        normal_scores, descriptors = _run_elites(
-            run, archive, task, None, trials, seed, duration, "spirit"
+    best_key, best_normal = _argbest(normal_scores)
+    if best_normal == 0:
+        raise ValueError(
+            f"task {task}: every elite scores 0 fault free, so impact and "
+            "resilience (changes relative to the normal-best score) are undefined"
         )
-        best_key, best_normal = _argbest(normal_scores)
-        if best_normal == 0:
-            raise ValueError(
-                f"task {task}: every elite scores 0 fault free, so impact and "
-                "resilience (changes relative to the normal-best score) are undefined"
-            )
-        empirical_max = max(normal_scores.values())
-
-        records = []
-        for idx, fault in enumerate(faults):
-            faulty_scores, _ = _run_elites(run, archive, task, fault, trials, seed, duration)
-            rec_key, rec_perf = _argbest(faulty_scores)
-            empirical_max = max(empirical_max, rec_perf)
-            records.append(
-                RecoveryRecord(
-                    fault_id=fault_ids[idx] if fault_ids else str(idx),
-                    task=task,
-                    faults=tuple(FaultType(int(f)).name for f in fault),
-                    impact=proportional_change(faulty_scores[best_key], best_normal),
-                    recovered=rec_perf,
-                    recovered_norm=rec_perf,  # normalised once every fault has run
-                    resilience=proportional_change(rec_perf, best_normal),
-                    distance=spirit_distance(descriptors[rec_key], descriptors[best_key]),
-                    best_key=rec_key,
-                )
-            )
-    for record in records:
-        record.recovered_norm = record.recovered / empirical_max if empirical_max > 0 else 0.0
-    return records
+    keys = sorted(archive.cells)
+    with evaluator(min(n_jobs, len(keys))) as run:
+        outcomes = []  # (normal-best elite's faulty score, recovery key, its score)
+        for fault in faults:
+            faulty = _run_elites(run, archive, keys, task, fault, trials, seed, duration)
+            rec_key, rec_perf = _argbest({key: perf for key, (perf, _) in faulty.items()})
+            outcomes.append((faulty[best_key][0], rec_key, rec_perf))
+        profiled = sorted({best_key, *(rec_key for _, rec_key, _ in outcomes)})
+        profiles = _run_elites(run, archive, profiled, task, None, trials, seed, duration, "spirit")
+    empirical_max = max([best_normal, *(rec_perf for _, _, rec_perf in outcomes)])
+    return [
+        RecoveryRecord(
+            fault_id=fault_ids[idx] if fault_ids else str(idx),
+            task=task,
+            faults=tuple(FaultType(int(f)).name for f in fault),
+            impact=proportional_change(transferred, best_normal),
+            recovered=rec_perf,
+            recovered_norm=rec_perf / empirical_max if empirical_max > 0 else 0.0,
+            resilience=proportional_change(rec_perf, best_normal),
+            distance=spirit_distance(profiles[rec_key][1], profiles[best_key][1]),
+            best_key=rec_key,
+        )
+        for idx, (fault, (transferred, rec_key, rec_perf)) in enumerate(zip(faults, outcomes))
+    ]

@@ -298,15 +298,16 @@ def test_criterion_7_recovery_inequality(qed_archive_small):
     assert archive.coverage >= 50, f"archive too small: {archive.coverage}"
     rng = np.random.default_rng(71)
     faults = [sample_combined_fault(rng, 10) for _ in range(25)]
+    normal = evaluate_archive(archive, "aggregation", trials=3, seed=70, duration=10.0, n_jobs=2)
     records = fault_recovery_records(
-        archive, "aggregation", faults, trials=3, seed=70, duration=10.0, n_jobs=2
+        archive, "aggregation", normal, faults, trials=3, seed=70, duration=10.0, n_jobs=2
     )
     for record in records:
         assert record.resilience >= record.impact, record.fault_id
 
     none_fault = np.array([FaultType.NONE] * 10, dtype=object)
     (neutral,) = fault_recovery_records(
-        archive, "aggregation", [none_fault], trials=3, seed=70, duration=10.0
+        archive, "aggregation", normal, [none_fault], trials=3, seed=70, duration=10.0
     )
     assert neutral.impact == 0.0
     assert neutral.resilience == 0.0
@@ -335,8 +336,9 @@ def test_criterion_8_recovery_effect_aggregation():
     archive = evolve(config).archive
     rng = np.random.default_rng(81)
     faults = [sample_combined_fault(rng, 10) for _ in range(25)]
+    normal = evaluate_archive(archive, "aggregation", trials=2, seed=80, duration=10.0, n_jobs=2)
     records = fault_recovery_records(
-        archive, "aggregation", faults, trials=2, seed=80, duration=10.0, n_jobs=2
+        archive, "aggregation", normal, faults, trials=2, seed=80, duration=10.0, n_jobs=2
     )
     impacts = np.array([r.impact for r in records])
     resiliences = np.array([r.resilience for r in records])

@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from qdswarm.archive import load_archive
+from qdswarm.archive import load_archive, read_table
 from qdswarm.cli import main
 from qdswarm.environment import NORMAL_ENV
 from qdswarm.experiment import (
@@ -188,9 +188,15 @@ class TestPipeline:
         # the faults, seeds and fault ids that the faults stage draws for replicate 0
         fault_rng = derive_rng(config["seed"], "faults", 0)
         faults = [sample_combined_fault(fault_rng, NORMAL_ENV.n_robots) for _ in range(2)]
+        # the normal scores that the faults stage reads back from reevaluate's output
+        normal = {
+            int(row["key"]): float(row["performance"])
+            for row in read_table(rep / "reevaluation.csv")
+        }
         expected = fault_recovery_records(
             load_archive(rep / "archive", "qed"),
             config["task"],
+            normal,
             faults,
             trials=config["faults.trials"],
             seed=derive_seed(derive_seed(config["seed"], "replicate", 0), "recovery"),
@@ -253,6 +259,36 @@ class TestPipeline:
         assert main(["faults", "--out", out, "--seed", "12"]) == 0
         assert records.exists()
 
+    def test_faults_rejects_edited_reevaluation(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        reevaluation = rep / "reevaluation.csv"
+        provenance_line, columns, first, rest = reevaluation.read_bytes().split(b"\n", 3)
+        edited = first.split(b",")[0] + b",2.0\r"  # no fitness exceeds 1
+        reevaluation.write_bytes(b"\n".join([provenance_line, columns, edited, rest]))
+        capsys.readouterr()
+        assert main(["faults", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (rep / "records.csv").exists()
+
+    def test_faults_rejects_reevaluation_of_other_cells(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        index = rep / "archive" / "index.csv"
+        lines = index.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 3  # provenance, columns and at least two elites
+        index.write_bytes(b"".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(["faults", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (rep / "records.csv").exists()
+
     def test_evolve_rejects_another_config_in_same_out(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out]) == 0
@@ -268,13 +304,18 @@ class TestPipeline:
         def no_work(*args, **kwargs):
             raise AssertionError("a stage started")
 
-        for stage in ("stage_evolve", "stage_reevaluate", "stage_faults"):
+        for stage in ("stage_evolve", "stage_reevaluate", "stage_faults", "stage_export"):
             monkeypatch.setattr(f"qdswarm.cli.{stage}", no_work)
-        for command in ("evolve", "reevaluate", "faults"):
+        for command in ("evolve", "reevaluate", "faults", "export"):
             out = str(tmp_path / "run")
             assert main([command, "--out", out, "--threads", threads]) == 2
             assert capsys.readouterr().err == "error: --threads must be >= 1\n"
         assert not (tmp_path / "run").exists()
+
+    def test_analyze_takes_no_threads(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--out", str(tmp_path / "run"), "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

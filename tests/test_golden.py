@@ -129,7 +129,7 @@ def test_analyze_and_projection_csvs_byte_identical(tmp_path, threads):
     assert main(["analyze", "--out", str(qed), *records]) == 0
     assert _csv_digests(qed / "analysis") == ANALYZE_GOLDEN
     # the SDBC config has cvt.iterations = 1, which keeps the projection CVT cheap
-    assert main(["export", "--out", str(sdbc), "--what", "projection"]) == 0
+    assert main(["export", "--out", str(sdbc), "--what", "projection", "--threads", threads]) == 0
     digests = _csv_digests(sdbc / "rep00")
     assert {name: digests[name] for name in PROJECTION_GOLDEN if name in digests} == PROJECTION_GOLDEN
 

@@ -37,6 +37,21 @@ def small_archive(n_elites=5, seed=0):
     return archive
 
 
+def spy_on_jobs(monkeypatch):
+    """Record every job that `tasks.evaluate_jobs` runs in this process."""
+    import qdswarm.tasks as tasks
+
+    jobs_seen = []
+    original = tasks.evaluate_jobs
+
+    def spy(jobs):
+        jobs_seen.extend(jobs)
+        return original(jobs)
+
+    monkeypatch.setattr(tasks, "evaluate_jobs", spy)
+    return jobs_seen
+
+
 class TestSampleCombinedFault:
     def test_none_frequency(self):
         rng = np.random.default_rng(1)
@@ -72,16 +87,19 @@ class TestRecoverImpactResilience:
     def test_singleton_archive_returns_its_elite(self):
         archive = small_archive(1)
         fault = [FaultType.BW_H] * 10
-        (record,) = fault_recovery_records(archive, "aggregation", [fault], TRIALS, 0, DUR)
+        normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
+        (record,) = fault_recovery_records(archive, "aggregation", normal, [fault], TRIALS, 0, DUR)
         assert record.best_key == 0
 
     def test_all_none_fault_is_neutral(self):
         archive = small_archive(4)
         none_fault = [FaultType.NONE] * 10
-        (record,) = fault_recovery_records(archive, "aggregation", [none_fault], TRIALS, 0, DUR)
+        normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
+        (record,) = fault_recovery_records(
+            archive, "aggregation", normal, [none_fault], TRIALS, 0, DUR
+        )
         assert record.impact == 0.0
         assert record.resilience == 0.0
-        normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         faulted = evaluate_archive(archive, "aggregation", none_fault, TRIALS, 0, DUR)
         assert normal == faulted
 
@@ -91,7 +109,7 @@ class TestRecoverImpactResilience:
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         best_key = max(sorted(normal), key=lambda k: normal[k])
         faults = [sample_combined_fault(rng, 10) for _ in range(3)]
-        records = fault_recovery_records(archive, "aggregation", faults, TRIALS, 0, DUR)
+        records = fault_recovery_records(archive, "aggregation", normal, faults, TRIALS, 0, DUR)
         for fault, record in zip(faults, records):
             scores = evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR)
             assert record.recovered == max(scores.values())
@@ -103,7 +121,7 @@ class TestRecoverImpactResilience:
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         best_key = max(sorted(normal), key=lambda k: normal[k])
         faults = [sample_combined_fault(rng, 10) for _ in range(4)]
-        records = fault_recovery_records(archive, "aggregation", faults, TRIALS, 0, DUR)
+        records = fault_recovery_records(archive, "aggregation", normal, faults, TRIALS, 0, DUR)
         for fault, record in zip(faults, records):
             faulty = evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR)
             imp = proportional_change(faulty[best_key], normal[best_key])
@@ -177,8 +195,10 @@ class TestProjection:
         archive = small_archive(6, seed=3)
         # centroids at the elites' own fault-free profiles (the same trial
         # seeds as the projection) give each distinct profile its own cell
-        _, profiles = _run_elites(evaluate_jobs, archive, "aggregation", None, 1, 0, DUR, "spirit")
-        centroids = np.array([profiles[key].ravel() for key in sorted(profiles)])
+        profiled = _run_elites(
+            evaluate_jobs, archive, sorted(archive.cells), "aggregation", None, 1, 0, DUR, "spirit"
+        )
+        centroids = np.array([profile.ravel() for _, profile in profiled.values()])
         projected = project_archive(archive, centroids, "aggregation", trials=1, duration=DUR)
         assert projected.coverage >= 3
         reps = [projected.cells[c][2] for c in sorted(projected.cells)]
@@ -195,8 +215,9 @@ class TestFaultRecoveryRecords:
         archive = small_archive(4)
         rng = np.random.default_rng(21)
         faults = [sample_combined_fault(rng, 10) for _ in range(3)]
+        normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         records = fault_recovery_records(
-            archive, "aggregation", faults, trials=TRIALS, seed=0, duration=DUR
+            archive, "aggregation", normal, faults, trials=TRIALS, seed=0, duration=DUR
         )
         assert len(records) == 3
         for r in records:
@@ -213,6 +234,7 @@ class TestFaultRecoveryRecords:
         records = fault_recovery_records(
             archive,
             "aggregation",
+            evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR),
             [np.array([FaultType.NONE] * 10)],
             trials=TRIALS,
             seed=0,
@@ -223,25 +245,45 @@ class TestFaultRecoveryRecords:
         assert records[0].distance == 0.0
 
     def test_zero_normal_best_rejected_before_faulty_runs(self, monkeypatch):
-        import qdswarm.tasks as tasks
-
         archive = Archive.qed()
         archive.try_insert(0, Elite(genome=Genome(), performance=0.0, env=NORMAL_ENV))
-        faults_seen = []
-        original = tasks.evaluate_jobs
-
-        def spy(jobs):
-            faults_seen.extend(job[3] for job in jobs)
-            return original(jobs)
-
-        monkeypatch.setattr(tasks, "evaluate_jobs", spy)
+        jobs_seen = spy_on_jobs(monkeypatch)
+        normal = evaluate_archive(archive, "flocking", None, 1, 0, DUR)
+        assert [job[3] for job in jobs_seen] == [None]
+        jobs_seen.clear()
         with pytest.raises(ValueError, match="flocking"):
             fault_recovery_records(
                 archive,
                 "flocking",
+                normal,
                 [np.array([FaultType.NONE] * 10)],
                 trials=1,
                 seed=0,
                 duration=DUR,
             )
-        assert faults_seen == [None]
+        assert jobs_seen == []
+
+    def test_profiles_only_the_compared_elites(self, monkeypatch):
+        """The normal scores are given, so the only fault-free jobs are the
+        spirit profiles of the normal-best and recovery elites."""
+        archive = small_archive(6)
+        rng = np.random.default_rng(21)
+        faults = [sample_combined_fault(rng, 10) for _ in range(2)]
+        normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
+        jobs_seen = spy_on_jobs(monkeypatch)
+        records = fault_recovery_records(
+            archive, "aggregation", normal, faults, trials=TRIALS, seed=0, duration=DUR, n_jobs=1
+        )
+        assert len(records) == 2
+        fault_free = [job for job in jobs_seen if job[3] is None]
+        faulty = [job for job in jobs_seen if job[3] is not None]
+        assert 1 <= len(fault_free) <= 3
+        assert all(job[6] == "spirit" for job in fault_free)
+        assert len(faulty) == 2 * 6
+        assert all(job[6] is None for job in faulty)
+
+    def test_no_faults_no_records(self):
+        archive = small_archive(2)
+        normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
+        assert fault_recovery_records(archive, "aggregation", normal, [], TRIALS, 0, DUR) == []
+

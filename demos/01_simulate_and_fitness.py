@@ -1,9 +1,10 @@
 """Simulate a swarm trial and score it on the five tasks.
 
 Runs one 400 s trial of a random recurrent controller in the normal
-operating environment (10 robots, 4 x 4 m arena), prints the fitness of the
-same trajectory under each task definition, and exports the trajectory to
-CSV for inspection.
+operating environment (10 robots, 4 x 4 m arena) and prints the fitness of
+the same trajectory under each task definition. To inspect a trajectory as
+CSV, `qdswarm export --what triallog` writes one row per (cycle, robot) for
+an evolved elite.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from qdswarm import (
     fitness,
     random_genome,
     run_trial,
-    trial_log_to_csv,
 )
 
 rng = np.random.default_rng(2)
@@ -26,9 +26,6 @@ print(f"simulated {log.n_cycles} control cycles for {log.n_robots} robots")
 
 for task in TaskKind:
     print(f"  {task.value:>18}: {fitness(task, log):.4f}")
-
-trial_log_to_csv(log, "trial.csv")
-print("wrote trial.csv (cycle, robot, x, y, heading, vl, vr)")
 
 # determinism: the same seed reproduces the trial bit for bit
 replay = run_trial(NORMAL_ENV, genome, seed=7, duration=400.0)

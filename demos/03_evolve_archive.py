@@ -38,5 +38,5 @@ for algorithm in ("qed", "hbd"):
     for event in result.events:
         assert event.previous is None or event.performance > event.previous
     key = result.archive.key_of(best.descriptor)
-    assert result.archive.cells[key] is best and not result.archive.insert(best)
+    assert result.archive.cells[key] is best and not result.archive.try_insert(key, best)
 print("\nper-cell performance traces are non-decreasing (elitism verified)")

@@ -48,7 +48,6 @@ from .sim import (
     differential_drive_step,
     run_trial,
     run_trials,
-    trial_log_to_csv,
 )
 from .stats import (
     SignatureResult,

@@ -93,9 +93,6 @@ class Archive:
             return True
         return False
 
-    def insert(self, elite: Elite) -> bool:
-        return self.try_insert(self.key_of(elite.descriptor), elite)
-
     @property
     def coverage(self) -> int:
         return len(self.cells)
@@ -200,16 +197,6 @@ def generate_cvt_centroids(
 # Persistence
 
 
-def save_centroids(centroids, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(centroids, dtype=float):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_centroids(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def _table_line(row) -> str:
     cells = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
     line = ",".join(cells)
@@ -245,7 +232,8 @@ _ENV_FIELDS = fields(EnvironmentSpec)
 
 
 def save_archive(archive, directory, header: str = "") -> None:
-    """Write the archive index CSV plus one genome file per elite.
+    """Write the archive index CSV plus one genome file per elite, and a CVT
+    archive's centroids as `centroids.npy`.
 
     Index columns: cell key, performance, the six environment attributes the
     elite was evaluated in, and its genome file name.
@@ -263,18 +251,18 @@ def save_archive(archive, directory, header: str = "") -> None:
     columns = ["key", "performance", *(f.name for f in _ENV_FIELDS), "genome_file"]
     write_table(os.path.join(directory, "index.csv"), header, columns, rows)
     if archive.centroids is not None:
-        save_centroids(archive.centroids, os.path.join(directory, "centroids.csv"))
+        np.save(os.path.join(directory, "centroids.npy"), archive.centroids)
 
 
 def load_archive(directory, kind: str):
     """Load an archive saved by :func:`save_archive`.
 
-    `kind` is one of hbd/sdbc/spirit/qed; CVT kinds require the centroid file
+    `kind` is one of hbd/sdbc/spirit/qed; CVT kinds require the `centroids.npy`
     saved next to the index. Descriptors are not persisted and are left None.
     """
     centroids = None
     if kind in CVT_ALGORITHMS:
-        centroids = load_centroids(os.path.join(directory, "centroids.csv"))
+        centroids = np.load(os.path.join(directory, "centroids.npy"))
     archive = make_archive(kind, centroids)
     for row in read_table(os.path.join(directory, "index.csv")):
         env = EnvironmentSpec(**{f.name: f.type(row[f.name]) for f in _ENV_FIELDS})

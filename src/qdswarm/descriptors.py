@@ -173,12 +173,3 @@ def describe(kind: str, logs: list[TrialLog]) -> np.ndarray:
         raise ValueError("at least one trial log is required")
     summarise, combine = DESCRIPTORS[kind]
     return combine([summarise(log) for log in logs])
-
-
-def descriptor_to_csv(kind: str, values, path) -> None:
-    """Export one descriptor as (kind, dimension, value) rows."""
-    flat = np.asarray(values, dtype=float).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,dimension,value\n")
-        for i, v in enumerate(flat):
-            fh.write(f"{kind},{i},{float(v)!r}\n")

@@ -2,14 +2,14 @@
 
 Configuration is a flat key = value text format with dotted section keys;
 unknown keys are errors. Two presets ship: `desk` (default, runs on a
-workstation) and `paper` (the full-scale budget). Every result table is
-written by :func:`~qdswarm.archive.write_table` and starts with a provenance
-header line with the config hash and master seed: `archive/index.csv`,
-`stats.csv`, `events.csv`, `reevaluation.csv`, `reevaluation_summary.csv`,
-`records.csv`, `projection.csv`, `projection_summary.csv`, and the
-`analysis/` files `signatures.csv`, `signature_*.csv` and `stats_tables.csv`.
-The number grids `archive/centroids.csv`, `trial_cell_*.csv` and
-`descriptor_*.csv` have no header. Each pipeline stage writes a `.done`
+workstation) and `paper` (the full-scale budget). Every CSV is written by
+:func:`~qdswarm.archive.write_table` and starts with a provenance header line
+with the config hash and master seed: `archive/index.csv`, `stats.csv`,
+`events.csv`, `reevaluation.csv`, `reevaluation_summary.csv`, `records.csv`,
+`projection.csv`, `projection_summary.csv`, the exports `trial_cell_*.csv`
+and `descriptor_*.csv`, and the `analysis/` files `signatures.csv`,
+`signature_*.csv` and `stats_tables.csv`. A CVT archive's centroids are the
+numpy array `archive/centroids.npy`. Each pipeline stage writes a `.done`
 manifest of output hashes so that rerunning a completed stage verifies the
 files and becomes a no-op.
 """
@@ -33,7 +33,7 @@ from .archive import (
 )
 from .environment import NORMAL_ENV
 from .evolve import DESCRIPTOR_DIMS, EvolutionConfig, GenerationStats, InsertionEvent, evolve
-from .descriptors import DESCRIPTORS, describe, descriptor_to_csv
+from .descriptors import DESCRIPTORS, describe
 from .recovery import (
     RecoveryRecord,
     _argbest,
@@ -43,7 +43,7 @@ from .recovery import (
     sample_combined_fault,
 )
 from .seeding import derive_rng, derive_seed, trial_seeds
-from .sim import CONTROL_DT, run_trial, run_trials, trial_log_to_csv
+from .sim import CONTROL_DT, run_trial, run_trials
 from .stats import cliffs_delta, signature
 from .tasks import TaskKind
 
@@ -522,6 +522,7 @@ def stage_export(
     config: dict, what: str, cell: int | None = None, n_jobs: int = 1, log=print
 ) -> None:
     """Debug/export helpers: trial log, descriptors, or a projection."""
+    header = provenance(config)
     projection_centroids = None
     if what == "projection":
         # the projection CVT's seed does not depend on the replicate: build it once
@@ -544,7 +545,14 @@ def stage_export(
         duration = config["evolve.trial_duration"]
         if what == "triallog":
             trial = run_trial(NORMAL_ENV, genome, seed=seed, duration=duration)
-            trial_log_to_csv(trial, rep_dir / f"trial_cell_{key:05d}.csv")
+            cycle, robot = np.divmod(np.arange(trial.n_cycles * trial.n_robots), trial.n_robots)
+            poses, commands = trial.poses.reshape(-1, 3).T, trial.commands.reshape(-1, 2).T
+            write_table(
+                rep_dir / f"trial_cell_{key:05d}.csv",
+                header,
+                ["cycle", "robot", "x", "y", "heading", "vl", "vr"],
+                zip(*(column.tolist() for column in (cycle, robot, *poses, *commands))),
+            )
             log(f"export: {rep_dir} trial log for cell {key}")
         elif what == "descriptors":
             n = config["reevaluate.trials"]
@@ -552,7 +560,13 @@ def stage_export(
                 [NORMAL_ENV] * n, [genome] * n, [None] * n, trial_seeds(n, seed), duration
             )
             for kind in DESCRIPTORS:
-                descriptor_to_csv(kind, describe(kind, logs), rep_dir / f"descriptor_{kind}_{key:05d}.csv")
+                values = describe(kind, logs).ravel().tolist()
+                write_table(
+                    rep_dir / f"descriptor_{kind}_{key:05d}.csv",
+                    header,
+                    ["kind", "dimension", "value"],
+                    ([kind, i, v] for i, v in enumerate(values)),
+                )
             log(f"export: {rep_dir} descriptors for cell {key}")
         elif what == "projection":
             projected = project_archive(
@@ -566,13 +580,13 @@ def stage_export(
             )
             write_table(
                 rep_dir / "projection.csv",
-                provenance(config),
+                header,
                 ["centroid", "source_key", "performance"],
                 ([cid, *projected.cells[cid][:2]] for cid in sorted(projected.cells)),
             )
             write_table(
                 rep_dir / "projection_summary.csv",
-                provenance(config),
+                header,
                 ["coverage", "diversity"],
                 [[projected.coverage, projected.diversity]],
             )

@@ -678,16 +678,3 @@ def run_trial(
     """Simulate one trial and return its complete log: `run_trials` with a
     batch of one, so the result is a deterministic function of the arguments."""
     return run_trials([env], [genome], [faults], [seed], duration)[0]
-
-
-def trial_log_to_csv(log: TrialLog, path) -> None:
-    """Debug export: one row per (cycle, robot) with pose and wheel commands."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cycle,robot,x,y,heading,vl,vr\n")
-        for t in range(log.n_cycles):
-            for i in range(log.n_robots):
-                x, y, heading = (float(v) for v in log.poses[t, i])
-                vl, vr = (float(v) for v in log.commands[t, i])
-                fh.write(
-                    f"{t},{i},{x!r},{y!r},{heading!r},{vl!r},{vr!r}\n"
-                )

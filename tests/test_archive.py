@@ -94,33 +94,38 @@ class TestInsertion:
 
     def test_empty_cell_accepts(self):
         archive = Archive.qed()
-        assert archive.insert(self.elite(0.1)) is True
+        elite = self.elite(0.1)
+        assert archive.try_insert(archive.key_of(elite.descriptor), elite) is True
         assert archive.coverage == 1
 
     def test_tie_keeps_incumbent(self):
         archive = Archive.qed()
         first = self.elite(0.5)
-        archive.insert(first)
-        assert archive.insert(self.elite(0.5)) is False
+        archive.try_insert(archive.key_of(first.descriptor), first)
+        tie = self.elite(0.5)
+        assert archive.try_insert(archive.key_of(tie.descriptor), tie) is False
         assert archive.cells[0] is first
 
     def test_improvement_replaces(self):
         archive = Archive.qed()
-        archive.insert(self.elite(0.6))
+        incumbent = self.elite(0.6)
+        archive.try_insert(archive.key_of(incumbent.descriptor), incumbent)
         better = self.elite(0.7)
-        assert archive.insert(better) is True
+        assert archive.try_insert(archive.key_of(better.descriptor), better) is True
         assert archive.cells[0] is better
 
     def test_worse_rejected(self):
         archive = Archive.qed()
-        archive.insert(self.elite(0.6))
-        assert archive.insert(self.elite(0.4)) is False
+        incumbent = self.elite(0.6)
+        archive.try_insert(archive.key_of(incumbent.descriptor), incumbent)
+        worse = self.elite(0.4)
+        assert archive.try_insert(archive.key_of(worse.descriptor), worse) is False
 
     def test_cvt_insert_by_descriptor(self):
         centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
         archive = Archive.cvt(centroids)
         e = Elite(genome=Genome(), performance=0.3, descriptor=np.array([0.9, 0.95]), env=NORMAL_ENV)
-        assert archive.insert(e)
+        assert archive.try_insert(archive.key_of(e.descriptor), e)
         assert 1 in archive.cells
 
 
@@ -193,7 +198,7 @@ class TestPersistence:
                 descriptor=env_index(env),
                 env=env,
             )
-            archive.insert(elite)
+            archive.try_insert(archive.key_of(elite.descriptor), elite)
         save_archive(archive, tmp_path, header="# test seed=1")
         loaded = load_archive(tmp_path, "qed")
         assert set(loaded.cells) == set(archive.cells)
@@ -212,10 +217,12 @@ class TestPersistence:
                 descriptor=rng.random(10),
                 env=NORMAL_ENV,
             )
-            archive.insert(elite)
+            archive.try_insert(archive.key_of(elite.descriptor), elite)
         save_archive(archive, tmp_path)
+        assert (tmp_path / "centroids.npy").exists()
+        assert not (tmp_path / "centroids.csv").exists()
         loaded = load_archive(tmp_path, "sdbc")
-        assert np.array_equal(loaded.centroids, centroids)
+        assert loaded.centroids.tobytes() == centroids.tobytes()
         assert set(loaded.cells) == set(archive.cells)
         best = max(e.performance for e in archive.cells.values())
         assert max(e.performance for e in loaded.cells.values()) == best

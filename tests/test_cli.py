@@ -6,6 +6,7 @@ import pytest
 
 from qdswarm.archive import load_archive, read_table
 from qdswarm.cli import main
+from qdswarm.descriptors import DESCRIPTORS, describe
 from qdswarm.environment import NORMAL_ENV
 from qdswarm.experiment import (
     ConfigError,
@@ -17,7 +18,8 @@ from qdswarm.experiment import (
     stage_analyze,
 )
 from qdswarm.recovery import fault_recovery_records, sample_combined_fault
-from qdswarm.seeding import derive_rng, derive_seed
+from qdswarm.seeding import derive_rng, derive_seed, trial_seeds
+from qdswarm.sim import run_trials
 
 TINY = """
 task = aggregation
@@ -235,10 +237,45 @@ class TestPipeline:
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
         assert main(["export", "--out", out, "--what", "triallog"]) == 0
-        exports = list((tmp_path / "run" / "rep00").glob("trial_cell_*.csv"))
-        assert len(exports) == 1
-        header = exports[0].read_text().splitlines()[0]
-        assert header == "cycle,robot,x,y,heading,vl,vr"
+        rep = tmp_path / "run" / "rep00"
+        (export,) = rep.glob("trial_cell_*.csv")
+        provenance, columns, *rows = export.read_text().splitlines()
+        assert provenance == (rep / "archive" / "index.csv").read_text().splitlines()[0]
+        assert columns == "cycle,robot,x,y,heading,vl,vr"
+        # one row per (cycle, robot): 2.0 s of 0.2 s control cycles, 10 robots
+        assert len(rows) == 10 * NORMAL_ENV.n_robots
+        assert [row.split(",")[:2] for row in rows[9:11]] == [["0", "9"], ["1", "0"]]
+
+    def test_export_descriptors_read_back_bit_identical(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["export", "--out", out, "--what", "descriptors"]) == 0
+        config = resolve_config("desk", (tmp_path / "run" / "config.txt").read_text())
+        rep = tmp_path / "run" / "rep00"
+        archive = load_archive(rep / "archive", "qed")
+        key = max(archive.cells, key=lambda k: (archive.cells[k].performance, -k))
+        # the trials that the export runs for replicate 0's best elite
+        n = config["reevaluate.trials"]
+        seed = derive_seed(derive_seed(config["seed"], "replicate", 0), "export")
+        logs = run_trials(
+            [NORMAL_ENV] * n,
+            [archive.cells[key].genome] * n,
+            [None] * n,
+            trial_seeds(n, seed),
+            config["evolve.trial_duration"],
+        )
+        run_hash = read_provenance(rep / "archive" / "index.csv")["config_hash"]
+        for kind in DESCRIPTORS:
+            path = rep / f"descriptor_{kind}_{key:05d}.csv"
+            assert read_provenance(path)["config_hash"] == run_hash == config_hash(config)
+            rows = list(read_table(path))
+            expected = describe(kind, logs).ravel()
+            assert [(row["kind"], int(row["dimension"])) for row in rows] == [
+                (kind, i) for i in range(len(expected))
+            ]
+            values = np.array([float(row["value"]) for row in rows])
+            assert values.tobytes() == expected.tobytes()
 
     def test_faults_requires_reevaluation(self, tmp_path):
         cfg = write_cfg(tmp_path)

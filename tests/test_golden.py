@@ -1,8 +1,9 @@
 """Byte-identity lock on the pipeline's primary outputs.
 
 A tiny QED run and a tiny SDBC run go through evolve -> reevaluate -> faults,
-and the SHA-256 of every CSV they write is compared with a pinned value, on
-one worker and on two (outputs must not depend on `--threads`). The files
+and the SHA-256 of every CSV they write, and of the SDBC run's
+`archive/centroids.npy`, is compared with a pinned value, on one worker and
+on two (outputs must not depend on `--threads`). The files
 that `export --what descriptors` and `export --what triallog` write for the
 QED run's best elite are pinned the same way, as are the tables that
 `analyze` writes over the QED and SDBC runs together and the two that
@@ -55,7 +56,7 @@ GOLDEN = {
         "stats.csv": "7835856bf291ab2cd68b4679de21d6144eec5401abbb9330318ddf716030e4b2",
     },
     "sdbc": {
-        "archive/centroids.csv": "57197f3f20ffdc5ea906c464e35688e7423c131e74b3cef7d9158057df11151b",
+        "archive/centroids.npy": "629bc3cc28f2602518f98d2ee881803c46a6206486df57a395ece5196fb718f7",
         "archive/index.csv": "34379b7a6b5a7f813549f475ce35f1d3f293aa3ebe7701e5a3973de5225b280b",
         "events.csv": "35bc9d9853787e35f1f137e4e0226e756de8c9005c611d1f8e398f8f090da17a",
         "records.csv": "bde8a5ad467819aff1080d2b021d20dcfd5df79a260b7eed942939d556c5ddf2",
@@ -66,10 +67,10 @@ GOLDEN = {
 }
 
 EXPORT_GOLDEN = {
-    "descriptor_hbd_01123.csv": "914be0f82cb6b1da6890f926b70486716c1e7b3e6e02e038300b0159ea119a18",
-    "descriptor_sdbc_01123.csv": "be4c5d45a601caf192c98e803adb00f87d2f8fca5a1e97ebd49bb63d73aa9b5e",
-    "descriptor_spirit_01123.csv": "3f141874d915c843ec27b3042e529898823a4cec282c2f2a0b19c85f6f1e5f45",
-    "trial_cell_01123.csv": "baa94c44bdc37f807448b86780b2d941a8d282fd2c81e4c45b1e61d79d6481d0",
+    "descriptor_hbd_01123.csv": "015e3bff308dca270fb64aa175bffc973cb2e514a4e8f92bae352393bc4f438d",
+    "descriptor_sdbc_01123.csv": "006f36c1d18d50b8fc67f088abf6f449566e2feca58f3a32e05c70f4c7181f80",
+    "descriptor_spirit_01123.csv": "f4a057a5b118bb44e27efdfb91c80d293525a569283e14452bcab1b7bdb468a7",
+    "trial_cell_01123.csv": "ab852e36996c3bc3a5736f3ead89175622ca382ee8e259c980e936c309330eca",
 }
 
 ANALYZE_GOLDEN = {
@@ -96,9 +97,10 @@ PROJECTION_GOLDEN = {
 
 
 def _csv_digests(rep):
+    """SHA-256 of every CSV and numpy array file under `rep`."""
     return {
         str(path.relative_to(rep)): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(rep.rglob("*.csv"))
+        for path in sorted([*rep.rglob("*.csv"), *rep.rglob("*.npy")])
     }
 
 

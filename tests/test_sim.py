@@ -27,7 +27,6 @@ from qdswarm.sim import (
     rab_activations,
     run_trial,
     run_trials,
-    trial_log_to_csv,
     wrap_angle,
 )
 
@@ -387,14 +386,6 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="under one 0.2 s control cycle"):
             run_trials([NORMAL_ENV], [Genome()], [None], [0], duration)
         assert run_trial(NORMAL_ENV, Genome(), seed=0, duration=0.15).n_cycles == 1
-
-    def test_csv_export(self, tmp_path):
-        log = run_trial(EnvironmentSpec(n_robots=5), Genome(), seed=1, duration=1.0)
-        path = tmp_path / "trial.csv"
-        trial_log_to_csv(log, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "cycle,robot,x,y,heading,vl,vr"
-        assert len(lines) == 1 + log.n_cycles * 5
 
 
 class TestSensorScaling:

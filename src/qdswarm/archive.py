@@ -4,7 +4,13 @@ One archive class holds at most one elite per cell and only replaces an
 incumbent on a strict performance improvement. Grid indexing serves the
 hand-coded descriptor (16^3 bins) and the environment descriptor (4^6 bins);
 CVT indexing partitions higher-dimensional descriptor spaces into 4096 cells
-around k-means centroids.
+around the centroids of Lloyd's k-means over a seed cloud.
+
+The CVT arithmetic is exact with respect to its plain reference forms: a
+lookup returns the full scan's argmin of squared distances, bit for bit, by
+screening the centroids with one matrix-vector product and ranking only the
+few within a proven rounding bound of the best; the Lloyd cluster sums carry
+the bits of `np.add.reduceat` over the sorted rows.
 """
 
 import csv
@@ -22,6 +28,7 @@ CVT_ALGORITHMS = ("sdbc", "spirit")
 HBD_BINS = 16
 SIMPLEX_BLOCK = 16  # values per probability-simplex block of a spirit seed point
 ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
+SHORT_SEGMENT = 8  # largest Lloyd cluster whose sum is added rank by rank
 CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
 
 
@@ -53,12 +60,14 @@ class Archive:
     A descriptor maps to its cell key either through a fixed grid (`binner`
     then row-major flattening over `dims`) or, when `centroids` is set,
     through the nearest centroid. Build one with :meth:`hbd`, :meth:`qed`
-    or :meth:`cvt`.
+    or :meth:`cvt`; a CVT archive keeps its centroids' squared norms in
+    `norms` for the lookups.
     """
 
     dims: tuple[int, ...] = ()
     binner: Optional[Callable] = None
     centroids: Optional[np.ndarray] = None
+    norms: Optional[np.ndarray] = None
     cells: dict[int, Elite] = field(default_factory=dict)
 
     @classmethod
@@ -71,7 +80,8 @@ class Archive:
 
     @classmethod
     def cvt(cls, centroids) -> "Archive":
-        return cls(centroids=np.asarray(centroids, dtype=float))
+        centroids = np.asarray(centroids, dtype=float)
+        return cls(centroids=centroids, norms=(centroids**2).sum(axis=1))
 
     @property
     def capacity(self) -> int:
@@ -81,7 +91,7 @@ class Archive:
 
     def key_of(self, descriptor) -> int:
         if self.centroids is not None:
-            return nearest_centroid(descriptor, self.centroids)
+            return nearest_centroid(descriptor, self.centroids, self.norms)
         # row-major; ValueError for a bin outside the grid or of the wrong length
         return int(np.ravel_multi_index(self.binner(descriptor), self.dims))
 
@@ -114,12 +124,44 @@ def make_archive(algorithm: str, centroids) -> Archive:
 # CVT construction
 
 
-def nearest_centroid(descriptor, centroids) -> int:
-    """Index of the Euclidean-nearest centroid; ties go to the lowest index."""
+def nearest_centroid(descriptor, centroids, norms=None) -> int:
+    """Index of the Euclidean-nearest centroid; ties go to the lowest index.
+
+    The result is that of the full scan `argmin(((centroids - d) ** 2).sum(axis=1))`,
+    bit for bit. One matrix-vector product scores every centroid by
+    `norms - 2 centroids @ d`, which is its squared distance minus |d|^2 up to
+    a bounded rounding error. Only the centroids scoring within that bound of
+    the best can be the full scan's answer, and only they are ranked by the
+    full scan's own expression. `norms` are the centroids' squared norms;
+    pass them when looking up many descriptors in one centroid set.
+    """
     d = np.asarray(descriptor, dtype=float).ravel()
     c = np.asarray(centroids, dtype=float)
-    dist = ((c - d[None, :]) ** 2).sum(axis=1)
-    return int(np.argmin(dist))
+    if norms is None:
+        norms = (c**2).sum(axis=1)
+    scores = c @ d
+    scores *= -2.0
+    scores += norms
+    # Screen slack. With u = 2^-53 and g_m = m u / (1 - m u), a float sum of
+    # m products is within g_m sum|x_i y_i| of exact, in any summation order
+    # and with or without FMA. Let n = len(d), M the largest centroid norm
+    # and R = M + |d|. A computed score is then within g_(n+1) R^2 of
+    # |c_i - d|^2 - |d|^2 (norm and product carry g_n each, the subtraction
+    # one u), and a full-scan distance is within g_(n+2) R^2 of |c_i - d|^2
+    # (difference, square, then the sum). So every full-scan minimiser
+    # scores within 2 (g_(n+1) + g_(n+2)) R^2 < 4 g_(n+3) R^2 of the best
+    # score. The spare g covers the rounding of M, |d| and the threshold, and
+    # 4 (n + 3) 2^-1074 covers underflow. A NaN score makes the threshold NaN
+    # and leaves no candidate, so the full scan ranks them all.
+    n = len(d)
+    gamma = (n + 3) * 2.0**-53 / (1.0 - (n + 3) * 2.0**-53)
+    reach = np.sqrt(norms.max()) + np.sqrt(d @ d)
+    slack = 4.0 * gamma * reach * reach + 4.0 * (n + 3) * 2.0**-1074
+    cand = np.flatnonzero(scores <= scores.min() + slack)
+    if not cand.size:
+        cand = np.arange(len(c))
+    dist = ((c[cand] - d) ** 2).sum(axis=1)
+    return int(cand[np.argmin(dist)])
 
 
 def sample_simplex_blocks(rng, count: int, dim: int) -> np.ndarray:
@@ -138,21 +180,43 @@ def _assign(points, centroids) -> np.ndarray:
     labels = np.empty(len(points), dtype=np.int64)
     for start in range(0, len(points), ASSIGN_CHUNK):
         block = points[start : start + ASSIGN_CHUNK]
-        scores = norms[None, :] - 2.0 * (block @ centroids.T)
+        # in place; equal to norms - 2.0 * (block @ centroids.T) bit for bit:
+        # scaling by -2 is exact, and (-b) + a is a - b in IEEE arithmetic
+        scores = block @ centroids.T
+        scores *= -2.0
+        scores += norms
         labels[start : start + ASSIGN_CHUNK] = np.argmin(scores, axis=1)
     return labels
 
 
 def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label sums and counts via sort + reduceat (fast scatter-add)."""
+    """Per-label sums and counts. Each sum has the bits of `np.add.reduceat`
+    along axis 0 over the label's rows (its segment) in ascending row order.
+
+    For a segment of s rows a0..a(s-1), reduceat adds each column as
+    `a0 + (((a1 + a2) + a3) + ...)` while s <= SHORT_SEGMENT; beyond that
+    its pairwise summation takes over. Short segments are therefore added
+    rank by rank, vectorised across segments, and longer ones go to
+    reduceat one at a time.
+    """
     order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    starts = np.concatenate([[0], boundaries])
-    sums = np.zeros((k, points.shape[1]))
-    present = sorted_labels[starts]
-    sums[present] = np.add.reduceat(points[order], starts, axis=0)
     counts = np.bincount(labels, minlength=k)
+    present = np.flatnonzero(counts)
+    sizes = counts[present]
+    starts = np.cumsum(sizes) - sizes
+    sums = np.zeros((k, points.shape[1]))
+    short = sizes <= SHORT_SEGMENT
+    sums[present[short]] = points[order[starts[short]]]
+    # a short segment's later rows are summed in rank order, then join its first
+    multi = short & (sizes > 1)
+    tail_starts, tail_sizes = starts[multi] + 1, sizes[multi] - 1
+    tail = points[order[tail_starts]]
+    for rank in range(1, SHORT_SEGMENT - 1):
+        more = tail_sizes > rank
+        tail[more] += points[order[tail_starts[more] + rank]]
+    sums[present[multi]] += tail
+    for label, start, size in zip(present[~short], starts[~short], sizes[~short]):
+        sums[label] = np.add.reduceat(points[order[start : start + size]], [0], axis=0)[0]
     return sums, counts
 
 

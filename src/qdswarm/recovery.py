@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import nearest_centroid
+from .archive import Archive
 from .descriptors import SPIRIT_STATES
 from .environment import NORMAL_ENV
 from .seeding import trial_seeds
@@ -121,9 +121,10 @@ def project_archive(
     keys = sorted(archive.cells)
     with evaluator(min(n_jobs, len(keys))) as run:
         results = _run_elites(run, archive, keys, task, None, trials, seed, duration, "spirit")
+    lookup = Archive.cvt(centroids)
     cells: dict[int, tuple] = {}
     for key, (perf, descriptor) in results.items():
-        cid = nearest_centroid(descriptor.ravel(), centroids)
+        cid = lookup.key_of(descriptor)
         if cid not in cells or perf > cells[cid][1]:
             cells[cid] = (key, perf, descriptor)
     # Mean pairwise spirit_distance in O(n log n): per dimension, the k-th

@@ -1,11 +1,16 @@
-"""Per-trial reference simulation: the test oracle for `qdswarm.sim.run_trials`.
+"""Reference implementations kept outside the package as test oracles.
 
-This is the simulator's original one-trial-at-a-time loop, kept outside the
-package: every helper below acts on one trial's arrays, resolves collisions
-with per-pair Python loops, and draws fault noise cycle by cycle.
-The batched kernel must reproduce its logs bit for bit (sign of zeros
-included), whatever the batch a trial runs in; `place_entities` is the
-reference for `qdswarm.sim.place_entities`.
+Most of this file is the per-trial reference simulation, the oracle for
+`qdswarm.sim.run_trials`: the simulator's original one-trial-at-a-time loop.
+Every helper acts on one trial's arrays, resolves collisions with per-pair
+Python loops, and draws fault noise cycle by cycle. The batched kernel must
+reproduce its logs bit for bit (sign of zeros included), whatever the batch
+a trial runs in; `place_entities` is the reference for
+`qdswarm.sim.place_entities`.
+
+At the end, `nearest_centroid` and `label_means` are the CVT archive's
+original full-scan lookup and reduceat cluster sums, which the screened
+lookup and the rank-by-rank sums in `qdswarm.archive` must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -336,3 +341,29 @@ def run_trial(env: EnvironmentSpec, genome: Genome, faults=None, seed=0, duratio
         moved[:, 2] = wrap_angle(poses[:, 2] + omega * CONTROL_DT)
         poses, _ = resolve_collisions(moved, arena, body)
     return TrialLog(env=env, obstacles=obstacles, final_poses=poses, **logs)
+
+
+# ---------------------------------------------------------------------------
+# CVT archive
+
+
+def nearest_centroid(descriptor, centroids) -> int:
+    """Index of the Euclidean-nearest centroid by a full scan; ties go to the
+    lowest index."""
+    d = np.asarray(descriptor, dtype=float).ravel()
+    c = np.asarray(centroids, dtype=float)
+    dist = ((c - d[None, :]) ** 2).sum(axis=1)
+    return int(np.argmin(dist))
+
+
+def label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label sums and counts via sort + reduceat."""
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
+    starts = np.concatenate([[0], boundaries])
+    sums = np.zeros((k, points.shape[1]))
+    present = sorted_labels[starts]
+    sums[present] = np.add.reduceat(points[order], starts, axis=0)
+    counts = np.bincount(labels, minlength=k)
+    return sums, counts

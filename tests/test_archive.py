@@ -1,12 +1,17 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from qdswarm.archive import (
     Archive,
     Elite,
+    _label_means,
     generate_cvt_centroids,
     hbd_bins,
     load_archive,
@@ -58,6 +63,43 @@ class TestCvtGeneration:
         assert np.array_equal(a, b)
 
 
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestCvtPins:
+    """SHA-256 of the centroid bits and of the keys of 200 query points, for a
+    spirit-shaped and an sdbc-shaped CVT. Their Lloyd clusters range from 1
+    row to hundreds (spirit) and to 29 (sdbc), so both the short-segment and
+    the long-segment path of the per-cluster means are pinned."""
+
+    PINS = {
+        "spirit": (
+            (64, 1024, 2048, 5, True),
+            "1fb6f26217138e6dbfa62387599d3055b1f89cdbf0913e7515974b828a05632e",
+            "348d9a393d8c6d981b0ed208784c5c82e1e7c095a764d68ff1c692c12554d5a8",
+        ),
+        "sdbc": (
+            (256, 10, 2048, 5, False),
+            "89d40584e7768ce0e4a941e38582fe75219fd6cabb685628858e794fd69822c3",
+            "74ae6bc73751d469c878cb04199c761d68df94c146a1262782f510899cab3662",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINS))
+    def test_centroid_and_key_bits(self, kind):
+        (k, dim, n_seeds, seed, simplex), centroid_digest, key_digest = self.PINS[kind]
+        centroids = generate_cvt_centroids(
+            k, dim, n_seeds, seed=seed, simplex_blocks=simplex, max_iter=6
+        )
+        rng = np.random.default_rng(11)
+        queries = sample_simplex_blocks(rng, 200, dim) if simplex else rng.random((200, dim))
+        archive = Archive.cvt(centroids)
+        keys = np.array([archive.key_of(q) for q in queries], dtype=np.int64)
+        assert _sha256(centroids) == centroid_digest
+        assert _sha256(keys) == key_digest
+
+
 class TestNearestCentroid:
     CENTROIDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -86,6 +128,89 @@ class TestNearestCentroid:
         shuffled = centroids[perm]
         other = np.linalg.norm(shuffled[nearest_centroid(point, shuffled)] - point)
         assert base == pytest.approx(other, abs=0)
+
+
+@st.composite
+def lookups(draw):
+    """A centroid set and a query whose nearest centroid may be an exact hit,
+    an exact midpoint tie, or one of several duplicated rows; 1024-d sets
+    are simplex-block points as in the spirit archive, and every coordinate
+    is scaled by 1e-3, 1 or 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 10, 1024]))
+    k = draw(st.integers(1, 64))
+    if dim == 1024:
+        centroids = sample_simplex_blocks(rng, k, dim)
+    else:  # quarter-integer grid: midpoints and their distances are exact
+        centroids = rng.integers(-8, 9, size=(k, dim)) / 4.0
+    kind = draw(st.sampled_from(["random", "hit", "midpoint", "duplicate"]))
+    if kind == "duplicate":
+        copies = rng.integers(0, k, size=draw(st.integers(1, 8)))
+        slots = rng.integers(0, k + 1, size=copies.size)
+        centroids = np.insert(centroids, slots, centroids[copies], axis=0)
+    i, j = rng.integers(0, len(centroids), size=2)
+    if kind == "random":
+        query = sample_simplex_blocks(rng, 1, dim)[0] if dim == 1024 else rng.uniform(-2.5, 2.5, dim)
+    elif kind == "midpoint":
+        query = (centroids[i] + centroids[j]) / 2.0
+    else:
+        query = centroids[i].copy()
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return centroids * scale, query * scale
+
+
+class TestScreenedLookup:
+    """The screened lookup against the full-scan oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lookups())
+    def test_matches_full_scan(self, case):
+        centroids, query = case
+        want = oracles.nearest_centroid(query, centroids)
+        assert nearest_centroid(query, centroids) == want
+        assert Archive.cvt(centroids).key_of(query) == want
+
+    def test_duplicate_rows_resolve_to_the_lowest(self):
+        centroids = np.array([[3.0, 3.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        assert Archive.cvt(centroids).key_of([1.0, 1.0]) == 1
+        assert Archive.cvt(centroids).key_of([0.75, 0.75]) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_falls_back_to_full_scan(self, bad):
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        query = np.array([1.0, bad])
+        with np.errstate(invalid="ignore"):
+            assert nearest_centroid(query, centroids) == oracles.nearest_centroid(query, centroids)
+
+
+@st.composite
+def labelled_clouds(draw):
+    """Points labelled into k clusters of 0 to 40 rows each, in random row
+    order, with magnitudes mixed over 16 decades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=40).filter(any))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    dim = draw(st.sampled_from([1, 3, 16]))
+    points = rng.standard_normal((len(labels), dim)) * 10.0 ** rng.integers(-8, 9, (len(labels), dim))
+    return points, labels, len(sizes)
+
+
+class TestLabelMeans:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_clouds())
+    def test_matches_reduceat(self, cloud):
+        points, labels, k = cloud
+        sums, counts = _label_means(points, labels, k)
+        want_sums, want_counts = oracles.label_means(points, labels, k)
+        assert sums.tobytes() == want_sums.tobytes()
+        assert np.array_equal(counts, want_counts)
+
+    def test_signed_zeros_kept(self):
+        points = np.array([[-0.0], [-0.0], [-0.0], [1.0], [-0.0]])
+        labels = np.array([0, 0, 0, 2, 3])
+        sums, _ = _label_means(points, labels, 4)
+        want, _ = oracles.label_means(points, labels, 4)
+        assert sums.tobytes() == want.tobytes()
 
 
 class TestInsertion:

@@ -29,6 +29,7 @@ HBD_BINS = 16
 SIMPLEX_BLOCK = 16  # values per probability-simplex block of a spirit seed point
 ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
 SHORT_SEGMENT = 8  # largest Lloyd cluster whose sum is added rank by rank
+SUM_BLOCK = 1 << 16  # values of longer clusters summed per reduceat call
 CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
 
 
@@ -60,15 +61,20 @@ class Archive:
     A descriptor maps to its cell key either through a fixed grid (`binner`
     then row-major flattening over `dims`) or, when `centroids` is set,
     through the nearest centroid. Build one with :meth:`hbd`, :meth:`qed`
-    or :meth:`cvt`; a CVT archive keeps its centroids' squared norms in
-    `norms` for the lookups.
+    or :meth:`cvt`. A CVT archive works out its centroids' squared norms
+    once, into `norms`, for the lookups.
     """
 
     dims: tuple[int, ...] = ()
     binner: Optional[Callable] = None
     centroids: Optional[np.ndarray] = None
-    norms: Optional[np.ndarray] = None
     cells: dict[int, Elite] = field(default_factory=dict)
+    norms: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.centroids is not None:
+            self.centroids = np.asarray(self.centroids, dtype=float)
+            self.norms = (self.centroids**2).sum(axis=1)
 
     @classmethod
     def hbd(cls) -> "Archive":
@@ -80,8 +86,7 @@ class Archive:
 
     @classmethod
     def cvt(cls, centroids) -> "Archive":
-        centroids = np.asarray(centroids, dtype=float)
-        return cls(centroids=centroids, norms=(centroids**2).sum(axis=1))
+        return cls(centroids=centroids)
 
     @property
     def capacity(self) -> int:
@@ -196,8 +201,10 @@ def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
     For a segment of s rows a0..a(s-1), reduceat adds each column as
     `a0 + (((a1 + a2) + a3) + ...)` while s <= SHORT_SEGMENT; beyond that
     its pairwise summation takes over. Short segments are therefore added
-    rank by rank, vectorised across segments, and longer ones go to
-    reduceat one at a time.
+    rank by rank, vectorised across segments. Longer ones go to reduceat
+    about SUM_BLOCK values at a time: reduceat sums each segment on its
+    own, so grouping them leaves the bits alone, and the small blocks stay
+    in cache where one sorted copy of the cloud would not.
     """
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels, minlength=k)
@@ -215,8 +222,16 @@ def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
         more = tail_sizes > rank
         tail[more] += points[order[tail_starts[more] + rank]]
     sums[present[multi]] += tail
-    for label, start, size in zip(present[~short], starts[~short], sizes[~short]):
-        sums[label] = np.add.reduceat(points[order[start : start + size]], [0], axis=0)[0]
+    # long segments back to back; one call takes those starting in one block
+    long_labels, long_sizes = present[~short], sizes[~short]
+    rows = order[np.repeat(~short, sizes)]
+    offsets = np.cumsum(long_sizes) - long_sizes
+    bounds = np.append(offsets, len(rows))
+    block_rows = max(1, SUM_BLOCK // points.shape[1])
+    firsts = np.flatnonzero(np.diff(offsets // block_rows, prepend=-1))
+    for a, b in zip(firsts, [*firsts[1:], len(offsets)]):
+        block = points[rows[bounds[a] : bounds[b]]]
+        sums[long_labels[a:b]] = np.add.reduceat(block, offsets[a:b] - bounds[a], axis=0)
     return sums, counts
 
 

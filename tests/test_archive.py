@@ -170,6 +170,12 @@ class TestScreenedLookup:
         assert nearest_centroid(query, centroids) == want
         assert Archive.cvt(centroids).key_of(query) == want
 
+    def test_norms_follow_the_centroids(self):
+        centroids = [[3.0, 4.0], [1.0, 0.0]]
+        assert Archive(centroids=centroids).norms.tolist() == [25.0, 1.0]
+        with pytest.raises(TypeError):
+            Archive(centroids=centroids, norms=np.zeros(2))
+
     def test_duplicate_rows_resolve_to_the_lowest(self):
         centroids = np.array([[3.0, 3.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         assert Archive.cvt(centroids).key_of([1.0, 1.0]) == 1
@@ -202,6 +208,18 @@ class TestLabelMeans:
         points, labels, k = cloud
         sums, counts = _label_means(points, labels, k)
         want_sums, want_counts = oracles.label_means(points, labels, k)
+        assert sums.tobytes() == want_sums.tobytes()
+        assert np.array_equal(counts, want_counts)
+
+    def test_long_clusters_over_several_blocks(self):
+        # at 1024 columns a reduceat call takes the long clusters starting in
+        # one 64-row block; one cluster here is longer than several blocks
+        rng = np.random.default_rng(7)
+        sizes = [9, 70, 3, 300, 40, 0, 65, 12, 1, 129]
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        points = rng.standard_normal((len(labels), 1024)) * 10.0 ** rng.integers(-8, 9, (len(labels), 1024))
+        sums, counts = _label_means(points, labels, len(sizes))
+        want_sums, want_counts = oracles.label_means(points, labels, len(sizes))
         assert sums.tobytes() == want_sums.tobytes()
         assert np.array_equal(counts, want_counts)
 

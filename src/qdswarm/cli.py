@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_p = sub.add_parser("export", help="export trial logs, descriptors, or a projection")
     for p in (evolve_p, reeval_p, faults_p, analyze_p, export_p):
         _add_common(p)
-    for p in (evolve_p, reeval_p, faults_p, export_p):
+    for p in (evolve_p, reeval_p, faults_p):
         p.add_argument("--threads", type=int, default=1, help="parallel evaluation workers")
     analyze_p.add_argument("records", nargs="*", help="records.csv files (default: out/rep*/records.csv)")
     export_p.add_argument(
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
         elif args.command == "faults":
             stage_faults(config, n_jobs=args.threads)
         elif args.command == "export":
-            stage_export(config, what=args.what, cell=args.cell, n_jobs=args.threads)
+            stage_export(config, what=args.what, cell=args.cell)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,12 @@ with the config hash and master seed: `archive/index.csv`, `stats.csv`,
 `events.csv`, `reevaluation.csv`, `reevaluation_summary.csv`, `records.csv`,
 `projection.csv`, `projection_summary.csv`, the exports `trial_cell_*.csv`
 and `descriptor_*.csv`, and the `analysis/` files `signatures.csv`,
-`signature_*.csv` and `stats_tables.csv`. A CVT archive's centroids are the
-numpy array `archive/centroids.npy`. Each pipeline stage writes a `.done`
-manifest of output hashes so that rerunning a completed stage verifies the
-files and becomes a no-op.
+`signature_*.csv` and `stats_tables.csv`. The numpy arrays are a CVT
+archive's centroids, `archive/centroids.npy`, and the elites' fault-free
+policy profiles, `reevaluation_profiles.npy`, which `faults` and `export
+--what projection` read. Each pipeline stage writes a `.done` manifest of
+output hashes so that rerunning a completed stage verifies the files and
+becomes a no-op.
 """
 
 import hashlib
@@ -73,6 +75,8 @@ AUTO_CVT_SEEDS = {
 }
 
 PRESETS = ("desk", "paper")
+
+PROFILES = "reevaluation_profiles.npy"  # the reevaluate stage's policy profiles
 
 
 class ConfigError(ValueError):
@@ -331,11 +335,12 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
 
 
 def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
-    """Re-score every elite in the normal operating environment."""
+    """Re-score every elite in the normal operating environment; its (64, 16)
+    policy profiles follow `reevaluation.csv`'s key order."""
     header = provenance(config)
     for _, rep_dir, rep_seed in _pending(config, "reevaluate", log):
         archive = load_archive(rep_dir / "archive", config["algorithm"])
-        scores = evaluate_archive(
+        normal = evaluate_archive(
             archive,
             config["task"],
             fault=None,
@@ -344,16 +349,18 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             duration=config["evolve.trial_duration"],
             n_jobs=n_jobs,
         )
+        scores = {key: perf for key, (perf, _) in sorted(normal.items())}
         best_key, _ = _argbest(scores)
         mean = float(np.mean(list(scores.values())))
-        write_table(rep_dir / "reevaluation.csv", header, ["key", "performance"], sorted(scores.items()))
+        write_table(rep_dir / "reevaluation.csv", header, ["key", "performance"], scores.items())
+        np.save(rep_dir / PROFILES, np.stack([normal[key][1] for key in scores]))
         write_table(
             rep_dir / "reevaluation_summary.csv",
             header,
             ["best_key", "best", "mean"],
             [[best_key, scores[best_key], mean]],
         )
-        write_manifest(rep_dir, "reevaluate", ["reevaluation.csv", "reevaluation_summary.csv"])
+        write_manifest(rep_dir, "reevaluate", ["reevaluation.csv", "reevaluation_summary.csv", PROFILES])
         log(f"reevaluate: {rep_dir} best={scores[best_key]:.4f} mean={mean:.4f}")
 
 
@@ -377,30 +384,41 @@ def _record_row(record: RecoveryRecord) -> list:
     return [";".join(v) if isinstance(v, tuple) else v for v in values]
 
 
+def _read_reevaluation(config: dict, rep_dir: Path, archive) -> dict:
+    """{key: (fault-free score, policy profile)} of every elite of `archive`,
+    as the reevaluate stage stored them in `rep_dir`: its manifest must verify
+    and list the profiles, the scores must carry this config's hash, and both
+    must cover exactly the archive's cells."""
+    reevaluation, manifest = rep_dir / "reevaluation.csv", _manifest_path(rep_dir, "reevaluate")
+    listed = json.loads(manifest.read_text())["files"] if manifest.exists() else {}
+    if PROFILES not in listed or not stage_is_complete(rep_dir, "reevaluate"):
+        raise FileNotFoundError(
+            f"{rep_dir} has no verified reevaluation.csv and {PROFILES}; run the reevaluate "
+            f"stage (for a run made before it stored {PROFILES}, delete {manifest} first)"
+        )
+    stored_hash = read_provenance(reevaluation).get("config_hash")
+    if stored_hash != config_hash(config):
+        raise ConfigError(
+            f"{reevaluation} was written under config_hash={stored_hash}, not this "
+            f"run's config_hash={config_hash(config)}; rerun reevaluate with this config"
+        )
+    scores = {int(r["key"]): float(r["performance"]) for r in read_table(reevaluation)}
+    profiles = np.load(rep_dir / PROFILES)
+    if scores.keys() != archive.cells.keys() or len(profiles) != len(scores):
+        raise ConfigError(f"{rep_dir} reevaluated other cells than {rep_dir / 'archive'}")
+    return {key: (perf, profile) for (key, perf), profile in zip(scores.items(), profiles)}
+
+
 def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
     """Sample combined faults per replicate and write recovery records.
 
-    The normal scores come from the replicate's `reevaluation.csv`, which the
-    reevaluate manifest must verify and which must carry this config's hash
-    and score exactly the archive's cells.
+    The fault-free scores and policy profiles are the replicate's reevaluate
+    outputs (see `_read_reevaluation`); only the fault passes are simulated.
     """
     header = provenance(config)
     for rep, rep_dir, rep_seed in _pending(config, "faults", log):
-        reevaluation = rep_dir / "reevaluation.csv"
-        if not stage_is_complete(rep_dir, "reevaluate"):
-            raise FileNotFoundError(
-                f"{rep_dir} has no verified reevaluation.csv; run the reevaluate stage first"
-            )
-        stored_hash = read_provenance(reevaluation).get("config_hash")
-        if stored_hash != config_hash(config):
-            raise ConfigError(
-                f"{reevaluation} was written under config_hash={stored_hash}, not this "
-                f"run's config_hash={config_hash(config)}; rerun reevaluate with this config"
-            )
         archive = load_archive(rep_dir / "archive", config["algorithm"])
-        normal_scores = {int(r["key"]): float(r["performance"]) for r in read_table(reevaluation)}
-        if normal_scores.keys() != archive.cells.keys():
-            raise ConfigError(f"{reevaluation} scores other cells than {rep_dir / 'archive'}")
+        normal = _read_reevaluation(config, rep_dir, archive)
         fault_rng = derive_rng(config["seed"], "faults", rep)
         faults = [
             sample_combined_fault(fault_rng, NORMAL_ENV.n_robots)
@@ -410,7 +428,7 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
         records = fault_recovery_records(
             archive,
             config["task"],
-            normal_scores,
+            normal,
             faults,
             trials=config["faults.trials"],
             seed=derive_seed(rep_seed, "recovery"),
@@ -518,20 +536,11 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
     )
 
 
-def stage_export(
-    config: dict, what: str, cell: int | None = None, n_jobs: int = 1, log=print
-) -> None:
-    """Debug/export helpers: trial log, descriptors, or a projection."""
+def stage_export(config: dict, what: str, cell: int | None = None, log=print) -> None:
+    """Debug/export helpers: trial log, descriptors, or a projection of the
+    reevaluate stage's policy profiles."""
     header = provenance(config)
     projection_centroids = None
-    if what == "projection":
-        # the projection CVT's seed does not depend on the replicate: build it once
-        projection_centroids = _build_centroids(
-            config,
-            "spirit",
-            AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
-            derive_seed(config["seed"], "projection-cvt"),
-        )
     for rep, rep_dir in enumerate(replicate_dirs(config)):
         archive = load_archive(rep_dir / "archive", config["algorithm"])
         rep_seed = _replicate_seed(config, rep)
@@ -569,15 +578,15 @@ def stage_export(
                 )
             log(f"export: {rep_dir} descriptors for cell {key}")
         elif what == "projection":
-            projected = project_archive(
-                archive,
-                projection_centroids,
-                config["task"],
-                trials=config["reevaluate.trials"],
-                seed=derive_seed(rep_seed, "projection"),
-                duration=duration,
-                n_jobs=n_jobs,
-            )
+            normal = _read_reevaluation(config, rep_dir, archive)
+            if projection_centroids is None:  # its seed does not depend on the replicate
+                projection_centroids = _build_centroids(
+                    config,
+                    "spirit",
+                    AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
+                    derive_seed(config["seed"], "projection-cvt"),
+                )
+            projected = project_archive(normal, projection_centroids)
             write_table(
                 rep_dir / "projection.csv",
                 header,

@@ -53,7 +53,7 @@ class Genome:
                 raise ValueError(f"bad source id {c.source}")
             if not FIRST_OUTPUT_ID <= c.target < self.n_nodes():
                 raise ValueError(f"bad target id {c.target}")
-            if abs(c.weight) > WEIGHT_BOUND:
+            if not abs(c.weight) <= WEIGHT_BOUND:  # NaN fails every comparison
                 raise ValueError(f"weight {c.weight} out of bounds")
             if (c.source, c.target) in seen:
                 raise ValueError(f"duplicate connection {(c.source, c.target)}")

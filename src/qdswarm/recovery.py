@@ -4,8 +4,11 @@ impact / recovered-performance / resilience metrics.
 A combined fault assigns one fault type to every robot of the swarm. Recovery
 re-evaluates every elite of an archive in the normal operating environment
 with the fault applied, on trial seeds shared across elites, against the
-fault-free scores the caller passes in (the pipeline's `reevaluation.csv`).
-Scored with the same trials and seed, those make the all-NONE fault exactly
+fault-free scores and policy profiles the caller passes in. One fault-free
+pass, `evaluate_archive`, yields both (the pipeline stores them as
+`reevaluation.csv` and `reevaluation_profiles.npy`); the recovery records and
+the policy-profile projection read them and simulate no elite fault free.
+Scored with the same trials and seed, they make the all-NONE fault exactly
 neutral. The resilience >= impact inequality holds without tolerance.
 """
 
@@ -39,9 +42,9 @@ def evaluate_archive(
     seed: int = 0,
     duration: float = 400.0,
     n_jobs: int = 1,
-) -> dict[int, float]:
-    """Re-score every elite in the normal operating environment under the
-    given fault (None = fault free).
+) -> dict[int, tuple[float, np.ndarray]]:
+    """{key: (performance, (64, 16) policy profile)} of every elite in the
+    normal operating environment under the given fault (None = fault free).
 
     The same trial seeds are used for every elite and every fault under the
     same `seed`, which keeps comparisons paired. Results are independent of
@@ -49,8 +52,7 @@ def evaluate_archive(
     """
     keys = sorted(archive.cells)
     with evaluator(min(n_jobs, len(keys))) as run:
-        results = _run_elites(run, archive, keys, task, fault, trials, seed, duration)
-    return {key: perf for key, (perf, _) in results.items()}
+        return _run_elites(run, archive, keys, task, fault, trials, seed, duration, "spirit")
 
 
 def _run_elites(run, archive, keys, task, fault, trials, seed, duration, kind=None):
@@ -102,28 +104,18 @@ class ProjectedMap:
         return len(self.cells)
 
 
-def project_archive(
-    archive,
-    centroids,
-    task,
-    trials: int = 10,
-    seed: int = 0,
-    duration: float = 400.0,
-    n_jobs: int = 1,
-) -> ProjectedMap:
-    """Replay every elite in the normal operating environment, bin by nearest
-    policy-profile centroid, and keep the best performer per centroid.
+def project_archive(normal, centroids) -> ProjectedMap:
+    """Bin every elite by the nearest centroid to its fault-free policy
+    profile and keep the best performer per centroid; `normal` is
+    `evaluate_archive`'s fault-free {key: (performance, profile)}.
 
     Diversity is the mean pairwise behaviour distance over the representative
-    descriptors of the filled centroids (0 for fewer than two). Results are
-    independent of `n_jobs`.
+    descriptors of the filled centroids (0 for fewer than two).
     """
-    keys = sorted(archive.cells)
-    with evaluator(min(n_jobs, len(keys))) as run:
-        results = _run_elites(run, archive, keys, task, None, trials, seed, duration, "spirit")
     lookup = Archive.cvt(centroids)
     cells: dict[int, tuple] = {}
-    for key, (perf, descriptor) in results.items():
+    for key in sorted(normal):
+        perf, descriptor = normal[key]
         cid = lookup.key_of(descriptor)
         if cid not in cells or perf > cells[cid][1]:
             cells[cid] = (key, perf, descriptor)
@@ -159,7 +151,7 @@ class RecoveryRecord:
 def fault_recovery_records(
     archive,
     task,
-    normal_scores: dict[int, float],
+    normal: dict[int, tuple[float, np.ndarray]],
     faults: list,
     trials: int = 10,
     seed: int = 0,
@@ -169,16 +161,16 @@ def fault_recovery_records(
 ) -> list[RecoveryRecord]:
     """Run the full recovery analysis for a batch of combined faults.
 
-    `normal_scores` is every elite's fault-free score, as `evaluate_archive`
-    returns it; the all-NONE fault is exactly neutral when they were scored
-    with the same `trials` and `seed`, and neutral only up to the trial
-    sample otherwise. Each record's behavioural distance compares the
-    recovery and normal-best solutions by their fault-free policy profiles,
-    computed for those elites only. Recovered performance is also reported
+    `normal` is every elite's fault-free (score, policy profile), as
+    `evaluate_archive` returns them; only the fault passes are simulated. The
+    all-NONE fault is exactly neutral when `normal` was scored with the same
+    `trials` and `seed`, and neutral only up to the trial sample otherwise.
+    Each record's behavioural distance compares the recovery and normal-best
+    solutions by their profiles. Recovered performance is also reported
     normalised by the empirical maximum performance observed across this batch.
     """
     task = str(getattr(task, "value", task))
-    best_key, best_normal = _argbest(normal_scores)
+    best_key, best_normal = _argbest({key: perf for key, (perf, _) in normal.items()})
     if best_normal == 0:
         raise ValueError(
             f"task {task}: every elite scores 0 fault free, so impact and "
@@ -191,8 +183,6 @@ def fault_recovery_records(
             faulty = _run_elites(run, archive, keys, task, fault, trials, seed, duration)
             rec_key, rec_perf = _argbest({key: perf for key, (perf, _) in faulty.items()})
             outcomes.append((faulty[best_key][0], rec_key, rec_perf))
-        profiled = sorted({best_key, *(rec_key for _, rec_key, _ in outcomes)})
-        profiles = _run_elites(run, archive, profiled, task, None, trials, seed, duration, "spirit")
     empirical_max = max([best_normal, *(rec_perf for _, _, rec_perf in outcomes)])
     return [
         RecoveryRecord(
@@ -203,7 +193,7 @@ def fault_recovery_records(
             recovered=rec_perf,
             recovered_norm=rec_perf / empirical_max if empirical_max > 0 else 0.0,
             resilience=proportional_change(rec_perf, best_normal),
-            distance=spirit_distance(profiles[rec_key][1], profiles[best_key][1]),
+            distance=spirit_distance(normal[rec_key][1], normal[best_key][1]),
             best_key=rec_key,
         )
         for idx, (fault, (transferred, rec_key, rec_perf)) in enumerate(zip(faults, outcomes))

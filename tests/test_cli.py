@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -190,10 +191,12 @@ class TestPipeline:
         # the faults, seeds and fault ids that the faults stage draws for replicate 0
         fault_rng = derive_rng(config["seed"], "faults", 0)
         faults = [sample_combined_fault(fault_rng, NORMAL_ENV.n_robots) for _ in range(2)]
-        # the normal scores that the faults stage reads back from reevaluate's output
+        # the normal scores and profiles that the faults stage reads back from
+        # reevaluate's output
+        profiles = np.load(rep / "reevaluation_profiles.npy")
         normal = {
-            int(row["key"]): float(row["performance"])
-            for row in read_table(rep / "reevaluation.csv")
+            int(row["key"]): (float(row["performance"]), profile)
+            for row, profile in zip(read_table(rep / "reevaluation.csv"), profiles, strict=True)
         }
         expected = fault_recovery_records(
             load_archive(rep / "archive", "qed"),
@@ -217,20 +220,93 @@ class TestPipeline:
         assert all(type(r.faults) is tuple and type(r.best_key) is int for r in records)
 
     def test_projection_cvt_built_once(self, tmp_path, monkeypatch):
+        """The projection builds one CVT for all replicates and, reading the
+        reevaluate stage's profiles, simulates nothing."""
+        import qdswarm.sim
+
         cfg = write_cfg(tmp_path, TINY.replace("replicates = 1", "replicates = 2"))
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
-        calls = []
+        assert main(["reevaluate", "--out", out]) == 0
+        calls, simulations = [], []
 
         def counting_cvt(k, dim, n_seeds, seed, **kwargs):
             calls.append((k, dim, n_seeds, seed))
             return np.full((2, dim), 1.0 / 16)
 
+        def counting_sim(*args, **kwargs):
+            simulations.append(args)
+            raise AssertionError("the projection ran a simulation")
+
         monkeypatch.setattr("qdswarm.experiment.generate_cvt_centroids", counting_cvt)
+        # every qdswarm module namespace that holds one of the simulator's entry points
+        for name, module in list(sys.modules.items()):
+            for attr in ("run_trial", "run_trials"):
+                if name.startswith("qdswarm") and getattr(module, attr, None) is getattr(
+                    qdswarm.sim, attr
+                ):
+                    monkeypatch.setattr(module, attr, counting_sim)
         assert main(["export", "--out", out, "--what", "projection"]) == 0
         assert len(calls) == 1
+        assert simulations == []
         for rep in ("rep00", "rep01"):
             assert (tmp_path / "run" / rep / "projection_summary.csv").exists()
+
+    def test_stored_profiles_are_the_spirit_descriptors(self, tmp_path):
+        # at seed 11 every elite of the tiny archive has the same profile; at
+        # seed 12 they differ, so a row in the wrong order shows
+        cfg = write_cfg(tmp_path, TINY.replace("seed = 11", "seed = 12"))
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        config = resolve_config("desk", (tmp_path / "run" / "config.txt").read_text())
+        rep = tmp_path / "run" / "rep00"
+        archive = load_archive(rep / "archive", "qed")
+        keys = [int(row["key"]) for row in read_table(rep / "reevaluation.csv")]
+        profiles = np.load(rep / "reevaluation_profiles.npy")
+        assert profiles.shape == (len(keys), 64, 16) and profiles.dtype == np.float64
+        assert len({profile.tobytes() for profile in profiles}) > 1
+        # the trials that the reevaluate stage runs for replicate 0
+        n = config["reevaluate.trials"]
+        seed = derive_seed(derive_seed(config["seed"], "replicate", 0), "recovery")
+        for key, profile in zip(keys, profiles, strict=True):
+            logs = run_trials(
+                [NORMAL_ENV] * n,
+                [archive.cells[key].genome] * n,
+                [None] * n,
+                trial_seeds(n, seed, "recovery-trial"),
+                config["evolve.trial_duration"],
+            )
+            assert profile.tobytes() == describe("spirit", logs).tobytes()
+
+    @pytest.mark.parametrize("damage", ["deleted", "byte-flipped", "unlisted"])
+    def test_faults_and_projection_reject_missing_or_stale_profiles(
+        self, tmp_path, capsys, damage
+    ):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        profiles = rep / "reevaluation_profiles.npy"
+        if damage == "deleted":
+            profiles.unlink()
+        elif damage == "byte-flipped":
+            data = bytearray(profiles.read_bytes())
+            data[-1] ^= 0x01
+            profiles.write_bytes(bytes(data))
+        else:  # a manifest as written before the reevaluate stage stored profiles
+            manifest = rep / "reevaluate.done"
+            recorded = json.loads(manifest.read_text())
+            del recorded["files"]["reevaluation_profiles.npy"]
+            manifest.write_text(json.dumps(recorded))
+        capsys.readouterr()
+        for command in (["faults"], ["export", "--what", "projection"]):
+            assert main([*command, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "reevaluate" in err
+        assert not (rep / "records.csv").exists()
+        assert not list(rep.glob("projection*.csv"))
 
     def test_export_triallog(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -341,17 +417,18 @@ class TestPipeline:
         def no_work(*args, **kwargs):
             raise AssertionError("a stage started")
 
-        for stage in ("stage_evolve", "stage_reevaluate", "stage_faults", "stage_export"):
+        for stage in ("stage_evolve", "stage_reevaluate", "stage_faults"):
             monkeypatch.setattr(f"qdswarm.cli.{stage}", no_work)
-        for command in ("evolve", "reevaluate", "faults", "export"):
+        for command in ("evolve", "reevaluate", "faults"):
             out = str(tmp_path / "run")
             assert main([command, "--out", out, "--threads", threads]) == 2
             assert capsys.readouterr().err == "error: --threads must be >= 1\n"
         assert not (tmp_path / "run").exists()
 
-    def test_analyze_takes_no_threads(self, tmp_path):
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    def test_analyze_takes_no_threads(self, tmp_path, command):
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--out", str(tmp_path / "run"), "--threads", "2"])
+            main([command, "--out", str(tmp_path / "run"), "--threads", "2"])
         assert exc.value.code == 2
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):

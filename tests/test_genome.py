@@ -256,3 +256,5 @@ class TestSerialization:
             genome_from_text("")
         with pytest.raises(ValueError):
             genome_from_text("1\n0 0 0.5\n")  # input node as target
+        with pytest.raises(ValueError):
+            genome_from_text("0\n0 16 nan\n")  # NaN weight

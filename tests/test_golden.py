@@ -1,15 +1,16 @@
 """Byte-identity lock on the pipeline's primary outputs.
 
 A tiny QED run and a tiny SDBC run go through evolve -> reevaluate -> faults,
-and the SHA-256 of every CSV they write, and of the SDBC run's
-`archive/centroids.npy`, is compared with a pinned value, on one worker and
-on two (outputs must not depend on `--threads`). The files
-that `export --what descriptors` and `export --what triallog` write for the
-QED run's best elite are pinned the same way, as are the tables that
-`analyze` writes over the QED and SDBC runs together and the two that
-`export --what projection` writes for the SDBC run. Below the pipeline, one
-digest covers every task's fitness and every descriptor over a fixed set of
-trials in environments with boxes, some under combined faults with ROFS.
+and the SHA-256 of every CSV and numpy array they write (the SDBC run's
+`archive/centroids.npy` and each run's `reevaluation_profiles.npy`) is
+compared with a pinned value, on one worker and on two (outputs must not
+depend on `--threads`). The files that `export --what descriptors` and
+`export --what triallog` write for the QED run's best elite are pinned the
+same way, as are the tables that `analyze` writes over the QED and SDBC runs
+together and the two that `export --what projection` writes for the SDBC
+run from its reevaluate stage's profiles. Below the pipeline, one digest
+covers every task's fitness and every descriptor over a fixed set of trials
+in environments with boxes, some under combined faults with ROFS.
 Refactors must keep these bytes; a change that alters results on purpose
 updates the hashes and says why.
 """
@@ -52,6 +53,7 @@ GOLDEN = {
         "events.csv": "85abd2175f8a8850a6164b7bce504ceb70532ad659689babeb90ff24acadbb5d",
         "records.csv": "791c7fdb2560d09e88ccab99fb6f3761519efb5b6033cd7b394b5fc24f843219",
         "reevaluation.csv": "98cbf125bfe5fe59642df479d8791a4a879602993ee6350745b15a6b4b9fc20d",
+        "reevaluation_profiles.npy": "2b06a0d7772ef56a219ecab785acb509e08d0f94f94b829a8ec4e216aafc9dd6",
         "reevaluation_summary.csv": "3d986dba82be09a948f8c772f9fbd0da97d9cf03b32eaa17c74e509f223a63e3",
         "stats.csv": "7835856bf291ab2cd68b4679de21d6144eec5401abbb9330318ddf716030e4b2",
     },
@@ -61,6 +63,7 @@ GOLDEN = {
         "events.csv": "35bc9d9853787e35f1f137e4e0226e756de8c9005c611d1f8e398f8f090da17a",
         "records.csv": "bde8a5ad467819aff1080d2b021d20dcfd5df79a260b7eed942939d556c5ddf2",
         "reevaluation.csv": "ae45efbe867dd4c32c178fe97119c4afd92948c3428d007e1e3ed94b41215ea7",
+        "reevaluation_profiles.npy": "191e76238554750501357689c8493618590b1ccd492d9423f3aa84e73fc2e36b",
         "reevaluation_summary.csv": "aa2025923f19100a1f9554133dfbcd825e4928882101e48566f33908406fddcb",
         "stats.csv": "f2649392cb2d9ca77d47bc797dbf57f6bdc8e7c93a67cdbbb6888da1e9cd4b8a",
     },
@@ -91,8 +94,8 @@ ANALYZE_GOLDEN = {
 }
 
 PROJECTION_GOLDEN = {
-    "projection.csv": "209f38ac44098294f493f2bfbdf4386e9fcc83ac2503e093439581f8a6fc507b",
-    "projection_summary.csv": "54203f136e2cc1e94759a981b6f8ecb50f5b6d241207197eb6260e7ac5b465fb",
+    "projection.csv": "2ecea7fe87488ccde17fcee5c617ecab91a517a504bf4a653b7adcebf8e010fd",
+    "projection_summary.csv": "52f6ce92fe0c3e92c40218f9baf443a472b0a22d22b0e23fd67220bca79b2399",
 }
 
 
@@ -131,7 +134,7 @@ def test_analyze_and_projection_csvs_byte_identical(tmp_path, threads):
     assert main(["analyze", "--out", str(qed), *records]) == 0
     assert _csv_digests(qed / "analysis") == ANALYZE_GOLDEN
     # the SDBC config has cvt.iterations = 1, which keeps the projection CVT cheap
-    assert main(["export", "--out", str(sdbc), "--what", "projection", "--threads", threads]) == 0
+    assert main(["export", "--out", str(sdbc), "--what", "projection"]) == 0
     digests = _csv_digests(sdbc / "rep00")
     assert {name: digests[name] for name in PROJECTION_GOLDEN if name in digests} == PROJECTION_GOLDEN
 

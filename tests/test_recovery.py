@@ -3,7 +3,7 @@ import pytest
 
 from qdswarm.archive import Elite, Archive, generate_cvt_centroids
 from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
-from qdswarm.genome import Connection, Genome, random_genome
+from qdswarm.genome import Genome, random_genome
 from qdswarm.recovery import (
     RecoveryRecord,
     _run_elites,
@@ -35,6 +35,11 @@ def small_archive(n_elites=5, seed=0):
         archive.try_insert(key, elite)
         key += 7
     return archive
+
+
+def scores_of(results):
+    """{key: performance} of `evaluate_archive`'s {key: (performance, profile)}."""
+    return {key: perf for key, (perf, _) in results.items()}
 
 
 def spy_on_jobs(monkeypatch):
@@ -101,17 +106,19 @@ class TestRecoverImpactResilience:
         assert record.impact == 0.0
         assert record.resilience == 0.0
         faulted = evaluate_archive(archive, "aggregation", none_fault, TRIALS, 0, DUR)
-        assert normal == faulted
+        assert scores_of(normal) == scores_of(faulted)
+        for key, (_, profile) in normal.items():
+            assert faulted[key][1].tobytes() == profile.tobytes()
 
     def test_recovered_dominates_transferred(self):
         archive = small_archive(5)
         rng = np.random.default_rng(9)
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
-        best_key = max(sorted(normal), key=lambda k: normal[k])
+        best_key = max(sorted(normal), key=lambda k: normal[k][0])
         faults = [sample_combined_fault(rng, 10) for _ in range(3)]
         records = fault_recovery_records(archive, "aggregation", normal, faults, TRIALS, 0, DUR)
         for fault, record in zip(faults, records):
-            scores = evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR)
+            scores = scores_of(evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR))
             assert record.recovered == max(scores.values())
             assert record.recovered >= scores[best_key]
 
@@ -119,13 +126,13 @@ class TestRecoverImpactResilience:
         archive = small_archive(5)
         rng = np.random.default_rng(11)
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
-        best_key = max(sorted(normal), key=lambda k: normal[k])
+        best_key = max(sorted(normal), key=lambda k: normal[k][0])
         faults = [sample_combined_fault(rng, 10) for _ in range(4)]
         records = fault_recovery_records(archive, "aggregation", normal, faults, TRIALS, 0, DUR)
         for fault, record in zip(faults, records):
-            faulty = evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR)
-            imp = proportional_change(faulty[best_key], normal[best_key])
-            res = proportional_change(max(faulty.values()), normal[best_key])
+            faulty = scores_of(evaluate_archive(archive, "aggregation", fault, TRIALS, 0, DUR))
+            imp = proportional_change(faulty[best_key], normal[best_key][0])
+            res = proportional_change(max(faulty.values()), normal[best_key][0])
             assert (record.impact, record.resilience) == (imp, res)
             assert res >= imp
 
@@ -175,31 +182,29 @@ class TestSpiritDistance:
 class TestProjection:
     CENTROIDS = generate_cvt_centroids(8, 1024, 32, seed=1, simplex_blocks=True, max_iter=2)
 
+    @staticmethod
+    def fault_free(archive):
+        """The elites' fault-free (performance, policy profile) over one trial."""
+        keys = sorted(archive.cells)
+        return _run_elites(evaluate_jobs, archive, keys, "aggregation", None, 1, 0, DUR, "spirit")
+
     def test_single_elite(self):
-        archive = small_archive(1)
-        projected = project_archive(archive, self.CENTROIDS, "aggregation", trials=1, duration=DUR)
+        projected = project_archive(self.fault_free(small_archive(1)), self.CENTROIDS)
         assert projected.coverage == 1
         assert projected.diversity == 0.0
 
     def test_identical_behaviours_share_a_centroid(self):
-        archive = Archive.qed()
-        genome = Genome(0, (Connection(15, 16, 1.0), Connection(15, 17, 1.0)))
-        archive.try_insert(0, Elite(genome=genome, performance=0.5, env=NORMAL_ENV))
-        archive.try_insert(9, Elite(genome=genome, performance=0.4, env=NORMAL_ENV))
-        projected = project_archive(archive, self.CENTROIDS, "aggregation", trials=1, duration=DUR)
+        profile = np.full((64, 16), 1.0 / 16.0)
+        projected = project_archive({0: (0.5, profile), 9: (0.4, profile)}, self.CENTROIDS)
         assert projected.coverage == 1
         (kept,) = projected.cells.values()
         assert kept[0] == 0  # the better performer's source key
 
     def test_three_point_diversity_matches_hand_mean(self):
-        archive = small_archive(6, seed=3)
-        # centroids at the elites' own fault-free profiles (the same trial
-        # seeds as the projection) give each distinct profile its own cell
-        profiled = _run_elites(
-            evaluate_jobs, archive, sorted(archive.cells), "aggregation", None, 1, 0, DUR, "spirit"
-        )
-        centroids = np.array([profile.ravel() for _, profile in profiled.values()])
-        projected = project_archive(archive, centroids, "aggregation", trials=1, duration=DUR)
+        normal = self.fault_free(small_archive(6, seed=3))
+        # centroids at the elites' own profiles give each distinct profile its own cell
+        centroids = np.array([profile.ravel() for _, profile in normal.values()])
+        projected = project_archive(normal, centroids)
         assert projected.coverage >= 3
         reps = [projected.cells[c][2] for c in sorted(projected.cells)]
         total, pairs = 0.0, 0
@@ -264,8 +269,8 @@ class TestFaultRecoveryRecords:
         assert jobs_seen == []
 
     def test_profiles_only_the_compared_elites(self, monkeypatch):
-        """The normal scores are given, so the only fault-free jobs are the
-        spirit profiles of the normal-best and recovery elites."""
+        """The normal scores and profiles are given, so the records run no
+        fault-free job: only one job per elite and fault."""
         archive = small_archive(6)
         rng = np.random.default_rng(21)
         faults = [sample_combined_fault(rng, 10) for _ in range(2)]
@@ -275,11 +280,9 @@ class TestFaultRecoveryRecords:
             archive, "aggregation", normal, faults, trials=TRIALS, seed=0, duration=DUR, n_jobs=1
         )
         assert len(records) == 2
-        fault_free = [job for job in jobs_seen if job[3] is None]
+        assert [job for job in jobs_seen if job[3] is None] == []
         faulty = [job for job in jobs_seen if job[3] is not None]
-        assert 1 <= len(fault_free) <= 3
-        assert all(job[6] == "spirit" for job in fault_free)
-        assert len(faulty) == 2 * 6
+        assert len(faulty) == len(jobs_seen) == 2 * 6
         assert all(job[6] is None for job in faulty)
 
     def test_no_faults_no_records(self):

@@ -227,12 +227,26 @@ def _manifest_path(directory, stage: str) -> Path:
     return Path(directory) / f"{stage}.done"
 
 
+# The files each stage writes, which its manifest must list; the evolve
+# stage's manifest also lists every other file of its archive.
+STAGE_FILES = {
+    "evolve": ["archive/index.csv", "stats.csv", "events.csv"],
+    "reevaluate": ["reevaluation.csv", "reevaluation_summary.csv", PROFILES],
+    "faults": ["records.csv"],
+}
+
+
 def stage_is_complete(directory, stage: str) -> bool:
-    """True when the stage manifest exists and all recorded hashes match."""
+    """True when the stage manifest exists, lists every file of
+    `STAGE_FILES[stage]`, and all recorded hashes match. A manifest written
+    before the stage wrote one of its files today is stale, so the stage
+    reruns."""
     manifest = _manifest_path(directory, stage)
     if not manifest.exists():
         return False
     recorded = json.loads(manifest.read_text())
+    if not recorded["files"].keys() >= set(STAGE_FILES[stage]):
+        return False
     for name, digest in recorded["files"].items():
         path = Path(directory) / name
         if not path.exists() or _file_hash(path) != digest:
@@ -360,7 +374,7 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             ["best_key", "best", "mean"],
             [[best_key, scores[best_key], mean]],
         )
-        write_manifest(rep_dir, "reevaluate", ["reevaluation.csv", "reevaluation_summary.csv", PROFILES])
+        write_manifest(rep_dir, "reevaluate", STAGE_FILES["reevaluate"])
         log(f"reevaluate: {rep_dir} best={scores[best_key]:.4f} mean={mean:.4f}")
 
 
@@ -386,15 +400,13 @@ def _record_row(record: RecoveryRecord) -> list:
 
 def _read_reevaluation(config: dict, rep_dir: Path, archive) -> dict:
     """{key: (fault-free score, policy profile)} of every elite of `archive`,
-    as the reevaluate stage stored them in `rep_dir`: its manifest must verify
-    and list the profiles, the scores must carry this config's hash, and both
-    must cover exactly the archive's cells."""
-    reevaluation, manifest = rep_dir / "reevaluation.csv", _manifest_path(rep_dir, "reevaluate")
-    listed = json.loads(manifest.read_text())["files"] if manifest.exists() else {}
-    if PROFILES not in listed or not stage_is_complete(rep_dir, "reevaluate"):
+    as the reevaluate stage stored them in `rep_dir`: the stage must be
+    complete (`stage_is_complete`), the scores must carry this config's
+    hash, and scores and profiles must cover exactly the archive's cells."""
+    reevaluation = rep_dir / "reevaluation.csv"
+    if not stage_is_complete(rep_dir, "reevaluate"):
         raise FileNotFoundError(
-            f"{rep_dir} has no verified reevaluation.csv and {PROFILES}; run the reevaluate "
-            f"stage (for a run made before it stored {PROFILES}, delete {manifest} first)"
+            f"{rep_dir} has no verified reevaluation.csv and {PROFILES}; run the reevaluate stage"
         )
     stored_hash = read_provenance(reevaluation).get("config_hash")
     if stored_hash != config_hash(config):
@@ -437,7 +449,7 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
             n_jobs=n_jobs,
         )
         write_table(rep_dir / "records.csv", header, RECORD_COLUMNS, map(_record_row, records))
-        write_manifest(rep_dir, "faults", ["records.csv"])
+        write_manifest(rep_dir, "faults", STAGE_FILES["faults"])
         log(f"faults: {rep_dir} wrote {len(records)} records")
 
 
@@ -536,6 +548,16 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
     )
 
 
+def _exported_elite(archive, cell: int | None, rep_dir: Path):
+    """(key, genome) of the elite at `cell`, or of the best elite when `cell` is None."""
+    key = cell
+    if key is None:
+        key, _ = _argbest({k: elite.performance for k, elite in archive.cells.items()})
+    if key not in archive.cells:
+        raise ConfigError(f"{rep_dir / 'archive'} has no elite at cell {key}")
+    return key, archive.cells[key].genome
+
+
 def stage_export(config: dict, what: str, cell: int | None = None, log=print) -> None:
     """Debug/export helpers: trial log, descriptors, or a projection of the
     reevaluate stage's policy profiles."""
@@ -544,15 +566,10 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
     for rep, rep_dir in enumerate(replicate_dirs(config)):
         archive = load_archive(rep_dir / "archive", config["algorithm"])
         rep_seed = _replicate_seed(config, rep)
-        key = cell
-        if key is None:
-            key, _ = _argbest({k: elite.performance for k, elite in archive.cells.items()})
-        if key not in archive.cells:
-            raise ConfigError(f"{rep_dir / 'archive'} has no elite at cell {key}")
-        genome = archive.cells[key].genome
         seed = derive_seed(rep_seed, "export")
         duration = config["evolve.trial_duration"]
         if what == "triallog":
+            key, genome = _exported_elite(archive, cell, rep_dir)
             trial = run_trial(NORMAL_ENV, genome, seed=seed, duration=duration)
             cycle, robot = np.divmod(np.arange(trial.n_cycles * trial.n_robots), trial.n_robots)
             poses, commands = trial.poses.reshape(-1, 3).T, trial.commands.reshape(-1, 2).T
@@ -564,6 +581,7 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
             )
             log(f"export: {rep_dir} trial log for cell {key}")
         elif what == "descriptors":
+            key, genome = _exported_elite(archive, cell, rep_dir)
             n = config["reevaluate.trials"]
             logs = run_trials(
                 [NORMAL_ENV] * n, [genome] * n, [None] * n, trial_seeds(n, seed), duration

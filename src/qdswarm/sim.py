@@ -9,33 +9,42 @@ obstacles, and positions are clamped to the walls. Per-robot sensor/actuator
 faults can be injected each cycle. A trial is a pure function of
 (environment, genome, fault assignment, seed).
 
-Trials that share a swarm size and a duration step together in
-`run_trials`, each in its own environment, and a trial's log is the same
-whatever batch it runs in. The batched kernel functions it calls, on
-(B, N, ...) arrays, are the simulator's only API; the per-trial reference
-loop that the tests compare the kernel against lives in `tests/oracles.py`.
-The kernel functions take each trial's arena side and sensor range as a
-scalar or a (B,) array, and read the fixed body from the module constants
-ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. A batch's obstacle arrays
-are padded to its largest obstacle count with boxes centred at
-PADDING_BOX_CENTRE, far outside every arena: never within a sensor's reach,
-never pushing a robot. Each `TrialLog` carries its trial's `env` and its own
-obstacle centres. Trials of one call that share an (environment, seed) pair
-are placed once, and collision passes compute the geometry of the pairs
-i < j only. Each swarm-geometry quantity has one function here, which the
-fitness and descriptor modules call too: `pairwise_offsets`,
-`pair_distances`, `pair_indices`, and `_circle_box_offsets` for discs
-against boxes.
+Trials that share a duration step together in `run_trials`, each in its own
+environment and with its own swarm size, and a trial's log is the same
+whatever batch it runs in. The batched kernel functions it calls are the
+simulator's only API; the per-trial reference loop that the tests compare
+the kernel against lives in `tests/oracles.py`. They work on one flat
+layout, a `Swarms` built from the trials' environments: robot arrays are
+(R, ...) with the robots of all trials concatenated in (trial, index) order,
+each robot carrying its trial's arena side, speed and sensor ranges;
+obstacle centres are one (K, 2) array in trial order; one list holds the
+pairs i < j of robots of one trial, and one the (robot, box of its own
+trial) pairs. The fixed body comes from the module constants ROBOT_RADIUS,
+AXLE_LENGTH and MAX_ANGULAR_SPEED. Each `TrialLog` carries its trial's `env`
+and its own obstacle centres. Trials of one call that share an
+(environment, seed) pair are placed once. Each swarm-geometry quantity of a
+trial log has one function here, which the fitness and descriptor modules
+call too: `pairwise_offsets`, `pair_distances`, `pair_indices`, and
+`_circle_box_offsets` for discs against boxes.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from .environment import EnvironmentSpec
-from .genome import BIAS_INDEX, N_INPUTS, N_PROXIMITY, N_RAB, CompiledNetwork, Genome
+from .genome import (
+    BIAS_INDEX,
+    N_INPUTS,
+    N_OUTPUTS,
+    N_PROXIMITY,
+    N_RAB,
+    CompiledNetwork,
+    Genome,
+)
 
 CONTROL_DT = 0.20
 ROBOT_RADIUS = 0.06
@@ -50,8 +59,6 @@ TRIAL_BATCH_ROBOT_CYCLES = 160_000
 PAIR_OVERLAP_TOL = 1e-9
 # Slack on the proximity ray-casting cut-off, far above its rounding error.
 CULL_MARGIN = 1e-6
-# Both coordinates of the boxes that pad a batch's obstacle arrays.
-PADDING_BOX_CENTRE = -1e6
 
 # Body-frame ray angles: five frontal, two rear. The sensor counts are the
 # network's input layout, which `genome` owns.
@@ -133,10 +140,9 @@ def sensor_input_scale(activations):
 def differential_drive_step(poses, commands):
     """Integrate one control cycle: translate along the old heading, then turn.
 
-    The poses (B, N, 3) and wheel speeds `commands` (B, N, 2) of B trials
-    give the moved poses (B, N, 3), the linear velocities (vl + vr) / 2 and
-    the angular velocities (vr - vl) / AXLE_LENGTH, clamped to
-    MAX_ANGULAR_SPEED, each (B, N).
+    Poses (..., 3) and wheel speeds `commands` (..., 2) give the moved poses
+    (..., 3), the linear velocities (vl + vr) / 2 and the angular velocities
+    (vr - vl) / AXLE_LENGTH, clamped to MAX_ANGULAR_SPEED, each (...).
     """
     v = 0.5 * (commands[..., 0] + commands[..., 1])
     omega = np.clip(
@@ -151,13 +157,86 @@ def differential_drive_step(poses, commands):
     return moved, v, omega
 
 
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs i < j of n robots, in loop order;
+    read-only, since every caller shares them."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+@dataclass(frozen=True, eq=False)
+class Swarms:
+    """The flat layout of B trials' robots; `swarm_layout(envs)` builds it.
+
+    Robot arrays are (R, ...) with the robots in (trial, index) order, and
+    trial b's robots are rows `bounds[b]:bounds[b + 1]`; its obstacles are
+    rows `box_bounds[b]:box_bounds[b + 1]` of the (K, 2) obstacle array.
+    """
+
+    trial: np.ndarray  # (R,) each robot's trial
+    index: np.ndarray  # (R,) each robot's index within its trial
+    bounds: np.ndarray  # (B + 1,)
+    box_bounds: np.ndarray  # (B + 1,)
+    side: np.ndarray  # (R,) arena side of each robot's trial
+    speed: np.ndarray  # (R,) maximal linear speed
+    rab_range: np.ndarray  # (R,)
+    proximity_range: np.ndarray  # (R,)
+    pair_i: np.ndarray  # (P,) robots of the pairs i < j of each trial, in (trial, i, j) order
+    pair_j: np.ndarray
+    pair_trial: np.ndarray  # (P,)
+    observer: np.ndarray  # (2P,) the pairs read both ways: (i, j), then (j, i)
+    neighbor: np.ndarray
+    box_robot: np.ndarray  # (Q,) each robot with each box of its trial, in (robot, box) order
+    box: np.ndarray  # (Q,) obstacle rows
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.bounds) - 1
+
+
+def swarm_layout(envs) -> Swarms:
+    """The `Swarms` of one trial in each of `envs`."""
+    sizes = np.array([env.n_robots for env in envs])
+    counts = np.array([env.n_obstacles for env in envs])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    box_bounds = np.concatenate([[0], np.cumsum(counts)])
+    trial = np.repeat(np.arange(len(sizes)), sizes)
+    side, speed, rab_range, proximity_range = np.array(
+        [(e.arena_side, e.max_linear_speed, e.rab_range, e.proximity_range) for e in envs]
+    ).T[:, trial]
+    pair_i, pair_j = (
+        np.concatenate([pair_indices(n)[k] + first for n, first in zip(sizes, bounds)])
+        for k in (0, 1)
+    )
+    return Swarms(
+        trial=trial,
+        index=np.arange(len(trial)) - bounds[trial],
+        bounds=bounds,
+        box_bounds=box_bounds,
+        side=side,
+        speed=speed,
+        rab_range=rab_range,
+        proximity_range=proximity_range,
+        pair_i=pair_i,
+        pair_j=pair_j,
+        pair_trial=trial[pair_i],
+        observer=np.concatenate([pair_i, pair_j]),
+        neighbor=np.concatenate([pair_j, pair_i]),
+        box_robot=np.repeat(np.arange(len(trial)), counts[trial]),
+        box=np.concatenate(
+            [np.tile(np.arange(k) + first, n) for n, k, first in zip(sizes, counts, box_bounds)]
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Ray casting
 #
-# The sensing, fault and collision functions below act on B trials at once:
-# poses are (B, N, 3) and obstacle centres (B, K, 2). Each element of a trial
-# goes through the same arithmetic whatever the other trials hold, so a
-# trial's readings are the same bits in any batch.
+# The sensing, fault and collision functions below act on the flat layout.
+# Each element of a trial goes through the same arithmetic whatever the other
+# trials hold, so a trial's readings are the same bits in any batch.
 
 
 def _ray_wall_t(origins, dirs, side):
@@ -222,21 +301,18 @@ def pair_distances(poses) -> np.ndarray:
     return dist
 
 
-@functools.cache
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the pairs i < j of n robots, in loop order;
-    read-only, since every caller shares them."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+def neighbor_offsets(poses, swarms: Swarms) -> np.ndarray:
+    """(2P, 2) world-frame offsets of the pairs read both ways: row p is the
+    position of robot `swarms.neighbor[p]` minus that of `swarms.observer[p]`."""
+    xy = np.ascontiguousarray(poses[:, :2])
+    return np.take(xy, swarms.neighbor, axis=0) - np.take(xy, swarms.observer, axis=0)
 
 
-def proximity_activations(poses, obstacles, side, proximity_range, rel=None) -> np.ndarray:
-    """Proximity readings of B trials, (B, N, 7) activations in [0, 1].
+def proximity_activations(poses, obstacles, swarms: Swarms, rel=None) -> np.ndarray:
+    """Proximity readings of the robots (R, 3) of a flat batch, (R, 7) activations in [0, 1].
 
-    `poses` (B, N, 3) and `obstacles` (B, K, 2) go with one arena side and
-    one sensor range per trial, each a (B,) array or a scalar shared by all;
-    `rel` is `pairwise_offsets(poses)` when the caller has it. Activation is
+    `obstacles` (K, 2) are the batch's box centres and `rel` is
+    `neighbor_offsets(poses, swarms)` when the caller has it. Activation is
     1 - d / proximity_range clipped to [0, 1], with d the distance from the
     body surface (ROBOT_RADIUS from the centre) to the nearest wall,
     obstacle, or robot along the ray. Only obstacles and robots within reach
@@ -244,77 +320,79 @@ def proximity_activations(poses, obstacles, side, proximity_range, rel=None) -> 
     along every ray, so its reading would clip to 0 whether it is cast or not.
     """
     poses = np.asarray(poses, dtype=float)
-    batch, n = poses.shape[:2]
-    side = np.reshape(side, (-1, 1, 1))
-    proximity_range = np.reshape(proximity_range, (-1, 1, 1))
-    xy = poses[..., :2]
-    angles = poses[..., 2:3] + PROXIMITY_ANGLES
+    xy = poses[:, :2]
+    angles = poses[:, 2:3] + PROXIMITY_ANGLES
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    t = _ray_wall_t(xy[:, :, None, :], dirs, side)
-    reach = proximity_range + ROBOT_RADIUS + CULL_MARGIN
-    if obstacles.shape[1]:
+    t = _ray_wall_t(xy[:, None, :], dirs, swarms.side[:, None])
+    reach = swarms.proximity_range + ROBOT_RADIUS + CULL_MARGIN
+    if len(swarms.box):
         half = OBSTACLE_SIDE / 2
-        b, i, k = np.nonzero(_circle_box_offsets(xy, obstacles, half)[1] <= reach)
-        if len(b):
-            np.minimum.at(t, (b, i), _ray_box_t(xy[b, i], dirs[b, i], obstacles[b, k], half))
-    if n > 1:
+        robot, box = swarms.box_robot, swarms.box
+        centers = np.take(obstacles, box, axis=0)
+        near = np.flatnonzero(
+            _circle_box_offsets(np.take(xy, robot, axis=0), centers, half)[1] <= reach[robot]
+        )
+        if len(near):
+            robot = robot[near]
+            hits = _ray_box_t(
+                np.take(xy, robot, axis=0),
+                np.take(dirs, robot, axis=0),
+                np.take(centers, near, axis=0),
+                half,
+            )
+            np.minimum.at(t, robot, hits)
+    if len(swarms.observer):
         if rel is None:
-            rel = pairwise_offsets(poses)
-        reach += ROBOT_RADIUS
-        near = rel[..., 0] * rel[..., 0] + rel[..., 1] * rel[..., 1] <= reach * reach
-        near.reshape(batch, -1)[:, :: n + 1] = False
-        b, i, j = np.nonzero(near)
-        if len(b):
-            np.minimum.at(t, (b, i), _ray_circle_t(rel[b, i, j], dirs[b, i], ROBOT_RADIUS))
+            rel = neighbor_offsets(poses, swarms)
+        reach = reach + ROBOT_RADIUS
+        observer = swarms.observer
+        near = np.flatnonzero(
+            rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1] <= (reach * reach)[observer]
+        )
+        if len(near):
+            observer = observer[near]
+            hits = _ray_circle_t(
+                np.take(rel, near, axis=0), np.take(dirs, observer, axis=0), ROBOT_RADIUS
+            )
+            np.minimum.at(t, observer, hits)
     distance = t - ROBOT_RADIUS
-    return np.clip(1.0 - distance / proximity_range, 0.0, 1.0)
+    return np.clip(1.0 - distance / swarms.proximity_range[:, None], 0.0, 1.0)
 
 
-@functools.cache
-def _offdiag_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
-
-
-def body_frame_offsets(poses, rel=None) -> np.ndarray:
-    """(..., N, N-1, 2) offsets from each robot to the others in its body frame.
-
-    Row i lists the other robots in ascending index order; `rel` is
-    `pairwise_offsets(poses)` when the caller has it.
-    """
+def body_frame_offsets(poses, swarms: Swarms, rel=None) -> np.ndarray:
+    """(2P, 2) offsets of the pairs read both ways, each in its observer's
+    body frame; `rel` is `neighbor_offsets(poses, swarms)` when the caller has it."""
     poses = np.asarray(poses, dtype=float)
-    n = poses.shape[-2]
     if rel is None:
-        rel = pairwise_offsets(poses)
-    cos = np.cos(poses[..., 2])[..., None]
-    sin = np.sin(poses[..., 2])[..., None]
-    rx = rel[..., 0] * cos + rel[..., 1] * sin
-    ry = -rel[..., 0] * sin + rel[..., 1] * cos
-    rotated = np.stack([rx, ry], axis=-1)
-    return rotated[..., _offdiag_mask(n), :].reshape(poses.shape[:-2] + (n, n - 1, 2))
+        rel = neighbor_offsets(poses, swarms)
+    cos = np.cos(poses[:, 2])[swarms.observer]
+    sin = np.sin(poses[:, 2])[swarms.observer]
+    rx = rel[:, 0] * cos + rel[:, 1] * sin
+    ry = -rel[:, 0] * sin + rel[:, 1] * cos
+    return np.stack([rx, ry], axis=-1)
 
 
-def rab_activations(neighbor_rel, rab_range) -> np.ndarray:
-    """Range-and-bearing readings from body-frame neighbour offsets (..., K, 2); (..., 8).
+def rab_activations(neighbor_rel, observer, rab_range) -> np.ndarray:
+    """Range-and-bearing readings of R robots, (R, 8), R = len(rab_range).
 
-    Cone k is centred at k * 45 degrees (cone 0 on the heading). Each cone
-    reports the range of its closest neighbour as a fraction of `rab_range`,
-    or 1 if no neighbour is within range. `rab_range` broadcasts against the
-    leading axes `...`: a scalar, or one range per reading robot.
+    Row p of `neighbor_rel` (M, 2) is a neighbour's offset in the body frame
+    of robot `observer[p]`, and `rab_range` (R,) is each robot's sensor
+    range. Cone k is centred at k * 45 degrees (cone 0 on the heading). Each
+    cone reports the range of its closest neighbour as a fraction of the
+    robot's range, or 1 if no neighbour is within range.
     """
     rel = np.asarray(neighbor_rel, dtype=float)
-    lead, count = rel.shape[:-2], rel.shape[-2]
-    rel = rel.reshape((int(np.prod(lead)), count, 2))
-    rab_range = np.broadcast_to(rab_range, lead).reshape(-1, 1)
-    closest = np.full((len(rel), N_RAB_CONES), np.inf)
-    if count:
-        ranges = np.hypot(rel[..., 0], rel[..., 1])
-        rows, cols = np.nonzero(ranges <= rab_range)
-        seen = rel[rows, cols]
+    observer = np.asarray(observer, dtype=int)
+    rab_range = np.asarray(rab_range, dtype=float)
+    closest = np.full((len(rab_range), N_RAB_CONES), np.inf)
+    if len(rel):
+        ranges = np.hypot(rel[:, 0], rel[:, 1])
+        rows = np.flatnonzero(ranges <= rab_range[observer])
+        seen = np.take(rel, rows, axis=0)
         bearings = np.arctan2(seen[:, 1], seen[:, 0])
         cones = np.floor((bearings + RAB_CONE_HALF) / RAB_CONE_WIDTH).astype(int) % N_RAB_CONES
-        np.minimum.at(closest, (rows, cones), ranges[rows, cols])
-    out = np.where(np.isfinite(closest), closest / rab_range, 1.0)
-    return out.reshape(lead + (N_RAB_CONES,))
+        np.minimum.at(closest, (observer[rows], cones), ranges[rows])
+    return np.where(np.isfinite(closest), closest / rab_range[:, None], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +401,26 @@ def rab_activations(neighbor_rel, rab_range) -> np.ndarray:
 
 @dataclass
 class _FaultPlan:
-    """The fault assignments of B trials: (B, N) masks, actuator scales, and
-    every cycle's PRAND/ROFS noise drawn up front, one (T, W) column block
-    per trial."""
+    """The fault assignments of a flat batch: (R,) masks, actuator scales,
+    and every cycle's PRAND/ROFS noise drawn up front, one (T, W) column
+    block per trial."""
 
     pmin: np.ndarray
     pmax: np.ndarray
     prand: np.ndarray
     rofs: np.ndarray
     any_prox: bool
-    actuator_scale: np.ndarray  # (B, N, 2), 1.0 for a working wheel
+    actuator_scale: np.ndarray  # (R, 2), 1.0 for a working wheel
     noise: np.ndarray  # (T, W): the noise of cycle t is row t
     prand_cols: np.ndarray  # (PRAND robots, 5) noise columns, robots in (trial, index) order
     radius_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset radii
     angle_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset angles
+    shifted: np.ndarray  # rows of `Swarms.observer` whose observer has ROFS
+    shift: np.ndarray  # for each such row, its observer's rank among the ROFS robots
 
 
-def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
-    """Plan of the (B, N) fault assignment `fault_arr`; trial b's noise comes from `rngs[b]`.
+def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) -> _FaultPlan:
+    """Plan of the (R,) fault assignment `fault_arr`; trial b's noise comes from `rngs[b]`.
 
     Each trial draws, per cycle, 5 values per PRAND robot (ascending robot
     index), then one offset radius per ROFS robot, then one offset angle per
@@ -358,7 +438,11 @@ def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
     scale[fault_arr == int(FaultType.BW_H), :] = 0.5
     blocks, prand_cols, radius_cols, angle_cols = [], [], [], []
     width = 0
-    for rng, n_prand, n_rofs in zip(rngs, prand.sum(axis=1), rofs.sum(axis=1)):
+    for rng, n_prand, n_rofs in zip(
+        rngs,
+        np.bincount(swarms.trial[prand], minlength=len(rngs)),
+        np.bincount(swarms.trial[rofs], minlength=len(rngs)),
+    ):
         counts = [N_FRONT_PROXIMITY * n_prand, n_rofs, n_rofs]
         low = np.repeat([0.0, 0.75, -np.pi], counts)
         high = np.repeat([1.0, 1.0, np.pi], counts)
@@ -368,6 +452,7 @@ def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
         radius_cols.append(width + counts[0] + np.arange(n_rofs))
         angle_cols.append(width + counts[0] + n_rofs + np.arange(n_rofs))
         width += len(low)
+    shifted = np.flatnonzero(rofs[swarms.observer])
     return _FaultPlan(
         pmin=pmin,
         pmax=pmax,
@@ -379,27 +464,29 @@ def _compile_faults(fault_arr: np.ndarray, rngs, n_cycles: int) -> _FaultPlan:
         prand_cols=np.concatenate(prand_cols),
         radius_cols=np.concatenate(radius_cols),
         angle_cols=np.concatenate(angle_cols),
+        shifted=shifted,
+        shift=(np.cumsum(rofs) - 1)[swarms.observer[shifted]],
     )
 
 
-def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_range, noise):
-    """Faulted (proximity, rab) arrays of B trials for one cycle; `rab_range`
-    is (B,) and `noise` is the cycle's row of `plan.noise`. A ROFS robot's
-    neighbour offsets are shifted by its offset before the one RAB reading
-    of the batch."""
-    rab_range = rab_range[:, None]
+def _apply_sensor_faults_batch(proximity, neighbor_rel, swarms: Swarms, plan: _FaultPlan, noise):
+    """Faulted (proximity, rab) arrays of a flat batch for one cycle; `noise`
+    is the cycle's row of `plan.noise`. A ROFS robot's neighbour offsets are
+    shifted by its offset before the one RAB reading of the batch."""
     if plan.any_prox:
         proximity = proximity.copy()
         proximity[plan.pmin, :N_FRONT_PROXIMITY] = 0.0
         proximity[plan.pmax, :N_FRONT_PROXIMITY] = 1.0
         proximity[plan.prand, :N_FRONT_PROXIMITY] = noise[plan.prand_cols]
     if len(plan.radius_cols):
-        r = noise[plan.radius_cols] * np.broadcast_to(rab_range, plan.rofs.shape)[plan.rofs]
+        r = noise[plan.radius_cols] * swarms.rab_range[plan.rofs]
         theta = noise[plan.angle_cols]
         offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
         neighbor_rel = neighbor_rel.copy()
-        neighbor_rel[plan.rofs] += offsets[:, None, :]
-    return proximity, rab_activations(neighbor_rel, rab_range)
+        neighbor_rel[plan.shifted] = np.take(neighbor_rel, plan.shifted, axis=0) + np.take(
+            offsets, plan.shift, axis=0
+        )
+    return proximity, rab_activations(neighbor_rel, swarms.observer, swarms.rab_range)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +494,12 @@ def _apply_sensor_faults_batch(proximity, neighbor_rel, plan: _FaultPlan, rab_ra
 
 
 def _circle_box_offsets(xy, centers, half):
-    """Offsets (..., N, K, 2) of points (..., N, 2) from their nearest points
-    on boxes (..., K, 2) of half side `half`, and their lengths (..., N, K)."""
-    points = xy[..., :, None, :]
-    boxes = centers[..., None, :, :]
+    """Offsets (..., 2) of points `xy` from their nearest points on the boxes
+    of half side `half` centred at `centers`, broadcast against each other,
+    and their lengths (...)."""
     # np.clip's values at a fraction of its call overhead, which placement
     # pays once per attempt
-    delta = points - np.minimum(np.maximum(points, boxes - half), boxes + half)
+    delta = xy - np.minimum(np.maximum(xy, centers - half), centers + half)
     return delta, np.hypot(delta[..., 0], delta[..., 1])
 
 
@@ -444,7 +530,7 @@ def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
                 if np.hypot(d[:, 0], d[:, 1]).min() < 2 * ROBOT_RADIUS:
                     continue
             if len(obstacles):
-                if _circle_box_offsets(xy[None], obstacles, half)[1].min() < ROBOT_RADIUS:
+                if _circle_box_offsets(xy, obstacles, half)[1].min() < ROBOT_RADIUS:
                     continue
             poses[i, :2] = xy
             poses[i, 2] = rng.uniform(-np.pi, np.pi)
@@ -455,115 +541,126 @@ def place_entities(rng: np.random.Generator, env: EnvironmentSpec):
     return obstacles, poses
 
 
-def _push_out_of_boxes(xy, boxes, r, half) -> np.ndarray:
-    """Push discs (A, N, 2) out of the boxes (A, K, 2) they overlap, in place;
-    returns which of the A trials had a disc pushed.
+def _push_out_of_boxes(xy, robot, boxes, r, half) -> np.ndarray:
+    """Push discs `xy` (R, 2) out of the boxes they overlap, in place, over
+    the (robot, box) pairs `robot` (Q,) and `boxes` (Q, 2); returns the
+    robots pushed, once per push.
 
     A robot's pushes apply in ascending box order, each to the position the
     previous one left. `np.add.at` keeps that order for the usual push along
     the centre-to-box line; a robot whose centre is inside a box takes the
     per-pair loop instead, because its exit reads the current position.
     """
-    n = xy.shape[1]
-    pushed = np.zeros(len(xy), dtype=bool)
-    delta, dist = _circle_box_offsets(xy, boxes, half)
-    a, i, k = np.nonzero(dist < r)
-    if not len(a):
-        return pushed
-    pushed[a] = True
-    d = dist[a, i, k]
-    row = a * n + i
+    delta, dist = _circle_box_offsets(np.take(xy, robot, axis=0), boxes, half)
+    hits = np.flatnonzero(dist < r)
+    if not len(hits):
+        return hits
+    row, d = robot[hits], dist[hits]
+    delta, boxes = np.take(delta, hits, axis=0), np.take(boxes, hits, axis=0)
+    pushed = row
     inside_rows = row[d <= 1e-12]
     if len(inside_rows):
         slow = np.isin(row, inside_rows)
-        for a_, i_, k_, d_ in zip(a[slow], i[slow], k[slow], d[slow]):
+        for row_, delta_, box_, d_ in zip(row[slow], delta[slow], boxes[slow], d[slow]):
             if d_ > 1e-12:
-                xy[a_, i_] += delta[a_, i_, k_] / d_ * (r - d_)
+                xy[row_] += delta_ / d_ * (r - d_)
             else:  # centre inside the box: exit along the shallower axis
-                gap = xy[a_, i_] - boxes[a_, k_]
+                gap = xy[row_] - box_
                 axis = int(np.argmin(half - np.abs(gap)))
                 direction = 1.0 if gap[axis] >= 0 else -1.0
-                xy[a_, i_, axis] = boxes[a_, k_, axis] + direction * (half + r)
-        a, i, k, d, row = a[~slow], i[~slow], k[~slow], d[~slow], row[~slow]
-    np.add.at(xy.reshape(-1, 2), row, delta[a, i, k] / d[:, None] * (r - d)[:, None])
+                xy[row_, axis] = box_[axis] + direction * (half + r)
+        row, d, delta = row[~slow], d[~slow], delta[~slow]
+    np.add.at(xy, row, delta / d[:, None] * (r - d)[:, None])
     return pushed
 
 
-def _push_pairs_apart(xy, overlapping, diff, dist, overlap):
-    """Push every overlapping pair (i < j) of discs (A, N, 2) apart by half
+def _push_pairs_apart(xy, i, j, overlapping, diff, dist, overlap):
+    """Push every overlapping pair (i, j) of discs `xy` (R, 2) apart by half
     the overlap each, in place, summing each robot's pushes in the order of
-    a loop over the pairs (i, j) before adding them to its position.
+    a loop over the pairs before adding them to its position.
 
-    `overlapping`, `dist` and `overlap` are (A, P) and `diff` is (A, P, 2),
-    over the P pairs of `pair_indices(N)`. In the loop a robot's pushes as
-    the j of a pair all come before its pushes as the i of one, so
+    `overlapping`, `dist` and `overlap` are (P,) and `diff` is (P, 2), over
+    the P pairs `i`, `j` in (trial, i, j) order. In the loop a robot's pushes
+    as the j of a pair all come before its pushes as the i of one, so
     `np.add.at` over every j-side push followed by every i-side push, each in
     pair order, adds them in the same order.
     """
-    n = xy.shape[1]
-    a, p = np.nonzero(overlapping)
-    i, j = pair_indices(n)
-    i, j = i[p], j[p]
-    d = dist[a, p]
+    p = np.flatnonzero(overlapping)
+    d = dist[p]
     distinct = d > 1e-12
-    unit = diff[a, p] / np.where(distinct, d, 1.0)[:, None]
+    unit = np.take(diff, p, axis=0) / np.where(distinct, d, 1.0)[:, None]
     unit[~distinct] = (1.0, 0.0)  # coincident centres
-    step = 0.5 * overlap[a, p][:, None] * unit
-    push = np.zeros((xy.size // 2, 2))
-    np.add.at(push, np.concatenate([a * n + j, a * n + i]), np.concatenate([-step, step]))
-    xy += push.reshape(xy.shape)
+    step = 0.5 * overlap[p][:, None] * unit
+    push = np.zeros_like(xy)
+    np.add.at(push, np.concatenate([j[p], i[p]]), np.concatenate([-step, step]))
+    xy += push
 
 
-def resolve_collisions(poses, obstacles, side) -> np.ndarray:
-    """Project the robots of B trials out of walls, obstacles, and each other.
+def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
+    """Project the robots (R, 3) of a flat batch out of walls, obstacles, and each other.
 
-    `poses` (B, N, 3) and `obstacles` (B, K, 2) go with one arena side per
-    trial, a (B,) array or a scalar shared by all. Each trial iterates
+    `obstacles` (K, 2) are the batch's box centres. Each trial iterates
     positional corrections until no two of its discs overlap by more than
     1e-9 m, for at most MAX_RESOLUTION_PASSES passes; a trial that has
     converged takes no further pass. Walls are clamped last so robots can
     never leave the arena.
     """
     poses = np.array(poses, dtype=float)
-    batch, n = poses.shape[:2]
     r = ROBOT_RADIUS
     half = OBSTACLE_SIDE / 2.0
-    high = np.broadcast_to(np.reshape(side, (-1, 1, 1)) - r, (batch, 1, 1))
-    resolved = poses[..., :2].copy()
-    active = np.arange(batch)
+    high = (swarms.side - r)[:, None]
+    resolved = poses[:, :2].copy()
+    # The robots, pairs and (robot, box) pairs of the trials still resolving;
+    # robots are rows of `xy`, which is `resolved` until a trial converges.
+    xy, ids, trial, wall = resolved, None, swarms.trial, high
+    i, j, pair_trial = swarms.pair_i, swarms.pair_j, swarms.pair_trial
+    box_robot, boxes = swarms.box_robot, np.take(obstacles, swarms.box, axis=0)
     for _ in range(MAX_RESOLUTION_PASSES):
-        every = len(active) == batch
-        xy = resolved if every else resolved[active]
-        boxes = obstacles if every else obstacles[active]
-        wall = high if every else high[active]
         np.clip(xy, r, wall, out=xy)
+        dirty = np.zeros(swarms.n_trials, dtype=bool)
         # A trial that nothing pushes in this pass stays clipped and clear of
         # every box, so only pushed trials need the wall and box checks.
-        box_pushed = (
-            _push_out_of_boxes(xy, boxes, r, half) if boxes.shape[1] else np.zeros(len(xy), bool)
-        )
-        clean = np.ones(len(xy), dtype=bool)
-        if n > 1:
-            i, j = pair_indices(n)
-            diff = xy[:, i] - xy[:, j]
-            dist = np.hypot(diff[..., 0], diff[..., 1])
+        check = np.zeros(swarms.n_trials, dtype=bool)
+        if len(box_robot):
+            check[trial[_push_out_of_boxes(xy, box_robot, boxes, r, half)]] = True
+        if len(i):
+            diff = np.take(xy, i, axis=0) - np.take(xy, j, axis=0)
+            dist = np.hypot(diff[:, 0], diff[:, 1])
             overlap = 2 * r - dist
             overlapping = overlap > PAIR_OVERLAP_TOL
-            clean = ~overlapping.any(axis=1)
-            if not clean.all():
-                _push_pairs_apart(xy, overlapping, diff, dist, overlap)
-        check = clean & box_pushed
+            if overlapping.any():
+                dirty[pair_trial[overlapping]] = True
+                _push_pairs_apart(xy, i, j, overlapping, diff, dist, overlap)
+        check &= ~dirty
         if check.any():
-            moved = xy[check]
-            inside_box = _circle_box_offsets(moved, boxes[check], half)[1] < r - PAIR_OVERLAP_TOL
-            off_arena = (moved < r) | (moved > wall[check])
-            clean[check] = ~(inside_box.any(axis=(1, 2)) | off_arena.any(axis=(1, 2)))
-        if not every:
-            resolved[active] = xy
-        active = active[~clean]
-        if not len(active):
+            pairs = check[trial[box_robot]]
+            moved = np.take(xy, box_robot[pairs], axis=0)
+            inside_box = _circle_box_offsets(moved, boxes[pairs], half)[1]
+            dirty[trial[box_robot[pairs][inside_box < r - PAIR_OVERLAP_TOL]]] = True
+            robots = check[trial]
+            moved = xy[robots]
+            off_arena = ((moved < r) | (moved > wall[robots])).any(axis=1)
+            dirty[trial[robots][off_arena]] = True
+        keep = dirty[trial]
+        if keep.all():
+            continue
+        if not keep.any():
             break
-    np.clip(resolved, r, high, out=poses[..., :2])
+        # renumber the robots of the trials that go on
+        if ids is None:
+            ids, xy = np.flatnonzero(keep), xy[keep]
+        else:
+            resolved[ids] = xy
+            ids, xy = ids[keep], xy[keep]
+        row = np.cumsum(keep) - 1
+        pairs = dirty[pair_trial]
+        i, j, pair_trial = row[i[pairs]], row[j[pairs]], pair_trial[pairs]
+        pairs = keep[box_robot]
+        box_robot, boxes = row[box_robot[pairs]], boxes[pairs]
+        trial, wall = trial[keep], wall[keep]
+    if ids is not None:
+        resolved[ids] = xy
+    np.clip(resolved, r, high, out=poses[:, :2])
     return poses
 
 
@@ -571,100 +668,148 @@ def resolve_collisions(poses, obstacles, side) -> np.ndarray:
 # Trial execution
 
 
+class _Controllers:
+    """The clonal controllers of a flat batch as stacked matrix products.
+
+    A stack holds trials' robots as (trials, width, ...) rows, each trial
+    zero-padded to the stack's largest swarm; a row's bits do not depend on
+    how many padded rows follow it. A lone row does not take that path: BLAS
+    multiplies a one-row matrix on its matrix-vector path, which rounds
+    differently, so one-robot trials form a stack of their own.
+    """
+
+    def __init__(self, genomes, swarms: Swarms):
+        sizes = np.diff(swarms.bounds)
+        self.stacks = []
+        for members in (np.flatnonzero(sizes > 1), np.flatnonzero(sizes == 1)):
+            if not len(members):
+                continue
+            width = int(sizes[members].max())
+            mine = np.isin(swarms.trial, members)
+            # each robot's row of the stack's (trials * width) padded rows
+            slots = np.searchsorted(members, swarms.trial[mine]) * width + swarms.index[mine]
+            if len(slots) == len(members) * width:
+                slots = slice(None)
+            robots = slice(None) if mine.all() else np.flatnonzero(mine)
+            net = CompiledNetwork([genomes[b] for b in members])
+            inputs = np.zeros((len(members), width, N_INPUTS))
+            inputs.reshape(-1, N_INPUTS)[slots, BIAS_INDEX] = 1.0
+            self.stacks.append([robots, slots, net, net.initial_state(width), inputs])
+
+    def step(self, proximity, rab) -> np.ndarray:
+        """Update every controller once on the robots' (R, 7) proximity and
+        (R, 8) RAB readings; the (R, 2) network outputs."""
+        outputs = np.empty((len(proximity), N_OUTPUTS))
+        for stack in self.stacks:
+            robots, slots, net, state, inputs = stack
+            rows = inputs.reshape(-1, N_INPUTS)
+            rows[slots, :N_PROXIMITY_RAYS] = sensor_input_scale(proximity[robots])
+            rows[slots, N_PROXIMITY_RAYS:BIAS_INDEX] = sensor_input_scale(rab[robots])
+            stack[3] = state = net.step(state, inputs)
+            out = net.outputs(state).reshape(-1, N_OUTPUTS)
+            outputs[robots] = out[slots] if isinstance(slots, slice) else np.take(out, slots, axis=0)
+        return outputs
+
+
 def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
-    """Simulate B trials that share a swarm size and `duration`; one TrialLog each.
+    """Simulate B trials that share `duration`; one TrialLog each.
 
     Trial b runs `genomes[b]` in environment `envs[b]` under the fault
     assignment `faults[b]` (None for fault free) from `seeds[b]`; the
-    environments may differ in every attribute but `n_robots`. Robots and
-    obstacles are placed uniformly at random without overlap; the swarms
+    environments may differ in every attribute, swarm size included. Robots
+    and obstacles are placed uniformly at random without overlap; the swarms
     then run duration / 0.2 control cycles of sense, fault injection, clonal
     controller update, actuation, integration, and collision resolution, all
-    B trials in one set of numpy operations per cycle, with each trial's
-    arena side, speed and sensor ranges as (B,) arrays and its obstacles
-    padded with PADDING_BOX_CENTRE boxes. Each trial keeps its own RNG (its
-    placement, then its fault noise), controller state and collision
-    passes, so its log is a deterministic function of its own arguments:
-    bit-identical alone or in any batch. A trial whose (env, seed) pair
-    came earlier in the call copies that trial's obstacles and poses and
-    gets a new generator set to its post-placement state, instead of
-    placing again; the copies live only as long as the call.
+    B trials in one set of numpy operations per cycle on the flat layout of
+    `swarm_layout(envs)`. The controllers are one stacked matmul over the
+    trials, each trial's rows zero-padded to the batch's largest swarm (and
+    one more over the one-robot trials, see `_Controllers`). Each
+    trial keeps its own RNG (its placement, then its fault noise),
+    controller state and collision passes, so its log is a deterministic
+    function of its own arguments: bit-identical alone or in any batch. Each
+    run of consecutive trials of one swarm size logs into one array per
+    field, so a trial's log arrays are contiguous (T, n, ...) views. A trial
+    whose (env, seed) pair came earlier in the call copies that trial's
+    obstacles and poses and gets a new generator set to its post-placement
+    state, instead of placing again; the copies live only as long as the call.
 
     Raises PlacementError for the first trial that cannot be placed. An empty
-    batch, argument lists of different lengths, environments of different
-    swarm sizes, or a duration that rounds to no control cycle raise
-    ValueError before any placement.
+    batch, argument lists of different lengths, a fault assignment whose
+    length is not its swarm size, or a duration that rounds to no control
+    cycle raise ValueError before any placement.
     """
     batch = len(seeds)
     if not batch:
         raise ValueError("run_trials needs at least one trial")
     if not len(envs) == len(genomes) == len(faults) == batch:
         raise ValueError("envs, genomes, faults and seeds differ in length")
-    n = envs[0].n_robots
-    if any(env.n_robots != n for env in envs):
-        raise ValueError("the environments of one batch differ in n_robots")
     n_cycles = int(round(duration / CONTROL_DT))
     if n_cycles < 1:
         raise ValueError(f"duration {duration!r} s is under one {CONTROL_DT} s control cycle")
-    fault_arr = np.full((batch, n), int(FaultType.NONE))
-    for b, assignment in enumerate(faults):
+    swarms = swarm_layout(envs)
+    robots = [slice(lo, hi) for lo, hi in zip(swarms.bounds, swarms.bounds[1:])]
+    boxes = [slice(lo, hi) for lo, hi in zip(swarms.box_bounds, swarms.box_bounds[1:])]
+    fault_arr = np.full(len(swarms.trial), int(FaultType.NONE))
+    for env, assignment, rows in zip(envs, faults, robots):
         if assignment is not None:
-            if len(assignment) != n:
-                raise ValueError(f"fault assignment length {len(assignment)} != swarm size {n}")
-            fault_arr[b] = [int(f) for f in assignment]
-    side, speed, rab_range, proximity_range = np.array(
-        [(e.arena_side, e.max_linear_speed, e.rab_range, e.proximity_range) for e in envs]
-    ).T
+            if len(assignment) != env.n_robots:
+                raise ValueError(
+                    f"fault assignment length {len(assignment)} != swarm size {env.n_robots}"
+                )
+            fault_arr[rows] = [int(f) for f in assignment]
     rngs = []
-    obstacles = np.full((batch, max(env.n_obstacles for env in envs), 2), PADDING_BOX_CENTRE)
-    poses = np.empty((batch, n, 3))
+    obstacles = np.empty((swarms.box_bounds[-1], 2))
+    poses = np.empty((swarms.bounds[-1], 3))
     # (env, seed) -> obstacles, poses and generator state after placement
     placed = {}
-    for b, (env, seed) in enumerate(zip(envs, seeds)):
+    for env, seed, rows, box_rows in zip(envs, seeds, robots, boxes):
         rng = np.random.default_rng(seed)
         key = (env, seed)
         if key in placed:
-            obstacles[b, : env.n_obstacles], poses[b], rng.bit_generator.state = placed[key]
+            obstacles[box_rows], poses[rows], rng.bit_generator.state = placed[key]
         else:
-            obstacles[b, : env.n_obstacles], poses[b] = place_entities(rng, env)
-            placed[key] = (obstacles[b, : env.n_obstacles], poses[b], rng.bit_generator.state)
+            obstacles[box_rows], poses[rows] = place_entities(rng, env)
+            placed[key] = (obstacles[box_rows], poses[rows], rng.bit_generator.state)
         rngs.append(rng)
-    plan = _compile_faults(fault_arr, rngs, n_cycles)
+    plan = _compile_faults(fault_arr, swarms, rngs, n_cycles)
 
-    net = CompiledNetwork(genomes)
-    activations = net.initial_state(n)
+    controllers = _Controllers(genomes, swarms)
 
-    logs = {name: np.empty((batch, n_cycles, n) + shape) for name, shape in LOG_FIELDS.items()}
-
-    inputs = np.empty((batch, n, N_INPUTS))
-    inputs[..., BIAS_INDEX] = 1.0
+    # The log holds, for each run of consecutive trials of one swarm size, one
+    # (trials, T, n, ...) array per field, so that a trial's arrays are
+    # contiguous views and the log costs 176 bytes per robot-cycle.
+    runs, first = [], 0
+    for n, run in itertools.groupby(env.n_robots for env in envs):
+        count = len(list(run))
+        rows = slice(swarms.bounds[first], swarms.bounds[first + count])
+        arrays = [np.empty((count, n_cycles, n) + shape) for shape in LOG_FIELDS.values()]
+        runs.append((rows, (count, n), arrays))
+        first += count
 
     for t in range(n_cycles):
-        rel = pairwise_offsets(poses)
-        prox = proximity_activations(poses, obstacles, side, proximity_range, rel)
-        neighbors = body_frame_offsets(poses, rel)
-        prox, rab = _apply_sensor_faults_batch(prox, neighbors, plan, rab_range, plan.noise[t])
+        rel = neighbor_offsets(poses, swarms)
+        prox = proximity_activations(poses, obstacles, swarms, rel)
+        neighbors = body_frame_offsets(poses, swarms, rel)
+        prox, rab = _apply_sensor_faults_batch(prox, neighbors, swarms, plan, plan.noise[t])
 
-        inputs[..., :N_PROXIMITY_RAYS] = sensor_input_scale(prox)
-        inputs[..., N_PROXIMITY_RAYS:BIAS_INDEX] = sensor_input_scale(rab)
-        activations = net.step(activations, inputs)
         # a working wheel's scale is 1.0, and x * 1.0 is x bit for bit
-        commands = net.outputs(activations) * speed[:, None, None] * plan.actuator_scale
+        commands = controllers.step(prox, rab) * swarms.speed[:, None] * plan.actuator_scale
 
         moved, v, omega = differential_drive_step(poses, commands)
-        for array, value in zip(logs.values(), (poses, prox, rab, commands, v, omega)):
-            array[:, t] = value
+        for rows, shape, arrays in runs:
+            for array, value in zip(arrays, (poses, prox, rab, commands, v, omega)):
+                array[:, t] = value[rows].reshape(shape + value.shape[1:])
 
-        poses = resolve_collisions(moved, obstacles, side)
+        poses = resolve_collisions(moved, obstacles, swarms)
 
+    fields = [
+        dict(zip(LOG_FIELDS, (array[k] for array in arrays)))
+        for _, (count, _), arrays in runs
+        for k in range(count)
+    ]
     return [
-        TrialLog(
-            env=env,
-            obstacles=obstacles[b, : env.n_obstacles],
-            **{name: array[b] for name, array in logs.items()},
-            final_poses=poses[b].copy(),
-        )
-        for b, env in enumerate(envs)
+        TrialLog(env=env, obstacles=obstacles[box_rows], **log, final_poses=poses[rows].copy())
+        for env, log, rows, box_rows in zip(envs, fields, robots, boxes)
     ]
 
 

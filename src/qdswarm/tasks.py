@@ -126,11 +126,33 @@ def fitness(task, log: TrialLog) -> float:
 
 
 def _group_jobs(jobs) -> dict:
-    """Job indices by (swarm size, duration), in order of first appearance."""
+    """Job indices by duration, in order of first appearance."""
     groups = {}
     for index, job in enumerate(jobs):
-        groups.setdefault((job[1].n_robots, job[5]), []).append(index)
+        groups.setdefault(job[5], []).append(index)
     return groups
+
+
+def _cut_batches(jobs, members, n_cycles) -> list:
+    """The (job index, seed) trials of the jobs `members` cut into batches of
+    at most TRIAL_BATCH_ROBOT_CYCLES robot-cycles, each trial charged its own
+    swarm size times `n_cycles` (a trial over the budget runs alone).
+
+    Trials go in order of swarm size, then of job, so a job's trials stay
+    in seed order and the batches are never more than those of each swarm
+    size cut on its own: a size's trials fill whole batches after topping
+    up the last batch of the sizes before it.
+    """
+    batches, load = [[]], 0
+    for index in sorted(members, key=lambda index: jobs[index][1].n_robots):
+        cost = jobs[index][1].n_robots * n_cycles
+        for seed in jobs[index][4]:
+            if batches[-1] and load + cost > TRIAL_BATCH_ROBOT_CYCLES:
+                batches.append([])
+                load = 0
+            batches[-1].append((index, seed))
+            load += cost
+    return batches
 
 
 def evaluate_jobs(jobs):
@@ -138,24 +160,22 @@ def evaluate_jobs(jobs):
 
     Returns one (mean fitness, descriptor or None) per job, in job order;
     the descriptor is `describe(kind, logs)` of the job's trial logs. Jobs that
-    share a swarm size and a duration run their trials together through
-    `run_trials`, each trial in its job's environment, in batches of at most
-    TRIAL_BATCH_ROBOT_CYCLES robot-cycles. A trial's log does not depend on
-    its batch, so a job's result does not depend on the other jobs. Each trial
-    is reduced to its fitness and descriptor summary inside the batch that
-    ran it, so a batch's logs are the only logs alive.
+    share a duration run their trials together through `run_trials`, each
+    trial in its job's environment whatever its swarm size, in batches of at
+    most TRIAL_BATCH_ROBOT_CYCLES robot-cycles counted trial by trial (see
+    `_cut_batches`). A trial's log does not depend on its batch, so a job's
+    result does not depend on the other jobs. Each trial is reduced to its
+    fitness and descriptor summary inside the batch that ran it, so a
+    batch's logs are the only logs alive.
     """
     for job in jobs:
         if not len(job[4]):
             raise ValueError("at least one trial seed is required")
     results = [None] * len(jobs)
-    for (n_robots, duration), members in _group_jobs(jobs).items():
-        robot_cycles = n_robots * max(1, int(round(duration / CONTROL_DT)))
-        size = max(1, TRIAL_BATCH_ROBOT_CYCLES // robot_cycles)
-        pending = [(index, seed) for index in members for seed in jobs[index][4]]
+    for duration, members in _group_jobs(jobs).items():
+        n_cycles = max(1, int(round(duration / CONTROL_DT)))
         trials = {index: [] for index in members}  # (fitness, summary) pairs so far
-        for start in range(0, len(pending), size):
-            batch = pending[start : start + size]
+        for batch in _cut_batches(jobs, members, n_cycles):
             logs = run_trials(
                 [jobs[index][1] for index, _ in batch],
                 [jobs[index][2] for index, _ in batch],
@@ -181,7 +201,7 @@ def evaluator(n_jobs: int):
 
     With one worker the jobs run in this process; otherwise every `run`
     shares one pool of `n_jobs` worker processes. The jobs that share a
-    swarm size and a duration, whatever their environments, are cut into at
+    duration, whatever their environments and swarm sizes, are cut into at
     most `n_jobs` contiguous slices, so a worker batches their trials, and
     `pool.map` hands the slices out one at a time as workers come free.
     Results do not depend on `n_jobs`.

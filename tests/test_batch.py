@@ -20,6 +20,7 @@ from qdswarm.environment import (
     OBSTACLE_COUNTS,
     PROXIMITY_RANGES,
     RAB_RANGES,
+    SWARM_SIZES,
     EnvironmentSpec,
     generate_environment,
 )
@@ -36,6 +37,7 @@ from qdswarm.sim import (
     resolve_collisions,
     run_trial,
     run_trials,
+    swarm_layout,
 )
 from qdswarm.tasks import evaluate_jobs, evaluator
 
@@ -85,47 +87,55 @@ GENOMES = (
 N_FAULT_TYPES = len(FaultType)
 
 
+def _fault_lists(n):
+    return st.one_of(
+        st.none(), st.lists(st.sampled_from(list(FaultType)), min_size=n, max_size=n)
+    )
+
+
 @st.composite
-def trial_batches(draw, mixed=False):
-    """(envs, genomes, faults, seeds) of 1-40 trials sharing a swarm size:
-    all in one crowded environment or, when `mixed`, each in its own
-    environment drawn from the 4^6 attribute sets."""
-    n = draw(st.sampled_from([5, 20]))
-    if mixed:
-        env = st.builds(
+def _mixed_trial(draw):
+    env = draw(
+        st.builds(
             EnvironmentSpec,
             max_linear_speed=st.sampled_from(MAX_LINEAR_SPEEDS),
-            n_robots=st.just(n),
+            n_robots=st.sampled_from(SWARM_SIZES),
             arena_side=st.sampled_from(ARENA_SIDES),
             n_obstacles=st.sampled_from(OBSTACLE_COUNTS),
             rab_range=st.sampled_from(RAB_RANGES),
             proximity_range=st.sampled_from(PROXIMITY_RANGES),
         )
+    )
+    genome = draw(st.sampled_from(GENOMES))
+    return env, genome, draw(_fault_lists(env.n_robots)), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def trial_batches(draw, mixed=False):
+    """(envs, genomes, faults, seeds) of 1-40 trials: all in one crowded
+    environment of 5 or 20 robots or, when `mixed`, each in its own
+    environment drawn from the 4^6 attribute sets, swarm size included."""
+    if mixed:
+        trial = _mixed_trial()
     else:
-        env = st.just(
-            EnvironmentSpec(
-                max_linear_speed=0.20,
-                n_robots=n,
-                arena_side=2.0,
-                n_obstacles=draw(st.sampled_from([0, 6])),
-                rab_range=draw(st.sampled_from(RAB_RANGES)),
-                proximity_range=draw(st.sampled_from(PROXIMITY_RANGES)),
-            )
+        n = draw(st.sampled_from([5, 20]))
+        env = EnvironmentSpec(
+            max_linear_speed=0.20,
+            n_robots=n,
+            arena_side=2.0,
+            n_obstacles=draw(st.sampled_from([0, 6])),
+            rab_range=draw(st.sampled_from(RAB_RANGES)),
+            proximity_range=draw(st.sampled_from(PROXIMITY_RANGES)),
         )
-    fault = st.one_of(
-        st.none(), st.lists(st.sampled_from(list(FaultType)), min_size=n, max_size=n)
-    )
-    trials = draw(
-        st.lists(
-            st.tuples(env, st.sampled_from(GENOMES), fault, st.integers(0, 2**32 - 1)),
-            min_size=1,
-            max_size=40,
+        trial = st.tuples(
+            st.just(env), st.sampled_from(GENOMES), _fault_lists(n), st.integers(0, 2**32 - 1)
         )
-    )
+    trials = draw(st.lists(trial, min_size=1, max_size=40))
     return tuple(list(column) for column in zip(*trials))
 
 
 EVERY_FAULT = [FaultType(i % N_FAULT_TYPES) for i in range(20)]
+ROFS_AND_PRAND = [FaultType.ROFS, FaultType.PRAND, FaultType.NONE, FaultType.PRAND, FaultType.ROFS]
 BATCH_SETTINGS = settings(
     max_examples=25,
     deadline=None,
@@ -181,8 +191,38 @@ def test_batched_logs_match_per_trial_oracle(batch):
         [11, 12, 13, 14],
     )
 )
+@example(
+    (
+        [
+            EnvironmentSpec(0.20, 5, 2.0, 6, 2.00, 0.44),
+            EnvironmentSpec(0.20, 20, 2.0, 0, 1.00, 0.22),
+            EnvironmentSpec(0.15, 20, 3.0, 6, 0.50, 0.11),
+            EnvironmentSpec(0.10, 5, 2.0, 0, 0.25, 0.055),
+            EnvironmentSpec(0.20, 20, 2.0, 6, 2.00, 0.44),
+        ],
+        [GENOMES[3], GENOMES[4], GENOMES[2], GENOMES[1], GENOMES[5]],
+        [
+            [FaultType.ROFS] * 5,
+            [FaultType.PRAND] * 20,
+            [FaultType.ROFS, FaultType.PRAND] * 10,
+            ROFS_AND_PRAND,
+            None,
+        ],
+        [21, 22, 23, 24, 25],
+    )
+)
 def test_mixed_environment_batches_match_per_trial_oracle(batch):
     assert_batch_matches_oracle(batch)
+
+
+def test_one_robot_trials_match_per_trial_oracle_next_to_larger_swarms():
+    """A lone controller row rounds differently from a padded one in BLAS,
+    so one-robot trials keep their bits next to larger swarms too."""
+    lone = EnvironmentSpec(max_linear_speed=0.20, n_robots=1, arena_side=2.0, n_obstacles=2)
+    envs = [lone, REPEATED_ENVS[0], lone, EnvironmentSpec(n_robots=20, arena_side=3.0)]
+    assert_batch_matches_oracle(
+        (envs, [GENOMES[3], GENOMES[4], GENOMES[5], GENOMES[2]], [None] * 4, [1, 2, 3, 4])
+    )
 
 
 # Two environments of one swarm size and three seeds, so (environment, seed)
@@ -191,9 +231,6 @@ REPEATED_ENVS = (
     EnvironmentSpec(max_linear_speed=0.20, n_robots=5, arena_side=2.0, n_obstacles=6),
     EnvironmentSpec(0.10, 5, 3.0, 2, 0.50, 0.11),
 )
-ROFS_AND_PRAND = [FaultType.ROFS, FaultType.PRAND, FaultType.NONE, FaultType.PRAND, FaultType.ROFS]
-
-
 @st.composite
 def repeated_key_batches(draw):
     """(envs, genomes, faults, seeds) of 2-24 five-robot trials whose
@@ -261,9 +298,8 @@ def test_run_trial_is_a_batch_of_one():
     [
         ([], [], "at least one trial"),
         ([NORMAL_ENV], [1, 2], "differ in length"),
-        ([NORMAL_ENV, EnvironmentSpec(n_robots=5)], [1, 2], "differ in n_robots"),
     ],
-    ids=["empty", "envs-length", "swarm-sizes"],
+    ids=["empty", "envs-length"],
 )
 def test_malformed_batch_rejected(envs, seeds, message):
     with pytest.raises(ValueError, match=message):
@@ -297,42 +333,43 @@ RAB_BOUNDARY_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RAB_BOUNDARY_CASES))
 def test_rab_boundaries_match_oracle(case):
-    """Each neighbour alone, then all of them together, read by robots of
-    one shared range and of one range each."""
+    """Each neighbour alone, then all of them together."""
     rel = np.array(RAB_BOUNDARY_CASES[case])
     for neighbours in (rel[:, None, :], rel[None]):
-        per_robot = np.full(len(neighbours), RAB_RANGE)
-        for rab_range in (RAB_RANGE, per_robot):
-            got = rab_activations(neighbours, rab_range)
-            want = oracles.rab_activations(neighbours, np.reshape(rab_range, (-1, 1)))
-            assert bits_equal(got, want), rab_range
+        rows, count = neighbours.shape[:2]
+        observer = np.repeat(np.arange(rows), count)
+        got = rab_activations(neighbours.reshape(-1, 2), observer, np.full(rows, RAB_RANGE))
+        assert bits_equal(got, oracles.rab_activations(neighbours, RAB_RANGE))
 
 
 def test_rofs_offsets_move_neighbours_across_the_range():
     """Robots 0 and 1 have ROFS: each has one neighbour just inside the range
     that its drawn offset carries out, and one just beyond it that the offset
     brings in. The kernel's faulted readings equal the oracle's."""
-    fault_arr = np.array([[FaultType.ROFS, FaultType.ROFS, FaultType.NONE]])
-    plan = _compile_faults(fault_arr, [np.random.default_rng(5)], 1)
+    fault_arr = np.array([FaultType.ROFS, FaultType.ROFS, FaultType.NONE])
+    swarms = swarm_layout([EnvironmentSpec(n_robots=3, rab_range=RAB_RANGE)])
+    plan = _compile_faults(fault_arr, swarms, [np.random.default_rng(5)], 1)
     noise = plan.noise[0]
     theta = noise[plan.angle_cols]
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    rel = np.empty((1, 3, 2, 2))
-    rel[0, :2, 0] = 0.99 * RAB_RANGE * unit  # in range; pushed out along its offset
-    rel[0, :2, 1] = -1.01 * RAB_RANGE * unit  # beyond; the offset brings it to ~0.2 range
-    rel[0, 2] = [(0.2, 0.1), (-0.6, 0.0)]
-    prox = np.full((1, 3, 7), 0.25)
-    clean = rab_activations(rel, RAB_RANGE)
-    got_prox, got = _apply_sensor_faults_batch(prox, rel, plan, np.array([RAB_RANGE]), noise)
+    rel = np.empty((3, 2, 2))  # each robot's two neighbours
+    rel[:2, 0] = 0.99 * RAB_RANGE * unit  # in range; pushed out along its offset
+    rel[:2, 1] = -1.01 * RAB_RANGE * unit  # beyond; the offset brings it to ~0.2 range
+    rel[2] = [(0.2, 0.1), (-0.6, 0.0)]
+    flat = np.empty((6, 2))
+    flat[np.argsort(swarms.observer, kind="stable")] = rel.reshape(-1, 2)
+    prox = np.full((3, 7), 0.25)
+    clean = rab_activations(flat, swarms.observer, swarms.rab_range)
+    got_prox, got = _apply_sensor_faults_batch(prox, flat, swarms, plan, noise)
     want_prox, want = oracles.apply_sensor_faults(
-        prox[0], rel[0], fault_arr[0], RAB_RANGE, np.random.default_rng(5)
+        prox, rel, fault_arr, RAB_RANGE, np.random.default_rng(5)
     )
-    assert bits_equal(got[0], want) and bits_equal(got_prox[0], want_prox)
+    assert bits_equal(got, want) and bits_equal(got_prox, want_prox)
     for robot in (0, 1):
         # one neighbour read before the offset, the other one after it
-        assert (clean[0, robot] < 1).sum() == (got[0, robot] < 1).sum() == 1
-        assert not np.array_equal(clean[0, robot], got[0, robot])
-    assert bits_equal(got[0, 2], clean[0, 2])
+        assert (clean[robot] < 1).sum() == (got[robot] < 1).sum() == 1
+        assert not np.array_equal(clean[robot], got[robot])
+    assert bits_equal(got[2], clean[2])
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +417,22 @@ def test_placement_matches_oracle(seed):
 BODY = oracles.RobotBody.from_env(NORMAL_ENV)
 
 
-def _crowded_cases():
-    """(obstacles, poses) of 12 robots and 2 boxes in a 1 m arena, one case
+def _crowded_cases(n=12, seed=0):
+    """(obstacles, poses) of n robots and 2 boxes in a 1 m arena, one case
     per pose configuration the resolver branches on."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     cases = []
     for kind in ("inside", "coincident", "jammed", "spread", "cluster", "straddle"):
         obstacles = np.array([[0.3, 0.3], [0.7, 0.6]])
         if kind == "straddle":
             obstacles[1] = [0.58, 0.3]
         if kind == "spread":
-            xy = np.array([[0.08 + 0.075 * i, 0.9 - 0.05 * (i % 2)] for i in range(12)])
+            xy = np.array([[0.08 + 0.075 * (i % 12), 0.9 - 0.05 * (i % 2) - 0.12 * (i // 12)]
+                           for i in range(n)])
         elif kind == "jammed":  # packed against a box: never converges
-            xy = obstacles[0] + rng.uniform(-0.12, 0.12, (12, 2))
+            xy = obstacles[0] + rng.uniform(-0.12, 0.12, (n, 2))
         else:
-            xy = rng.uniform(0.45, 0.6, (12, 2))
+            xy = rng.uniform(0.45, 0.6, (n, 2))
             if kind == "inside":  # one centre on a box centre, one just inside a face
                 xy[0] = obstacles[1]
                 xy[1] = obstacles[1] + [0.1, -0.02]
@@ -402,31 +440,45 @@ def _crowded_cases():
                 xy[2] = xy[3] = xy[4]
             elif kind == "straddle":  # inside one box, over the next; exits up, clear of both
                 xy[0] = [0.41, 0.42]
-        cases.append((obstacles, np.column_stack([xy, rng.uniform(-np.pi, np.pi, 12)])))
+        cases.append((obstacles, np.column_stack([xy, rng.uniform(-np.pi, np.pi, n)])))
     return cases
 
 
+def _resolve_flat(cases, arena_side):
+    """`resolve_collisions` of the (obstacles, poses) cases as one flat batch;
+    the resolved poses of each case."""
+    swarms = swarm_layout(
+        [EnvironmentSpec(n_robots=len(p), arena_side=arena_side, n_obstacles=len(o)) for o, p in cases]
+    )
+    resolved = resolve_collisions(
+        np.concatenate([p for _, p in cases]), np.concatenate([o for o, _ in cases]), swarms
+    )
+    return [resolved[lo:hi] for lo, hi in zip(swarms.bounds, swarms.bounds[1:])]
+
+
 def test_vectorised_collisions_match_loop_oracle():
-    cases = _crowded_cases()
+    """One batch of 12-robot cases; then a mixed batch of the 12-robot
+    jammed and straddle cases between cases of 5 and 20 robots."""
     arena_side = 1.0
-    expected, passes = [], []
-    for obstacles, poses in cases:
-        resolved, count = oracles.resolve_collisions(
-            poses, oracles.ArenaSpec(arena_side, obstacles), BODY
-        )
-        expected.append(resolved)
-        passes.append(count)
-    assert passes[2] == MAX_RESOLUTION_PASSES  # the jammed case runs every pass
-    assert min(passes) < MAX_RESOLUTION_PASSES  # ...while others converge early
-    obstacles = np.stack([c[0] for c in cases])
-    poses = np.stack([c[1] for c in cases])
-    batched = resolve_collisions(poses, obstacles, arena_side)
-    for b, ref in enumerate(expected):
-        assert bits_equal(batched[b], ref), b
-        alone = resolve_collisions(poses[b : b + 1], obstacles[b : b + 1], arena_side)
-        assert bits_equal(alone[0], ref), b
-    reversed_order = resolve_collisions(poses[::-1], obstacles[::-1], arena_side)
-    assert bits_equal(reversed_order[::-1], batched)
+    cases = _crowded_cases()
+    mixed = [cases[2], *_crowded_cases(5, seed=1)[::2], cases[5], *_crowded_cases(20, seed=2)[1::2]]
+    for batch in (cases, mixed):
+        expected, passes = [], []
+        for obstacles, poses in batch:
+            resolved, count = oracles.resolve_collisions(
+                poses, oracles.ArenaSpec(arena_side, obstacles), BODY
+            )
+            expected.append(resolved)
+            passes.append(count)
+        assert passes[2 if batch is cases else 0] == MAX_RESOLUTION_PASSES  # jammed: every pass
+        assert min(passes) < MAX_RESOLUTION_PASSES  # ...while others converge early
+        batched = _resolve_flat(batch, arena_side)
+        for b, ref in enumerate(expected):
+            assert bits_equal(batched[b], ref), b
+            assert bits_equal(_resolve_flat(batch[b : b + 1], arena_side)[0], ref), b
+        reversed_order = _resolve_flat(batch[::-1], arena_side)
+        for got, want in zip(reversed_order[::-1], batched):
+            assert bits_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +531,39 @@ def test_job_results_do_not_depend_on_neighbours():
 def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
     """With a budget of a few trials, batches end inside jobs: the results
     stay the same, and no array or log of a batch is alive when the next one
-    runs (a job that continues keeps only its trials' summaries)."""
+    runs (a job that continues keeps only its trials' summaries). A batch is
+    cut by its trials' own robot-cycles, so a 5-robot trial costs half a
+    10-robot one and a mixed batch holds more trials than one of 10 robots."""
     jobs = mixed_jobs()
     alone = [evaluate_jobs([job])[0] for job in jobs]
-    previous = []
+    previous, calls = [], []
 
-    def spy(*args):
+    def spy(envs, *args):
         assert all(ref() is None for ref in previous)
         assert not any(isinstance(obj, TrialLog) for obj in gc.get_objects())
-        logs = run_trials(*args)
+        logs = run_trials(envs, *args)
+        calls.append([(env.n_robots, log.n_cycles) for env, log in zip(envs, logs)])
         previous[:] = [weakref.ref(log.poses.base) for log in logs]
         return logs
 
     monkeypatch.setattr(tasks, "run_trials", spy)
-    # 3 normal-environment trials of 5 cycles, 4 five-robot trials of 7 cycles
+    # 3 normal-environment trials of 5 cycles, or 3 five-robot ones and 1
+    # such; of 7 cycles, 2 normal-environment trials. The smaller swarms go first.
     monkeypatch.setattr(tasks, "TRIAL_BATCH_ROBOT_CYCLES", 150)
     assert_results_equal(evaluate_jobs(jobs), alone)
+    assert calls == [
+        [(5, 5)] * 3 + [(10, 5)],
+        [(10, 5)] * 3,
+        [(10, 5)] * 2,
+        [(5, 7), (10, 7)],
+        [(10, 7)],
+    ]
+    assert all(sum(n * t for n, t in call) <= 150 for call in calls)
 
 
 def test_qed_jobs_run_one_batch_per_swarm_size(monkeypatch):
-    """Jobs in distinct environments, as QED evolution makes them, share a
-    `run_trials` call per swarm size and score as each does alone."""
+    """Jobs in distinct environments, as QED evolution makes them, share one
+    `run_trials` call whatever their swarm sizes, and score as each does alone."""
     envs = [
         EnvironmentSpec(0.20, 5, 2.0, 6, 2.00, 0.44),
         EnvironmentSpec(0.05, 20, 5.0, 0, 0.25, 0.055),
@@ -520,10 +584,41 @@ def test_qed_jobs_run_one_batch_per_swarm_size(monkeypatch):
 
     monkeypatch.setattr(tasks, "run_trials", spy)
     assert_results_equal(evaluate_jobs(jobs), alone)
-    assert calls == [{5}, {20}]
+    assert calls == [{5, 20}]
     for n_jobs in (1, 2):
         with evaluator(n_jobs) as run:
             assert_results_equal(run(jobs), alone)
+
+
+def test_desk_qed_generation_makes_no_more_calls_than_batches_by_swarm_size(monkeypatch):
+    """A desk-sized QED generation (20 evaluations of 5 trials of 2,000
+    cycles, each evaluation in a fresh environment) makes no more
+    `run_trials` calls than batching each swarm size on its own would, and no
+    call holds more than TRIAL_BATCH_ROBOT_CYCLES robot-cycles."""
+    rng = np.random.default_rng(22)
+    jobs = [
+        _job(env=generate_environment(rng), seeds=range(5 * e, 5 * e + 5), duration=400.0)
+        for e in range(20)
+    ]
+    calls = []
+
+    def stub(envs, genomes, faults, seeds, duration):
+        calls.append(sum(env.n_robots for env in envs) * int(round(duration / 0.2)))
+        return [None] * len(seeds)
+
+    monkeypatch.setattr(tasks, "run_trials", stub)
+    monkeypatch.setattr(tasks, "fitness", lambda task, log: 0.5)
+    assert evaluate_jobs(jobs) == [(0.5, None)] * len(jobs)
+    trials_per_size = {}
+    for job in jobs:
+        trials_per_size[job[1].n_robots] = trials_per_size.get(job[1].n_robots, 0) + 5
+    by_size = sum(
+        -(-count // (tasks.TRIAL_BATCH_ROBOT_CYCLES // (n * 2000)))
+        for n, count in trials_per_size.items()
+    )
+    assert len(trials_per_size) == 4
+    assert len(calls) <= by_size
+    assert max(calls) <= tasks.TRIAL_BATCH_ROBOT_CYCLES
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])

@@ -10,6 +10,7 @@ from qdswarm.cli import main
 from qdswarm.descriptors import DESCRIPTORS, describe
 from qdswarm.environment import NORMAL_ENV
 from qdswarm.experiment import (
+    STAGE_FILES,
     ConfigError,
     config_hash,
     load_records_csv,
@@ -480,6 +481,49 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["export", "--out", out, "--cell", str(empty)]) == 2
         assert capsys.readouterr().err == f"error: {archive_dir} has no elite at cell {empty}\n"
+
+    def test_projection_of_an_empty_cell_ignores_the_cell(self, tmp_path, monkeypatch):
+        """The projection reads no genome, so `--cell` of an empty cell does
+        not stop it, and it writes what an export without `--cell` writes."""
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        monkeypatch.setattr(
+            "qdswarm.experiment.generate_cvt_centroids",
+            lambda k, dim, n_seeds, seed, **kwargs: np.full((2, dim), 1.0 / 16),
+        )
+        empty = min(set(range(4096)) - set(load_archive(rep / "archive", "qed").cells))
+        names = ("projection.csv", "projection_summary.csv")
+        assert main(["export", "--out", out, "--what", "projection"]) == 0
+        default = [(rep / name).read_bytes() for name in names]
+        for name in names:
+            (rep / name).unlink()
+        assert main(["export", "--out", out, "--what", "projection", "--cell", str(empty)]) == 0
+        assert [(rep / name).read_bytes() for name in names] == default
+
+    def test_manifest_missing_a_stage_file_reruns_the_stage(self, tmp_path, capsys):
+        """A reevaluate manifest written before the stage stored its profiles
+        is stale: reevaluate reruns by itself, and faults then succeeds."""
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        manifest = rep / "reevaluate.done"
+        written = manifest.read_bytes()
+        outputs = [(rep / name).read_bytes() for name in STAGE_FILES["reevaluate"]]
+        recorded = json.loads(written)
+        del recorded["files"]["reevaluation_profiles.npy"]
+        manifest.write_text(json.dumps(recorded))
+        capsys.readouterr()
+        assert main(["reevaluate", "--out", out]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert manifest.read_bytes() == written
+        assert [(rep / name).read_bytes() for name in STAGE_FILES["reevaluate"]] == outputs
+        assert main(["faults", "--out", out]) == 0
+        assert (rep / "records.csv").exists()
 
 
 class TestAnalyze:

@@ -27,6 +27,7 @@ from qdswarm.sim import (
     rab_activations,
     run_trial,
     run_trials,
+    swarm_layout,
     wrap_angle,
 )
 
@@ -38,12 +39,37 @@ def proximity(poses, obstacles=(), side=4.0, proximity_range=NORMAL_ENV.proximit
     """(N, 7) proximity readings of one trial's robots, through the batched kernel."""
     poses = np.array(poses, dtype=float)
     obstacles = np.array(obstacles, dtype=float).reshape(-1, 2)
-    return proximity_activations(poses[None], obstacles[None], side, proximity_range)[0]
+    env = EnvironmentSpec(
+        n_robots=len(poses),
+        arena_side=side,
+        n_obstacles=len(obstacles),
+        proximity_range=proximity_range,
+    )
+    return proximity_activations(poses, obstacles, swarm_layout([env]))
+
+
+def neighbours(poses):
+    """Each robot's body-frame offsets to the others of one trial, (N, N - 1, 2),
+    in ascending index order, through the batched kernel."""
+    poses = np.array(poses, dtype=float)
+    swarms = swarm_layout([EnvironmentSpec(n_robots=len(poses))])
+    order = np.lexsort((swarms.neighbor, swarms.observer))
+    return body_frame_offsets(poses, swarms)[order].reshape(len(poses), len(poses) - 1, 2)
+
+
+def rab_of(rel, rab_range):
+    """Readings (..., 8) of robots with the body-frame neighbour offsets rel (..., K, 2)."""
+    rel = np.asarray(rel, dtype=float)
+    lead, count = rel.shape[:-2], rel.shape[-2]
+    rows = int(np.prod(lead))
+    observer = np.repeat(np.arange(rows), count)
+    readings = rab_activations(rel.reshape(-1, 2), observer, np.full(rows, rab_range))
+    return readings.reshape(lead + (8,))
 
 
 def rab(poses, i):
     """Range-and-bearing readings of robot i of one trial."""
-    return rab_activations(body_frame_offsets(np.array(poses, dtype=float))[i], NORMAL_ENV.rab_range)
+    return rab_of(neighbours(poses)[i], NORMAL_ENV.rab_range)
 
 
 class TestBodyAndArena:
@@ -67,7 +93,7 @@ class TestBodyAndArena:
             readings = proximity(log.poses[t], side=0.6, proximity_range=0.44)
             assert np.array_equal(log.proximity[t], readings)
             assert not np.array_equal(readings, proximity(log.poses[t], side=0.6))
-            assert np.array_equal(log.rab[t], rab_activations(body_frame_offsets(log.poses[t]), 0.25))
+            assert np.array_equal(log.rab[t], rab_of(neighbours(log.poses[t]), 0.25))
 
     def test_arena_diagonal(self):
         for side in (2.0, 3.0, 4.0, 5.0):
@@ -154,16 +180,16 @@ class TestRab:
 
     def test_coincident_neighbour_zero(self):
         rel = np.array([[0.0, 0.0]])
-        assert rab_activations(rel, 1.0)[0] == 0.0
+        assert rab_of(rel, 1.0)[0] == 0.0
 
     def test_out_of_range_ignored(self):
         rel = np.array([[1.5, 0.0]])
-        assert rab_activations(rel, 1.0) == pytest.approx(np.ones(8), abs=0)
+        assert rab_of(rel, 1.0) == pytest.approx(np.ones(8), abs=0)
 
     def test_cone_binning_quadrants(self):
         # neighbours at bearings 0, 90, 180, -90 degrees land in cones 0, 2, 4, 6
         rel = np.array([[0.4, 0.0], [0.0, 0.4], [-0.4, 0.0], [0.0, -0.4]])
-        readings = rab_activations(rel, 1.0)
+        readings = rab_of(rel, 1.0)
         assert readings[0] == pytest.approx(0.4)
         assert readings[2] == pytest.approx(0.4)
         assert readings[4] == pytest.approx(0.4)
@@ -171,7 +197,7 @@ class TestRab:
 
     def test_closest_neighbour_wins(self):
         rel = np.array([[0.8, 0.0], [0.2, 0.0]])
-        assert rab_activations(rel, 1.0)[0] == pytest.approx(0.2)
+        assert rab_of(rel, 1.0)[0] == pytest.approx(0.2)
 
     def test_heading_rotates_frame(self):
         # robot facing +y sees a neighbour at +y as dead ahead
@@ -264,8 +290,8 @@ class TestFaults:
             r = rng.uniform(0.75, 1.0, size=hit.sum()) * rab_range
             theta = rng.uniform(-np.pi, np.pi, size=hit.sum())
             offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-            neighbours = body_frame_offsets(clean.poses[t])[hit]
-            expected = rab_activations(neighbours + offsets[:, None, :], rab_range)
+            shifted = neighbours(clean.poses[t])[hit] + offsets[:, None, :]
+            expected = rab_of(shifted, rab_range)
             assert np.array_equal(faulty.rab[t, hit], expected)
         assert not np.array_equal(faulty.rab[:, hit], clean.rab[:, hit])
         assert np.array_equal(faulty.rab[:, ~hit], clean.rab[:, ~hit])

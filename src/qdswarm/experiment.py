@@ -240,14 +240,18 @@ def stage_is_complete(directory, stage: str) -> bool:
     """True when the stage manifest exists, lists every file of
     `STAGE_FILES[stage]`, and all recorded hashes match. A manifest written
     before the stage wrote one of its files today is stale, so the stage
-    reruns."""
+    reruns, and so is one that is not a JSON `{"files": {name: digest}}`."""
     manifest = _manifest_path(directory, stage)
     if not manifest.exists():
         return False
-    recorded = json.loads(manifest.read_text())
-    if not recorded["files"].keys() >= set(STAGE_FILES[stage]):
+    try:
+        recorded = json.loads(manifest.read_text())
+    except ValueError:
         return False
-    for name, digest in recorded["files"].items():
+    files = recorded.get("files") if isinstance(recorded, dict) else None
+    if not isinstance(files, dict) or not files.keys() >= set(STAGE_FILES[stage]):
+        return False
+    for name, digest in files.items():
         path = Path(directory) / name
         if not path.exists() or _file_hash(path) != digest:
             return False

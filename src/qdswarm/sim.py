@@ -11,21 +11,23 @@ faults can be injected each cycle. A trial is a pure function of
 
 Trials that share a duration step together in `run_trials`, each in its own
 environment and with its own swarm size, and a trial's log is the same
-whatever batch it runs in. The batched kernel functions it calls are the
-simulator's only API; the per-trial reference loop that the tests compare
-the kernel against lives in `tests/oracles.py`. They work on one flat
-layout, a `Swarms` built from the trials' environments: robot arrays are
-(R, ...) with the robots of all trials concatenated in (trial, index) order,
-each robot carrying its trial's arena side, speed and sensor ranges;
-obstacle centres are one (K, 2) array in trial order; one list holds the
-pairs i < j of robots of one trial, and one the (robot, box of its own
-trial) pairs. The fixed body comes from the module constants ROBOT_RADIUS,
-AXLE_LENGTH and MAX_ANGULAR_SPEED. Each `TrialLog` carries its trial's `env`
-and its own obstacle centres. Trials of one call that share an
-(environment, seed) pair are placed once. Each swarm-geometry quantity of a
-trial log has one function here, which the fitness and descriptor modules
-call too: `pairwise_offsets`, `pair_distances`, `pair_indices`, and
-`_circle_box_offsets` for discs against boxes.
+whatever batch it runs in: each run of consecutive trials of one swarm size
+steps its controllers as one stack of unpadded (trials, n, ...) arrays. The
+batched kernel functions it calls are the simulator's only API; the
+per-trial reference loop that the tests compare the kernel against lives in
+`tests/oracles.py`. They work on one flat layout, a `Swarms` built from the
+trials' environments: robot arrays are (R, ...) with the robots of all
+trials concatenated in (trial, index) order, each robot carrying its trial's
+arena side, speed and sensor ranges; obstacle centres are one (K, 2) array
+in trial order; one list holds the pairs i < j of robots of one trial, and
+one the (robot, box of its own trial) pairs. The fixed body comes from the
+module constants ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. Each
+`TrialLog` carries its trial's `env` and its own obstacle centres. Trials of
+one call that share an (environment, seed) pair are placed once. Each
+swarm-geometry quantity of a trial log has one function here, which the
+fitness and descriptor modules call too: `pairwise_offsets`,
+`pair_distances`, `pair_indices`, and `_circle_box_offsets` for discs
+against boxes.
 """
 
 import functools
@@ -176,7 +178,6 @@ class Swarms:
     """
 
     trial: np.ndarray  # (R,) each robot's trial
-    index: np.ndarray  # (R,) each robot's index within its trial
     bounds: np.ndarray  # (B + 1,)
     box_bounds: np.ndarray  # (B + 1,)
     side: np.ndarray  # (R,) arena side of each robot's trial
@@ -212,7 +213,6 @@ def swarm_layout(envs) -> Swarms:
     )
     return Swarms(
         trial=trial,
-        index=np.arange(len(trial)) - bounds[trial],
         bounds=bounds,
         box_bounds=box_bounds,
         side=side,
@@ -308,16 +308,16 @@ def neighbor_offsets(poses, swarms: Swarms) -> np.ndarray:
     return np.take(xy, swarms.neighbor, axis=0) - np.take(xy, swarms.observer, axis=0)
 
 
-def proximity_activations(poses, obstacles, swarms: Swarms, rel=None) -> np.ndarray:
+def proximity_activations(poses, obstacles, swarms: Swarms, rel) -> np.ndarray:
     """Proximity readings of the robots (R, 3) of a flat batch, (R, 7) activations in [0, 1].
 
     `obstacles` (K, 2) are the batch's box centres and `rel` is
-    `neighbor_offsets(poses, swarms)` when the caller has it. Activation is
-    1 - d / proximity_range clipped to [0, 1], with d the distance from the
-    body surface (ROBOT_RADIUS from the centre) to the nearest wall,
-    obstacle, or robot along the ray. Only obstacles and robots within reach
-    of a robot are ray-cast: anything farther is more than the range away
-    along every ray, so its reading would clip to 0 whether it is cast or not.
+    `neighbor_offsets(poses, swarms)`. Activation is 1 - d / proximity_range
+    clipped to [0, 1], with d the distance from the body surface
+    (ROBOT_RADIUS from the centre) to the nearest wall, obstacle, or robot
+    along the ray. Only obstacles and robots within reach of a robot are
+    ray-cast: anything farther is more than the range away along every ray,
+    so its reading would clip to 0 whether it is cast or not.
     """
     poses = np.asarray(poses, dtype=float)
     xy = poses[:, :2]
@@ -342,8 +342,6 @@ def proximity_activations(poses, obstacles, swarms: Swarms, rel=None) -> np.ndar
             )
             np.minimum.at(t, robot, hits)
     if len(swarms.observer):
-        if rel is None:
-            rel = neighbor_offsets(poses, swarms)
         reach = reach + ROBOT_RADIUS
         observer = swarms.observer
         near = np.flatnonzero(
@@ -359,12 +357,10 @@ def proximity_activations(poses, obstacles, swarms: Swarms, rel=None) -> np.ndar
     return np.clip(1.0 - distance / swarms.proximity_range[:, None], 0.0, 1.0)
 
 
-def body_frame_offsets(poses, swarms: Swarms, rel=None) -> np.ndarray:
+def body_frame_offsets(poses, swarms: Swarms, rel) -> np.ndarray:
     """(2P, 2) offsets of the pairs read both ways, each in its observer's
-    body frame; `rel` is `neighbor_offsets(poses, swarms)` when the caller has it."""
+    body frame; `rel` is `neighbor_offsets(poses, swarms)`."""
     poses = np.asarray(poses, dtype=float)
-    if rel is None:
-        rel = neighbor_offsets(poses, swarms)
     cos = np.cos(poses[:, 2])[swarms.observer]
     sin = np.sin(poses[:, 2])[swarms.observer]
     rx = rel[:, 0] * cos + rel[:, 1] * sin
@@ -668,49 +664,6 @@ def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
 # Trial execution
 
 
-class _Controllers:
-    """The clonal controllers of a flat batch as stacked matrix products.
-
-    A stack holds trials' robots as (trials, width, ...) rows, each trial
-    zero-padded to the stack's largest swarm; a row's bits do not depend on
-    how many padded rows follow it. A lone row does not take that path: BLAS
-    multiplies a one-row matrix on its matrix-vector path, which rounds
-    differently, so one-robot trials form a stack of their own.
-    """
-
-    def __init__(self, genomes, swarms: Swarms):
-        sizes = np.diff(swarms.bounds)
-        self.stacks = []
-        for members in (np.flatnonzero(sizes > 1), np.flatnonzero(sizes == 1)):
-            if not len(members):
-                continue
-            width = int(sizes[members].max())
-            mine = np.isin(swarms.trial, members)
-            # each robot's row of the stack's (trials * width) padded rows
-            slots = np.searchsorted(members, swarms.trial[mine]) * width + swarms.index[mine]
-            if len(slots) == len(members) * width:
-                slots = slice(None)
-            robots = slice(None) if mine.all() else np.flatnonzero(mine)
-            net = CompiledNetwork([genomes[b] for b in members])
-            inputs = np.zeros((len(members), width, N_INPUTS))
-            inputs.reshape(-1, N_INPUTS)[slots, BIAS_INDEX] = 1.0
-            self.stacks.append([robots, slots, net, net.initial_state(width), inputs])
-
-    def step(self, proximity, rab) -> np.ndarray:
-        """Update every controller once on the robots' (R, 7) proximity and
-        (R, 8) RAB readings; the (R, 2) network outputs."""
-        outputs = np.empty((len(proximity), N_OUTPUTS))
-        for stack in self.stacks:
-            robots, slots, net, state, inputs = stack
-            rows = inputs.reshape(-1, N_INPUTS)
-            rows[slots, :N_PROXIMITY_RAYS] = sensor_input_scale(proximity[robots])
-            rows[slots, N_PROXIMITY_RAYS:BIAS_INDEX] = sensor_input_scale(rab[robots])
-            stack[3] = state = net.step(state, inputs)
-            out = net.outputs(state).reshape(-1, N_OUTPUTS)
-            outputs[robots] = out[slots] if isinstance(slots, slice) else np.take(out, slots, axis=0)
-        return outputs
-
-
 def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     """Simulate B trials that share `duration`; one TrialLog each.
 
@@ -721,17 +674,17 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     then run duration / 0.2 control cycles of sense, fault injection, clonal
     controller update, actuation, integration, and collision resolution, all
     B trials in one set of numpy operations per cycle on the flat layout of
-    `swarm_layout(envs)`. The controllers are one stacked matmul over the
-    trials, each trial's rows zero-padded to the batch's largest swarm (and
-    one more over the one-robot trials, see `_Controllers`). Each
-    trial keeps its own RNG (its placement, then its fault noise),
-    controller state and collision passes, so its log is a deterministic
-    function of its own arguments: bit-identical alone or in any batch. Each
-    run of consecutive trials of one swarm size logs into one array per
-    field, so a trial's log arrays are contiguous (T, n, ...) views. A trial
-    whose (env, seed) pair came earlier in the call copies that trial's
-    obstacles and poses and gets a new generator set to its post-placement
-    state, instead of placing again; the copies live only as long as the call.
+    `swarm_layout(envs)`. Each run of consecutive trials of one swarm size n
+    is one contiguous row range of that layout: its controllers step as one
+    stacked matmul of (trials, n, ...) arrays, so each trial's products have
+    the shapes they have alone, and it logs into one array per field, so a
+    trial's log arrays are contiguous (T, n, ...) views. Each trial keeps
+    its own RNG (its placement, then its fault noise), controller state and
+    collision passes, so its log is a deterministic function of its own
+    arguments: bit-identical alone or in any batch. A trial whose (env,
+    seed) pair came earlier in the call copies that trial's obstacles and
+    poses and gets a new generator set to its post-placement state, instead
+    of placing again; the copies live only as long as the call.
 
     Raises PlacementError for the first trial that cannot be placed. An empty
     batch, argument lists of different lengths, a fault assignment whose
@@ -773,18 +726,21 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
         rngs.append(rng)
     plan = _compile_faults(fault_arr, swarms, rngs, n_cycles)
 
-    controllers = _Controllers(genomes, swarms)
-
-    # The log holds, for each run of consecutive trials of one swarm size, one
-    # (trials, T, n, ...) array per field, so that a trial's arrays are
-    # contiguous views and the log costs 176 bytes per robot-cycle.
+    # Each run of consecutive trials of one swarm size holds its controllers'
+    # (trials, n, ...) inputs and state, and one (trials, T, n, ...) log array
+    # per field, so that a trial's arrays are contiguous views and the log
+    # costs 176 bytes per robot-cycle.
     runs, first = [], 0
-    for n, run in itertools.groupby(env.n_robots for env in envs):
-        count = len(list(run))
+    for n, group in itertools.groupby(env.n_robots for env in envs):
+        count = len(list(group))
         rows = slice(swarms.bounds[first], swarms.bounds[first + count])
+        net = CompiledNetwork(genomes[first : first + count])
+        inputs = np.empty((count, n, N_INPUTS))
+        inputs[..., BIAS_INDEX] = 1.0
         arrays = [np.empty((count, n_cycles, n) + shape) for shape in LOG_FIELDS.values()]
-        runs.append((rows, (count, n), arrays))
+        runs.append([rows, (count, n), net, net.initial_state(n), inputs, arrays])
         first += count
+    outputs = np.empty((len(swarms.trial), N_OUTPUTS))
 
     for t in range(n_cycles):
         rel = neighbor_offsets(poses, swarms)
@@ -792,11 +748,18 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
         neighbors = body_frame_offsets(poses, swarms, rel)
         prox, rab = _apply_sensor_faults_batch(prox, neighbors, swarms, plan, plan.noise[t])
 
+        for run in runs:
+            rows, _, net, state, inputs, _ = run
+            flat = inputs.reshape(-1, N_INPUTS)
+            flat[:, :N_PROXIMITY_RAYS] = sensor_input_scale(prox[rows])
+            flat[:, N_PROXIMITY_RAYS:BIAS_INDEX] = sensor_input_scale(rab[rows])
+            run[3] = state = net.step(state, inputs)
+            outputs[rows] = net.outputs(state).reshape(-1, N_OUTPUTS)
         # a working wheel's scale is 1.0, and x * 1.0 is x bit for bit
-        commands = controllers.step(prox, rab) * swarms.speed[:, None] * plan.actuator_scale
+        commands = outputs * swarms.speed[:, None] * plan.actuator_scale
 
         moved, v, omega = differential_drive_step(poses, commands)
-        for rows, shape, arrays in runs:
+        for rows, shape, *_, arrays in runs:
             for array, value in zip(arrays, (poses, prox, rab, commands, v, omega)):
                 array[:, t] = value[rows].reshape(shape + value.shape[1:])
 
@@ -804,7 +767,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
 
     fields = [
         dict(zip(LOG_FIELDS, (array[k] for array in arrays)))
-        for _, (count, _), arrays in runs
+        for _, (count, _), *_, arrays in runs
         for k in range(count)
     ]
     return [

@@ -200,12 +200,16 @@ def evaluator(n_jobs: int):
     """Yield `run(jobs)`, the `evaluate_jobs` results in job order.
 
     With one worker the jobs run in this process; otherwise every `run`
-    shares one pool of `n_jobs` worker processes. The jobs that share a
-    duration, whatever their environments and swarm sizes, are cut into at
-    most `n_jobs` contiguous slices, so a worker batches their trials, and
-    `pool.map` hands the slices out one at a time as workers come free.
+    shares one pool of `n_jobs` worker processes, at most the machine's CPU
+    count (`os.cpu_count()`). The jobs that share a duration, whatever their
+    environments and swarm sizes, are cut into at most that many contiguous
+    slices, so a worker batches their trials, and `pool.map` hands the
+    slices out one at a time as workers come free.
     Results do not depend on `n_jobs`.
     """
+    import os
+
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     if n_jobs <= 1:
         yield evaluate_jobs
         return

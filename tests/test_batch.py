@@ -3,6 +3,8 @@ layer above it: a trial's log, and a job's result, must not depend on what
 else runs in the same batch, chunk, or worker pool."""
 
 import gc
+import itertools
+import os
 import random
 import weakref
 
@@ -24,7 +26,7 @@ from qdswarm.environment import (
     EnvironmentSpec,
     generate_environment,
 )
-from qdswarm.genome import Connection, Genome, random_genome
+from qdswarm.genome import CompiledNetwork, Connection, Genome, random_genome
 from qdswarm.sim import (
     MAX_RESOLUTION_PASSES,
     FaultType,
@@ -223,6 +225,27 @@ def test_one_robot_trials_match_per_trial_oracle_next_to_larger_swarms():
     assert_batch_matches_oracle(
         (envs, [GENOMES[3], GENOMES[4], GENOMES[5], GENOMES[2]], [None] * 4, [1, 2, 3, 4])
     )
+
+
+@pytest.mark.parametrize("sizes", [[10, 5, 10, 1, 20, 5], [5, 5, 1, 1, 20, 10, 10]])
+def test_controllers_step_each_run_of_one_swarm_size_unpadded(sizes, monkeypatch):
+    """Each run of consecutive trials of one swarm size steps its controllers
+    as one stack whose robot axis is that swarm size, so no stack holds a
+    padded robot row, and the batch keeps the per-trial oracle's bits."""
+    envs = [EnvironmentSpec(0.20, n, 3.0, 2, 1.00, 0.22) for n in sizes]
+    genomes = [GENOMES[2 + b % 6] for b in range(len(sizes))]
+    faults = [None if b % 2 else [FaultType.PRAND] * n for b, n in enumerate(sizes)]
+    shapes = []
+    step = CompiledNetwork.step
+
+    def spy(self, state, inputs):
+        shapes.append(inputs.shape[:2])
+        return step(self, state, inputs)
+
+    monkeypatch.setattr(CompiledNetwork, "step", spy)
+    assert_batch_matches_oracle((envs, genomes, faults, list(range(len(sizes)))))
+    runs = [(len(list(group)), n) for n, group in itertools.groupby(sizes)]
+    assert shapes == runs * 8  # 1.6 s is 8 control cycles
 
 
 # Two environments of one swarm size and three seeds, so (environment, seed)
@@ -526,6 +549,34 @@ def test_job_results_do_not_depend_on_neighbours():
             assert_results_equal(run(jobs), alone)
             shuffled = run([jobs[i] for i in order])
         assert_results_equal(shuffled, [alone[i] for i in order])
+
+
+@pytest.mark.parametrize("cpus", [3, None])
+def test_pool_is_capped_at_the_cpu_count(cpus, monkeypatch):
+    """An oversized `n_jobs` asks for at most the machine's CPU count of
+    workers (one, in this process, when the count is unknown); a fake pool
+    records the request and starts no process."""
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(tasks, "ProcessPoolExecutor", FakePool)
+    jobs = mixed_jobs()
+    with evaluator(5000) as run:
+        assert_results_equal(run(jobs), [evaluate_jobs([job])[0] for job in jobs])
+    assert requested == ([cpus] if cpus else [])
 
 
 def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):

@@ -169,6 +169,35 @@ class TestPipeline:
         assert "skipping" not in capsys.readouterr().out
         assert stats.read_bytes() == original
 
+    @pytest.mark.parametrize(
+        "content", ["null", "[]", "{}", '{"stage": "evolve"}', '{"files": []}', "{"]
+    )
+    def test_malformed_manifest_is_stale(self, tmp_path, capsys, content):
+        """A manifest that is not a JSON `{"files": {name: digest}}` counts as
+        missing: evolve reruns to the same bytes, and faults asks for the
+        reevaluate stage before it writes anything."""
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        manifest = rep / "evolve.done"
+        written = manifest.read_bytes()
+        outputs = {name: (rep / name).read_bytes() for name in json.loads(written)["files"]}
+        manifest.write_text(content)
+        capsys.readouterr()
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert manifest.read_bytes() == written
+        assert {name: (rep / name).read_bytes() for name in outputs} == outputs
+
+        assert main(["reevaluate", "--out", out]) == 0
+        (rep / "reevaluate.done").write_text(content)
+        capsys.readouterr()
+        assert main(["faults", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run the reevaluate stage" in err
+        assert not (rep / "records.csv").exists()
+
     def test_byte_identical_across_directories(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out_a = str(tmp_path / "a")

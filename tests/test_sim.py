@@ -22,6 +22,7 @@ from qdswarm.sim import (
     TrialLog,
     body_frame_offsets,
     differential_drive_step,
+    neighbor_offsets,
     place_entities,
     proximity_activations,
     rab_activations,
@@ -45,7 +46,8 @@ def proximity(poses, obstacles=(), side=4.0, proximity_range=NORMAL_ENV.proximit
         n_obstacles=len(obstacles),
         proximity_range=proximity_range,
     )
-    return proximity_activations(poses, obstacles, swarm_layout([env]))
+    swarms = swarm_layout([env])
+    return proximity_activations(poses, obstacles, swarms, neighbor_offsets(poses, swarms))
 
 
 def neighbours(poses):
@@ -54,7 +56,8 @@ def neighbours(poses):
     poses = np.array(poses, dtype=float)
     swarms = swarm_layout([EnvironmentSpec(n_robots=len(poses))])
     order = np.lexsort((swarms.neighbor, swarms.observer))
-    return body_frame_offsets(poses, swarms)[order].reshape(len(poses), len(poses) - 1, 2)
+    offsets = body_frame_offsets(poses, swarms, neighbor_offsets(poses, swarms))
+    return offsets[order].reshape(len(poses), len(poses) - 1, 2)
 
 
 def rab_of(rel, rab_range):

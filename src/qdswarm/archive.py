@@ -31,6 +31,7 @@ ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
 SHORT_SEGMENT = 8  # largest Lloyd cluster whose sum is added rank by rank
 SUM_BLOCK = 1 << 16  # values of longer clusters summed per reduceat call
 CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
+TABLE_BLOCK = 512  # table rows formatted per block
 
 
 @dataclass
@@ -276,17 +277,50 @@ def generate_cvt_centroids(
 # Persistence
 
 
+def _table_cell(v) -> str:
+    return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+
 def _table_line(row) -> str:
-    cells = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+    cells = [_table_cell(v) for v in row]
     line = ",".join(cells)
     if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
         raise ValueError(f"table row {cells!r} needs CSV quoting, which tables never use")
     return line + "\r\n"
 
 
+def _table_block(rows: list) -> str:
+    """The lines of `rows`, as `_table_line` writes them, formatted column
+    by column.
+
+    A column of floats goes through one `map(repr)` (a float's repr never
+    needs quoting), a column of strings stays as it is, and any other column
+    is formatted cell by cell with `_table_cell`; each non-float column is
+    scanned once for a character that needs quoting. Rows of unequal or
+    single-cell width, or a column holding such a character, take
+    `_table_line` row by row, which raises for the first bad row."""
+    width = len(rows[0])
+    if width < 2 or len(set(map(len, rows))) > 1:
+        return "".join(map(_table_line, rows))
+    columns = []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if types == {float}:
+            column = map(repr, column)
+        else:
+            if types != {str}:
+                column = list(map(_table_cell, column))
+            text = "".join(column)
+            if "," in text or '"' in text or "\r" in text or "\n" in text:
+                return "".join(map(_table_line, rows))
+        columns.append(column)
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
 def write_table(path, header: str, columns, rows) -> None:
     """Write a table: the provenance `header` line (none when empty), the
-    column names, then `rows`, streamed one line at a time.
+    column names, then `rows` (sequences of cells), in blocks of
+    TABLE_BLOCK rows.
 
     Each line is its cells joined by "," and ended by CRLF. A float cell is
     written as `repr(float(v))`, so numpy scalars print as plain numbers;
@@ -298,7 +332,9 @@ def write_table(path, header: str, columns, rows) -> None:
         if header:
             fh.write(header.rstrip("\n") + "\n")
         fh.write(_table_line(columns))
-        fh.writelines(map(_table_line, rows))
+        rows = iter(rows)
+        while block := [row for _, row in zip(range(TABLE_BLOCK), rows)]:
+            fh.write(_table_block(block))
 
 
 def read_table(path):

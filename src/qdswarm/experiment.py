@@ -17,7 +17,6 @@ becomes a no-op.
 """
 
 import hashlib
-import itertools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -293,6 +292,14 @@ def _write_dataclasses(path, header: str, cls, items) -> None:
     write_table(path, header, names, ([getattr(item, name) for name in names] for item in items))
 
 
+def _load_evolved_archive(config: dict, rep_dir: Path):
+    """The replicate's archive, once its evolve manifest verifies
+    (`stage_is_complete`), so that no stage reads an edited or partial one."""
+    if not stage_is_complete(rep_dir, "evolve"):
+        raise FileNotFoundError(f"{rep_dir} has no verified archive; run the evolve stage")
+    return load_archive(rep_dir / "archive", config["algorithm"])
+
+
 def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.ndarray | None:
     """CVT of the sdbc or spirit behaviour space, one centroid per archive
     cell; None for the grid-indexed algorithms."""
@@ -357,7 +364,7 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
     policy profiles follow `reevaluation.csv`'s key order."""
     header = provenance(config)
     for _, rep_dir, rep_seed in _pending(config, "reevaluate", log):
-        archive = load_archive(rep_dir / "archive", config["algorithm"])
+        archive = _load_evolved_archive(config, rep_dir)
         normal = evaluate_archive(
             archive,
             config["task"],
@@ -433,7 +440,7 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
     """
     header = provenance(config)
     for rep, rep_dir, rep_seed in _pending(config, "faults", log):
-        archive = load_archive(rep_dir / "archive", config["algorithm"])
+        archive = _load_evolved_archive(config, rep_dir)
         normal = _read_reevaluation(config, rep_dir, archive)
         fault_rng = derive_rng(config["seed"], "faults", rep)
         faults = [
@@ -458,13 +465,25 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
 
 
 def load_records_csv(path):
-    """Records plus their provenance (algorithm/task) from one records.csv."""
+    """Records plus their provenance (algorithm/task) from one records.csv.
+
+    A file without record rows, without one of the `RECORD_COLUMNS`, or with
+    a row of more or fewer cells than columns raises ValueError naming it."""
     meta = read_provenance(path)
+    rows = list(read_table(path))
+    if not rows:
+        raise ValueError(f"{path} holds no records")
+    missing = [column for column in RECORD_COLUMNS if column not in rows[0]]
+    if missing:
+        raise ValueError(f"{path} has no column {', '.join(missing)}")
+    for row in rows:
+        if None in row or None in row.values():
+            raise ValueError(f"{path} has a row of another width than its columns")
     records = [
         RecoveryRecord(
             **{name: parse(row[column]) for column, (name, parse) in RECORD_COLUMNS.items()}
         )
-        for row in read_table(path)
+        for row in rows
     ]
     return meta.get("algorithm", "unknown"), records
 
@@ -479,8 +498,6 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
     groups: dict[tuple[str, str], list] = {}
     for path in record_paths:
         algorithm, records = load_records_csv(path)
-        if not records:
-            continue
         key = (records[0].task, algorithm)
         groups.setdefault(key, []).extend(records)
 
@@ -502,12 +519,7 @@ def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=
                 out / grid_name,
                 header,
                 [x_field, y_field, "density"],
-                (
-                    [gx, gy, density]
-                    for (gx, gy), density in zip(
-                        itertools.product(xs, ys), sig.density.ravel().tolist()
-                    )
-                ),
+                zip([x for x in xs for _ in ys], ys * len(xs), sig.density.ravel().tolist()),
             )
             summary_rows.append(
                 [task, algorithm, x_field, y_field, sig.slope, sig.correlation, grid_name]
@@ -568,7 +580,7 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
     header = provenance(config)
     projection_centroids = None
     for rep, rep_dir in enumerate(replicate_dirs(config)):
-        archive = load_archive(rep_dir / "archive", config["algorithm"])
+        archive = _load_evolved_archive(config, rep_dir)
         rep_seed = _replicate_seed(config, rep)
         seed = derive_seed(rep_seed, "export")
         duration = config["evolve.trial_duration"]

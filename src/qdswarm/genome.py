@@ -193,6 +193,31 @@ def mutate(genome: Genome, params: MutationParams, rng: np.random.Generator) -> 
     return Genome(hidden, tuple(connections))
 
 
+def behaviour_key(genome: Genome) -> frozenset:
+    """The connections that can reach an output: each `(source, target,
+    weight bits)` whose target is an output or a hidden unit that reaches an
+    output backwards through the connections.
+
+    The other units are dead: their activations never enter an output, and
+    their columns in the live units' weight rows are exactly 0. So two
+    genomes with equal keys compute the same outputs up to the sign of an
+    all-zero sum (see `recovery`). `float.hex` keeps +0.0 and -0.0 apart.
+    """
+    sources = {}
+    for c in genome.connections:
+        sources.setdefault(c.target, []).append(c.source)
+    live = set(range(FIRST_OUTPUT_ID, FIRST_HIDDEN_ID))
+    frontier = list(live)
+    while frontier:
+        for source in sources.get(frontier.pop(), ()):
+            if source >= N_INPUTS and source not in live:
+                live.add(source)
+                frontier.append(source)
+    return frozenset(
+        (c.source, c.target, float(c.weight).hex()) for c in genome.connections if c.target in live
+    )
+
+
 class CompiledNetwork:
     """Dense-matrix form of genomes for fast, batched synchronous updates.
 

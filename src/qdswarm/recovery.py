@@ -10,6 +10,19 @@ pass, `evaluate_archive`, yields both (the pipeline stores them as
 the policy-profile projection read them and simulate no elite fault free.
 Scored with the same trials and seed, they make the all-NONE fault exactly
 neutral. The resilience >= impact inequality holds without tolerance.
+
+Every pass simulates each distinct controller once: the elites are grouped
+by `genome.behaviour_key`, one job runs per group, and its result goes to
+every member. This is exact, because every elite runs in `NORMAL_ENV` on the
+same trial seeds and two genomes with equal keys differ only in dead units:
+- a dead unit's column is exactly 0 in every live row, so each live unit
+  sums the same nonzero terms in both genomes;
+- so the only possible difference is the sign of an all-zero sum, which
+  reaches the wheel commands and velocities as +0.0 or -0.0;
+- a signed-zero command or velocity leaves the poses unchanged (x + -0.0 is
+  x, and `wrap_angle` maps both zeros to +0.0);
+- every fitness and descriptor reads poses, |v|, binned commands or
+  max(0, v_i v_j), none of which shows the sign of a zero.
 """
 
 from dataclasses import dataclass
@@ -19,6 +32,7 @@ import numpy as np
 from .archive import Archive
 from .descriptors import SPIRIT_STATES
 from .environment import NORMAL_ENV
+from .genome import behaviour_key
 from .seeding import trial_seeds
 from .sim import FaultType
 from .tasks import evaluator
@@ -50,20 +64,35 @@ def evaluate_archive(
     same `seed`, which keeps comparisons paired. Results are independent of
     `n_jobs`.
     """
-    keys = sorted(archive.cells)
-    with evaluator(min(n_jobs, len(keys))) as run:
-        return _run_elites(run, archive, keys, task, fault, trials, seed, duration, "spirit")
+    groups = _elite_groups(archive)
+    with evaluator(min(n_jobs, len(groups))) as run:
+        return _run_elites(run, archive, groups, task, fault, trials, seed, duration, "spirit")
 
 
-def _run_elites(run, archive, keys, task, fault, trials, seed, duration, kind=None):
-    """{key: (performance, descriptor)} of the elites at `keys` in the normal
-    operating environment over the shared trial seeds; `kind` names the
-    descriptor, as in `tasks.evaluate_jobs`."""
+def _elite_groups(archive) -> list[list[int]]:
+    """The archive's sorted cell keys grouped by the behaviour key of their
+    genomes, each group and the list of groups in key order."""
     if not archive.cells:
         raise ValueError("archive is empty")
+    groups = {}
+    for key in sorted(archive.cells):
+        groups.setdefault(behaviour_key(archive.cells[key].genome), []).append(key)
+    return list(groups.values())
+
+
+def _run_elites(run, archive, groups, task, fault, trials, seed, duration, kind=None):
+    """{key: (performance, descriptor)}, in key order, of the elites of
+    `groups` (see `_elite_groups`) in the normal operating environment over the
+    shared trial seeds: one job per group, on its first elite's genome, whose
+    result every member shares. `kind` names the descriptor, as in
+    `tasks.evaluate_jobs`."""
     seeds = trial_seeds(trials, seed, "recovery-trial")
-    jobs = [(task, NORMAL_ENV, archive.cells[k].genome, fault, seeds, duration, kind) for k in keys]
-    return dict(zip(keys, run(jobs)))
+    jobs = [
+        (task, NORMAL_ENV, archive.cells[group[0]].genome, fault, seeds, duration, kind)
+        for group in groups
+    ]
+    results = {key: result for group, result in zip(groups, run(jobs)) for key in group}
+    return dict(sorted(results.items()))
 
 
 def _argbest(scores: dict[int, float]) -> tuple[int, float]:
@@ -176,11 +205,11 @@ def fault_recovery_records(
             f"task {task}: every elite scores 0 fault free, so impact and "
             "resilience (changes relative to the normal-best score) are undefined"
         )
-    keys = sorted(archive.cells)
-    with evaluator(min(n_jobs, len(keys))) as run:
+    groups = _elite_groups(archive)
+    with evaluator(min(n_jobs, len(groups))) as run:
         outcomes = []  # (normal-best elite's faulty score, recovery key, its score)
         for fault in faults:
-            faulty = _run_elites(run, archive, keys, task, fault, trials, seed, duration)
+            faulty = _run_elites(run, archive, groups, task, fault, trials, seed, duration)
             rec_key, rec_perf = _argbest({key: perf for key, (perf, _) in faulty.items()})
             outcomes.append((faulty[best_key][0], rec_key, rec_perf))
     empirical_max = max([best_normal, *(rec_perf for _, _, rec_perf in outcomes)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qdswarm.archive import (
+    TABLE_BLOCK,
     Archive,
     Elite,
     _label_means,
@@ -412,6 +413,42 @@ class TestPersistence:
             write_table(tmp_path / "t.csv", "", ["a", "b"], [[1, f"x{char}y"]])
         with pytest.raises(ValueError, match="quoting"):
             write_table(tmp_path / "t.csv", "", [f"a{char}", "b"], [])
+
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    def test_cell_that_needs_quoting_past_the_first_block_rejected(self, tmp_path, char):
+        rows = [[float(i), f"r{i}", i] for i in range(2 * TABLE_BLOCK)]
+        rows[TABLE_BLOCK + 3][1] = f"x{char}y"
+        with pytest.raises(ValueError, match="quoting"):
+            write_table(tmp_path / "t.csv", "", ["a", "b", "c"], iter(rows))
+
+    def test_blank_row_past_the_first_block_rejected(self, tmp_path):
+        rows = [[float(i)] for i in range(TABLE_BLOCK + 5)]
+        rows[-1] = [None]
+        with pytest.raises(ValueError, match="quoting"):
+            write_table(tmp_path / "t.csv", "", ["a"], rows)
+
+    def test_blocks_write_each_row_as_its_cells(self, tmp_path):
+        """Several blocks whose columns hold floats, numpy floats, strings,
+        ints, None among floats and strings among floats, and rows of two
+        widths, against the cell rules applied row by row."""
+        rng = np.random.default_rng(4)
+        n = 2 * TABLE_BLOCK + 7
+        values = rng.normal(size=n).tolist()
+        rows = [
+            [v, np.float64(-v), f"s{i}", i, None if i % 5 == 0 else v, "" if i % 7 else v]
+            for i, v in enumerate(values)
+        ]
+        rows[TABLE_BLOCK + 1] = rows[TABLE_BLOCK + 1][:4]  # one short row in the second block
+        write_table(tmp_path / "t.csv", "", list("abcdef"), rows)
+
+        def line(row):
+            cells = ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                     for v in row)
+            return ",".join(cells) + "\r\n"
+
+        expected = "a,b,c,d,e,f\r\n" + "".join(map(line, rows))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_one_module_imports_csv():

@@ -432,6 +432,42 @@ class TestPipeline:
         assert capsys.readouterr().err.startswith("error:")
         assert not (rep / "records.csv").exists()
 
+    @pytest.mark.parametrize("damage", ["row deleted", "genome edited", "header damaged"])
+    def test_archive_read_stages_require_a_verified_archive(self, tmp_path, capsys, damage):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        index = rep / "archive" / "index.csv"
+        if damage == "row deleted":
+            index.write_bytes(b"".join(index.read_bytes().splitlines(keepends=True)[:-1]))
+        elif damage == "genome edited":
+            genome = sorted((rep / "archive" / "genomes").iterdir())[-1]
+            text = genome.read_text()
+            genome.write_text("1\n" if text == "0\n" else "0\n")
+        else:
+            index.write_text(index.read_text().replace("max_linear_speed", "max_speed"))
+        capsys.readouterr()
+        for command in (["reevaluate"], ["faults"], ["export"]):
+            assert main([*command, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "run the evolve stage" in err
+        assert not (rep / "reevaluation.csv").exists()
+        assert not list(rep.glob("trial_cell_*.csv"))
+
+    def test_faults_rejects_an_archive_edited_after_reevaluate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        rep = tmp_path / "run" / "rep00"
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        genome = sorted((rep / "archive" / "genomes").iterdir())[0]
+        genome.write_text(genome.read_text() + "\n")  # the same genome, other bytes
+        capsys.readouterr()
+        assert main(["faults", "--out", out]) == 2
+        assert "run the evolve stage" in capsys.readouterr().err
+        assert not (rep / "records.csv").exists()
+
     def test_evolve_rejects_another_config_in_same_out(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out]) == 0
@@ -567,6 +603,24 @@ class TestAnalyze:
                 f"aggregation,{i:03d},NONE;NONE,{imp!r},{rec!r},{rec!r},{res!r},{dist!r},0"
             )
         path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("damage", ["no rows", "missing column", "short row"])
+    def test_malformed_records_exit_2_naming_the_file(self, tmp_path, capsys, damage):
+        path = tmp_path / "records.csv"
+        self._records_csv(path, "qed", [(-0.1, 0.5, -0.05, 0.2), (-0.3, 0.4, -0.2, 0.1)])
+        lines = path.read_text().splitlines()
+        if damage == "no rows":
+            lines = lines[:2]
+        elif damage == "missing column":  # drop recovered_perf
+            lines = [",".join(line.split(",")[:4] + line.split(",")[5:]) for line in lines]
+        else:
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["analyze", "--out", str(out), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not (out / "analysis" / "signatures.csv").exists()
 
     def test_single_set_has_no_pairwise_tables(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdswarm.archive import Elite, Archive, generate_cvt_centroids
+from qdswarm.descriptors import DESCRIPTORS
 from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
-from qdswarm.genome import Genome, random_genome
+from qdswarm.evolve import EvolutionConfig, evolve
+from qdswarm.genome import (
+    FIRST_HIDDEN_ID,
+    N_INPUTS,
+    Connection,
+    Genome,
+    behaviour_key,
+    random_genome,
+)
 from qdswarm.recovery import (
     RecoveryRecord,
+    _elite_groups,
     _run_elites,
     evaluate_archive,
     fault_recovery_records,
@@ -15,10 +27,13 @@ from qdswarm.recovery import (
     spirit_distance,
 )
 from qdswarm.sim import FaultType
-from qdswarm.tasks import evaluate_jobs
+from qdswarm.tasks import TaskKind, evaluate_jobs
 
 DUR = 2.0
 TRIALS = 2
+# every fault type but NONE on at least one robot: sensor noise (PRAND),
+# RAB offsets (ROFS), stuck proximity rays and wheel faults
+MIXED_FAULT = [FaultType(i) for i in (6, 2, 3, 4, 5, 0, 1, 6, 2, 7)]
 
 
 def small_archive(n_elites=5, seed=0):
@@ -185,8 +200,8 @@ class TestProjection:
     @staticmethod
     def fault_free(archive):
         """The elites' fault-free (performance, policy profile) over one trial."""
-        keys = sorted(archive.cells)
-        return _run_elites(evaluate_jobs, archive, keys, "aggregation", None, 1, 0, DUR, "spirit")
+        groups = _elite_groups(archive)
+        return _run_elites(evaluate_jobs, archive, groups, "aggregation", None, 1, 0, DUR, "spirit")
 
     def test_single_elite(self):
         projected = project_archive(self.fault_free(small_archive(1)), self.CENTROIDS)
@@ -290,3 +305,149 @@ class TestFaultRecoveryRecords:
         normal = evaluate_archive(archive, "aggregation", None, TRIALS, 0, DUR)
         assert fault_recovery_records(archive, "aggregation", normal, [], TRIALS, 0, DUR) == []
 
+
+# ---------------------------------------------------------------------------
+# One job per distinct controller
+
+
+def live_units(genome):
+    """Outputs and the hidden units with a path to an output, by fixed point."""
+    live = set(range(N_INPUTS, FIRST_HIDDEN_ID))
+    grown = True
+    while grown:
+        feeding = {
+            c.source for c in genome.connections if c.target in live and c.source >= N_INPUTS
+        }
+        grown = not feeding <= live
+        live |= feeding
+    return live
+
+
+@st.composite
+def padded_genomes(draw):
+    """A random genome and a copy with hidden units appended after its own:
+    unconnected ones, and dead ones fed from inputs, live units or other
+    dead units, which never feed a live unit; the copy's connections are
+    shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    genome = random_genome(rng)
+    padded_hidden = genome.hidden + draw(st.integers(1, 3))
+    n_nodes = FIRST_HIDDEN_ID + padded_hidden
+    live = live_units(genome)
+    dead = [unit for unit in range(FIRST_HIDDEN_ID, n_nodes) if unit not in live]
+    pairs = {(c.source, c.target) for c in genome.connections}
+    connections = list(genome.connections)
+    for _ in range(draw(st.integers(0, 8))):
+        pair = (int(rng.integers(0, n_nodes)), dead[int(rng.integers(0, len(dead)))])
+        if pair not in pairs:
+            pairs.add(pair)
+            connections.append(Connection(*pair, float(rng.uniform(-2.0, 2.0))))
+    rng.shuffle(connections)
+    return genome, Genome(padded_hidden, tuple(connections))
+
+
+class TestBehaviourKey:
+    @settings(max_examples=40, deadline=None)
+    @given(padded_genomes())
+    def test_dead_units_change_neither_key_nor_results(self, genomes):
+        """Every task and descriptor kind, fault free and under a fault that
+        mixes sensor and wheel faults, bit for bit; each genome is evaluated
+        alone, so their weight matrices differ in size."""
+        genome, padded = genomes
+        assert behaviour_key(padded) == behaviour_key(genome)
+        assert padded.hidden > genome.hidden
+
+        def results(g):
+            jobs = [
+                (task, NORMAL_ENV, g, fault, [3, 4], 3.0, kind)
+                for task in TaskKind
+                for kind in (None, *DESCRIPTORS)
+                for fault in (None, MIXED_FAULT)
+            ]
+            return [
+                (np.float64(score).tobytes(), None if d is None else d.tobytes())
+                for score, d in evaluate_jobs(jobs)
+            ]
+
+        assert results(padded) == results(genome)
+
+    def test_weights_are_part_of_the_key(self):
+        """Any change of a live weight's bits, the sign of a zero included,
+        gives another key; a dead unit's weight does not."""
+        base = [Connection(0, 16, 0.5), Connection(18, 17, -1.0), Connection(3, 18, 0.0)]
+        key = behaviour_key(Genome(2, tuple(base)))
+        for index, weight in ((0, 0.5000000000000001), (1, 1.0), (2, -0.0)):
+            changed = list(base)
+            changed[index] = Connection(base[index].source, base[index].target, weight)
+            assert behaviour_key(Genome(2, tuple(changed))) != key
+        dead = base + [Connection(1, 19, 2.0)]
+        assert behaviour_key(Genome(2, tuple(dead))) == key
+        assert behaviour_key(Genome(2, (Connection(1, 19, 2.0),))) == frozenset()
+
+
+@pytest.fixture(scope="module")
+def evolved_archive():
+    """A small evolved QED archive, in which many elites share a controller."""
+    config = EvolutionConfig(
+        task="aggregation",
+        algorithm="qed",
+        initial_population=20,
+        generations=60,
+        evals_per_generation=1,
+        trials=1,
+        seed=1,
+        trial_duration=2.0,
+    )
+    return evolve(config).archive
+
+
+class TestOneJobPerController:
+    def test_groups_partition_the_cells_by_key(self, evolved_archive):
+        cells = evolved_archive.cells
+        groups = _elite_groups(evolved_archive)
+        assert sorted(key for group in groups for key in group) == sorted(cells)
+        assert all(group == sorted(group) for group in groups)
+        assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+        keys = [{behaviour_key(cells[k].genome) for k in group} for group in groups]
+        assert all(len(key) == 1 for key in keys)
+        assert len(set.union(*keys)) == len(groups) < 0.75 * len(cells)
+        # the key merges genomes that differ, not only copies
+        assert any(len({cells[k].genome for k in group}) > 1 for group in groups)
+
+    @pytest.mark.parametrize(
+        "task, fault, kind",
+        [
+            ("aggregation", None, "spirit"),
+            ("flocking", MIXED_FAULT, None),
+            ("dispersion", None, "sdbc"),
+        ],
+    )
+    def test_grouped_equals_one_job_per_elite(self, evolved_archive, task, fault, kind):
+        """Scores and descriptors bit for bit against one job per elite."""
+        keys = sorted(evolved_archive.cells)
+        args = (task, fault, TRIALS, 5, 10.0, kind)
+        grouped = _run_elites(evaluate_jobs, evolved_archive, _elite_groups(evolved_archive), *args)
+        alone = _run_elites(evaluate_jobs, evolved_archive, [[k] for k in keys], *args)
+        assert list(grouped) == list(alone) == keys
+
+        def bits(results):
+            return {
+                key: (np.float64(score).tobytes(), None if d is None else d.tobytes())
+                for key, (score, d) in results.items()
+            }
+
+        assert bits(grouped) == bits(alone)
+
+    def test_each_pass_simulates_every_controller_once(self, evolved_archive, monkeypatch):
+        controllers = {behaviour_key(e.genome) for e in evolved_archive.cells.values()}
+        jobs_seen = spy_on_jobs(monkeypatch)
+        normal = evaluate_archive(evolved_archive, "aggregation", None, 1, 0, DUR)
+        simulated = [behaviour_key(job[2]) for job in jobs_seen]
+        assert len(simulated) == len(controllers) and set(simulated) == controllers
+        jobs_seen.clear()
+        faults = [np.array(MIXED_FAULT), sample_combined_fault(np.random.default_rng(3), 10)]
+        fault_recovery_records(evolved_archive, "aggregation", normal, faults, 1, 0, DUR)
+        for fault in faults:
+            simulated = [behaviour_key(job[2]) for job in jobs_seen if job[3] is fault]
+            assert len(simulated) == len(controllers) and set(simulated) == controllers
+        assert len(jobs_seen) == len(faults) * len(controllers)

@@ -29,8 +29,10 @@ HBD_BINS = 16
 SIMPLEX_BLOCK = 16  # values per probability-simplex block of a spirit seed point
 ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
 SHORT_SEGMENT = 8  # largest Lloyd cluster whose sum is added rank by rank
-SUM_BLOCK = 1 << 16  # values of longer clusters summed per reduceat call
+SUM_BLOCK = 1 << 16  # values per block of the Lloyd sums, norms and shifts
 CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
+DISK_CLOUD_BYTES = 1 << 30  # larger seed clouds are memory-mapped files
+CLOUD_FILE = "cvt_cloud.npy"  # a disk-backed seed cloud, deleted after its build
 TABLE_BLOCK = 512  # table rows formatted per block
 
 
@@ -75,7 +77,7 @@ class Archive:
     def __post_init__(self):
         if self.centroids is not None:
             self.centroids = np.asarray(self.centroids, dtype=float)
-            self.norms = (self.centroids**2).sum(axis=1)
+            self.norms = _squared_norms(self.centroids)
 
     @classmethod
     def hbd(cls) -> "Archive":
@@ -144,7 +146,7 @@ def nearest_centroid(descriptor, centroids, norms=None) -> int:
     d = np.asarray(descriptor, dtype=float).ravel()
     c = np.asarray(centroids, dtype=float)
     if norms is None:
-        norms = (c**2).sum(axis=1)
+        norms = _squared_norms(c)
     scores = c @ d
     scores *= -2.0
     scores += norms
@@ -170,28 +172,56 @@ def nearest_centroid(descriptor, centroids, norms=None) -> int:
     return int(cand[np.argmin(dist)])
 
 
-def sample_simplex_blocks(rng, count: int, dim: int) -> np.ndarray:
+def _row_blocks(n: int, size: int):
+    """Slices of `size` consecutive rows covering `n` rows."""
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
+def _squared_norms(rows) -> np.ndarray:
+    """`(rows**2).sum(axis=1)`, bit for bit, squaring about SUM_BLOCK values
+    at a time. (Blocks of ASSIGN_CHUNK rows, 16 MiB at 1024 dimensions, let
+    glibc's heap grow by about 32 MB over ten desk spirit builds.)"""
+    norms = np.empty(len(rows))
+    for block in _row_blocks(len(rows), max(1, SUM_BLOCK // rows.shape[1])):
+        np.square(rows[block]).sum(axis=1, out=norms[block])
+    return norms
+
+
+def sample_simplex_blocks(rng, count: int, dim: int, out=None) -> np.ndarray:
     """Seed points whose consecutive SIMPLEX_BLOCK-sized slices each lie on
-    the probability simplex (uniformly, via normalised exponentials)."""
+    the probability simplex (uniformly, via normalised exponentials).
+
+    The points fill `out` (a fresh array when None) ASSIGN_CHUNK rows at a
+    time. They have the bits of one `rng.exponential(1.0, (count, dim //
+    SIMPLEX_BLOCK, SIMPLEX_BLOCK))` draw normalised per slice, and leave
+    `rng` in that draw's state: the unit exponential is the standard one,
+    drawn in the same order, and each slice is normalised on its own.
+    """
     if dim % SIMPLEX_BLOCK:
         raise ValueError("dim must be a multiple of the block size")
-    draws = rng.exponential(1.0, size=(count, dim // SIMPLEX_BLOCK, SIMPLEX_BLOCK))
-    draws /= draws.sum(axis=2, keepdims=True)
-    return draws.reshape(count, dim)
+    points = np.empty((count, dim)) if out is None else out
+    for rows in _row_blocks(count, ASSIGN_CHUNK):
+        block = points[rows].reshape(-1, dim // SIMPLEX_BLOCK, SIMPLEX_BLOCK)
+        rng.standard_exponential(out=block)
+        block /= block.sum(axis=2, keepdims=True)
+    return points
 
 
 def _assign(points, centroids) -> np.ndarray:
-    """Nearest-centroid labels, chunked to bound memory for large clouds."""
-    norms = (centroids**2).sum(axis=1)
+    """Nearest-centroid labels, ASSIGN_CHUNK points at a time into one
+    reused score block."""
+    norms = _squared_norms(centroids)
     labels = np.empty(len(points), dtype=np.int64)
-    for start in range(0, len(points), ASSIGN_CHUNK):
-        block = points[start : start + ASSIGN_CHUNK]
+    scores = np.empty((min(ASSIGN_CHUNK, len(points)), len(centroids)))
+    for rows in _row_blocks(len(points), ASSIGN_CHUNK):
+        block = points[rows]
+        out = scores[: len(block)]
         # in place; equal to norms - 2.0 * (block @ centroids.T) bit for bit:
         # scaling by -2 is exact, and (-b) + a is a - b in IEEE arithmetic
-        scores = block @ centroids.T
-        scores *= -2.0
-        scores += norms
-        labels[start : start + ASSIGN_CHUNK] = np.argmin(scores, axis=1)
+        np.matmul(block, centroids.T, out=out)
+        out *= -2.0
+        out += norms
+        np.argmin(out, axis=1, out=labels[rows])
     return labels
 
 
@@ -236,6 +266,17 @@ def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
     return sums, counts
 
 
+def _max_shift(new, old) -> float:
+    """`np.linalg.norm(new - old, axis=1).max()`, bit for bit, about
+    SUM_BLOCK values at a time."""
+    shifts = []
+    for rows in _row_blocks(len(new), max(1, SUM_BLOCK // new.shape[1])):
+        diff = new[rows] - old[rows]
+        diff *= diff
+        shifts.append(np.sqrt(diff.sum(axis=1)).max())
+    return float(np.max(shifts))
+
+
 def generate_cvt_centroids(
     k: int,
     dim: int,
@@ -243,34 +284,61 @@ def generate_cvt_centroids(
     seed: int = 0,
     simplex_blocks: bool = False,
     max_iter: int = 100,
+    cloud_dir=".",
 ) -> np.ndarray:
     """Lloyd's k-means over a uniform seed cloud.
 
     With `simplex_blocks`, seeds are drawn per SIMPLEX_BLOCK values uniformly on
     the probability simplex, so centroids inherit unit block sums. Iteration
     stops when the largest centroid shift falls below CVT_TOL.
+
+    Besides the cloud, a build holds one (ASSIGN_CHUNK, k) score block and
+    two (k, dim) arrays at a time. A cloud of more than DISK_CLOUD_BYTES is
+    a memory-mapped CLOUD_FILE in `cloud_dir`, deleted when the build ends
+    however it ends; a `cloud_dir` without room for it raises ValueError
+    before anything is drawn.
     """
     if n_seeds < k:
         raise ValueError(f"need at least k={k} seed points, got {n_seeds}")
     rng = np.random.default_rng(seed)
-    if simplex_blocks:
-        points = sample_simplex_blocks(rng, n_seeds, dim)
+    path = None
+    nbytes = n_seeds * dim * np.dtype(float).itemsize
+    if nbytes > DISK_CLOUD_BYTES:
+        import shutil
+
+        free = shutil.disk_usage(cloud_dir).free
+        if free < nbytes:
+            raise ValueError(
+                f"the {n_seeds} x {dim} CVT seed cloud needs {nbytes / 1e9:.2f} GB "
+                f"on disk and {cloud_dir} has {free / 1e9:.2f} GB free"
+            )
+        path = os.path.join(cloud_dir, CLOUD_FILE)
+        points = np.lib.format.open_memmap(path, mode="w+", dtype=float, shape=(n_seeds, dim))
     else:
-        points = rng.random((n_seeds, dim))
-    # Lloyd starts from a uniform distinct subset of the cloud: on uniform
-    # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
-    centroids = points[np.sort(rng.choice(len(points), size=k, replace=False))]
-    for _ in range(max_iter):
-        labels = _assign(points, centroids)
-        new = centroids.copy()
-        sums, counts = _label_means(points, labels, k)
-        occupied = counts > 0
-        new[occupied] = sums[occupied] / counts[occupied, None]
-        shift = np.linalg.norm(new - centroids, axis=1).max()
-        centroids = new
-        if shift < CVT_TOL:
-            break
-    return centroids
+        points = np.empty((n_seeds, dim))
+    try:
+        if simplex_blocks:
+            sample_simplex_blocks(rng, n_seeds, dim, out=points)
+        else:
+            rng.random(out=points)
+        # Lloyd starts from a uniform distinct subset of the cloud: on uniform
+        # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
+        centroids = np.asarray(points[np.sort(rng.choice(n_seeds, size=k, replace=False))])
+        for _ in range(max_iter):
+            sums, counts = _label_means(points, _assign(points, centroids), k)
+            # each occupied cell moves to its mean; an empty one stays put
+            occupied = counts > 0
+            np.divide(sums, counts[:, None], out=sums, where=occupied[:, None])
+            sums[~occupied] = centroids[~occupied]
+            shift = _max_shift(sums, centroids)
+            centroids = sums
+            if shift < CVT_TOL:
+                break
+        return centroids
+    finally:
+        if path is not None:
+            del points
+            os.remove(path)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +357,20 @@ def _table_line(row) -> str:
     return line + "\r\n"
 
 
-def _table_block(rows: list) -> str:
+def _table_block(rows: list, width: int) -> str:
     """The lines of `rows`, as `_table_line` writes them, formatted column
-    by column.
+    by column; a row of other than `width` cells raises ValueError.
 
     A column of floats goes through one `map(repr)` (a float's repr never
     needs quoting), a column of strings stays as it is, and any other column
     is formatted cell by cell with `_table_cell`; each non-float column is
-    scanned once for a character that needs quoting. Rows of unequal or
-    single-cell width, or a column holding such a character, take
-    `_table_line` row by row, which raises for the first bad row."""
-    width = len(rows[0])
-    if width < 2 or len(set(map(len, rows))) > 1:
+    scanned once for a character that needs quoting. Single-cell rows, or a
+    column holding such a character, take `_table_line` row by row, which
+    raises for the first bad row."""
+    if set(map(len, rows)) != {width}:
+        row = next(row for row in rows if len(row) != width)
+        raise ValueError(f"table row {row!r} has {len(row)} cells for {width} columns")
+    if width < 2:
         return "".join(map(_table_line, rows))
     columns = []
     for column in zip(*rows):
@@ -326,7 +396,8 @@ def write_table(path, header: str, columns, rows) -> None:
     written as `repr(float(v))`, so numpy scalars print as plain numbers;
     None is an empty cell, and anything else goes through `str`. The format
     has no quoting: a cell holding ",", '"', CR or LF, or a row that would
-    be a blank line, raises ValueError.
+    be a blank line, raises ValueError, and so does a row of more or fewer
+    cells than `columns`.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header:
@@ -334,7 +405,7 @@ def write_table(path, header: str, columns, rows) -> None:
         fh.write(_table_line(columns))
         rows = iter(rows)
         while block := [row for _, row in zip(range(TABLE_BLOCK), rows)]:
-            fh.write(_table_block(block))
+            fh.write(_table_block(block, len(columns)))
 
 
 def read_table(path):

@@ -300,9 +300,12 @@ def _load_evolved_archive(config: dict, rep_dir: Path):
     return load_archive(rep_dir / "archive", config["algorithm"])
 
 
-def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.ndarray | None:
+def _build_centroids(
+    config: dict, algorithm: str, n_seeds, seed: int, cloud_dir: Path
+) -> np.ndarray | None:
     """CVT of the sdbc or spirit behaviour space, one centroid per archive
-    cell; None for the grid-indexed algorithms."""
+    cell; None for the grid-indexed algorithms. A seed cloud too large for
+    memory is a temporary file in `cloud_dir` (see `generate_cvt_centroids`)."""
     if algorithm not in CVT_ALGORITHMS:
         return None
     return generate_cvt_centroids(
@@ -312,6 +315,7 @@ def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.nda
         seed=seed,
         simplex_blocks=algorithm == "spirit",
         max_iter=config["cvt.iterations"],
+        cloud_dir=cloud_dir,
     )
 
 
@@ -332,7 +336,11 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
     for _, rep_dir, rep_seed in _pending(config, "evolve", log):
         rep_dir.mkdir(parents=True, exist_ok=True)
         centroids = _build_centroids(
-            config, config["algorithm"], config["cvt.seeds"], derive_seed(rep_seed, "cvt")
+            config,
+            config["algorithm"],
+            config["cvt.seeds"],
+            derive_seed(rep_seed, "cvt"),
+            rep_dir,
         )
         evo = EvolutionConfig(
             task=config["task"],
@@ -467,8 +475,9 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
 def load_records_csv(path):
     """Records plus their provenance (algorithm/task) from one records.csv.
 
-    A file without record rows, without one of the `RECORD_COLUMNS`, or with
-    a row of more or fewer cells than columns raises ValueError naming it."""
+    A file without record rows, without one of the `RECORD_COLUMNS`, with
+    a row of more or fewer cells than columns, or with a cell its column
+    cannot parse raises ValueError naming it."""
     meta = read_provenance(path)
     rows = list(read_table(path))
     if not rows:
@@ -479,12 +488,16 @@ def load_records_csv(path):
     for row in rows:
         if None in row or None in row.values():
             raise ValueError(f"{path} has a row of another width than its columns")
-    records = [
-        RecoveryRecord(
-            **{name: parse(row[column]) for column, (name, parse) in RECORD_COLUMNS.items()}
-        )
-        for row in rows
-    ]
+    records = []
+    for row in rows:
+        values = {}
+        for column, (name, parse) in RECORD_COLUMNS.items():
+            try:
+                values[name] = parse(row[column])
+            except ValueError:
+                cell = row[column]
+                raise ValueError(f"{path} has an unparsable {column} cell {cell!r}") from None
+        records.append(RecoveryRecord(**values))
     return meta.get("algorithm", "unknown"), records
 
 
@@ -492,14 +505,15 @@ SIGNATURE_PAIRS = (("impact", "resilience"), ("resilience", "distance"), ("impac
 
 
 def stage_analyze(record_paths, out_dir, header: str = "# qdswarm analyze", log=print) -> None:
-    """Signatures per record set plus pairwise statistics across algorithms."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Signatures per record set plus pairwise statistics across algorithms.
+    `out_dir` is made only once every record set has loaded."""
     groups: dict[tuple[str, str], list] = {}
     for path in record_paths:
         algorithm, records = load_records_csv(path)
         key = (records[0].task, algorithm)
         groups.setdefault(key, []).extend(records)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     summary_rows = []
     for (task, algorithm), records in sorted(groups.items()):
@@ -619,6 +633,7 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                     "spirit",
                     AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
                     derive_seed(config["seed"], "projection-cvt"),
+                    Path(config["out"]),
                 )
             projected = project_archive(normal, projection_centroids)
             write_table(

@@ -367,3 +367,11 @@ def label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
     sums[present] = np.add.reduceat(points[order], starts, axis=0)
     counts = np.bincount(labels, minlength=k)
     return sums, counts
+
+
+def sample_simplex_blocks(rng, count, dim, block=16) -> np.ndarray:
+    """Seed points drawn in one call: normalised unit exponentials, each
+    consecutive `block` values summing to 1."""
+    draws = rng.exponential(1.0, size=(count, dim // block, block))
+    draws /= draws.sum(axis=2, keepdims=True)
+    return draws.reshape(count, dim)

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import qdswarm.archive
 from qdswarm.archive import (
+    ASSIGN_CHUNK,
+    CLOUD_FILE,
     TABLE_BLOCK,
     Archive,
     Elite,
@@ -30,6 +34,7 @@ from qdswarm.environment import (
     env_index,
     generate_environment,
 )
+from qdswarm.cli import main
 from qdswarm.genome import Genome, random_genome
 
 
@@ -63,6 +68,93 @@ class TestCvtGeneration:
         b = generate_cvt_centroids(8, 3, 200, seed=5)
         assert np.array_equal(a, b)
 
+    def test_chunked_draw_is_the_one_call_draw(self):
+        count = 5000  # two full chunks and a partial one
+        assert count % ASSIGN_CHUNK
+        chunked, one_call = np.random.default_rng(9), np.random.default_rng(9)
+        points = sample_simplex_blocks(chunked, count, 64)
+        expected = oracles.sample_simplex_blocks(one_call, count, 64)
+        assert points.tobytes() == expected.tobytes()
+        assert chunked.random() == one_call.random()
+
+
+class TestCvtMemory:
+    """A build holds the cloud, one (ASSIGN_CHUNK, k) score block and two
+    (k, dim) arrays; a cloud above DISK_CLOUD_BYTES lives in a file that is
+    gone when the build ends."""
+
+    @pytest.mark.parametrize(
+        "k, dim, n_seeds",
+        [(512, 64, 2 * ASSIGN_CHUNK + 500), (512, 1024, 1024)],
+        ids=["score-blocks-dominate", "centroid-arrays-dominate"],
+    )
+    def test_peak_is_cloud_score_block_and_two_centroid_arrays(self, k, dim, n_seeds):
+        bound = 8 * (n_seeds * dim + min(ASSIGN_CHUNK, n_seeds) * k + 2 * k * dim)
+        tracemalloc.start()
+        try:
+            generate_cvt_centroids(k, dim, n_seeds, seed=3, simplex_blocks=True, max_iter=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * bound
+
+    @pytest.mark.parametrize("simplex", [True, False], ids=["spirit", "sdbc"])
+    def test_disk_cloud_gives_the_same_bits_and_leaves_no_file(
+        self, tmp_path, monkeypatch, simplex
+    ):
+        args = (64, 32, 2 * ASSIGN_CHUNK + 500)
+        expected = generate_cvt_centroids(*args, seed=4, simplex_blocks=simplex, max_iter=4)
+        assign, seen = qdswarm.archive._assign, []
+
+        def spy(points, centroids):
+            seen.append((type(points), sorted(p.name for p in tmp_path.iterdir())))
+            return assign(points, centroids)
+
+        monkeypatch.setattr(qdswarm.archive, "DISK_CLOUD_BYTES", 0)
+        monkeypatch.setattr(qdswarm.archive, "_assign", spy)
+        centroids = generate_cvt_centroids(
+            *args, seed=4, simplex_blocks=simplex, max_iter=4, cloud_dir=tmp_path
+        )
+        assert seen[0] == (np.memmap, [CLOUD_FILE])
+        assert type(centroids) is np.ndarray
+        assert centroids.tobytes() == expected.tobytes()
+        assert not any(tmp_path.iterdir())
+
+    def test_disk_cloud_removed_when_the_build_raises(self, tmp_path, monkeypatch):
+        def fail(points, centroids):
+            assert (tmp_path / CLOUD_FILE).exists()
+            raise RuntimeError("assignment failed")
+
+        monkeypatch.setattr(qdswarm.archive, "DISK_CLOUD_BYTES", 0)
+        monkeypatch.setattr(qdswarm.archive, "_assign", fail)
+        with pytest.raises(RuntimeError, match="assignment failed"):
+            generate_cvt_centroids(64, 32, 500, seed=4, cloud_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_evolve_without_disk_room_exits_2_before_the_build(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The disk check comes before the cloud is drawn: no file, no archive."""
+        import shutil
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(qdswarm.archive, "DISK_CLOUD_BYTES", 0)
+        monkeypatch.setattr(
+            shutil, "disk_usage", lambda path: SimpleNamespace(total=10**6, used=10**6 - 1, free=1)
+        )
+        monkeypatch.setattr(qdswarm.archive, "_assign", None)  # any build would raise
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "algorithm = spirit\ncvt.seeds = 4096\nevolve.initial_population = 2\n"
+            "evolve.generations = 1\nevolve.evals_per_generation = 1\nevolve.trials = 1\n"
+            "evolve.trial_duration = 1.0\n"
+        )
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GB free" in err
+        assert sorted(p.name for p in (out / "rep00").iterdir()) == []
+
 
 def _sha256(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
@@ -72,7 +164,8 @@ class TestCvtPins:
     """SHA-256 of the centroid bits and of the keys of 200 query points, for a
     spirit-shaped and an sdbc-shaped CVT. Their Lloyd clusters range from 1
     row to hundreds (spirit) and to 29 (sdbc), so both the short-segment and
-    the long-segment path of the per-cluster means are pinned."""
+    the long-segment path of the per-cluster means are pinned. The third
+    cloud ends in a partial ASSIGN_CHUNK block."""
 
     PINS = {
         "spirit": (
@@ -84,6 +177,12 @@ class TestCvtPins:
             (256, 10, 2048, 5, False),
             "89d40584e7768ce0e4a941e38582fe75219fd6cabb685628858e794fd69822c3",
             "74ae6bc73751d469c878cb04199c761d68df94c146a1262782f510899cab3662",
+        ),
+        # two full seed chunks and a partial one, in the draw and the assignment
+        "spirit-chunks": (
+            (64, 1024, 2 * 2048 + 500, 5, True),
+            "2c9c4fe75566e62788bd51036f46465c5896d5d6fb7c098e9239142b55e3a43e",
+            "1790ae2230c75a60247b313c85dca36f226a0ee08022bceb5f50182706833920",
         ),
     }
 
@@ -428,10 +527,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="quoting"):
             write_table(tmp_path / "t.csv", "", ["a"], rows)
 
+    @pytest.mark.parametrize("bad", [0, TABLE_BLOCK + 3], ids=["wide-first", "short-later"])
+    def test_row_of_another_width_rejected(self, tmp_path, bad):
+        rows = [[float(i), f"r{i}"] for i in range(2 * TABLE_BLOCK)]
+        rows[bad] = [*rows[bad], 3] if bad == 0 else rows[bad][:1]
+        with pytest.raises(ValueError, match="cells for 2 columns") as raised:
+            write_table(tmp_path / "t.csv", "", ["a", "b"], rows)
+        assert str(raised.value).startswith(f"table row {rows[bad]!r} has {len(rows[bad])} cells")
+        with pytest.raises(ValueError, match="3 cells for 2 columns"):
+            write_table(tmp_path / "t.csv", "", ["a", "b"], [[1, 2, 3]])
+        with pytest.raises(ValueError, match="2 cells for 1 columns"):
+            write_table(tmp_path / "t.csv", "", ["a"], [[1], [1, 2]])
+
     def test_blocks_write_each_row_as_its_cells(self, tmp_path):
         """Several blocks whose columns hold floats, numpy floats, strings,
-        ints, None among floats and strings among floats, and rows of two
-        widths, against the cell rules applied row by row."""
+        ints, None among floats and strings among floats, against the cell
+        rules applied row by row."""
         rng = np.random.default_rng(4)
         n = 2 * TABLE_BLOCK + 7
         values = rng.normal(size=n).tolist()
@@ -439,7 +550,6 @@ class TestPersistence:
             [v, np.float64(-v), f"s{i}", i, None if i % 5 == 0 else v, "" if i % 7 else v]
             for i, v in enumerate(values)
         ]
-        rows[TABLE_BLOCK + 1] = rows[TABLE_BLOCK + 1][:4]  # one short row in the second block
         write_table(tmp_path / "t.csv", "", list("abcdef"), rows)
 
         def line(row):

@@ -604,7 +604,7 @@ class TestAnalyze:
             )
         path.write_text("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("damage", ["no rows", "missing column", "short row"])
+    @pytest.mark.parametrize("damage", ["no rows", "missing column", "short row", "bad cell"])
     def test_malformed_records_exit_2_naming_the_file(self, tmp_path, capsys, damage):
         path = tmp_path / "records.csv"
         self._records_csv(path, "qed", [(-0.1, 0.5, -0.05, 0.2), (-0.3, 0.4, -0.2, 0.1)])
@@ -613,14 +613,29 @@ class TestAnalyze:
             lines = lines[:2]
         elif damage == "missing column":  # drop recovered_perf
             lines = [",".join(line.split(",")[:4] + line.split(",")[5:]) for line in lines]
-        else:
+        elif damage == "short row":
             lines[-1] = lines[-1].rsplit(",", 1)[0]
+        else:  # the last row's impact cell
+            cells = lines[-1].split(",")
+            lines[-1] = ",".join(cells[:3] + ["abc"] + cells[4:])
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "run"
         assert main(["analyze", "--out", str(out), str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
-        assert not (out / "analysis" / "signatures.csv").exists()
+        assert not (out / "analysis").exists()
+
+    def test_bad_record_set_after_a_good_one_leaves_no_analysis(self, tmp_path, capsys):
+        rows = [(-0.1, 0.5, -0.05, 0.2), (-0.3, 0.4, -0.2, 0.1)]
+        self._records_csv(tmp_path / "a.csv", "qed", rows)
+        self._records_csv(tmp_path / "b.csv", "hbd", rows)
+        bad = tmp_path / "b.csv"
+        bad.write_text(bad.read_text().replace(",-0.3,", ",abc,"))
+        out = tmp_path / "run"
+        assert main(["analyze", "--out", str(out), str(tmp_path / "a.csv"), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "impact" in err
+        assert not (out / "analysis").exists()
 
     def test_single_set_has_no_pairwise_tables(self, tmp_path):
         rng = np.random.default_rng(0)

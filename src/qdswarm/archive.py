@@ -31,8 +31,6 @@ ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
 SHORT_SEGMENT = 8  # largest Lloyd cluster whose sum is added rank by rank
 SUM_BLOCK = 1 << 16  # values per block of the Lloyd sums, norms and shifts
 CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
-DISK_CLOUD_BYTES = 1 << 30  # larger seed clouds are memory-mapped files
-CLOUD_FILE = "cvt_cloud.npy"  # a disk-backed seed cloud, deleted after its build
 TABLE_BLOCK = 512  # table rows formatted per block
 
 
@@ -187,19 +185,19 @@ def _squared_norms(rows) -> np.ndarray:
     return norms
 
 
-def sample_simplex_blocks(rng, count: int, dim: int, out=None) -> np.ndarray:
+def sample_simplex_blocks(rng, count: int, dim: int) -> np.ndarray:
     """Seed points whose consecutive SIMPLEX_BLOCK-sized slices each lie on
     the probability simplex (uniformly, via normalised exponentials).
 
-    The points fill `out` (a fresh array when None) ASSIGN_CHUNK rows at a
-    time. They have the bits of one `rng.exponential(1.0, (count, dim //
-    SIMPLEX_BLOCK, SIMPLEX_BLOCK))` draw normalised per slice, and leave
-    `rng` in that draw's state: the unit exponential is the standard one,
-    drawn in the same order, and each slice is normalised on its own.
+    The points fill one array ASSIGN_CHUNK rows at a time. They have the
+    bits of one `rng.exponential(1.0, (count, dim // SIMPLEX_BLOCK,
+    SIMPLEX_BLOCK))` draw normalised per slice, and leave `rng` in that
+    draw's state: the unit exponential is the standard one, drawn in the
+    same order, and each slice is normalised on its own.
     """
     if dim % SIMPLEX_BLOCK:
         raise ValueError("dim must be a multiple of the block size")
-    points = np.empty((count, dim)) if out is None else out
+    points = np.empty((count, dim))
     for rows in _row_blocks(count, ASSIGN_CHUNK):
         block = points[rows].reshape(-1, dim // SIMPLEX_BLOCK, SIMPLEX_BLOCK)
         rng.standard_exponential(out=block)
@@ -284,61 +282,36 @@ def generate_cvt_centroids(
     seed: int = 0,
     simplex_blocks: bool = False,
     max_iter: int = 100,
-    cloud_dir=".",
 ) -> np.ndarray:
     """Lloyd's k-means over a uniform seed cloud.
 
     With `simplex_blocks`, seeds are drawn per SIMPLEX_BLOCK values uniformly on
     the probability simplex, so centroids inherit unit block sums. Iteration
-    stops when the largest centroid shift falls below CVT_TOL.
-
-    Besides the cloud, a build holds one (ASSIGN_CHUNK, k) score block and
-    two (k, dim) arrays at a time. A cloud of more than DISK_CLOUD_BYTES is
-    a memory-mapped CLOUD_FILE in `cloud_dir`, deleted when the build ends
-    however it ends; a `cloud_dir` without room for it raises ValueError
-    before anything is drawn.
+    stops when the largest centroid shift falls below CVT_TOL. Besides the
+    cloud, a build holds one (ASSIGN_CHUNK, k) score block and two (k, dim)
+    arrays at a time.
     """
     if n_seeds < k:
         raise ValueError(f"need at least k={k} seed points, got {n_seeds}")
     rng = np.random.default_rng(seed)
-    path = None
-    nbytes = n_seeds * dim * np.dtype(float).itemsize
-    if nbytes > DISK_CLOUD_BYTES:
-        import shutil
-
-        free = shutil.disk_usage(cloud_dir).free
-        if free < nbytes:
-            raise ValueError(
-                f"the {n_seeds} x {dim} CVT seed cloud needs {nbytes / 1e9:.2f} GB "
-                f"on disk and {cloud_dir} has {free / 1e9:.2f} GB free"
-            )
-        path = os.path.join(cloud_dir, CLOUD_FILE)
-        points = np.lib.format.open_memmap(path, mode="w+", dtype=float, shape=(n_seeds, dim))
+    if simplex_blocks:
+        points = sample_simplex_blocks(rng, n_seeds, dim)
     else:
-        points = np.empty((n_seeds, dim))
-    try:
-        if simplex_blocks:
-            sample_simplex_blocks(rng, n_seeds, dim, out=points)
-        else:
-            rng.random(out=points)
-        # Lloyd starts from a uniform distinct subset of the cloud: on uniform
-        # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
-        centroids = np.asarray(points[np.sort(rng.choice(n_seeds, size=k, replace=False))])
-        for _ in range(max_iter):
-            sums, counts = _label_means(points, _assign(points, centroids), k)
-            # each occupied cell moves to its mean; an empty one stays put
-            occupied = counts > 0
-            np.divide(sums, counts[:, None], out=sums, where=occupied[:, None])
-            sums[~occupied] = centroids[~occupied]
-            shift = _max_shift(sums, centroids)
-            centroids = sums
-            if shift < CVT_TOL:
-                break
-        return centroids
-    finally:
-        if path is not None:
-            del points
-            os.remove(path)
+        points = rng.random((n_seeds, dim))
+    # Lloyd starts from a uniform distinct subset of the cloud: on uniform
+    # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
+    centroids = points[np.sort(rng.choice(len(points), size=k, replace=False))]
+    for _ in range(max_iter):
+        sums, counts = _label_means(points, _assign(points, centroids), k)
+        # each occupied cell moves to its mean; an empty one stays put
+        occupied = counts > 0
+        np.divide(sums, counts[:, None], out=sums, where=occupied[:, None])
+        sums[~occupied] = centroids[~occupied]
+        shift = _max_shift(sums, centroids)
+        centroids = sums
+        if shift < CVT_TOL:
+            break
+    return centroids
 
 
 # ---------------------------------------------------------------------------

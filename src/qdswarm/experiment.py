@@ -300,12 +300,9 @@ def _load_evolved_archive(config: dict, rep_dir: Path):
     return load_archive(rep_dir / "archive", config["algorithm"])
 
 
-def _build_centroids(
-    config: dict, algorithm: str, n_seeds, seed: int, cloud_dir: Path
-) -> np.ndarray | None:
+def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.ndarray | None:
     """CVT of the sdbc or spirit behaviour space, one centroid per archive
-    cell; None for the grid-indexed algorithms. A seed cloud too large for
-    memory is a temporary file in `cloud_dir` (see `generate_cvt_centroids`)."""
+    cell; None for the grid-indexed algorithms."""
     if algorithm not in CVT_ALGORITHMS:
         return None
     return generate_cvt_centroids(
@@ -315,7 +312,6 @@ def _build_centroids(
         seed=seed,
         simplex_blocks=algorithm == "spirit",
         max_iter=config["cvt.iterations"],
-        cloud_dir=cloud_dir,
     )
 
 
@@ -336,11 +332,7 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
     for _, rep_dir, rep_seed in _pending(config, "evolve", log):
         rep_dir.mkdir(parents=True, exist_ok=True)
         centroids = _build_centroids(
-            config,
-            config["algorithm"],
-            config["cvt.seeds"],
-            derive_seed(rep_seed, "cvt"),
-            rep_dir,
+            config, config["algorithm"], config["cvt.seeds"], derive_seed(rep_seed, "cvt")
         )
         evo = EvolutionConfig(
             task=config["task"],
@@ -633,7 +625,6 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                     "spirit",
                     AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
                     derive_seed(config["seed"], "projection-cvt"),
-                    Path(config["out"]),
                 )
             projected = project_archive(normal, projection_centroids)
             write_table(

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import qdswarm.archive
 from qdswarm.archive import (
     ASSIGN_CHUNK,
-    CLOUD_FILE,
     TABLE_BLOCK,
     Archive,
     Elite,
@@ -34,7 +32,6 @@ from qdswarm.environment import (
     env_index,
     generate_environment,
 )
-from qdswarm.cli import main
 from qdswarm.genome import Genome, random_genome
 
 
@@ -80,8 +77,7 @@ class TestCvtGeneration:
 
 class TestCvtMemory:
     """A build holds the cloud, one (ASSIGN_CHUNK, k) score block and two
-    (k, dim) arrays; a cloud above DISK_CLOUD_BYTES lives in a file that is
-    gone when the build ends."""
+    (k, dim) arrays."""
 
     @pytest.mark.parametrize(
         "k, dim, n_seeds",
@@ -97,63 +93,6 @@ class TestCvtMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * bound
-
-    @pytest.mark.parametrize("simplex", [True, False], ids=["spirit", "sdbc"])
-    def test_disk_cloud_gives_the_same_bits_and_leaves_no_file(
-        self, tmp_path, monkeypatch, simplex
-    ):
-        args = (64, 32, 2 * ASSIGN_CHUNK + 500)
-        expected = generate_cvt_centroids(*args, seed=4, simplex_blocks=simplex, max_iter=4)
-        assign, seen = qdswarm.archive._assign, []
-
-        def spy(points, centroids):
-            seen.append((type(points), sorted(p.name for p in tmp_path.iterdir())))
-            return assign(points, centroids)
-
-        monkeypatch.setattr(qdswarm.archive, "DISK_CLOUD_BYTES", 0)
-        monkeypatch.setattr(qdswarm.archive, "_assign", spy)
-        centroids = generate_cvt_centroids(
-            *args, seed=4, simplex_blocks=simplex, max_iter=4, cloud_dir=tmp_path
-        )
-        assert seen[0] == (np.memmap, [CLOUD_FILE])
-        assert type(centroids) is np.ndarray
-        assert centroids.tobytes() == expected.tobytes()
-        assert not any(tmp_path.iterdir())
-
-    def test_disk_cloud_removed_when_the_build_raises(self, tmp_path, monkeypatch):
-        def fail(points, centroids):
-            assert (tmp_path / CLOUD_FILE).exists()
-            raise RuntimeError("assignment failed")
-
-        monkeypatch.setattr(qdswarm.archive, "DISK_CLOUD_BYTES", 0)
-        monkeypatch.setattr(qdswarm.archive, "_assign", fail)
-        with pytest.raises(RuntimeError, match="assignment failed"):
-            generate_cvt_centroids(64, 32, 500, seed=4, cloud_dir=tmp_path)
-        assert not any(tmp_path.iterdir())
-
-    def test_evolve_without_disk_room_exits_2_before_the_build(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """The disk check comes before the cloud is drawn: no file, no archive."""
-        import shutil
-        from types import SimpleNamespace
-
-        monkeypatch.setattr(qdswarm.archive, "DISK_CLOUD_BYTES", 0)
-        monkeypatch.setattr(
-            shutil, "disk_usage", lambda path: SimpleNamespace(total=10**6, used=10**6 - 1, free=1)
-        )
-        monkeypatch.setattr(qdswarm.archive, "_assign", None)  # any build would raise
-        config = tmp_path / "exp.cfg"
-        config.write_text(
-            "algorithm = spirit\ncvt.seeds = 4096\nevolve.initial_population = 2\n"
-            "evolve.generations = 1\nevolve.evals_per_generation = 1\nevolve.trials = 1\n"
-            "evolve.trial_duration = 1.0\n"
-        )
-        out = tmp_path / "run"
-        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "GB free" in err
-        assert sorted(p.name for p in (out / "rep00").iterdir()) == []
 
 
 def _sha256(array) -> str:

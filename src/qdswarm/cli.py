@@ -1,16 +1,22 @@
 """Command line entry point.
 
-Subcommands: evolve, reevaluate, faults, analyze, export. Later stages read
-the resolved configuration that `evolve` wrote into the run directory, so a
-typical pipeline is:
+Subcommands: evolve, reevaluate, faults, analyze, export. A run directory
+(`--out`, default `runs/experiment`) holds one configuration, which only
+`evolve` takes: `--config` under `--preset`, else the stored `config.txt`
+(a resume). Every later stage reads that `config.txt` alone and exits 2
+without it (`analyze` of named records.csv files needs no run). Still on
+later stages: `--seed` (reevaluate, faults, analyze), through which
+`benchmarks/run.py` re-seeds a copied run, and export's `--preset`, which
+sizes the projection CVT because the run does not store its preset.
 
-    qdswarm evolve --config my.cfg --out runs/demo
-    qdswarm reevaluate --out runs/demo
-    qdswarm faults --out runs/demo
-    qdswarm analyze --out runs/demo runs/demo/rep00/records.csv
+    qdswarm evolve --config my.cfg --out runs/demo [--seed S] [--preset P] [--threads N]
+    qdswarm reevaluate --out runs/demo [--threads N]
+    qdswarm faults --out runs/demo [--threads N]
+    qdswarm analyze --out runs/demo [records.csv ...]
+    qdswarm export --out runs/demo [--what triallog|descriptors|projection] [--cell K]
 
 Exit code 0 on success; errors print a single machine-parsable line
-`error: <message>` on stderr and exit nonzero.
+`error: <message>` on stderr and exit 2 for an input error, 1 otherwise.
 """
 
 import argparse
@@ -18,6 +24,7 @@ import sys
 from pathlib import Path
 
 from .experiment import (
+    CONFIG_KEYS,
     PRESETS,
     ConfigError,
     provenance,
@@ -30,13 +37,6 @@ from .experiment import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="configuration file (key = value lines)")
-    parser.add_argument("--out", help="run directory (overrides the config)")
-    parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    parser.add_argument("--preset", choices=PRESETS, default="desk", help="configuration preset")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdswarm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,8 +46,15 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p = sub.add_parser("faults", help="sample combined faults and measure recovery")
     analyze_p = sub.add_parser("analyze", help="signatures and pairwise statistics from records")
     export_p = sub.add_parser("export", help="export trial logs, descriptors, or a projection")
+    evolve_p.add_argument("--config", help="configuration file (default: the run's config.txt)")
     for p in (evolve_p, reeval_p, faults_p, analyze_p, export_p):
-        _add_common(p)
+        p.add_argument("--out", help="run directory")
+    # benchmarks/run.py re-seeds a copied run through the later stages' --seed,
+    # and its stored digests depend on that
+    for p in (evolve_p, reeval_p, faults_p, analyze_p):
+        p.add_argument("--seed", type=int, help="master seed (overrides the config)")
+    for p in (evolve_p, export_p):
+        p.add_argument("--preset", choices=PRESETS, default="desk", help="configuration preset")
     for p in (evolve_p, reeval_p, faults_p):
         p.add_argument("--threads", type=int, default=1, help="parallel evaluation workers")
     analyze_p.add_argument("records", nargs="*", help="records.csv files (default: out/rep*/records.csv)")
@@ -59,14 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    """Resolve `--config`, else the config that the evolve stage stored in
-    the run directory, else the preset defaults."""
-    text = ""
-    if args.config:
+    """`evolve` resolves `--config`, else the run's stored config.txt (a
+    resume), else the preset defaults. Every later stage reads the run's
+    config.txt and nothing else; only `analyze` of named records.csv files
+    needs no run."""
+    run = Path(args.out or CONFIG_KEYS["out"][1])
+    stored = run / "config.txt"
+    overrides = {"out": str(run), "seed": getattr(args, "seed", None)}
+    if args.command == "evolve" and args.config:
         text = Path(args.config).read_text(encoding="utf-8")
-    elif args.out and (Path(args.out) / "config.txt").exists():
-        text = (Path(args.out) / "config.txt").read_text(encoding="utf-8")
-    return resolve_config(args.preset, text, {"out": args.out, "seed": args.seed})
+        overrides["out"] = args.out  # None keeps the file's `out`
+    elif stored.exists():
+        text = stored.read_text(encoding="utf-8")
+    elif args.command in ("evolve", "analyze"):
+        text = ""
+    else:
+        raise FileNotFoundError(f"{stored} does not exist; run the evolve stage first")
+    return resolve_config(getattr(args, "preset", "desk"), text, overrides)
 
 
 def main(argv=None) -> int:
@@ -76,9 +92,7 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be >= 1")
         config = _load_config(args)
         if args.command == "analyze":
-            records = list(args.records)
-            if not records:
-                records = sorted(str(p) for p in Path(config["out"]).glob("rep*/records.csv"))
+            records = args.records or sorted(Path(config["out"]).glob("rep*/records.csv"))
             if not records:
                 raise FileNotFoundError("no records.csv files found; run the faults stage first")
             stage_analyze(records, Path(config["out"]) / "analysis", header=provenance(config))
@@ -90,7 +104,7 @@ def main(argv=None) -> int:
             stage_faults(config, n_jobs=args.threads)
         elif args.command == "export":
             stage_export(config, what=args.what, cell=args.cell)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileExistsError, FileNotFoundError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected: still one parsable line

@@ -140,18 +140,9 @@ def _validate(config: dict) -> None:
     TaskKind(config["task"])
     if config["algorithm"] not in DESCRIPTOR_DIMS:
         raise ConfigError(f"unknown algorithm {config['algorithm']!r}")
-    for key in (
-        "replicates",
-        "evolve.initial_population",
-        "evolve.generations",
-        "evolve.evals_per_generation",
-        "evolve.trials",
-        "reevaluate.trials",
-        "faults.count",
-        "faults.trials",
-        "cvt.iterations",
-    ):
-        if config[key] < 1:
+    # every integer key but the seed is a count
+    for key, (kind, *_) in CONFIG_KEYS.items():
+        if kind is int and key != "seed" and config[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
     # a trial shorter than one control cycle would have no cycles to score
     if not CONTROL_DT <= config["evolve.trial_duration"] < np.inf:
@@ -268,36 +259,36 @@ def write_manifest(directory, stage: str, files) -> None:
 # Stages
 
 
-def replicate_dirs(config: dict) -> list[Path]:
-    return [Path(config["out"]) / f"rep{r:02d}" for r in range(config["replicates"])]
-
-
-def _replicate_seed(config: dict, rep: int) -> int:
-    return derive_seed(config["seed"], "replicate", rep)
-
-
-def _pending(config: dict, stage: str, log):
-    """Yield (rep, rep_dir, rep_seed) of each replicate whose `stage` manifest
-    is missing or stale; log the complete ones as skipped."""
-    for rep, rep_dir in enumerate(replicate_dirs(config)):
-        if stage_is_complete(rep_dir, stage):
+def _replicates(config: dict, stage: str, log):
+    """Yield (rep, rep_dir, rep_seed, archive, header) of each replicate that
+    `stage` has still to run: the replicate loop of every stage but analyze.
+    It logs and skips a replicate whose `stage` manifest verifies, and loads
+    the archive (not for evolve) only once `evolve.done` verifies. It writes
+    the manifest when the loop body returns, after the outputs it lists; a
+    body that raises ends the loop first, so that replicate reruns. `export`
+    has no `STAGE_FILES` entry: it skips nothing and writes no manifest."""
+    header = provenance(config)
+    for rep in range(config["replicates"]):
+        rep_dir = Path(config["out"]) / f"rep{rep:02d}"
+        if stage in STAGE_FILES and stage_is_complete(rep_dir, stage):
             log(f"{stage}: {rep_dir} already complete, skipping")
             continue
-        yield rep, rep_dir, _replicate_seed(config, rep)
+        archive = None
+        if stage != "evolve":
+            if not stage_is_complete(rep_dir, "evolve"):
+                raise FileNotFoundError(f"{rep_dir} has no verified archive; run the evolve stage")
+            archive = load_archive(rep_dir / "archive", config["algorithm"])
+        yield rep, rep_dir, derive_seed(config["seed"], "replicate", rep), archive, header
+        if stage in STAGE_FILES:
+            archive_files = (rep_dir / "archive").rglob("*") if stage == "evolve" else ()
+            listed = {str(p.relative_to(rep_dir)) for p in archive_files if p.is_file()}
+            write_manifest(rep_dir, stage, listed | set(STAGE_FILES[stage]))
 
 
 def _write_dataclasses(path, header: str, cls, items) -> None:
     """One row per item of dataclass `cls`, one column per field."""
     names = [f.name for f in fields(cls)]
     write_table(path, header, names, ([getattr(item, name) for name in names] for item in items))
-
-
-def _load_evolved_archive(config: dict, rep_dir: Path):
-    """The replicate's archive, once its evolve manifest verifies
-    (`stage_is_complete`), so that no stage reads an edited or partial one."""
-    if not stage_is_complete(rep_dir, "evolve"):
-        raise FileNotFoundError(f"{rep_dir} has no verified archive; run the evolve stage")
-    return load_archive(rep_dir / "archive", config["algorithm"])
 
 
 def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.ndarray | None:
@@ -315,7 +306,7 @@ def _build_centroids(config: dict, algorithm: str, n_seeds, seed: int) -> np.nda
     )
 
 
-def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
+def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> None:
     """Evolve one archive per replicate; writes archive/, stats.csv, events.csv."""
     out = Path(config["out"])
     stored = out / "config.txt"
@@ -328,8 +319,7 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
         )
     out.mkdir(parents=True, exist_ok=True)
     stored.write_text(config_text(config))
-    header = provenance(config)
-    for _, rep_dir, rep_seed in _pending(config, "evolve", log):
+    for _, rep_dir, rep_seed, _, header in _replicates(config, "evolve", log):
         rep_dir.mkdir(parents=True, exist_ok=True)
         centroids = _build_centroids(
             config, config["algorithm"], config["cvt.seeds"], derive_seed(rep_seed, "cvt")
@@ -352,19 +342,13 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> list[Path]:
         save_archive(result.archive, archive_dir, header=header)
         _write_dataclasses(rep_dir / "stats.csv", header, GenerationStats, result.stats)
         _write_dataclasses(rep_dir / "events.csv", header, InsertionEvent, result.events)
-        archive_files = (p for p in sorted(archive_dir.rglob("*")) if p.is_file())
-        files = [str(p.relative_to(rep_dir)) for p in archive_files] + ["stats.csv", "events.csv"]
-        write_manifest(rep_dir, "evolve", files)
         log(f"evolve: {rep_dir} coverage={result.archive.coverage}")
-    return replicate_dirs(config)
 
 
 def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
     """Re-score every elite in the normal operating environment; its (64, 16)
     policy profiles follow `reevaluation.csv`'s key order."""
-    header = provenance(config)
-    for _, rep_dir, rep_seed in _pending(config, "reevaluate", log):
-        archive = _load_evolved_archive(config, rep_dir)
+    for _, rep_dir, rep_seed, archive, header in _replicates(config, "reevaluate", log):
         normal = evaluate_archive(
             archive,
             config["task"],
@@ -385,7 +369,6 @@ def stage_reevaluate(config: dict, n_jobs: int = 1, log=print) -> None:
             ["best_key", "best", "mean"],
             [[best_key, scores[best_key], mean]],
         )
-        write_manifest(rep_dir, "reevaluate", STAGE_FILES["reevaluate"])
         log(f"reevaluate: {rep_dir} best={scores[best_key]:.4f} mean={mean:.4f}")
 
 
@@ -438,9 +421,7 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
     The fault-free scores and policy profiles are the replicate's reevaluate
     outputs (see `_read_reevaluation`); only the fault passes are simulated.
     """
-    header = provenance(config)
-    for rep, rep_dir, rep_seed in _pending(config, "faults", log):
-        archive = _load_evolved_archive(config, rep_dir)
+    for rep, rep_dir, rep_seed, archive, header in _replicates(config, "faults", log):
         normal = _read_reevaluation(config, rep_dir, archive)
         fault_rng = derive_rng(config["seed"], "faults", rep)
         faults = [
@@ -460,7 +441,6 @@ def stage_faults(config: dict, n_jobs: int = 1, log=print) -> None:
             n_jobs=n_jobs,
         )
         write_table(rep_dir / "records.csv", header, RECORD_COLUMNS, map(_record_row, records))
-        write_manifest(rep_dir, "faults", STAGE_FILES["faults"])
         log(f"faults: {rep_dir} wrote {len(records)} records")
 
 
@@ -583,11 +563,8 @@ def _exported_elite(archive, cell: int | None, rep_dir: Path):
 def stage_export(config: dict, what: str, cell: int | None = None, log=print) -> None:
     """Debug/export helpers: trial log, descriptors, or a projection of the
     reevaluate stage's policy profiles."""
-    header = provenance(config)
     projection_centroids = None
-    for rep, rep_dir in enumerate(replicate_dirs(config)):
-        archive = _load_evolved_archive(config, rep_dir)
-        rep_seed = _replicate_seed(config, rep)
+    for _, rep_dir, rep_seed, archive, header in _replicates(config, "export", log):
         seed = derive_seed(rep_seed, "export")
         duration = config["evolve.trial_duration"]
         if what == "triallog":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from dataclasses import astuple
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 from qdswarm.archive import load_archive, read_table
-from qdswarm.cli import main
+from qdswarm.cli import build_parser, main
 from qdswarm.descriptors import DESCRIPTORS, describe
 from qdswarm.environment import NORMAL_ENV
 from qdswarm.experiment import (
+    CONFIG_KEYS,
     STAGE_FILES,
     ConfigError,
     config_hash,
@@ -43,6 +45,11 @@ def write_cfg(tmp_path, text=TINY, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def tree(root):
+    """{relative path: bytes} of every file under `root`."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestConfig:
@@ -84,6 +91,13 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         c = resolve_config("desk", TINY, {"seed": 99})
         assert config_hash(a) != config_hash(c)
+
+    @pytest.mark.parametrize(
+        "key", [key for key, spec in CONFIG_KEYS.items() if spec[0] is int and key != "seed"]
+    )
+    def test_counts_below_one_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1$"):
+            resolve_config("desk", f"{key} = 0")
 
     def test_auto_cvt_seeds(self):
         sdbc = resolve_config("desk", "algorithm = sdbc")
@@ -668,3 +682,150 @@ class TestAnalyze:
         # header + (1 algorithm pair) x (2 metrics)
         assert len(rows) == 1 + 2
         assert "resilience" in rows[1] or "resilience" in rows[2]
+
+
+# each subcommand's options: only evolve takes a configuration
+CLI_OPTIONS = {
+    "evolve": ["--config", "--out", "--seed", "--preset", "--threads"],
+    "reevaluate": ["--out", "--seed", "--threads"],
+    "faults": ["--out", "--seed", "--threads"],
+    "analyze": ["--out", "--seed"],
+    "export": ["--out", "--preset", "--what", "--cell"],
+}
+
+
+class TestRunDirectory:
+    """Every stage after evolve runs under the config.txt of its run directory."""
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, parser in sub.choices.items()
+        }
+        assert options == CLI_OPTIONS
+        assert sum(map(len, options.values())) == 17
+
+    def test_config_overrides_on_later_stages_are_usage_errors(self, tmp_path):
+        """Steps that used to re-resolve a later stage's config from its own
+        flags, and stamp its outputs with a foreign config hash, cannot be typed."""
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        assert main(["faults", "--out", out]) == 0
+        other = write_cfg(tmp_path, TINY.replace("seed = 11", "seed = 12"), "other.cfg")
+        before = tree(tmp_path)
+        for step in (
+            ["export", "--seed", "15", "--what", "triallog"],
+            ["reevaluate", "--config", other],
+            ["faults", "--preset", "paper"],
+            ["analyze", "--config", other],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*step, "--out", out])
+            assert exc.value.code == 2, step
+        assert tree(tmp_path) == before
+
+    def test_evolve_without_config_resumes_the_stored_one(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out]) == 0
+        before = tree(tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evolve", "--out", out]) == 0
+        assert f"evolve: {tmp_path / 'run' / 'rep00'} already complete, skipping" in (
+            capsys.readouterr().out
+        )
+        assert tree(tmp_path / "run") == before
+
+    @pytest.mark.parametrize("command", ["reevaluate", "faults", "export"])
+    def test_later_stages_need_the_stored_config(self, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--out", str(run)]) == 0
+        (run / "config.txt").unlink()
+        before = tree(tmp_path)
+        capsys.readouterr()
+        for out in (run, tmp_path / "missing"):
+            assert main([command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert str(out / "config.txt") in err
+        assert tree(tmp_path) == before
+        assert not (tmp_path / "missing").exists()
+
+    def test_evolve_into_a_file_is_an_input_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        target = tmp_path / "taken"
+        target.write_bytes(b"not a run\n")
+        before = tree(tmp_path)
+        for out in (target, target / "run"):
+            assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err
+        assert tree(tmp_path) == before
+
+
+class TestInterruption:
+    """A stage that stops part way leaves no manifest for the replicate it
+    was running, and its rerun completes the run with a clean run's bytes."""
+
+    # `evaluate_jobs` calls per TINY replicate: evolve makes one per
+    # generation and one for the initial population, reevaluate one, faults
+    # one per fault
+    CALLS = {"evolve": 4, "reevaluate": 1, "faults": 2}
+
+    @staticmethod
+    def _command(stage, cfg, out):
+        return [stage, *(["--config", cfg] if stage == "evolve" else []), "--out", str(out)]
+
+    def _run(self, out, stages, cfg):
+        for stage in stages:
+            assert main(self._command(stage, cfg, out)) == 0, stage
+
+    @pytest.mark.parametrize("left", ["nothing", "stale outputs"])
+    @pytest.mark.parametrize("stage", list(CALLS))
+    def test_rerun_after_an_interruption_gives_a_clean_runs_bytes(
+        self, tmp_path, capsys, monkeypatch, stage, left
+    ):
+        """Two replicates; the stage stops in the second one's last
+        `evaluate_jobs` call. With "stale outputs", the second replicate holds
+        the stage's outputs, edited, and no manifest, as after a stop between
+        the outputs and the manifest: the runner must not list them."""
+        import qdswarm.tasks
+
+        cfg = write_cfg(tmp_path, TINY.replace("replicates = 1", "replicates = 2"))
+        stages = list(self.CALLS)
+        self._run(tmp_path / "clean", stages, cfg)
+        run = tmp_path / "run"
+        before, after = stages[: stages.index(stage)], stages[stages.index(stage) + 1 :]
+        self._run(run, before, cfg)
+        fail_at = 2 * self.CALLS[stage]
+        if left == "stale outputs":
+            self._run(run, [stage], cfg)
+            (run / "rep01" / f"{stage}.done").unlink()
+            output = run / "rep01" / STAGE_FILES[stage][0]
+            output.write_bytes(output.read_bytes() + b"stale\n")
+            fail_at = self.CALLS[stage]  # replicate 0 is skipped
+
+        real, calls = qdswarm.tasks.evaluate_jobs, []
+
+        def interrupted(jobs):
+            calls.append(len(jobs))
+            if len(calls) == fail_at:
+                raise RuntimeError("interrupted")
+            return real(jobs)
+
+        monkeypatch.setattr(qdswarm.tasks, "evaluate_jobs", interrupted)
+        capsys.readouterr()
+        assert main(self._command(stage, cfg, run)) == 1
+        assert capsys.readouterr().err == "error: RuntimeError: interrupted\n"
+        assert len(calls) == fail_at
+        assert (run / "rep00" / f"{stage}.done").exists()
+        assert not (run / "rep01" / f"{stage}.done").exists()
+
+        monkeypatch.setattr(qdswarm.tasks, "evaluate_jobs", real)
+        self._run(run, [stage], cfg)
+        assert f"{stage}: {run / 'rep00'} already complete, skipping" in capsys.readouterr().out
+        self._run(run, after, cfg)
+        clean = tree(tmp_path / "clean")
+        del clean["config.txt"]  # it names its own out
+        assert {name: data for name, data in tree(run).items() if name != "config.txt"} == clean

@@ -322,29 +322,20 @@ def _table_cell(v) -> str:
     return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _table_line(row) -> str:
-    cells = [_table_cell(v) for v in row]
-    line = ",".join(cells)
-    if not line or line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
-        raise ValueError(f"table row {cells!r} needs CSV quoting, which tables never use")
-    return line + "\r\n"
-
-
 def _table_block(rows: list, width: int) -> str:
-    """The lines of `rows`, as `_table_line` writes them, formatted column
-    by column; a row of other than `width` cells raises ValueError.
+    """The lines of `rows`, formatted column by column; a row of other than
+    `width` cells, a cell that needs quoting, or a row that would be a blank
+    line raises ValueError.
 
     A column of floats goes through one `map(repr)` (a float's repr never
-    needs quoting), a column of strings stays as it is, and any other column
-    is formatted cell by cell with `_table_cell`; each non-float column is
-    scanned once for a character that needs quoting. Single-cell rows, or a
-    column holding such a character, take `_table_line` row by row, which
-    raises for the first bad row."""
+    needs quoting, nor is it empty), a column of strings stays as it is, and
+    any other column is formatted cell by cell with `_table_cell`; each
+    non-float column is scanned once for a character that needs quoting."""
     if set(map(len, rows)) != {width}:
         row = next(row for row in rows if len(row) != width)
         raise ValueError(f"table row {row!r} has {len(row)} cells for {width} columns")
-    if width < 2:
-        return "".join(map(_table_line, rows))
+    if width == 0:
+        raise ValueError(f"table row {rows[0]!r} is a blank line, which needs CSV quoting")
     columns = []
     for column in zip(*rows):
         types = set(map(type, column))
@@ -355,7 +346,11 @@ def _table_block(rows: list, width: int) -> str:
                 column = list(map(_table_cell, column))
             text = "".join(column)
             if "," in text or '"' in text or "\r" in text or "\n" in text:
-                return "".join(map(_table_line, rows))
+                cell = next(c for c in column if any(char in c for char in ',"\r\n'))
+                raise ValueError(f"table cell {cell!r} needs CSV quoting, which tables never use")
+            if width == 1 and "" in column:
+                row = rows[column.index("")]
+                raise ValueError(f"table row {row!r} is a blank line, which needs CSV quoting")
         columns.append(column)
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
@@ -375,7 +370,7 @@ def write_table(path, header: str, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header:
             fh.write(header.rstrip("\n") + "\n")
-        fh.write(_table_line(columns))
+        fh.write(_table_block([list(columns)], len(columns)))
         rows = iter(rows)
         while block := [row for _, row in zip(range(TABLE_BLOCK), rows)]:
             fh.write(_table_block(block, len(columns)))

@@ -2,12 +2,12 @@
 
 Subcommands: evolve, reevaluate, faults, analyze, export. A run directory
 (`--out`, default `runs/experiment`) holds one configuration, which only
-`evolve` takes: `--config` under `--preset`, else the stored `config.txt`
-(a resume). Every later stage reads that `config.txt` alone and exits 2
-without it (`analyze` of named records.csv files needs no run). Still on
-later stages: `--seed` (reevaluate, faults, analyze), through which
-`benchmarks/run.py` re-seeds a copied run, and export's `--preset`, which
-sizes the projection CVT because the run does not store its preset.
+`evolve` takes: `--config`, else the stored `config.txt` (a resume), with
+`--seed` and `--preset` overriding its keys. Every later stage reads that
+`config.txt`, preset included, and exits 2 without it (`analyze` of named
+records.csv files needs no run). Still on later stages: `--seed`
+(reevaluate, faults, analyze), through which `benchmarks/run.py` re-seeds
+a copied run.
 
     qdswarm evolve --config my.cfg --out runs/demo [--seed S] [--preset P] [--threads N]
     qdswarm reevaluate --out runs/demo [--threads N]
@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     # and its stored digests depend on that
     for p in (evolve_p, reeval_p, faults_p, analyze_p):
         p.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    for p in (evolve_p, export_p):
-        p.add_argument("--preset", choices=PRESETS, default="desk", help="configuration preset")
+    evolve_p.add_argument("--preset", choices=PRESETS, help="preset (overrides the config's)")
     for p in (evolve_p, reeval_p, faults_p):
         p.add_argument("--threads", type=int, default=1, help="parallel evaluation workers")
     analyze_p.add_argument("records", nargs="*", help="records.csv files (default: out/rep*/records.csv)")
@@ -72,7 +71,8 @@ def _load_config(args) -> dict:
     needs no run."""
     run = Path(args.out or CONFIG_KEYS["out"][1])
     stored = run / "config.txt"
-    overrides = {"out": str(run), "seed": getattr(args, "seed", None)}
+    overrides = {key: getattr(args, key, None) for key in ("seed", "preset")}
+    overrides["out"] = str(run)
     if args.command == "evolve" and args.config:
         text = Path(args.config).read_text(encoding="utf-8")
         overrides["out"] = args.out  # None keeps the file's `out`
@@ -82,7 +82,7 @@ def _load_config(args) -> dict:
         text = ""
     else:
         raise FileNotFoundError(f"{stored} does not exist; run the evolve stage first")
-    return resolve_config(getattr(args, "preset", "desk"), text, overrides)
+    return resolve_config(text, overrides)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,10 @@
 """Experiment configuration, orchestration, and file persistence.
 
 Configuration is a flat key = value text format with dotted section keys;
-unknown keys are errors. Two presets ship: `desk` (default, runs on a
-workstation) and `paper` (the full-scale budget). Every CSV is written by
+unknown keys are errors. The `preset` key picks the other keys' defaults:
+`desk` (default, runs on a workstation) or `paper` (the full-scale budget).
+A run stores its resolved config, preset included, as `config.txt`; the
+config hash leaves out `out` and `preset`. Every CSV is written by
 :func:`~qdswarm.archive.write_table` and starts with a provenance header line
 with the config hash and master seed: `archive/index.csv`, `stats.csv`,
 `events.csv`, `reevaluation.csv`, `reevaluation_summary.csv`, `records.csv`,
@@ -51,6 +53,7 @@ from .tasks import TaskKind
 # key -> (type, desk default, paper default); cvt.seeds "auto" resolves per
 # algorithm (behaviour-space dimensionality drives the seed-cloud size)
 CONFIG_KEYS = {
+    "preset": (str, "desk", "paper"),
     "task": (str, "aggregation", "aggregation"),
     "algorithm": (str, "qed", "qed"),
     "seed": (int, 0, 0),
@@ -102,21 +105,22 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def resolve_config(preset: str = "desk", file_text: str = "", overrides: dict | None = None) -> dict:
-    """Merge preset defaults, config file values, and CLI overrides."""
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}")
-    column = 1 if preset == "desk" else 2
-    config = {key: spec[column] for key, spec in CONFIG_KEYS.items()}
-    config["_preset"] = preset
-    for key, raw in parse_config_text(file_text).items():
-        config[key] = _coerce(key, raw)
+def resolve_config(file_text: str = "", overrides: dict | None = None) -> dict:
+    """Merge the preset's defaults, config file values, and overrides (None
+    is none); the preset is the overrides', else the file's, else `desk`."""
+    values = parse_config_text(file_text)
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown override {key!r}")
-        config[key] = _coerce(key, str(value))
+        if value is not None:
+            values[key] = str(value)
+    preset = values.get("preset", "desk")
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}")
+    column = 1 + PRESETS.index(preset)
+    config = {key: spec[column] for key, spec in CONFIG_KEYS.items()}
+    for key, raw in values.items():
+        config[key] = _coerce(key, raw)
     _validate(config)
     # materialize the seed-cloud size so stored configs are self-contained
     if config["cvt.seeds"] == "auto" and config["algorithm"] in CVT_ALGORITHMS:
@@ -173,13 +177,10 @@ def config_text(config: dict) -> str:
 
 
 def config_hash(config: dict) -> str:
-    """Hash of the semantically relevant configuration (output path excluded)."""
-    return _text_hash(config_text(config))
-
-
-def _text_hash(text: str) -> str:
-    """:func:`config_hash` of a stored :func:`config_text`."""
-    lines = [line for line in text.splitlines() if not line.startswith("out =")]
+    """Hash of :func:`config_text` without its `out` line, the run's place,
+    and its `preset` line, whose defaults are written out as their own keys."""
+    text = config_text(config)
+    lines = [line for line in text.splitlines() if not line.startswith(("out =", "preset ="))]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
@@ -312,10 +313,12 @@ def stage_evolve(config: dict, n_jobs: int = 1, log=print) -> None:
     stored = out / "config.txt"
     # a run directory holds one configuration: resuming under another would
     # stamp the new config.txt over outputs of the old one
-    if stored.exists() and _text_hash(stored.read_text()) != config_hash(config):
+    previous = resolve_config(stored.read_text()) if stored.exists() else config
+    differ = sorted(key for key in CONFIG_KEYS if key != "out" and previous[key] != config[key])
+    if differ:
         raise ConfigError(
-            f"{stored} was written for another configuration (this one has "
-            f"config_hash={config_hash(config)}); choose a new --out"
+            f"{stored} was written for another configuration (it differs in "
+            f"{', '.join(differ)}); choose a new --out"
         )
     out.mkdir(parents=True, exist_ok=True)
     stored.write_text(config_text(config))
@@ -600,7 +603,7 @@ def stage_export(config: dict, what: str, cell: int | None = None, log=print) ->
                 projection_centroids = _build_centroids(
                     config,
                     "spirit",
-                    AUTO_CVT_SEEDS[config.get("_preset", "desk")]["spirit"],
+                    AUTO_CVT_SEEDS[config["preset"]]["spirit"],
                     derive_seed(config["seed"], "projection-cvt"),
                 )
             projected = project_archive(normal, projection_centroids)

@@ -125,14 +125,6 @@ def fitness(task, log: TrialLog) -> float:
     return _FITNESS[TaskKind(task)](log)
 
 
-def _group_jobs(jobs) -> dict:
-    """Job indices by duration, in order of first appearance."""
-    groups = {}
-    for index, job in enumerate(jobs):
-        groups.setdefault(job[5], []).append(index)
-    return groups
-
-
 def _cut_batches(jobs, members, n_cycles) -> list:
     """The (job index, seed) trials of the jobs `members` cut into batches of
     at most TRIAL_BATCH_ROBOT_CYCLES robot-cycles, each trial charged its own
@@ -171,8 +163,11 @@ def evaluate_jobs(jobs):
     for job in jobs:
         if not len(job[4]):
             raise ValueError("at least one trial seed is required")
+    groups = {}  # job indices by duration, in order of first appearance
+    for index, job in enumerate(jobs):
+        groups.setdefault(job[5], []).append(index)
     results = [None] * len(jobs)
-    for duration, members in _group_jobs(jobs).items():
+    for duration, members in groups.items():
         n_cycles = max(1, int(round(duration / CONTROL_DT)))
         trials = {index: [] for index in members}  # (fitness, summary) pairs so far
         for batch in _cut_batches(jobs, members, n_cycles):
@@ -201,11 +196,11 @@ def evaluator(n_jobs: int):
 
     With one worker the jobs run in this process; otherwise every `run`
     shares one pool of `n_jobs` worker processes, at most the machine's CPU
-    count (`os.cpu_count()`). The jobs that share a duration, whatever their
-    environments and swarm sizes, are cut into at most that many contiguous
-    slices, so a worker batches their trials, and `pool.map` hands the
-    slices out one at a time as workers come free.
-    Results do not depend on `n_jobs`.
+    count (`os.cpu_count()`). The job list is cut as given into at most
+    that many contiguous slices, whatever the jobs' environments and swarm
+    sizes, so a worker batches their trials (grouped by duration inside
+    `evaluate_jobs`), and `pool.map` hands the slices out one at a time as
+    workers come free. Results do not depend on `n_jobs`.
     """
     import os
 
@@ -215,17 +210,12 @@ def evaluator(n_jobs: int):
         return
 
     def run(jobs):
-        slices = []
-        for members in _group_jobs(jobs).values():
-            parts = min(n_jobs, len(members))
-            bounds = [len(members) * p // parts for p in range(parts + 1)]
-            slices += [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        results = [None] * len(jobs)
-        scored = pool.map(evaluate_jobs, [[jobs[i] for i in members] for members in slices])
-        for members, chunk in zip(slices, scored):
-            for index, result in zip(members, chunk):
-                results[index] = result
-        return results
+        parts = min(n_jobs, len(jobs))
+        if not parts:
+            return []
+        bounds = [len(jobs) * p // parts for p in range(parts + 1)]
+        slices = pool.map(evaluate_jobs, [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        return [result for chunk in slices for result in chunk]
 
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         yield run

@@ -112,7 +112,7 @@ def test_criterion_2_elitism_all_tasks(tmp_path_factory):
                 "evolve.trial_duration = 10.0",
             ]
         )
-        config = resolve_config("desk", text, {"out": str(base / task.value)})
+        config = resolve_config(text, {"out": str(base / task.value)})
         stage_evolve(config, log=lambda *_: None)
         events_file = base / task.value / "rep00" / "events.csv"
         rows = [
@@ -376,7 +376,7 @@ def test_criterion_9_pipeline_determinism(tmp_path_factory):
     )
     outputs = []
     for name in ("a", "b"):
-        config = resolve_config("desk", text, {"out": str(base / name)})
+        config = resolve_config(text, {"out": str(base / name)})
         quiet = lambda *_: None
         stage_evolve(config, log=quiet)
         stage_reevaluate(config, log=quiet)

@@ -10,11 +10,15 @@ from qdswarm.archive import load_archive, read_table
 from qdswarm.cli import build_parser, main
 from qdswarm.descriptors import DESCRIPTORS, describe
 from qdswarm.environment import NORMAL_ENV
+from qdswarm.evolve import DESCRIPTOR_DIMS
 from qdswarm.experiment import (
+    AUTO_CVT_SEEDS,
     CONFIG_KEYS,
+    PRESETS,
     STAGE_FILES,
     ConfigError,
     config_hash,
+    config_text,
     load_records_csv,
     parse_config_text,
     read_provenance,
@@ -70,41 +74,54 @@ class TestConfig:
         assert values == {"seed": "3"}
 
     def test_presets_differ(self):
-        desk = resolve_config("desk")
-        paper = resolve_config("paper")
+        desk = resolve_config()
+        paper = resolve_config(overrides={"preset": "paper"})
         assert desk["evolve.generations"] == 1000
         assert paper["evolve.generations"] == 30000
         assert paper["evolve.trials"] == 50
 
     def test_overrides_win(self):
-        config = resolve_config("desk", "seed = 5", {"seed": 9, "out": "/tmp/zzz"})
+        config = resolve_config("seed = 5", {"seed": 9, "out": "/tmp/zzz"})
         assert config["seed"] == 9
         assert config["out"] == "/tmp/zzz"
 
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_config("desk", "seed = banana")
+            resolve_config("seed = banana")
 
     def test_hash_excludes_out(self):
-        a = resolve_config("desk", TINY, {"out": "/tmp/a"})
-        b = resolve_config("desk", TINY, {"out": "/tmp/b"})
+        a = resolve_config(TINY, {"out": "/tmp/a"})
+        b = resolve_config(TINY, {"out": "/tmp/b"})
         assert config_hash(a) == config_hash(b)
-        c = resolve_config("desk", TINY, {"seed": 99})
+        c = resolve_config(TINY, {"seed": 99})
         assert config_hash(a) != config_hash(c)
+
+    @pytest.mark.parametrize("preset, expected", [("desk", "94e5c534fb20"), ("paper", "578921c08af6")])
+    def test_hash_of_tiny_is_pinned(self, preset, expected):
+        """The preset is a key of the run but not of its hash: every default
+        it picks is written out as its own key."""
+        assert config_hash(resolve_config(TINY, {"preset": preset})) == expected
+
+    @pytest.mark.parametrize("algorithm", sorted(DESCRIPTOR_DIMS))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_stored_config_resolves_to_itself(self, preset, algorithm):
+        config = resolve_config(f"algorithm = {algorithm}", {"preset": preset})
+        assert config["preset"] == preset
+        assert resolve_config(config_text(config)) == config
 
     @pytest.mark.parametrize(
         "key", [key for key, spec in CONFIG_KEYS.items() if spec[0] is int and key != "seed"]
     )
     def test_counts_below_one_rejected(self, key):
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1$"):
-            resolve_config("desk", f"{key} = 0")
+            resolve_config(f"{key} = 0")
 
     def test_auto_cvt_seeds(self):
-        sdbc = resolve_config("desk", "algorithm = sdbc")
+        sdbc = resolve_config("algorithm = sdbc")
         assert int(sdbc["cvt.seeds"]) == 20_000
-        spirit = resolve_config("paper", "algorithm = spirit")
+        spirit = resolve_config("algorithm = spirit", {"preset": "paper"})
         assert int(spirit["cvt.seeds"]) == 1_000_000
-        explicit = resolve_config("desk", "algorithm = sdbc\ncvt.seeds = 5000")
+        explicit = resolve_config("algorithm = sdbc\ncvt.seeds = 5000")
         assert int(explicit["cvt.seeds"]) == 5000
 
 
@@ -230,7 +247,7 @@ class TestPipeline:
         out = str(tmp_path / "run")
         for command in (["evolve", "--config", cfg], ["reevaluate"], ["faults"]):
             assert main([*command, "--out", out]) == 0
-        config = resolve_config("desk", (tmp_path / "run" / "config.txt").read_text())
+        config = resolve_config((tmp_path / "run" / "config.txt").read_text())
         rep = tmp_path / "run" / "rep00"
         # the faults, seeds and fault ids that the faults stage draws for replicate 0
         fault_rng = derive_rng(config["seed"], "faults", 0)
@@ -303,7 +320,7 @@ class TestPipeline:
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
         assert main(["reevaluate", "--out", out]) == 0
-        config = resolve_config("desk", (tmp_path / "run" / "config.txt").read_text())
+        config = resolve_config((tmp_path / "run" / "config.txt").read_text())
         rep = tmp_path / "run" / "rep00"
         archive = load_archive(rep / "archive", "qed")
         keys = [int(row["key"]) for row in read_table(rep / "reevaluation.csv")]
@@ -371,7 +388,7 @@ class TestPipeline:
         out = str(tmp_path / "run")
         assert main(["evolve", "--config", cfg, "--out", out]) == 0
         assert main(["export", "--out", out, "--what", "descriptors"]) == 0
-        config = resolve_config("desk", (tmp_path / "run" / "config.txt").read_text())
+        config = resolve_config((tmp_path / "run" / "config.txt").read_text())
         rep = tmp_path / "run" / "rep00"
         archive = load_archive(rep / "archive", "qed")
         key = max(archive.cells, key=lambda k: (archive.cells[k].performance, -k))
@@ -690,7 +707,7 @@ CLI_OPTIONS = {
     "reevaluate": ["--out", "--seed", "--threads"],
     "faults": ["--out", "--seed", "--threads"],
     "analyze": ["--out", "--seed"],
-    "export": ["--out", "--preset", "--what", "--cell"],
+    "export": ["--out", "--what", "--cell"],
 }
 
 
@@ -704,7 +721,7 @@ class TestRunDirectory:
             for name, parser in sub.choices.items()
         }
         assert options == CLI_OPTIONS
-        assert sum(map(len, options.values())) == 17
+        assert sum(map(len, options.values())) == 16
 
     def test_config_overrides_on_later_stages_are_usage_errors(self, tmp_path):
         """Steps that used to re-resolve a later stage's config from its own
@@ -751,6 +768,32 @@ class TestRunDirectory:
             assert str(out / "config.txt") in err
         assert tree(tmp_path) == before
         assert not (tmp_path / "missing").exists()
+
+    def test_projection_cvt_is_sized_by_the_runs_preset(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--out", out, "--preset", "paper"]) == 0
+        assert main(["reevaluate", "--out", out]) == 0
+        requested = []
+
+        def counting_cvt(k, dim, n_seeds, seed, **kwargs):
+            requested.append(n_seeds)
+            return np.full((2, dim), 1.0 / 16)
+
+        monkeypatch.setattr("qdswarm.experiment.generate_cvt_centroids", counting_cvt)
+        assert main(["export", "--out", out, "--what", "projection"]) == 0
+        assert requested == [AUTO_CVT_SEEDS["paper"]["spirit"]]
+
+    def test_evolve_under_another_preset_is_refused(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path)
+        assert main(["evolve", "--config", cfg, "--out", str(run), "--preset", "paper"]) == 0
+        assert "preset = paper\n" in (run / "config.txt").read_text()
+        before = tree(run)
+        capsys.readouterr()
+        assert main(["evolve", "--out", str(run), "--preset", "desk"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "(it differs in preset)" in err
+        assert tree(run) == before
 
     def test_evolve_into_a_file_is_an_input_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -5,9 +5,10 @@ Subcommands: evolve, reevaluate, faults, analyze, export. A run directory
 `evolve` takes: `--config`, else the stored `config.txt` (a resume), with
 `--seed` and `--preset` overriding its keys. Every later stage reads that
 `config.txt`, preset included, and exits 2 without it (`analyze` of named
-records.csv files needs no run). Still on later stages: `--seed`
-(reevaluate, faults, analyze), through which `benchmarks/run.py` re-seeds
-a copied run.
+records.csv files needs no run); `evolve` and `export --what projection`
+also exit 2 on a stored `config.txt` without a `preset` line. Still on
+later stages: `--seed` (reevaluate, faults, analyze), through which
+`benchmarks/run.py` re-seeds a copied run.
 
     qdswarm evolve --config my.cfg --out runs/demo [--seed S] [--preset P] [--threads N]
     qdswarm reevaluate --out runs/demo [--threads N]
@@ -27,6 +28,7 @@ from .experiment import (
     CONFIG_KEYS,
     PRESETS,
     ConfigError,
+    parse_config_text,
     provenance,
     resolve_config,
     stage_analyze,
@@ -68,20 +70,29 @@ def _load_config(args) -> dict:
     """`evolve` resolves `--config`, else the run's stored config.txt (a
     resume), else the preset defaults. Every later stage reads the run's
     config.txt and nothing else; only `analyze` of named records.csv files
-    needs no run."""
+    needs no run. The stages that read the preset, `evolve` and `export
+    --what projection`, refuse a stored config.txt without a `preset` line:
+    one written before the preset was stored would read as `desk`, whatever
+    its run used."""
     run = Path(args.out or CONFIG_KEYS["out"][1])
     stored = run / "config.txt"
+    text = stored.read_text(encoding="utf-8") if stored.exists() else None
+    if (args.command == "evolve" or getattr(args, "what", None) == "projection") and (
+        text is not None and "preset" not in parse_config_text(text)
+    ):
+        raise ConfigError(
+            f"{stored} has no preset line; add the one its run used, "
+            "'preset = desk' or 'preset = paper'"
+        )
     overrides = {key: getattr(args, key, None) for key in ("seed", "preset")}
     overrides["out"] = str(run)
     if args.command == "evolve" and args.config:
         text = Path(args.config).read_text(encoding="utf-8")
         overrides["out"] = args.out  # None keeps the file's `out`
-    elif stored.exists():
-        text = stored.read_text(encoding="utf-8")
-    elif args.command in ("evolve", "analyze"):
+    elif text is None:
+        if args.command not in ("evolve", "analyze"):
+            raise FileNotFoundError(f"{stored} does not exist; run the evolve stage first")
         text = ""
-    else:
-        raise FileNotFoundError(f"{stored} does not exist; run the evolve stage first")
     return resolve_config(text, overrides)
 
 

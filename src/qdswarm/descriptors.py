@@ -158,11 +158,12 @@ def _spirit_profile(trial_counts) -> np.ndarray:
     return profile
 
 
-# kind -> (summarise one trial's log, combine the trials' summaries)
+# kind -> (summarise one trial's log, combine the trials' summaries, the
+# `sim.LOG_FIELDS` that the summary reads)
 DESCRIPTORS = {
-    "hbd": (hbd_features, lambda features: np.mean(features, axis=0)),
-    "sdbc": (sdbc_features, geometric_median),
-    "spirit": (spirit_counts, _spirit_profile),
+    "hbd": (hbd_features, lambda features: np.mean(features, axis=0), {"poses"}),
+    "sdbc": (sdbc_features, geometric_median, {"poses", "linear_velocity", "angular_velocity"}),
+    "spirit": (spirit_counts, _spirit_profile, {"proximity", "rab", "commands"}),
 }
 
 
@@ -171,5 +172,5 @@ def describe(kind: str, logs: list[TrialLog]) -> np.ndarray:
     summarised on its own, and the summaries are combined across trials."""
     if not logs:
         raise ValueError("at least one trial log is required")
-    summarise, combine = DESCRIPTORS[kind]
+    summarise, combine, _ = DESCRIPTORS[kind]
     return combine([summarise(log) for log in logs])

@@ -55,9 +55,14 @@ MAX_ANGULAR_SPEED = 2.2222  # rad/s, 127.32 deg/s
 OBSTACLE_SIDE = 0.25
 PLACEMENT_ATTEMPTS = 10_000
 MAX_RESOLUTION_PASSES = 64
-# Robot-cycles of trial logs one `run_trials` call may hold (176 bytes each,
-# 8 bytes per LOG_FIELDS value).
-TRIAL_BATCH_ROBOT_CYCLES = 160_000
+# Bytes of trial logs, fault noise and cycle arrays one `run_trials` call may
+# hold (see `trial_bytes`): 160,000 robot-cycles of full 176-byte logs.
+TRIAL_BATCH_BYTES = 28_160_000
+# Bytes per robot of the arrays one cycle of a `run_trials` call works on
+# (sensing, fault injection, controllers, collisions). `tracemalloc` read
+# 2.7-3.7 KB per robot beyond logs and noise, for 5-20 robots in batches
+# of 8-64 trials.
+CYCLE_BYTES_PER_ROBOT = 4096
 PAIR_OVERLAP_TOL = 1e-9
 # Slack on the proximity ray-casting cut-off, far above its rounding error.
 CULL_MARGIN = 1e-6
@@ -90,22 +95,23 @@ class PlacementError(RuntimeError):
 
 @dataclass
 class TrialLog:
-    """Complete per-cycle record of one trial.
+    """Per-cycle record of one trial.
 
     `poses[t]` is the configuration at the start of cycle t (where sensing
     happened); `commands[t]` are the executed wheel speeds of that cycle,
     after actuator faults. `final_poses` is the configuration after the last
-    integration step.
+    integration step. A per-cycle field that its `run_trials` call did not
+    record is None; `poses`, `obstacles` and `final_poses` are always there.
     """
 
     env: EnvironmentSpec
     obstacles: np.ndarray  # (K, 2) obstacle centres; may be empty
     poses: np.ndarray  # (T, N, 3)
-    proximity: np.ndarray  # (T, N, 7), after sensor faults
-    rab: np.ndarray  # (T, N, 8), after sensor faults
-    commands: np.ndarray  # (T, N, 2) vl, vr in m/s
-    linear_velocity: np.ndarray  # (T, N) m/s, signed
-    angular_velocity: np.ndarray  # (T, N) rad/s
+    proximity: np.ndarray | None  # (T, N, 7), after sensor faults
+    rab: np.ndarray | None  # (T, N, 8), after sensor faults
+    commands: np.ndarray | None  # (T, N, 2) vl, vr in m/s
+    linear_velocity: np.ndarray | None  # (T, N) m/s, signed
+    angular_velocity: np.ndarray | None  # (T, N) rad/s
     final_poses: np.ndarray  # (N, 3)
 
     @property
@@ -126,6 +132,27 @@ LOG_FIELDS = {
     "linear_velocity": (),
     "angular_velocity": (),
 }
+
+
+def _recorded(fields) -> list:
+    """The LOG_FIELDS that a call asking for `fields` records, in table
+    order: those, and `poses` always."""
+    unknown = set(fields) - set(LOG_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown log fields {sorted(unknown)}")
+    return [name for name in LOG_FIELDS if name == "poses" or name in fields]
+
+
+def trial_bytes(env: EnvironmentSpec, faults, n_cycles: int, fields) -> int:
+    """Bytes that one trial holds in a `run_trials` call recording `fields`:
+    its log, 8 bytes per recorded value of each robot-cycle; its fault
+    noise, which `_compile_faults` draws for every cycle up front (8 bytes
+    for each of N_FRONT_PROXIMITY values per PRAND robot and 2 per ROFS
+    robot); and CYCLE_BYTES_PER_ROBOT per robot of cycle arrays."""
+    per_robot = sum(8 * int(np.prod(LOG_FIELDS[name])) for name in _recorded(fields))
+    codes = [int(f) for f in faults] if faults is not None else []
+    noise = N_FRONT_PROXIMITY * codes.count(FaultType.PRAND) + 2 * codes.count(FaultType.ROFS)
+    return n_cycles * (env.n_robots * per_robot + 8 * noise) + env.n_robots * CYCLE_BYTES_PER_ROBOT
 
 
 def wrap_angle(theta):
@@ -664,8 +691,9 @@ def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
 # Trial execution
 
 
-def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
-    """Simulate B trials that share `duration`; one TrialLog each.
+def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG_FIELDS) -> list:
+    """Simulate B trials that share `duration`; one TrialLog each, recording
+    the LOG_FIELDS named in `fields` (all by default) and `poses` always.
 
     Trial b runs `genomes[b]` in environment `envs[b]` under the fault
     assignment `faults[b]` (None for fault free) from `seeds[b]`; the
@@ -681,15 +709,18 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     trial's log arrays are contiguous (T, n, ...) views. Each trial keeps
     its own RNG (its placement, then its fault noise), controller state and
     collision passes, so its log is a deterministic function of its own
-    arguments: bit-identical alone or in any batch. A trial whose (env,
+    arguments: bit-identical alone or in any batch, whatever fields are
+    recorded (a field left out is None and costs no memory; `trial_bytes`
+    counts what a trial holds). A trial whose (env,
     seed) pair came earlier in the call copies that trial's obstacles and
     poses and gets a new generator set to its post-placement state, instead
     of placing again; the copies live only as long as the call.
 
     Raises PlacementError for the first trial that cannot be placed. An empty
     batch, argument lists of different lengths, a fault assignment whose
-    length is not its swarm size, or a duration that rounds to no control
-    cycle raise ValueError before any placement.
+    length is not its swarm size, a duration that rounds to no control
+    cycle, or a field name outside LOG_FIELDS raise ValueError before any
+    placement.
     """
     batch = len(seeds)
     if not batch:
@@ -699,6 +730,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
     n_cycles = int(round(duration / CONTROL_DT))
     if n_cycles < 1:
         raise ValueError(f"duration {duration!r} s is under one {CONTROL_DT} s control cycle")
+    recorded = _recorded(fields)
     swarms = swarm_layout(envs)
     robots = [slice(lo, hi) for lo, hi in zip(swarms.bounds, swarms.bounds[1:])]
     boxes = [slice(lo, hi) for lo, hi in zip(swarms.box_bounds, swarms.box_bounds[1:])]
@@ -728,8 +760,8 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
 
     # Each run of consecutive trials of one swarm size holds its controllers'
     # (trials, n, ...) inputs and state, and one (trials, T, n, ...) log array
-    # per field, so that a trial's arrays are contiguous views and the log
-    # costs 176 bytes per robot-cycle.
+    # per recorded field, so that a trial's arrays are contiguous views and
+    # the log costs 8 bytes per recorded value of a robot-cycle.
     runs, first = [], 0
     for n, group in itertools.groupby(env.n_robots for env in envs):
         count = len(list(group))
@@ -737,7 +769,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
         net = CompiledNetwork(genomes[first : first + count])
         inputs = np.empty((count, n, N_INPUTS))
         inputs[..., BIAS_INDEX] = 1.0
-        arrays = [np.empty((count, n_cycles, n) + shape) for shape in LOG_FIELDS.values()]
+        arrays = [np.empty((count, n_cycles, n) + LOG_FIELDS[name]) for name in recorded]
         runs.append([rows, (count, n), net, net.initial_state(n), inputs, arrays])
         first += count
     outputs = np.empty((len(swarms.trial), N_OUTPUTS))
@@ -759,20 +791,22 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0) -> list:
         commands = outputs * swarms.speed[:, None] * plan.actuator_scale
 
         moved, v, omega = differential_drive_step(poses, commands)
+        values = dict(zip(LOG_FIELDS, (poses, prox, rab, commands, v, omega)))
         for rows, shape, *_, arrays in runs:
-            for array, value in zip(arrays, (poses, prox, rab, commands, v, omega)):
+            for array, name in zip(arrays, recorded):
+                value = values[name]
                 array[:, t] = value[rows].reshape(shape + value.shape[1:])
 
         poses = resolve_collisions(moved, obstacles, swarms)
 
-    fields = [
-        dict(zip(LOG_FIELDS, (array[k] for array in arrays)))
+    logs = [
+        dict.fromkeys(LOG_FIELDS) | dict(zip(recorded, (array[k] for array in arrays)))
         for _, (count, _), *_, arrays in runs
         for k in range(count)
     ]
     return [
         TrialLog(env=env, obstacles=obstacles[box_rows], **log, final_poses=poses[rows].copy())
-        for env, log, rows, box_rows in zip(envs, fields, robots, boxes)
+        for env, log, rows, box_rows in zip(envs, logs, robots, boxes)
     ]
 
 

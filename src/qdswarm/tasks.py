@@ -16,10 +16,11 @@ import numpy as np
 from .descriptors import DESCRIPTORS
 from .sim import (
     CONTROL_DT,
-    TRIAL_BATCH_ROBOT_CYCLES,
+    TRIAL_BATCH_BYTES,
     TrialLog,
     pair_distances,
     run_trials,
+    trial_bytes,
 )
 
 
@@ -112,23 +113,25 @@ def fitness_border_patrolling(log: TrialLog) -> float:
     return float(patrol_cell_trace(log)[:, BORDER_MASK].mean())
 
 
-_FITNESS = {
-    TaskKind.AGGREGATION: fitness_aggregation,
-    TaskKind.DISPERSION: fitness_dispersion,
-    TaskKind.FLOCKING: fitness_flocking,
-    TaskKind.PATROLLING: fitness_patrolling,
-    TaskKind.BORDER_PATROLLING: fitness_border_patrolling,
+# task -> (fitness function, the `sim.LOG_FIELDS` it reads)
+FITNESS = {
+    TaskKind.AGGREGATION: (fitness_aggregation, {"poses"}),
+    TaskKind.DISPERSION: (fitness_dispersion, {"poses"}),
+    TaskKind.FLOCKING: (fitness_flocking, {"poses", "linear_velocity"}),
+    TaskKind.PATROLLING: (fitness_patrolling, {"poses"}),
+    TaskKind.BORDER_PATROLLING: (fitness_border_patrolling, {"poses"}),
 }
 
 
 def fitness(task, log: TrialLog) -> float:
-    return _FITNESS[TaskKind(task)](log)
+    return FITNESS[TaskKind(task)][0](log)
 
 
-def _cut_batches(jobs, members, n_cycles) -> list:
-    """The (job index, seed) trials of the jobs `members` cut into batches of
-    at most TRIAL_BATCH_ROBOT_CYCLES robot-cycles, each trial charged its own
-    swarm size times `n_cycles` (a trial over the budget runs alone).
+def _cut_batches(jobs, members, n_cycles, fields) -> list:
+    """The (job index, seed) trials of the jobs `members` cut into batches
+    that hold at most TRIAL_BATCH_BYTES, each trial charged its own
+    `sim.trial_bytes` for `n_cycles` cycles recording `fields` (a trial over
+    the budget runs alone).
 
     Trials go in order of swarm size, then of job, so a job's trials stay
     in seed order and the batches are never more than those of each swarm
@@ -137,9 +140,10 @@ def _cut_batches(jobs, members, n_cycles) -> list:
     """
     batches, load = [[]], 0
     for index in sorted(members, key=lambda index: jobs[index][1].n_robots):
-        cost = jobs[index][1].n_robots * n_cycles
-        for seed in jobs[index][4]:
-            if batches[-1] and load + cost > TRIAL_BATCH_ROBOT_CYCLES:
+        _, env, _, faults, seeds, _, _ = jobs[index]
+        cost = trial_bytes(env, faults, n_cycles, fields)
+        for seed in seeds:
+            if batches[-1] and load + cost > TRIAL_BATCH_BYTES:
                 batches.append([])
                 load = 0
             batches[-1].append((index, seed))
@@ -153,9 +157,13 @@ def evaluate_jobs(jobs):
     Returns one (mean fitness, descriptor or None) per job, in job order;
     the descriptor is `describe(kind, logs)` of the job's trial logs. Jobs that
     share a duration run their trials together through `run_trials`, each
-    trial in its job's environment whatever its swarm size, in batches of at
-    most TRIAL_BATCH_ROBOT_CYCLES robot-cycles counted trial by trial (see
-    `_cut_batches`). A trial's log does not depend on its batch, so a job's
+    trial in its job's environment whatever its swarm size. The call's logs
+    record only the fields its jobs read: the union of what each job's
+    `FITNESS` function and `DESCRIPTORS` kind declare, so an aggregation job
+    without a descriptor logs its poses alone, 24 of the full log's 176
+    bytes per robot-cycle. Batches hold at most TRIAL_BATCH_BYTES, counted
+    trial by trial by `sim.trial_bytes` (see `_cut_batches`). A trial's
+    log does not depend on its batch or on the fields recorded, so a job's
     result does not depend on the other jobs. Each trial is reduced to its
     fitness and descriptor summary inside the batch that ran it, so a
     batch's logs are the only logs alive.
@@ -163,6 +171,9 @@ def evaluate_jobs(jobs):
     for job in jobs:
         if not len(job[4]):
             raise ValueError("at least one trial seed is required")
+    fields = set()
+    for task, *_, kind in jobs:
+        fields |= FITNESS[TaskKind(task)][1] | (set() if kind is None else DESCRIPTORS[kind][2])
     groups = {}  # job indices by duration, in order of first appearance
     for index, job in enumerate(jobs):
         groups.setdefault(job[5], []).append(index)
@@ -170,13 +181,14 @@ def evaluate_jobs(jobs):
     for duration, members in groups.items():
         n_cycles = max(1, int(round(duration / CONTROL_DT)))
         trials = {index: [] for index in members}  # (fitness, summary) pairs so far
-        for batch in _cut_batches(jobs, members, n_cycles):
+        for batch in _cut_batches(jobs, members, n_cycles, fields):
             logs = run_trials(
                 [jobs[index][1] for index, _ in batch],
                 [jobs[index][2] for index, _ in batch],
                 [jobs[index][3] for index, _ in batch],
                 [seed for _, seed in batch],
                 duration,
+                fields,
             )
             for (index, _), log in zip(batch, logs):
                 task, _, _, _, seeds, _, kind = jobs[index]

@@ -2,6 +2,7 @@
 layer above it: a trial's log, and a job's result, must not depend on what
 else runs in the same batch, chunk, or worker pool."""
 
+import dataclasses
 import gc
 import itertools
 import os
@@ -26,7 +27,10 @@ from qdswarm.environment import (
     EnvironmentSpec,
     generate_environment,
 )
+from qdswarm.descriptors import DESCRIPTORS, describe
 from qdswarm.genome import CompiledNetwork, Connection, Genome, random_genome
+from qdswarm.recovery import sample_combined_fault
+from qdswarm.sim import LOG_FIELDS as SIM_LOG_FIELDS
 from qdswarm.sim import (
     MAX_RESOLUTION_PASSES,
     FaultType,
@@ -41,7 +45,7 @@ from qdswarm.sim import (
     run_trials,
     swarm_layout,
 )
-from qdswarm.tasks import evaluate_jobs, evaluator
+from qdswarm.tasks import FITNESS, TaskKind, evaluate_jobs, evaluator
 
 LOG_FIELDS = (
     "poses",
@@ -329,6 +333,24 @@ def test_malformed_batch_rejected(envs, seeds, message):
         run_trials(envs, [Genome()] * len(seeds), [None] * len(seeds), seeds, duration=1.0)
 
 
+def test_lean_logs_hold_the_full_logs_bits():
+    """A call that records some fields gives them the bits of a full call
+    and leaves the others None; poses and final poses are always there."""
+    boxed = EnvironmentSpec(n_robots=5, arena_side=1.0, n_obstacles=2)
+    faults = [ROFS_AND_PRAND * 2, ROFS_AND_PRAND]
+    args = ([NORMAL_ENV, boxed], [GENOMES[3], GENOMES[4]], faults, [4, 5])
+    full = run_trials(*args, duration=1.0)
+    for fields in [(), ("rab",), ("commands", "linear_velocity", "poses")]:
+        for log, ref in zip(run_trials(*args, duration=1.0, fields=fields), full):
+            for name in LOG_FIELDS:
+                if name in ("poses", "final_poses", *fields):
+                    assert bits_equal(getattr(log, name), getattr(ref, name)), (fields, name)
+                else:
+                    assert getattr(log, name) is None, (fields, name)
+    with pytest.raises(ValueError, match="unknown log fields"):
+        run_trials(*args, duration=1.0, fields=("pose",))
+
+
 # ---------------------------------------------------------------------------
 # Range and bearing
 
@@ -516,6 +538,12 @@ def _job(env=NORMAL_ENV, genome=GENOMES[1], faults=None, seeds=(3, 4), duration=
     return (task, env, genome, faults, list(seeds), duration, kind)
 
 
+def _noise_columns(fault) -> int:
+    """Fault-noise values a trial draws per cycle: 5 per PRAND robot, 2 per ROFS robot."""
+    fault = [] if fault is None else list(fault)
+    return 5 * fault.count(FaultType.PRAND) + 2 * fault.count(FaultType.ROFS)
+
+
 def mixed_jobs():
     combined = [FaultType(i % N_FAULT_TYPES) for i in range(10)]
     small = EnvironmentSpec(n_robots=5, arena_side=2.0, n_obstacles=2)
@@ -583,33 +611,38 @@ def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
     """With a budget of a few trials, batches end inside jobs: the results
     stay the same, and no array or log of a batch is alive when the next one
     runs (a job that continues keeps only its trials' summaries). A batch is
-    cut by its trials' own robot-cycles, so a 5-robot trial costs half a
+    cut by its trials' own bytes, so a 5-robot trial costs about half a
     10-robot one and a mixed batch holds more trials than one of 10 robots."""
     jobs = mixed_jobs()
     alone = [evaluate_jobs([job])[0] for job in jobs]
-    previous, calls = [], []
+    previous, calls, held = [], [], []
 
-    def spy(envs, *args):
+    def spy(envs, genomes, faults, seeds, duration, fields):
         assert all(ref() is None for ref in previous)
         assert not any(isinstance(obj, TrialLog) for obj in gc.get_objects())
-        logs = run_trials(envs, *args)
+        logs = run_trials(envs, genomes, faults, seeds, duration, fields)
         calls.append([(env.n_robots, log.n_cycles) for env, log in zip(envs, logs)])
+        arrays = [getattr(log, name) for log in logs for name in LOG_FIELDS[:-1]]
+        noise = [8 * log.n_cycles * _noise_columns(fault) for log, fault in zip(logs, faults)]
+        held.append(sum(array.nbytes for array in arrays if array is not None) + sum(noise))
         previous[:] = [weakref.ref(log.poses.base) for log in logs]
         return logs
 
     monkeypatch.setattr(tasks, "run_trials", spy)
-    # 3 normal-environment trials of 5 cycles, or 3 five-robot ones and 1
-    # such; of 7 cycles, 2 normal-environment trials. The smaller swarms go first.
-    monkeypatch.setattr(tasks, "TRIAL_BATCH_ROBOT_CYCLES", 150)
+    # The jobs read every field but the angular velocity: 168 bytes per
+    # robot-cycle, and a trial's cycle arrays cost 4,096 bytes per robot. So
+    # 3 normal-environment trials of 5 cycles fit, or 3 five-robot ones and 1
+    # such, and of 7 cycles 1 five-robot and 2 normal-environment trials.
+    # The smaller swarms go first.
+    monkeypatch.setattr(tasks, "TRIAL_BATCH_BYTES", 150_000)
     assert_results_equal(evaluate_jobs(jobs), alone)
     assert calls == [
         [(5, 5)] * 3 + [(10, 5)],
         [(10, 5)] * 3,
         [(10, 5)] * 2,
-        [(5, 7), (10, 7)],
-        [(10, 7)],
+        [(5, 7), (10, 7), (10, 7)],
     ]
-    assert all(sum(n * t for n, t in call) <= 150 for call in calls)
+    assert all(bytes_ <= 150_000 for bytes_ in held)
 
 
 def test_qed_jobs_run_one_batch_per_swarm_size(monkeypatch):
@@ -645,7 +678,9 @@ def test_desk_qed_generation_makes_no_more_calls_than_batches_by_swarm_size(monk
     """A desk-sized QED generation (20 evaluations of 5 trials of 2,000
     cycles, each evaluation in a fresh environment) makes no more
     `run_trials` calls than batching each swarm size on its own would, and no
-    call holds more than TRIAL_BATCH_ROBOT_CYCLES robot-cycles."""
+    call holds more than TRIAL_BATCH_BYTES: 24 bytes of poses per
+    robot-cycle, all that aggregation reads, and 4,096 bytes of cycle arrays
+    per robot."""
     rng = np.random.default_rng(22)
     jobs = [
         _job(env=generate_environment(rng), seeds=range(5 * e, 5 * e + 5), duration=400.0)
@@ -653,8 +688,9 @@ def test_desk_qed_generation_makes_no_more_calls_than_batches_by_swarm_size(monk
     ]
     calls = []
 
-    def stub(envs, genomes, faults, seeds, duration):
-        calls.append(sum(env.n_robots for env in envs) * int(round(duration / 0.2)))
+    def stub(envs, genomes, faults, seeds, duration, fields):
+        assert set(fields) == {"poses"}
+        calls.append(sum(env.n_robots for env in envs) * (int(round(duration / 0.2)) * 24 + 4096))
         return [None] * len(seeds)
 
     monkeypatch.setattr(tasks, "run_trials", stub)
@@ -664,12 +700,125 @@ def test_desk_qed_generation_makes_no_more_calls_than_batches_by_swarm_size(monk
     for job in jobs:
         trials_per_size[job[1].n_robots] = trials_per_size.get(job[1].n_robots, 0) + 5
     by_size = sum(
-        -(-count // (tasks.TRIAL_BATCH_ROBOT_CYCLES // (n * 2000)))
+        -(-count // (tasks.TRIAL_BATCH_BYTES // (n * (2000 * 24 + 4096))))
         for n, count in trials_per_size.items()
     )
     assert len(trials_per_size) == 4
     assert len(calls) <= by_size
-    assert max(calls) <= tasks.TRIAL_BATCH_ROBOT_CYCLES
+    assert max(calls) <= tasks.TRIAL_BATCH_BYTES
+
+
+# a job with boxes under combined faults that include PRAND and ROFS
+DECLARED_ENV = EnvironmentSpec(n_robots=5, arena_side=1.0, n_obstacles=2)
+DECLARED_FAULT = [FaultType.PRAND, FaultType.ROFS, FaultType.LW_H, FaultType.PMAX, FaultType.NONE]
+
+
+@pytest.mark.parametrize("kind", [None, *DESCRIPTORS])
+@pytest.mark.parametrize("task", [task.value for task in TaskKind])
+def test_lean_jobs_score_as_full_logs_do(task, kind, monkeypatch):
+    """`evaluate_jobs` records only what the job's fitness and descriptor
+    declare, and scores bit for bit as `fitness` and `describe` over
+    `run_trial`'s full logs."""
+    seeds = (5, 6)
+    job = _job(DECLARED_ENV, GENOMES[3], DECLARED_FAULT, seeds, 1.2, kind, task)
+    recorded = []
+
+    def spy(*args):
+        recorded.append(set(args[-1]))
+        return run_trials(*args)
+
+    monkeypatch.setattr(tasks, "run_trials", spy)
+    (got,) = evaluate_jobs([job])
+    full = [run_trial(DECLARED_ENV, GENOMES[3], DECLARED_FAULT, seed, 1.2) for seed in seeds]
+    want = (
+        float(np.mean([tasks.fitness(task, log) for log in full])),
+        None if kind is None else describe(kind, full),
+    )
+    assert_results_equal([got], [want])
+    declared = FITNESS[TaskKind(task)][1] | (set() if kind is None else DESCRIPTORS[kind][2])
+    assert recorded == [declared]
+
+
+def test_each_reader_reads_only_its_declared_fields():
+    """Every fitness function and descriptor summary gives the same bits on a
+    log that holds only the fields it declares (every other field None), so
+    a missing declaration fails here instead of reading None."""
+    full = run_trial(DECLARED_ENV, GENOMES[4], DECLARED_FAULT, seed=7, duration=1.2)
+    readers = [*FITNESS.values(), *((summary, reads) for summary, _, reads in DESCRIPTORS.values())]
+    for read, fields in readers:
+        left_out = {name: None for name in SIM_LOG_FIELDS if name not in fields}
+        lean = dataclasses.replace(full, **left_out)
+        assert bits_equal(np.asarray(read(lean)), np.asarray(read(full))), read.__name__
+
+
+def _stub_batches(monkeypatch, jobs):
+    """The (trials, fields) of each `run_trials` call that `evaluate_jobs(jobs)`
+    makes, with a stub in place of the simulator."""
+    calls = []
+
+    def stub(envs, genomes, faults, seeds, duration, fields):
+        calls.append((list(zip(envs, faults)), set(fields)))
+        return [None] * len(seeds)
+
+    monkeypatch.setattr(tasks, "run_trials", stub)
+    monkeypatch.setattr(tasks, "fitness", lambda task, log: 0.5)
+    for kind, (*_, fields) in list(tasks.DESCRIPTORS.items()):
+        monkeypatch.setitem(tasks.DESCRIPTORS, kind, (lambda log: 0.0, lambda _: None, fields))
+    evaluate_jobs(jobs)
+    return calls
+
+
+def _held(trials, n_cycles, per_robot):
+    """Bytes of logs of `per_robot` bytes per robot-cycle, of fault noise,
+    and of 4,096 bytes of cycle arrays per robot."""
+    return sum(
+        n_cycles * (env.n_robots * per_robot + 8 * _noise_columns(fault)) + env.n_robots * 4096
+        for env, fault in trials
+    )
+
+
+def test_desk_faults_pass_batches_by_the_bytes_of_poses(monkeypatch):
+    """A desk faults pass (evolved aggregation elites under one sampled
+    combined fault, 10 trials of 2,000 cycles each in the normal
+    environment) logs poses alone, so a batch holds 44 trials where a full
+    log held 8, and no call holds more than TRIAL_BATCH_BYTES."""
+    rng = np.random.default_rng(3)
+    fault = sample_combined_fault(rng, NORMAL_ENV.n_robots)
+    while not list(fault).count(FaultType.PRAND) == 1 == list(fault).count(FaultType.ROFS):
+        fault = sample_combined_fault(rng, NORMAL_ENV.n_robots)  # 7 noise values, 8.75 on average
+    jobs = [_job(faults=fault, seeds=range(10), duration=400.0, genome=GENOMES[e % 8])
+            for e in range(12)]
+    calls = _stub_batches(monkeypatch, jobs)
+    per_trial = _held([(NORMAL_ENV, fault)], 2000, 24)
+    sizes = [len(trials) for trials, _ in calls]
+    assert sizes[:-1] == [tasks.TRIAL_BATCH_BYTES // per_trial] * (len(calls) - 1)
+    assert sizes[0] == 44 and sum(sizes) == 120
+    assert all(fields == {"poses"} for _, fields in calls)
+    assert all(_held(trials, 2000, 24) <= tasks.TRIAL_BATCH_BYTES for trials, _ in calls)
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_spirit_pass_keeps_its_batch_size(monkeypatch, faulty):
+    """A spirit pass reads 160 of the 176 bytes of a robot-cycle, so its desk
+    batches stay within one trial of the 8 that full logs held."""
+    fault = [FaultType(i % N_FAULT_TYPES) for i in range(10)] if faulty else None
+    jobs = [_job(faults=fault, seeds=range(10), duration=400.0, kind="spirit") for _ in range(4)]
+    calls = _stub_batches(monkeypatch, jobs)
+    assert all(abs(len(trials) - 8) <= 1 for trials, _ in calls[:-1])
+    assert all(fields == {"poses", "proximity", "rab", "commands"} for _, fields in calls)
+    assert all(_held(trials, 2000, 160) <= tasks.TRIAL_BATCH_BYTES for trials, _ in calls)
+
+
+def test_a_trial_over_the_budget_runs_alone(monkeypatch):
+    """A 20-robot spirit trial of 10,000 cycles logs 32 MB: each such trial
+    gets its own call, and a 10-robot one of 16 MB does not join it."""
+    big = EnvironmentSpec(n_robots=20)
+    jobs = [
+        _job(env=big, seeds=(1, 2), duration=2000.0, kind="spirit"),
+        _job(seeds=(3,), duration=2000.0, kind="spirit"),
+    ]
+    calls = _stub_batches(monkeypatch, jobs)
+    assert [[env.n_robots for env, _ in trials] for trials, _ in calls] == [[10], [20], [20]]
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])

@@ -795,6 +795,30 @@ class TestRunDirectory:
         assert err.startswith("error:") and err.count("\n") == 1 and "(it differs in preset)" in err
         assert tree(run) == before
 
+    def test_a_stored_config_without_its_preset_is_refused(self, tmp_path, capsys):
+        """A config.txt written before the preset was stored must name it
+        before evolve resumes the run or export sizes a projection CVT by it:
+        read as `desk`, a `paper` run would get `preset = desk` written into
+        its config.txt and an 8,192-seed projection."""
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path)
+        assert main(["evolve", "--config", cfg, "--out", str(run), "--preset", "paper"]) == 0
+        assert main(["reevaluate", "--out", str(run)]) == 0
+        stored = run / "config.txt"
+        stored.write_text(stored.read_text().replace("preset = paper\n", ""))
+        before = tree(tmp_path)
+        capsys.readouterr()
+        for step in (["evolve"], ["evolve", "--config", cfg], ["export", "--what", "projection"]):
+            assert main([*step, "--out", str(run)]) == 2, step
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert str(stored) in err and "'preset = desk' or 'preset = paper'" in err
+        assert tree(tmp_path) == before
+        assert main(["export", "--out", str(run), "--what", "triallog"]) == 0
+        stored.write_text(stored.read_text() + "preset = paper\n")
+        assert main(["evolve", "--out", str(run)]) == 0
+        assert "preset = paper\n" in stored.read_text()
+
     def test_evolve_into_a_file_is_an_input_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         target = tmp_path / "taken"

@@ -365,7 +365,7 @@ class TestRunTrial:
     def test_log_table_is_the_per_cycle_fields(self):
         names = [f.name for f in fields(TrialLog)]
         assert list(LOG_FIELDS) == names[names.index("poses") : names.index("final_poses")]
-        # the 176 bytes per robot-cycle of TRIAL_BATCH_ROBOT_CYCLES and the README
+        # the 176 bytes per robot-cycle of a full log, TRIAL_BATCH_BYTES and the README
         assert 8 * sum(int(np.prod(shape)) for shape in LOG_FIELDS.values()) == 176
         log = run_trial(NORMAL_ENV, spinning_genome(), seed=2, duration=1.0)
         for name, shape in LOG_FIELDS.items():

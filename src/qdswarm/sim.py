@@ -19,9 +19,10 @@ per-trial reference loop that the tests compare the kernel against lives in
 trials' environments: robot arrays are (R, ...) with the robots of all
 trials concatenated in (trial, index) order, each robot carrying its trial's
 arena side, speed and sensor ranges; obstacle centres are one (K, 2) array
-in trial order; one list holds the pairs i < j of robots of one trial, and
-one the (robot, box of its own trial) pairs. The fixed body comes from the
-module constants ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. Each
+in trial order; one list holds the pairs i < j of robots of one trial,
+which `sense` culls each cycle into each sensor's (observer, offset) rows,
+and one the (robot, box of its own trial) pairs. The fixed body comes from
+the module constants ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. Each
 `TrialLog` carries its trial's `env` and its own obstacle centres. Trials of
 one call that share an (environment, seed) pair are placed once. Each
 swarm-geometry quantity of a trial log has one function here, which the
@@ -64,7 +65,8 @@ TRIAL_BATCH_BYTES = 28_160_000
 # of 8-64 trials.
 CYCLE_BYTES_PER_ROBOT = 4096
 PAIR_OVERLAP_TOL = 1e-9
-# Slack on the proximity ray-casting cut-off, far above its rounding error.
+# Slack on the proximity and range-and-bearing cut-offs, far above their
+# rounding error.
 CULL_MARGIN = 1e-6
 
 # Body-frame ray angles: five frontal, two rear. The sensor counts are the
@@ -202,6 +204,8 @@ class Swarms:
     Robot arrays are (R, ...) with the robots in (trial, index) order, and
     trial b's robots are rows `bounds[b]:bounds[b + 1]`; its obstacles are
     rows `box_bounds[b]:box_bounds[b + 1]` of the (K, 2) obstacle array.
+    The pairs i < j are the one pair list: collisions walk it, and `sense`
+    reads each pair both ways only where a sensor can see it.
     """
 
     trial: np.ndarray  # (R,) each robot's trial
@@ -214,8 +218,6 @@ class Swarms:
     pair_i: np.ndarray  # (P,) robots of the pairs i < j of each trial, in (trial, i, j) order
     pair_j: np.ndarray
     pair_trial: np.ndarray  # (P,)
-    observer: np.ndarray  # (2P,) the pairs read both ways: (i, j), then (j, i)
-    neighbor: np.ndarray
     box_robot: np.ndarray  # (Q,) each robot with each box of its trial, in (robot, box) order
     box: np.ndarray  # (Q,) obstacle rows
 
@@ -249,8 +251,6 @@ def swarm_layout(envs) -> Swarms:
         pair_i=pair_i,
         pair_j=pair_j,
         pair_trial=trial[pair_i],
-        observer=np.concatenate([pair_i, pair_j]),
-        neighbor=np.concatenate([pair_j, pair_i]),
         box_robot=np.repeat(np.arange(len(trial)), counts[trial]),
         box=np.concatenate(
             [np.tile(np.arange(k) + first, n) for n, k, first in zip(sizes, counts, box_bounds)]
@@ -328,34 +328,28 @@ def pair_distances(poses) -> np.ndarray:
     return dist
 
 
-def neighbor_offsets(poses, swarms: Swarms) -> np.ndarray:
-    """(2P, 2) world-frame offsets of the pairs read both ways: row p is the
-    position of robot `swarms.neighbor[p]` minus that of `swarms.observer[p]`."""
-    xy = np.ascontiguousarray(poses[:, :2])
-    return np.take(xy, swarms.neighbor, axis=0) - np.take(xy, swarms.observer, axis=0)
-
-
-def proximity_activations(poses, obstacles, swarms: Swarms, rel) -> np.ndarray:
+def proximity_activations(poses, obstacles, swarms: Swarms, observer, rel) -> np.ndarray:
     """Proximity readings of the robots (R, 3) of a flat batch, (R, 7) activations in [0, 1].
 
-    `obstacles` (K, 2) are the batch's box centres and `rel` is
-    `neighbor_offsets(poses, swarms)`. Activation is 1 - d / proximity_range
-    clipped to [0, 1], with d the distance from the body surface
-    (ROBOT_RADIUS from the centre) to the nearest wall, obstacle, or robot
-    along the ray. Only obstacles and robots within reach of a robot are
-    ray-cast: anything farther is more than the range away along every ray,
-    so its reading would clip to 0 whether it is cast or not.
+    `obstacles` (K, 2) are the batch's box centres, and row m of `rel`
+    (M, 2) is the world-frame offset of a robot from robot `observer[m]`;
+    `sense` passes the pairs within reach of each other. Activation is
+    1 - d / proximity_range clipped to [0, 1], with d the distance from the
+    body surface (ROBOT_RADIUS from the centre) to the nearest wall,
+    obstacle, or robot along the ray. Only obstacles within reach of a robot
+    are ray-cast: anything farther is more than the range away along every
+    ray, so its reading would clip to 0 whether it is cast or not.
     """
     poses = np.asarray(poses, dtype=float)
     xy = poses[:, :2]
     angles = poses[:, 2:3] + PROXIMITY_ANGLES
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     t = _ray_wall_t(xy[:, None, :], dirs, swarms.side[:, None])
-    reach = swarms.proximity_range + ROBOT_RADIUS + CULL_MARGIN
     if len(swarms.box):
         half = OBSTACLE_SIDE / 2
         robot, box = swarms.box_robot, swarms.box
         centers = np.take(obstacles, box, axis=0)
+        reach = swarms.proximity_range + ROBOT_RADIUS + CULL_MARGIN
         near = np.flatnonzero(
             _circle_box_offsets(np.take(xy, robot, axis=0), centers, half)[1] <= reach[robot]
         )
@@ -368,28 +362,19 @@ def proximity_activations(poses, obstacles, swarms: Swarms, rel) -> np.ndarray:
                 half,
             )
             np.minimum.at(t, robot, hits)
-    if len(swarms.observer):
-        reach = reach + ROBOT_RADIUS
-        observer = swarms.observer
-        near = np.flatnonzero(
-            rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1] <= (reach * reach)[observer]
-        )
-        if len(near):
-            observer = observer[near]
-            hits = _ray_circle_t(
-                np.take(rel, near, axis=0), np.take(dirs, observer, axis=0), ROBOT_RADIUS
-            )
-            np.minimum.at(t, observer, hits)
+    if len(observer):
+        hits = _ray_circle_t(rel, np.take(dirs, observer, axis=0), ROBOT_RADIUS)
+        np.minimum.at(t, observer, hits)
     distance = t - ROBOT_RADIUS
     return np.clip(1.0 - distance / swarms.proximity_range[:, None], 0.0, 1.0)
 
 
-def body_frame_offsets(poses, swarms: Swarms, rel) -> np.ndarray:
-    """(2P, 2) offsets of the pairs read both ways, each in its observer's
-    body frame; `rel` is `neighbor_offsets(poses, swarms)`."""
+def body_frame_offsets(poses, observer, rel) -> np.ndarray:
+    """(M, 2) world-frame offsets `rel` (M, 2), row m rotated into the body
+    frame of robot `observer[m]`."""
     poses = np.asarray(poses, dtype=float)
-    cos = np.cos(poses[:, 2])[swarms.observer]
-    sin = np.sin(poses[:, 2])[swarms.observer]
+    cos = np.cos(poses[:, 2])[observer]
+    sin = np.sin(poses[:, 2])[observer]
     rx = rel[:, 0] * cos + rel[:, 1] * sin
     ry = -rel[:, 0] * sin + rel[:, 1] * cos
     return np.stack([rx, ry], axis=-1)
@@ -419,14 +404,15 @@ def rab_activations(neighbor_rel, observer, rab_range) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fault injection
+# Fault injection and sensing
 
 
 @dataclass
 class _FaultPlan:
-    """The fault assignments of a flat batch: (R,) masks, actuator scales,
-    and every cycle's PRAND/ROFS noise drawn up front, one (T, W) column
-    block per trial."""
+    """The fault assignments of a flat batch: (R,) robot masks, actuator
+    scales, and every cycle's PRAND/ROFS noise drawn up front, one (T, W)
+    column block per trial. Nothing in it depends on which pairs a cycle
+    reads; `sense` applies it to its own rows."""
 
     pmin: np.ndarray
     pmax: np.ndarray
@@ -438,8 +424,6 @@ class _FaultPlan:
     prand_cols: np.ndarray  # (PRAND robots, 5) noise columns, robots in (trial, index) order
     radius_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset radii
     angle_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset angles
-    shifted: np.ndarray  # rows of `Swarms.observer` whose observer has ROFS
-    shift: np.ndarray  # for each such row, its observer's rank among the ROFS robots
 
 
 def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) -> _FaultPlan:
@@ -475,7 +459,6 @@ def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) 
         radius_cols.append(width + counts[0] + np.arange(n_rofs))
         angle_cols.append(width + counts[0] + n_rofs + np.arange(n_rofs))
         width += len(low)
-    shifted = np.flatnonzero(rofs[swarms.observer])
     return _FaultPlan(
         pmin=pmin,
         pmax=pmax,
@@ -487,29 +470,51 @@ def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) 
         prand_cols=np.concatenate(prand_cols),
         radius_cols=np.concatenate(radius_cols),
         angle_cols=np.concatenate(angle_cols),
-        shifted=shifted,
-        shift=(np.cumsum(rofs) - 1)[swarms.observer[shifted]],
     )
 
 
-def _apply_sensor_faults_batch(proximity, neighbor_rel, swarms: Swarms, plan: _FaultPlan, noise):
-    """Faulted (proximity, rab) arrays of a flat batch for one cycle; `noise`
-    is the cycle's row of `plan.noise`. A ROFS robot's neighbour offsets are
-    shifted by its offset before the one RAB reading of the batch."""
+def _both_ways(xy, i, j):
+    """(observer, offset) rows of the pairs (i, j) read both ways, (i, j)
+    then (j, i); each offset is the neighbour's position minus the
+    observer's, so a coincident pair reads +0.0 both ways."""
+    observer, neighbor = np.concatenate([i, j]), np.concatenate([j, i])
+    return observer, np.take(xy, neighbor, axis=0) - np.take(xy, observer, axis=0)
+
+
+def sense(poses, obstacles, swarms: Swarms, plan: _FaultPlan, noise):
+    """One cycle's faulted (proximity, rab) readings of the robots (R, 3) of
+    a flat batch, (R, 7) and (R, 8); `noise` is the cycle's row of `plan.noise`.
+
+    Each pair i < j has its squared distance tested once per sensor, which
+    reads it both ways only within its threshold: proximity_range + 2
+    ROBOT_RADIUS for proximity; for RAB the observer's range, doubled for a
+    ROFS observer, whose offset moves a neighbour by at most the range.
+    Each threshold carries CULL_MARGIN, so a pair left out would have read
+    0 (proximity) or nothing (RAB).
+    """
+    xy = np.ascontiguousarray(poses[:, :2])
+    i, j = swarms.pair_i, swarms.pair_j
+    rel = np.take(xy, j, axis=0) - np.take(xy, i, axis=0)
+    square = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
+    reach = swarms.proximity_range + 2 * ROBOT_RADIUS + CULL_MARGIN
+    near = np.flatnonzero(square <= (reach * reach)[i])
+    proximity = proximity_activations(poses, obstacles, swarms, *_both_ways(xy, i[near], j[near]))
     if plan.any_prox:
-        proximity = proximity.copy()
         proximity[plan.pmin, :N_FRONT_PROXIMITY] = 0.0
         proximity[plan.pmax, :N_FRONT_PROXIMITY] = 1.0
         proximity[plan.prand, :N_FRONT_PROXIMITY] = noise[plan.prand_cols]
+    reach = np.square(np.where(plan.rofs, 2.0, 1.0) * swarms.rab_range + CULL_MARGIN)
+    near = np.flatnonzero(square <= np.maximum(reach[i], reach[j]))
+    observer, rel = _both_ways(xy, i[near], j[near])
+    rel = body_frame_offsets(poses, observer, rel)
     if len(plan.radius_cols):
         r = noise[plan.radius_cols] * swarms.rab_range[plan.rofs]
         theta = noise[plan.angle_cols]
         offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        neighbor_rel = neighbor_rel.copy()
-        neighbor_rel[plan.shifted] = np.take(neighbor_rel, plan.shifted, axis=0) + np.take(
-            offsets, plan.shift, axis=0
-        )
-    return proximity, rab_activations(neighbor_rel, swarms.observer, swarms.rab_range)
+        shifted = np.flatnonzero(plan.rofs[observer])
+        rank = (np.cumsum(plan.rofs) - 1)[observer[shifted]]  # among the ROFS robots
+        rel[shifted] = np.take(rel, shifted, axis=0) + np.take(offsets, rank, axis=0)
+    return proximity, rab_activations(rel, observer, swarms.rab_range)
 
 
 # ---------------------------------------------------------------------------
@@ -597,25 +602,23 @@ def _push_out_of_boxes(xy, robot, boxes, r, half) -> np.ndarray:
     return pushed
 
 
-def _push_pairs_apart(xy, i, j, overlapping, diff, dist, overlap):
-    """Push every overlapping pair (i, j) of discs `xy` (R, 2) apart by half
+def _push_pairs_apart(xy, i, j, diff, dist):
+    """Push the overlapping pairs (i, j) of discs `xy` (R, 2) apart by half
     the overlap each, in place, summing each robot's pushes in the order of
     a loop over the pairs before adding them to its position.
 
-    `overlapping`, `dist` and `overlap` are (P,) and `diff` is (P, 2), over
-    the P pairs `i`, `j` in (trial, i, j) order. In the loop a robot's pushes
-    as the j of a pair all come before its pushes as the i of one, so
-    `np.add.at` over every j-side push followed by every i-side push, each in
-    pair order, adds them in the same order.
+    `dist` is (M,) and `diff` (M, 2), `xy[i] - xy[j]`, over the M pairs `i`,
+    `j` in (trial, i, j) order. In the loop a robot's pushes as the j of a
+    pair all come before its pushes as the i of one, so `np.add.at` over
+    every j-side push followed by every i-side push, each in pair order,
+    adds them in the same order.
     """
-    p = np.flatnonzero(overlapping)
-    d = dist[p]
-    distinct = d > 1e-12
-    unit = np.take(diff, p, axis=0) / np.where(distinct, d, 1.0)[:, None]
+    distinct = dist > 1e-12
+    unit = diff / np.where(distinct, dist, 1.0)[:, None]
     unit[~distinct] = (1.0, 0.0)  # coincident centres
-    step = 0.5 * overlap[p][:, None] * unit
+    step = 0.5 * (2 * ROBOT_RADIUS - dist)[:, None] * unit
     push = np.zeros_like(xy)
-    np.add.at(push, np.concatenate([j[p], i[p]]), np.concatenate([-step, step]))
+    np.add.at(push, np.concatenate([j, i]), np.concatenate([-step, step]))
     xy += push
 
 
@@ -641,21 +644,19 @@ def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
     for _ in range(MAX_RESOLUTION_PASSES):
         np.clip(xy, r, wall, out=xy)
         dirty = np.zeros(swarms.n_trials, dtype=bool)
-        # A trial that nothing pushes in this pass stays clipped and clear of
-        # every box, so only pushed trials need the wall and box checks.
-        check = np.zeros(swarms.n_trials, dtype=bool)
-        if len(box_robot):
-            check[trial[_push_out_of_boxes(xy, box_robot, boxes, r, half)]] = True
+        pushed = trial[_push_out_of_boxes(xy, box_robot, boxes, r, half)] if len(box_robot) else ()
         if len(i):
             diff = np.take(xy, i, axis=0) - np.take(xy, j, axis=0)
             dist = np.hypot(diff[:, 0], diff[:, 1])
-            overlap = 2 * r - dist
-            overlapping = overlap > PAIR_OVERLAP_TOL
-            if overlapping.any():
-                dirty[pair_trial[overlapping]] = True
-                _push_pairs_apart(xy, i, j, overlapping, diff, dist, overlap)
-        check &= ~dirty
-        if check.any():
+            p = np.flatnonzero(2 * r - dist > PAIR_OVERLAP_TOL)
+            if len(p):
+                dirty[pair_trial[p]] = True
+                _push_pairs_apart(xy, i[p], j[p], np.take(diff, p, axis=0), dist[p])
+        if len(pushed):
+            # A trial that nothing pushes in this pass stays clipped and clear
+            # of every box, so only pushed trials need the wall and box checks.
+            check = np.zeros(swarms.n_trials, dtype=bool)
+            check[pushed] = ~dirty[pushed]
             pairs = check[trial[box_robot]]
             moved = np.take(xy, box_robot[pairs], axis=0)
             inside_box = _circle_box_offsets(moved, boxes[pairs], half)[1]
@@ -699,7 +700,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
     assignment `faults[b]` (None for fault free) from `seeds[b]`; the
     environments may differ in every attribute, swarm size included. Robots
     and obstacles are placed uniformly at random without overlap; the swarms
-    then run duration / 0.2 control cycles of sense, fault injection, clonal
+    then run duration / 0.2 control cycles of faulted sensing (`sense`), clonal
     controller update, actuation, integration, and collision resolution, all
     B trials in one set of numpy operations per cycle on the flat layout of
     `swarm_layout(envs)`. Each run of consecutive trials of one swarm size n
@@ -775,10 +776,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
     outputs = np.empty((len(swarms.trial), N_OUTPUTS))
 
     for t in range(n_cycles):
-        rel = neighbor_offsets(poses, swarms)
-        prox = proximity_activations(poses, obstacles, swarms, rel)
-        neighbors = body_frame_offsets(poses, swarms, rel)
-        prox, rab = _apply_sensor_faults_batch(prox, neighbors, swarms, plan, plan.noise[t])
+        prox, rab = sense(poses, obstacles, swarms, plan, plan.noise[t])
 
         for run in runs:
             rows, _, net, state, inputs, _ = run

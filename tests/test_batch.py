@@ -36,13 +36,13 @@ from qdswarm.sim import (
     FaultType,
     PlacementError,
     TrialLog,
-    _apply_sensor_faults_batch,
     _compile_faults,
     place_entities,
     rab_activations,
     resolve_collisions,
     run_trial,
     run_trials,
+    sense,
     swarm_layout,
 )
 from qdswarm.tasks import FITNESS, TaskKind, evaluate_jobs, evaluator
@@ -387,34 +387,68 @@ def test_rab_boundaries_match_oracle(case):
         assert bits_equal(got, oracles.rab_activations(neighbours, RAB_RANGE))
 
 
+def _sense_against_oracle(poses, envs, fault_arr, seeds):
+    """`sense` over one flat batch of one trial per env, and each trial's
+    (proximity, rab) from the oracle; robots of trial b are `poses` rows in
+    (trial, index) order, obstacle-free, and draw their noise from `seeds[b]`."""
+    swarms = swarm_layout(envs)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    plan = _compile_faults(fault_arr, swarms, rngs, 1)
+    got = sense(poses, np.empty((0, 2)), swarms, plan, plan.noise[0])
+    want = []
+    for env, seed, lo, hi in zip(envs, seeds, swarms.bounds, swarms.bounds[1:]):
+        body = oracles.RobotBody.from_env(env)
+        prox = oracles.proximity_activations(
+            poses[lo:hi], oracles.ArenaSpec(env.arena_side, np.empty((0, 2))), body
+        )
+        rel, rng = oracles.body_frame_offsets(poses[lo:hi]), np.random.default_rng(seed)
+        want.append(oracles.apply_sensor_faults(prox, rel, fault_arr[lo:hi], env.rab_range, rng))
+    return got, tuple(np.concatenate(arrays) for arrays in zip(*want))
+
+
 def test_rofs_offsets_move_neighbours_across_the_range():
-    """Robots 0 and 1 have ROFS: each has one neighbour just inside the range
-    that its drawn offset carries out, and one just beyond it that the offset
-    brings in. The kernel's faulted readings equal the oracle's."""
-    fault_arr = np.array([FaultType.ROFS, FaultType.ROFS, FaultType.NONE])
-    swarms = swarm_layout([EnvironmentSpec(n_robots=3, rab_range=RAB_RANGE)])
-    plan = _compile_faults(fault_arr, swarms, [np.random.default_rng(5)], 1)
-    noise = plan.noise[0]
-    theta = noise[plan.angle_cols]
+    """Robots 0 and 3 have ROFS, at the centres of two clusters more than
+    twice the range apart. Each has one neighbour just inside the range
+    along its drawn offset, which the offset carries out; robot 0 has one
+    just beyond the range opposite it, and robot 3 one 1.5 ranges away
+    opposite it, which the offset brings within range. Every robot heads
+    along 0, so body-frame offsets are world offsets. `sense` equals the
+    oracle bit for bit."""
+    env = EnvironmentSpec(n_robots=6, rab_range=RAB_RANGE)
+    fault_arr = np.full(6, int(FaultType.NONE))
+    fault_arr[[0, 3]] = FaultType.ROFS
+    plan = _compile_faults(fault_arr, swarm_layout([env]), [np.random.default_rng(5)], 1)
+    theta = plan.noise[0][plan.angle_cols]
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    rel = np.empty((3, 2, 2))  # each robot's two neighbours
-    rel[:2, 0] = 0.99 * RAB_RANGE * unit  # in range; pushed out along its offset
-    rel[:2, 1] = -1.01 * RAB_RANGE * unit  # beyond; the offset brings it to ~0.2 range
-    rel[2] = [(0.2, 0.1), (-0.6, 0.0)]
-    flat = np.empty((6, 2))
-    flat[np.argsort(swarms.observer, kind="stable")] = rel.reshape(-1, 2)
-    prox = np.full((3, 7), 0.25)
-    clean = rab_activations(flat, swarms.observer, swarms.rab_range)
-    got_prox, got = _apply_sensor_faults_batch(prox, flat, swarms, plan, noise)
-    want_prox, want = oracles.apply_sensor_faults(
-        prox, rel, fault_arr, RAB_RANGE, np.random.default_rng(5)
-    )
+    poses = np.zeros((6, 3))
+    for robot, centre, u, beyond in ((0, 1.0, unit[0], 1.01), (3, 3.0, unit[1], 1.5)):
+        steps = np.array([0.0, 0.99, -beyond])[:, None]
+        poses[robot : robot + 3, :2] = centre + RAB_RANGE * steps * u
+    (got_prox, got), (want_prox, want) = _sense_against_oracle(poses, [env], fault_arr, [5])
     assert bits_equal(got, want) and bits_equal(got_prox, want_prox)
-    for robot in (0, 1):
+    clean = oracles.rab_activations(oracles.body_frame_offsets(poses), RAB_RANGE)
+    for robot in (0, 3):
         # one neighbour read before the offset, the other one after it
         assert (clean[robot] < 1).sum() == (got[robot] < 1).sum() == 1
         assert not np.array_equal(clean[robot], got[robot])
-    assert bits_equal(got[2], clean[2])
+    others = fault_arr == FaultType.NONE
+    assert bits_equal(got[others], clean[others])
+
+
+def test_coincident_robots_sense_as_the_oracle():
+    """Two robots at one position read +0.0 offsets both ways, under every
+    pair of headings: a reverse offset written as the negated forward one
+    would read -0.0 and, at heading 0, put the neighbour in cone 4, not 0."""
+    headings = [0.0, np.pi / 2, np.pi, -np.pi / 2, 0.3, -2.5, 3 * np.pi / 4]
+    pairs = list(itertools.product(headings, repeat=2))
+    envs = [EnvironmentSpec(n_robots=2, rab_range=RAB_RANGE)] * len(pairs)
+    poses = np.array([(2.0, 2.0, h) for pair in pairs for h in pair])
+    fault_arr = np.full(len(poses), int(FaultType.NONE))
+    (got_prox, got), (want_prox, want) = _sense_against_oracle(
+        poses, envs, fault_arr, range(len(pairs))
+    )
+    assert bits_equal(got_prox, want_prox) and bits_equal(got, want)
+    assert np.all((got == 0).sum(axis=1) == 1)  # the twin, at range 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from qdswarm.sim import (
     TrialLog,
     body_frame_offsets,
     differential_drive_step,
-    neighbor_offsets,
     place_entities,
     proximity_activations,
     rab_activations,
@@ -36,6 +35,15 @@ from qdswarm.sim import (
 CROWDED = EnvironmentSpec(n_robots=10, arena_side=0.6)
 
 
+def every_pair(poses):
+    """(observer, offset) rows of every ordered pair of one trial's robots,
+    in (observer, neighbour) order: the world-frame offsets that `sense`
+    culls, uncut."""
+    poses = np.array(poses, dtype=float)
+    observer, neighbor = np.nonzero(~np.eye(len(poses), dtype=bool))
+    return observer, poses[neighbor, :2] - poses[observer, :2]
+
+
 def proximity(poses, obstacles=(), side=4.0, proximity_range=NORMAL_ENV.proximity_range):
     """(N, 7) proximity readings of one trial's robots, through the batched kernel."""
     poses = np.array(poses, dtype=float)
@@ -46,18 +54,14 @@ def proximity(poses, obstacles=(), side=4.0, proximity_range=NORMAL_ENV.proximit
         n_obstacles=len(obstacles),
         proximity_range=proximity_range,
     )
-    swarms = swarm_layout([env])
-    return proximity_activations(poses, obstacles, swarms, neighbor_offsets(poses, swarms))
+    return proximity_activations(poses, obstacles, swarm_layout([env]), *every_pair(poses))
 
 
 def neighbours(poses):
     """Each robot's body-frame offsets to the others of one trial, (N, N - 1, 2),
     in ascending index order, through the batched kernel."""
-    poses = np.array(poses, dtype=float)
-    swarms = swarm_layout([EnvironmentSpec(n_robots=len(poses))])
-    order = np.lexsort((swarms.neighbor, swarms.observer))
-    offsets = body_frame_offsets(poses, swarms, neighbor_offsets(poses, swarms))
-    return offsets[order].reshape(len(poses), len(poses) - 1, 2)
+    n = len(poses)
+    return body_frame_offsets(poses, *every_pair(poses)).reshape(n, n - 1, 2)
 
 
 def rab_of(rel, rab_range):

@@ -26,9 +26,8 @@ the module constants ROBOT_RADIUS, AXLE_LENGTH and MAX_ANGULAR_SPEED. Each
 `TrialLog` carries its trial's `env` and its own obstacle centres. Trials of
 one call that share an (environment, seed) pair are placed once. Each
 swarm-geometry quantity of a trial log has one function here, which the
-fitness and descriptor modules call too: `pairwise_offsets`,
-`pair_distances`, `pair_indices`, and `_circle_box_offsets` for discs
-against boxes.
+fitness and descriptor modules call too: `pair_distances`, `pair_indices`,
+and `_circle_box_offsets` for discs against boxes.
 """
 
 import functools
@@ -56,14 +55,16 @@ MAX_ANGULAR_SPEED = 2.2222  # rad/s, 127.32 deg/s
 OBSTACLE_SIDE = 0.25
 PLACEMENT_ATTEMPTS = 10_000
 MAX_RESOLUTION_PASSES = 64
-# Bytes of trial logs, fault noise and cycle arrays one `run_trials` call may
-# hold (see `trial_bytes`): 160,000 robot-cycles of full 176-byte logs.
+# Bytes of trial logs and cycle arrays one `run_trials` call may hold (see
+# `trial_bytes`): 160,000 robot-cycles of full 176-byte logs.
 TRIAL_BATCH_BYTES = 28_160_000
 # Bytes per robot of the arrays one cycle of a `run_trials` call works on
 # (sensing, fault injection, controllers, collisions). `tracemalloc` read
 # 2.7-3.7 KB per robot beyond logs and noise, for 5-20 robots in batches
 # of 8-64 trials.
 CYCLE_BYTES_PER_ROBOT = 4096
+# Control cycles of fault noise per `Generator.uniform` call (see `_noise_rows`).
+NOISE_BLOCK = 64
 PAIR_OVERLAP_TOL = 1e-9
 # Slack on the proximity and range-and-bearing cut-offs, far above their
 # rounding error.
@@ -145,16 +146,12 @@ def _recorded(fields) -> list:
     return [name for name in LOG_FIELDS if name == "poses" or name in fields]
 
 
-def trial_bytes(env: EnvironmentSpec, faults, n_cycles: int, fields) -> int:
+def trial_bytes(env: EnvironmentSpec, n_cycles: int, fields) -> int:
     """Bytes that one trial holds in a `run_trials` call recording `fields`:
-    its log, 8 bytes per recorded value of each robot-cycle; its fault
-    noise, which `_compile_faults` draws for every cycle up front (8 bytes
-    for each of N_FRONT_PROXIMITY values per PRAND robot and 2 per ROFS
-    robot); and CYCLE_BYTES_PER_ROBOT per robot of cycle arrays."""
+    its log, 8 bytes per recorded value of each robot-cycle, and
+    CYCLE_BYTES_PER_ROBOT per robot of cycle arrays; fault noise is not charged."""
     per_robot = sum(8 * int(np.prod(LOG_FIELDS[name])) for name in _recorded(fields))
-    codes = [int(f) for f in faults] if faults is not None else []
-    noise = N_FRONT_PROXIMITY * codes.count(FaultType.PRAND) + 2 * codes.count(FaultType.ROFS)
-    return n_cycles * (env.n_robots * per_robot + 8 * noise) + env.n_robots * CYCLE_BYTES_PER_ROBOT
+    return env.n_robots * (n_cycles * per_robot + CYCLE_BYTES_PER_ROBOT)
 
 
 def wrap_angle(theta):
@@ -312,16 +309,11 @@ def _ray_circle_t(oc, dirs, radius):
     return np.where((disc >= 0.0) & (t > 1e-12), t, np.inf)
 
 
-def pairwise_offsets(poses) -> np.ndarray:
-    """(..., N, N, 2) world-frame offsets: entry [i, j] is robot j's position minus robot i's."""
-    poses = np.asarray(poses, dtype=float)
-    return poses[..., None, :, :2] - poses[..., :, None, :2]
-
-
 def pair_distances(poses) -> np.ndarray:
-    """(..., N, N) robot-to-robot distances, the lengths of `pairwise_offsets(poses)`,
-    with inf on the diagonal."""
-    rel = pairwise_offsets(poses)
+    """(..., N, N) robot-to-robot distances, with inf on the diagonal: entry
+    [i, j] is the length of robot j's position minus robot i's."""
+    poses = np.asarray(poses, dtype=float)
+    rel = poses[..., None, :, :2] - poses[..., :, None, :2]
     dist = np.hypot(rel[..., 0], rel[..., 1])
     idx = np.arange(dist.shape[-1])
     dist[..., idx, idx] = np.inf
@@ -410,9 +402,9 @@ def rab_activations(neighbor_rel, observer, rab_range) -> np.ndarray:
 @dataclass
 class _FaultPlan:
     """The fault assignments of a flat batch: (R,) robot masks, actuator
-    scales, and every cycle's PRAND/ROFS noise drawn up front, one (T, W)
-    column block per trial. Nothing in it depends on which pairs a cycle
-    reads; `sense` applies it to its own rows."""
+    scales, and the draws of each cycle's noise row (see `_noise_rows`).
+    Nothing in it depends on which pairs a cycle reads; `sense` applies it
+    to its own rows."""
 
     pmin: np.ndarray
     pmax: np.ndarray
@@ -420,20 +412,19 @@ class _FaultPlan:
     rofs: np.ndarray
     any_prox: bool
     actuator_scale: np.ndarray  # (R, 2), 1.0 for a working wheel
-    noise: np.ndarray  # (T, W): the noise of cycle t is row t
+    draws: list  # (generator, low, high) of each trial with noise, in trial order
     prand_cols: np.ndarray  # (PRAND robots, 5) noise columns, robots in (trial, index) order
     radius_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset radii
     angle_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset angles
 
 
-def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) -> _FaultPlan:
+def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs) -> _FaultPlan:
     """Plan of the (R,) fault assignment `fault_arr`; trial b's noise comes from `rngs[b]`.
 
-    Each trial draws, per cycle, 5 values per PRAND robot (ascending robot
-    index), then one offset radius per ROFS robot, then one offset angle per
-    ROFS robot. Drawing all cycles as one block of `Generator.uniform` calls
-    with per-column bounds consumes the stream in that same order, and each
-    value goes through the same low + (high - low) * u as a per-cycle draw.
+    A trial's columns of a cycle's noise row follow those of the trials
+    before it: 5 per PRAND robot (ascending robot index, kind 0), then one
+    offset radius per ROFS robot (kind 1), then one offset angle per ROFS
+    robot (kind 2); its `draws` entry holds each column's bounds.
     """
     prand = fault_arr == int(FaultType.PRAND)
     rofs = fault_arr == int(FaultType.ROFS)
@@ -443,22 +434,18 @@ def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) 
     scale[fault_arr == int(FaultType.LW_H), 0] = 0.5
     scale[fault_arr == int(FaultType.RW_H), 1] = 0.5
     scale[fault_arr == int(FaultType.BW_H), :] = 0.5
-    blocks, prand_cols, radius_cols, angle_cols = [], [], [], []
-    width = 0
+    low, high = np.array([[0.0, 0.75, -np.pi], [1.0, 1.0, np.pi]])
+    draws, kinds = [], []
     for rng, n_prand, n_rofs in zip(
         rngs,
         np.bincount(swarms.trial[prand], minlength=len(rngs)),
         np.bincount(swarms.trial[rofs], minlength=len(rngs)),
     ):
-        counts = [N_FRONT_PROXIMITY * n_prand, n_rofs, n_rofs]
-        low = np.repeat([0.0, 0.75, -np.pi], counts)
-        high = np.repeat([1.0, 1.0, np.pi], counts)
-        if len(low):
-            blocks.append(rng.uniform(low, high, size=(n_cycles, len(low))))
-        prand_cols.append(width + np.arange(counts[0]).reshape(n_prand, N_FRONT_PROXIMITY))
-        radius_cols.append(width + counts[0] + np.arange(n_rofs))
-        angle_cols.append(width + counts[0] + n_rofs + np.arange(n_rofs))
-        width += len(low)
+        kind = np.repeat([0, 1, 2], [N_FRONT_PROXIMITY * n_prand, n_rofs, n_rofs])
+        if len(kind):
+            draws.append((rng, low[kind], high[kind]))
+        kinds.append(kind)
+    kind = np.concatenate(kinds)
     return _FaultPlan(
         pmin=pmin,
         pmax=pmax,
@@ -466,11 +453,22 @@ def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs, n_cycles: int) 
         rofs=rofs,
         any_prox=bool(pmin.any() or pmax.any() or prand.any()),
         actuator_scale=scale,
-        noise=np.concatenate(blocks, axis=1) if blocks else np.empty((n_cycles, 0)),
-        prand_cols=np.concatenate(prand_cols),
-        radius_cols=np.concatenate(radius_cols),
-        angle_cols=np.concatenate(angle_cols),
+        draws=draws,
+        prand_cols=np.flatnonzero(kind == 0).reshape(-1, N_FRONT_PROXIMITY),
+        radius_cols=np.flatnonzero(kind == 1),
+        angle_cols=np.flatnonzero(kind == 2),
     )
+
+
+def _noise_rows(plan: _FaultPlan, n_cycles: int):
+    """Yield the noise row of each of `n_cycles` cycles, drawn in blocks of
+    NOISE_BLOCK cycles: one `uniform(low, high, size=(m, W))` per trial of
+    `plan.draws`, which consumes its stream in the order, and with the
+    arithmetic, of one draw per cycle, so the rows do not depend on m."""
+    for start in range(0, n_cycles, NOISE_BLOCK):
+        m = min(NOISE_BLOCK, n_cycles - start)
+        blocks = [rng.uniform(low, high, size=(m, len(low))) for rng, low, high in plan.draws]
+        yield from np.concatenate([np.empty((m, 0)), *blocks], axis=1)
 
 
 def _both_ways(xy, i, j):
@@ -483,7 +481,7 @@ def _both_ways(xy, i, j):
 
 def sense(poses, obstacles, swarms: Swarms, plan: _FaultPlan, noise):
     """One cycle's faulted (proximity, rab) readings of the robots (R, 3) of
-    a flat batch, (R, 7) and (R, 8); `noise` is the cycle's row of `plan.noise`.
+    a flat batch, (R, 7) and (R, 8); `noise` is the cycle's `_noise_rows` row.
 
     Each pair i < j has its squared distance tested once per sensor, which
     reads it both ways only within its threshold: proximity_range + 2
@@ -708,14 +706,15 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
     stacked matmul of (trials, n, ...) arrays, so each trial's products have
     the shapes they have alone, and it logs into one array per field, so a
     trial's log arrays are contiguous (T, n, ...) views. Each trial keeps
-    its own RNG (its placement, then its fault noise), controller state and
-    collision passes, so its log is a deterministic function of its own
-    arguments: bit-identical alone or in any batch, whatever fields are
-    recorded (a field left out is None and costs no memory; `trial_bytes`
-    counts what a trial holds). A trial whose (env,
-    seed) pair came earlier in the call copies that trial's obstacles and
-    poses and gets a new generator set to its post-placement state, instead
-    of placing again; the copies live only as long as the call.
+    its own RNG (its placement, then its fault noise, drawn NOISE_BLOCK
+    cycles at a time by `_noise_rows`), controller state and collision
+    passes, so its log is a deterministic function of its own arguments:
+    bit-identical alone or in any batch, whatever fields are recorded (a
+    field left out is None and costs no memory; `trial_bytes` counts what a
+    trial holds). A trial whose (env, seed) pair came earlier in the call
+    copies that trial's obstacles and poses and gets a new generator set to
+    its post-placement state, instead of placing again; the copies live only
+    as long as the call.
 
     Raises PlacementError for the first trial that cannot be placed. An empty
     batch, argument lists of different lengths, a fault assignment whose
@@ -757,7 +756,7 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
             obstacles[box_rows], poses[rows] = place_entities(rng, env)
             placed[key] = (obstacles[box_rows], poses[rows], rng.bit_generator.state)
         rngs.append(rng)
-    plan = _compile_faults(fault_arr, swarms, rngs, n_cycles)
+    plan = _compile_faults(fault_arr, swarms, rngs)
 
     # Each run of consecutive trials of one swarm size holds its controllers'
     # (trials, n, ...) inputs and state, and one (trials, T, n, ...) log array
@@ -775,8 +774,8 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
         first += count
     outputs = np.empty((len(swarms.trial), N_OUTPUTS))
 
-    for t in range(n_cycles):
-        prox, rab = sense(poses, obstacles, swarms, plan, plan.noise[t])
+    for t, noise in enumerate(_noise_rows(plan, n_cycles)):
+        prox, rab = sense(poses, obstacles, swarms, plan, noise)
 
         for run in runs:
             rows, _, net, state, inputs, _ = run

@@ -140,8 +140,8 @@ def _cut_batches(jobs, members, n_cycles, fields) -> list:
     """
     batches, load = [[]], 0
     for index in sorted(members, key=lambda index: jobs[index][1].n_robots):
-        _, env, _, faults, seeds, _, _ = jobs[index]
-        cost = trial_bytes(env, faults, n_cycles, fields)
+        _, env, _, _, seeds, _, _ = jobs[index]
+        cost = trial_bytes(env, n_cycles, fields)
         for seed in seeds:
             if batches[-1] and load + cost > TRIAL_BATCH_BYTES:
                 batches.append([])

@@ -32,11 +32,14 @@ from qdswarm.genome import CompiledNetwork, Connection, Genome, random_genome
 from qdswarm.recovery import sample_combined_fault
 from qdswarm.sim import LOG_FIELDS as SIM_LOG_FIELDS
 from qdswarm.sim import (
+    CONTROL_DT,
     MAX_RESOLUTION_PASSES,
+    NOISE_BLOCK,
     FaultType,
     PlacementError,
     TrialLog,
     _compile_faults,
+    _noise_rows,
     place_entities,
     rab_activations,
     resolve_collisions,
@@ -320,6 +323,25 @@ def test_run_trial_is_a_batch_of_one():
     assert_logs_identical(alone, oracles.run_trial(NORMAL_ENV, GENOMES[3], faults, 4, 2.0))
 
 
+def test_fault_noise_keeps_its_bits_across_noise_blocks():
+    """Over two whole noise blocks and a short one, a combined-fault trial
+    with PRAND and ROFS robots, a ROFS-only trial with boxes and a
+    fault-free trial keep the oracle's per-cycle draws bit for bit: each
+    block continues its trial's stream, cycle by cycle."""
+    n_cycles = 2 * NOISE_BLOCK + 22
+    duration = n_cycles * CONTROL_DT
+    combined = [FaultType(i % N_FAULT_TYPES) for i in range(10)]  # PRAND robot 2, ROFS robot 6
+    boxes = EnvironmentSpec(max_linear_speed=0.20, n_robots=5, arena_side=2.0, n_obstacles=2)
+    envs = [NORMAL_ENV, boxes, NORMAL_ENV]
+    genomes = [GENOMES[3], GENOMES[4], GENOMES[2]]
+    faults = [combined, [FaultType.ROFS] * 5, None]
+    seeds = [8, 9, 10]
+    logs = run_trials(envs, genomes, faults, seeds, duration)
+    for env, genome, fault, seed, log in zip(envs, genomes, faults, seeds, logs):
+        assert log.n_cycles == n_cycles
+        assert_logs_identical(log, oracles.run_trial(env, genome, fault, seed, duration))
+
+
 @pytest.mark.parametrize(
     "envs, seeds, message",
     [
@@ -393,8 +415,8 @@ def _sense_against_oracle(poses, envs, fault_arr, seeds):
     (trial, index) order, obstacle-free, and draw their noise from `seeds[b]`."""
     swarms = swarm_layout(envs)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    plan = _compile_faults(fault_arr, swarms, rngs, 1)
-    got = sense(poses, np.empty((0, 2)), swarms, plan, plan.noise[0])
+    plan = _compile_faults(fault_arr, swarms, rngs)
+    got = sense(poses, np.empty((0, 2)), swarms, plan, next(_noise_rows(plan, 1)))
     want = []
     for env, seed, lo, hi in zip(envs, seeds, swarms.bounds, swarms.bounds[1:]):
         body = oracles.RobotBody.from_env(env)
@@ -417,8 +439,8 @@ def test_rofs_offsets_move_neighbours_across_the_range():
     env = EnvironmentSpec(n_robots=6, rab_range=RAB_RANGE)
     fault_arr = np.full(6, int(FaultType.NONE))
     fault_arr[[0, 3]] = FaultType.ROFS
-    plan = _compile_faults(fault_arr, swarm_layout([env]), [np.random.default_rng(5)], 1)
-    theta = plan.noise[0][plan.angle_cols]
+    plan = _compile_faults(fault_arr, swarm_layout([env]), [np.random.default_rng(5)])
+    theta = next(_noise_rows(plan, 1))[plan.angle_cols]
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     poses = np.zeros((6, 3))
     for robot, centre, u, beyond in ((0, 1.0, unit[0], 1.01), (3, 3.0, unit[1], 1.5)):
@@ -572,12 +594,6 @@ def _job(env=NORMAL_ENV, genome=GENOMES[1], faults=None, seeds=(3, 4), duration=
     return (task, env, genome, faults, list(seeds), duration, kind)
 
 
-def _noise_columns(fault) -> int:
-    """Fault-noise values a trial draws per cycle: 5 per PRAND robot, 2 per ROFS robot."""
-    fault = [] if fault is None else list(fault)
-    return 5 * fault.count(FaultType.PRAND) + 2 * fault.count(FaultType.ROFS)
-
-
 def mixed_jobs():
     combined = [FaultType(i % N_FAULT_TYPES) for i in range(10)]
     small = EnvironmentSpec(n_robots=5, arena_side=2.0, n_obstacles=2)
@@ -657,8 +673,7 @@ def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
         logs = run_trials(envs, genomes, faults, seeds, duration, fields)
         calls.append([(env.n_robots, log.n_cycles) for env, log in zip(envs, logs)])
         arrays = [getattr(log, name) for log in logs for name in LOG_FIELDS[:-1]]
-        noise = [8 * log.n_cycles * _noise_columns(fault) for log, fault in zip(logs, faults)]
-        held.append(sum(array.nbytes for array in arrays if array is not None) + sum(noise))
+        held.append(sum(array.nbytes for array in arrays if array is not None))
         previous[:] = [weakref.ref(log.poses.base) for log in logs]
         return logs
 
@@ -803,19 +818,18 @@ def _stub_batches(monkeypatch, jobs):
 
 
 def _held(trials, n_cycles, per_robot):
-    """Bytes of logs of `per_robot` bytes per robot-cycle, of fault noise,
-    and of 4,096 bytes of cycle arrays per robot."""
-    return sum(
-        n_cycles * (env.n_robots * per_robot + 8 * _noise_columns(fault)) + env.n_robots * 4096
-        for env, fault in trials
-    )
+    """Bytes of logs of `per_robot` bytes per robot-cycle and of 4,096 bytes
+    of cycle arrays per robot, over (env, fault) trials."""
+    return sum(env.n_robots * (n_cycles * per_robot + 4096) for env, _ in trials)
 
 
 def test_desk_faults_pass_batches_by_the_bytes_of_poses(monkeypatch):
     """A desk faults pass (evolved aggregation elites under one sampled
     combined fault, 10 trials of 2,000 cycles each in the normal
-    environment) logs poses alone, so a batch holds 44 trials where a full
-    log held 8, and no call holds more than TRIAL_BATCH_BYTES."""
+    environment) logs poses alone, so a batch holds 54 trials where a full
+    log held 8, and no call holds more than TRIAL_BATCH_BYTES. Its fault
+    noise is drawn a block of cycles at a time, so it batches like a
+    fault-free pass."""
     rng = np.random.default_rng(3)
     fault = sample_combined_fault(rng, NORMAL_ENV.n_robots)
     while not list(fault).count(FaultType.PRAND) == 1 == list(fault).count(FaultType.ROFS):
@@ -826,7 +840,7 @@ def test_desk_faults_pass_batches_by_the_bytes_of_poses(monkeypatch):
     per_trial = _held([(NORMAL_ENV, fault)], 2000, 24)
     sizes = [len(trials) for trials, _ in calls]
     assert sizes[:-1] == [tasks.TRIAL_BATCH_BYTES // per_trial] * (len(calls) - 1)
-    assert sizes[0] == 44 and sum(sizes) == 120
+    assert sizes[0] == 54 and sum(sizes) == 120
     assert all(fields == {"poses"} for _, fields in calls)
     assert all(_held(trials, 2000, 24) <= tasks.TRIAL_BATCH_BYTES for trials, _ in calls)
 

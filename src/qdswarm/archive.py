@@ -11,6 +11,17 @@ lookup returns the full scan's argmin of squared distances, bit for bit, by
 screening the centroids with one matrix-vector product and ranking only the
 few within a proven rounding bound of the best; the Lloyd cluster sums carry
 the bits of `np.add.reduceat` over the sorted rows.
+
+A Lloyd assignment returns the argmin of the float64 chunk product
+`norms - 2 points @ centroids.T`, bit for bit, on whatever BLAS kernel runs
+it, while scoring each chunk in float32 at half the bytes. One bound,
+`_score_error`, covers the rounding of a score in either precision. A
+point whose best float32 score beats the rest by more than the two bounds
+takes it; the few within them rank their candidates by float64 distance.
+A chunk with a tie within the float64 bounds, a non-finite value, or
+values that could overflow float32 is scored again by the float64 product
+itself, so exact ties, duplicated centroids and midpoints keep its
+lowest-index tie-break.
 """
 
 import csv
@@ -31,6 +42,8 @@ ASSIGN_CHUNK = 2048  # seed points per nearest-centroid block
 SHORT_SEGMENT = 8  # largest Lloyd cluster whose sum is added rank by rank
 SUM_BLOCK = 1 << 16  # values per block of the Lloyd sums, norms and shifts
 CVT_TOL = 1e-6  # Lloyd stops once no centroid moves this far
+FLOAT64_ROUNDING = (2.0**-53, 2.0**-1073)  # (unit, tiny) of `_score_error`
+FLOAT32_ROUNDING = (2.0**-24, 2.0**-125)
 TABLE_BLOCK = 512  # table rows formatted per block
 
 
@@ -148,26 +161,38 @@ def nearest_centroid(descriptor, centroids, norms=None) -> int:
     scores = c @ d
     scores *= -2.0
     scores += norms
-    # Screen slack. With u = 2^-53 and g_m = m u / (1 - m u), a float sum of
-    # m products is within g_m sum|x_i y_i| of exact, in any summation order
-    # and with or without FMA. Let n = len(d), M the largest centroid norm
-    # and R = M + |d|. A computed score is then within g_(n+1) R^2 of
-    # |c_i - d|^2 - |d|^2 (norm and product carry g_n each, the subtraction
-    # one u), and a full-scan distance is within g_(n+2) R^2 of |c_i - d|^2
-    # (difference, square, then the sum). So every full-scan minimiser
-    # scores within 2 (g_(n+1) + g_(n+2)) R^2 < 4 g_(n+3) R^2 of the best
-    # score. The spare g covers the rounding of M, |d| and the threshold, and
-    # 4 (n + 3) 2^-1074 covers underflow. A NaN score makes the threshold NaN
-    # and leaves no candidate, so the full scan ranks them all.
-    n = len(d)
-    gamma = (n + 3) * 2.0**-53 / (1.0 - (n + 3) * 2.0**-53)
+    # A computed score and a full-scan distance each err by at most
+    # `_score_error` (their exact values differ by |d|^2 alone), so every
+    # full-scan minimiser scores within twice their sum of the best score.
+    # A NaN score makes the threshold NaN and leaves no candidate, so the
+    # full scan ranks them all.
     reach = np.sqrt(norms.max()) + np.sqrt(d @ d)
-    slack = 4.0 * gamma * reach * reach + 4.0 * (n + 3) * 2.0**-1074
+    slack = 4.0 * _score_error(len(d), reach, *FLOAT64_ROUNDING)
     cand = np.flatnonzero(scores <= scores.min() + slack)
     if not cand.size:
         cand = np.arange(len(c))
     dist = ((c[cand] - d) ** 2).sum(axis=1)
     return int(cand[np.argmin(dist)])
+
+
+def _score_error(dim: int, reach, unit: float, tiny: float):
+    """A bound on the rounding error of a score `|c|^2 - 2 c @ x`, and of a
+    squared distance `((c - x) ** 2).sum()`, worked out in a float format of
+    unit roundoff `unit` over `dim` coordinates; `reach` bounds |x| + |c|,
+    one value or one per point.
+
+    With g_m = m unit / (1 - m unit), a float sum of m products is within
+    g_m sum|x_i y_i| of exact, in any summation order and with or without
+    FMA. A score's product and norm then carry g_dim reach^2 together and
+    their sum one unit more; a distance's difference, square and sum carry
+    g_(dim+2) reach^2. The bound is g_(dim+4) reach^2, whose spare covers
+    the rounding of the reach and of the bound itself, and in float32 the
+    conversion of x and c (see `_Float32Screen`). Underflow adds at most
+    `tiny` per coordinate: 2^-1073 in float64, where it is gradual, and
+    2^-125 in float32, where a product and a sum may each flush to zero.
+    """
+    n = dim + 4
+    return n * unit / (1.0 - n * unit) * reach * reach + n * tiny
 
 
 def _row_blocks(n: int, size: int):
@@ -206,21 +231,117 @@ def sample_simplex_blocks(rng, count: int, dim: int) -> np.ndarray:
 
 
 def _assign(points, centroids) -> np.ndarray:
-    """Nearest-centroid labels, ASSIGN_CHUNK points at a time into one
-    reused score block."""
+    """Nearest-centroid labels, ASSIGN_CHUNK points at a time: the bits of
+    `_assign_exact`, the argmin of the float64 scores `norms - 2 points @
+    centroids.T` with ties to the lowest index.
+
+    Each chunk is screened in float32 first (`_Float32Screen`), in half the
+    bytes and about half the time of the float64 product. A chunk whose
+    labels the screen cannot prove goes to `_assign_exact` whole, after the
+    screen's buffers are freed, so that no chunk holds more than one score
+    block.
+    """
     norms = _squared_norms(centroids)
     labels = np.empty(len(points), dtype=np.int64)
-    scores = np.empty((min(ASSIGN_CHUNK, len(points)), len(centroids)))
+    screen = None
     for rows in _row_blocks(len(points), ASSIGN_CHUNK):
-        block = points[rows]
-        out = scores[: len(block)]
-        # in place; equal to norms - 2.0 * (block @ centroids.T) bit for bit:
-        # scaling by -2 is exact, and (-b) + a is a - b in IEEE arithmetic
-        np.matmul(block, centroids.T, out=out)
-        out *= -2.0
-        out += norms
-        np.argmin(out, axis=1, out=labels[rows])
+        screen = screen or _Float32Screen(centroids, norms, min(ASSIGN_CHUNK, len(points)))
+        if screen.assign(points[rows], labels[rows]) is None:
+            screen = None
+            _assign_exact(points[rows], centroids, norms, labels[rows])
     return labels
+
+
+def _assign_exact(block, centroids, norms, out) -> None:
+    """Write to `out` the argmin of each row of the float64 score block
+    `norms - 2.0 * (block @ centroids.T)`."""
+    scores = np.empty((len(block), len(centroids)))
+    # in place; equal to norms - 2.0 * (block @ centroids.T) bit for bit:
+    # scaling by -2 is exact, and (-b) + a is a - b in IEEE arithmetic
+    np.matmul(block, centroids.T, out=scores)
+    scores *= -2.0
+    scores += norms
+    np.argmin(scores, axis=1, out=out)
+
+
+class _Float32Screen:
+    """The float32 pass of `_assign` over one set of centroids, with its
+    reused buffers: the centroids times -2 and their squared norms in
+    float32, a block of points and a (chunk, k) score block.
+
+    A float32 score errs from the exact `|c|^2 - 2 c @ x` by at most the
+    float32 `_score_error` over the reach |x| + max|c| + 2 sqrt(dim) 2^-102:
+    converting a coordinate v to float32 moves it by at most 2^-24 max(|v|,
+    2^-102), so x and c move by at most 2^-24 times their norm plus
+    sqrt(dim) 2^-102, and the scaling by -2 is exact. The float64 score of
+    `_assign_exact` errs by at most the float64 bound. A row whose best
+    float32 score beats its second best by more than twice the two bounds
+    (its margin) therefore has the float64 argmin as its float32 argmin.
+    The other rows rank the centroids scoring within the margin of their
+    best by float64 distance, and take the nearest when it beats the rest
+    by more than four float64 bounds.
+    """
+
+    def __init__(self, centroids, norms, rows: int):
+        k, dim = centroids.shape
+        self.centroids = centroids
+        self.largest = np.sqrt(norms.max())
+        self.scaled = np.multiply(centroids, -2.0, dtype=np.float32)
+        self.norms = norms.astype(np.float32)
+        # points are converted a quarter of the score block's bytes at a time, at most
+        self.points = np.empty((min(rows, max(1, rows * k // (4 * dim))), dim), np.float32)
+        self.scores = np.empty((rows, k), np.float32)
+
+    def assign(self, block, out):
+        """Write the labels of `block` to `out` and return the rows ranked in
+        float64, or return None when a label is not proven: a tie within the
+        float64 bounds, a non-finite value, or a reach of 2^63 or more, at
+        which a float32 score could overflow."""
+        m, dim = block.shape
+        k = len(self.centroids)
+        reach = np.sqrt(_squared_norms(block)) + self.largest
+        if not reach.max() < 2.0**63:
+            return None
+        scores = self.scores[:m]
+        for part in _row_blocks(m, len(self.points)):
+            points = self.points[: len(block[part])]
+            np.copyto(points, block[part])
+            np.matmul(points, self.scaled.T, out=scores[part])
+        scores += self.norms
+        # each row's best and second best score, through the block in place
+        rows = np.arange(m)
+        best = np.argmin(scores, axis=1)
+        low = scores[rows, best]
+        scores[rows, best] = np.inf
+        gap = scores.min(axis=1) - low.astype(float)
+        scores[rows, best] = low
+        exact = _score_error(dim, reach, *FLOAT64_ROUNDING)
+        reach32 = reach + 2.0 * np.sqrt(dim) * 2.0**-102
+        margin = 2.0 * (_score_error(dim, reach32, *FLOAT32_ROUNDING) + exact)
+        out[:] = best
+        band = np.flatnonzero(~(gap > margin))
+        if not band.size:
+            return band
+        # the band's candidates (their float32 scores and mask, then their
+        # float64 differences) take at most the score block's bytes again,
+        # or 2 SUM_BLOCK float64 values
+        if 5 * len(band) > 4 * m:
+            return None
+        owner, cols = np.nonzero(scores[band] <= (low[band] + margin[band])[:, None])
+        if len(cols) * dim > max(m * k // 4, SUM_BLOCK):
+            return None
+        diff = np.take(self.centroids, cols, axis=0)
+        diff -= np.take(block, band[owner], axis=0)
+        diff *= diff
+        dist = diff.sum(axis=1)
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        nearest = np.minimum.reduceat(dist, starts)
+        at_min = dist == np.repeat(nearest, np.diff(starts, append=len(dist)))
+        runner_up = np.minimum.reduceat(np.where(at_min, np.inf, dist), starts)
+        if at_min.sum() > len(band) or not (runner_up - nearest > 4.0 * exact[band]).all():
+            return None
+        out[band] = cols[at_min]
+        return band
 
 
 def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +409,9 @@ def generate_cvt_centroids(
     With `simplex_blocks`, seeds are drawn per SIMPLEX_BLOCK values uniformly on
     the probability simplex, so centroids inherit unit block sums. Iteration
     stops when the largest centroid shift falls below CVT_TOL. Besides the
-    cloud, a build holds one (ASSIGN_CHUNK, k) score block and two (k, dim)
-    arrays at a time.
+    cloud, a build holds one (ASSIGN_CHUNK, k) score block, in float32 but
+    for a chunk that falls back to float64, and two (k, dim) arrays at a
+    time, with a float32 copy of the centroids while it assigns.
     """
     if n_seeds < k:
         raise ValueError(f"need at least k={k} seed points, got {n_seeds}")

@@ -462,13 +462,19 @@ def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs) -> _FaultPlan:
 
 def _noise_rows(plan: _FaultPlan, n_cycles: int):
     """Yield the noise row of each of `n_cycles` cycles, drawn in blocks of
-    NOISE_BLOCK cycles: one `uniform(low, high, size=(m, W))` per trial of
-    `plan.draws`, which consumes its stream in the order, and with the
-    arithmetic, of one draw per cycle, so the rows do not depend on m."""
+    NOISE_BLOCK cycles into one reused buffer: one `uniform(low, high,
+    size=(m, w))` per trial of `plan.draws`, copied into its w columns,
+    which consumes its stream in the order, and with the arithmetic, of one
+    draw per cycle, so the rows do not depend on m. A row is a view of the
+    buffer, valid until the next row is drawn."""
+    block = np.empty((min(NOISE_BLOCK, n_cycles), sum(len(low) for _, low, _ in plan.draws)))
     for start in range(0, n_cycles, NOISE_BLOCK):
         m = min(NOISE_BLOCK, n_cycles - start)
-        blocks = [rng.uniform(low, high, size=(m, len(low))) for rng, low, high in plan.draws]
-        yield from np.concatenate([np.empty((m, 0)), *blocks], axis=1)
+        col = 0
+        for rng, low, high in plan.draws:
+            block[:m, col : col + len(low)] = rng.uniform(low, high, size=(m, len(low)))
+            col += len(low)
+        yield from block[:m]
 
 
 def _both_ways(xy, i, j):

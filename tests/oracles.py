@@ -8,9 +8,10 @@ reproduce its logs bit for bit (sign of zeros included), whatever the batch
 a trial runs in; `place_entities` is the reference for
 `qdswarm.sim.place_entities`.
 
-At the end, `nearest_centroid` and `label_means` are the CVT archive's
-original full-scan lookup and reduceat cluster sums, which the screened
-lookup and the rank-by-rank sums in `qdswarm.archive` must match bit for bit.
+At the end, `nearest_centroid`, `assign` and `label_means` are the CVT
+archive's original full-scan lookup, float64 Lloyd assignment and reduceat
+cluster sums, which the screened lookup, the float32-screened assignment and
+the rank-by-rank sums in `qdswarm.archive` must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -354,6 +355,18 @@ def nearest_centroid(descriptor, centroids) -> int:
     c = np.asarray(centroids, dtype=float)
     dist = ((c - d[None, :]) ** 2).sum(axis=1)
     return int(np.argmin(dist))
+
+
+def assign(points, centroids, chunk=2048) -> np.ndarray:
+    """Nearest-centroid labels of a Lloyd iteration: per `chunk` of points,
+    the argmin of the float64 scores `norms - 2 points @ centroids.T`; ties
+    go to the lowest index."""
+    norms = (centroids**2).sum(axis=1)
+    labels = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), chunk):
+        scores = norms - 2.0 * (points[start : start + chunk] @ centroids.T)
+        labels[start : start + chunk] = np.argmin(scores, axis=1)
+    return labels
 
 
 def label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import qdswarm.archive as archive_module
 from qdswarm.archive import (
     ASSIGN_CHUNK,
     TABLE_BLOCK,
     Archive,
     Elite,
+    _assign,
+    _Float32Screen,
     _label_means,
+    _squared_norms,
     generate_cvt_centroids,
     hbd_bins,
     load_archive,
@@ -89,6 +93,19 @@ class TestCvtMemory:
         tracemalloc.start()
         try:
             generate_cvt_centroids(k, dim, n_seeds, seed=3, simplex_blocks=True, max_iter=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * bound
+
+    def test_sdbc_peak_counts_a_float32_score_block(self):
+        """An sdbc-shaped build, whose peak is its score block: the bound
+        counts that block at 4 bytes a score, which a float64 block breaks."""
+        k, dim, n_seeds = 4096, 10, 2 * ASSIGN_CHUNK + 500
+        bound = 8 * (n_seeds * dim + 2 * k * dim) + 4 * min(ASSIGN_CHUNK, n_seeds) * k
+        tracemalloc.start()
+        try:
+            generate_cvt_centroids(k, dim, n_seeds, seed=3, max_iter=4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -226,6 +243,110 @@ class TestScreenedLookup:
         query = np.array([1.0, bad])
         with np.errstate(invalid="ignore"):
             assert nearest_centroid(query, centroids) == oracles.nearest_centroid(query, centroids)
+
+
+@st.composite
+def assignments(draw):
+    """A cloud and a centroid set for one Lloyd assignment: 1024-d
+    simplex-block points as in the spirit archive or 10-d uniform ones, where
+    some points may be exact hits on centroids, midpoints of two, or moved
+    from a midpoint towards one by 1e-9 to 1e-5 of their distance (a near
+    tie that float32 often cannot resolve and float64 can), and some
+    centroid rows duplicated; every coordinate is scaled by 1e-3, 1 or 1e3.
+    Some clouds run past one ASSIGN_CHUNK into a partial chunk."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([10, 1024]))
+    count = draw(st.one_of(st.integers(1, 120), st.integers(ASSIGN_CHUNK + 1, ASSIGN_CHUNK + 120)))
+
+    def cloud(n):
+        return sample_simplex_blocks(rng, n, dim) if dim == 1024 else rng.random((n, dim))
+
+    centroids = cloud(draw(st.integers(1, 64)))
+    if draw(st.booleans()):
+        copies = rng.integers(0, len(centroids), size=draw(st.integers(1, 8)))
+        slots = rng.integers(0, len(centroids) + 1, size=copies.size)
+        centroids = np.insert(centroids, slots, centroids[copies], axis=0)
+    points = cloud(count)
+    mix = draw(st.sampled_from([(1, 0, 0, 0), (0.8, 0.1, 0, 0.1), (0.4, 0.2, 0.2, 0.2)]))
+    kind = rng.choice(4, size=count, p=mix)
+    i, j = rng.integers(0, len(centroids), size=(2, count))
+    points[kind == 1] = centroids[i[kind == 1]]
+    points[kind >= 2] = (centroids[i[kind >= 2]] + centroids[j[kind >= 2]]) / 2.0
+    moved = kind == 3
+    step = rng.choice([-1.0, 1.0], size=moved.sum()) * 10.0 ** rng.uniform(-9, -5, size=moved.sum())
+    points[moved] += step[:, None] * (centroids[j[moved]] - centroids[i[moved]])
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return points * scale, centroids * scale
+
+
+def _screen(points, centroids):
+    """The labels and the float64-ranked rows of one float32 screen pass."""
+    labels = np.empty(len(points), dtype=np.int64)
+    band = _Float32Screen(centroids, _squared_norms(centroids), len(points)).assign(points, labels)
+    return labels, band
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Row counts of the chunks that `_assign` hands to the float64 product."""
+    chunks, exact = [], archive_module._assign_exact
+
+    def counted(block, *args):
+        chunks.append(len(block))
+        exact(block, *args)
+
+    monkeypatch.setattr(archive_module, "_assign_exact", counted)
+    return chunks
+
+
+class TestScreenedAssign:
+    """The float32-screened Lloyd assignment against the float64 chunk
+    product, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(assignments())
+    def test_matches_float64_assignment(self, case):
+        points, centroids = case
+        assert _assign(points, centroids).tobytes() == oracles.assign(points, centroids).tobytes()
+
+    @pytest.mark.parametrize("steps, ranked", [(8, True), (11, True), (12, False), (16, False)])
+    def test_rows_within_the_margin_are_ranked_in_float64(self, steps, ranked):
+        """At the origin the scores are the centroids' squared norms, 1, 1 +
+        steps 2^-23 and 2.25, all exact in float32. With reach 1.5 in one
+        dimension the margin is 2 (g_5 (1.5)^2 + ...) in float32, about 11.25
+        float32 steps of 2^-23, so a gap of 11 steps is ranked in float64 and
+        one of 12 is decided in float32. The other points sit on the third
+        centroid, far outside their margin."""
+        centroids = np.array([[1.0], [np.sqrt(1.0 + steps * 2.0**-23)], [-1.5]])
+        points = np.array([[0.0]] + [[-1.5]] * 7)
+        labels, band = _screen(points, centroids)
+        assert band.tolist() == ([0] if ranked else [])
+        assert labels.tolist() == oracles.assign(points, centroids).tolist() == [0] + [2] * 7
+
+    def test_tie_falls_back_to_float64(self, fallbacks):
+        """A point on a duplicated centroid ties exactly, which only the
+        float64 product resolves, to the lower index; the full chunk before
+        it needs no fallback."""
+        rng = np.random.default_rng(8)
+        centroids = rng.random((40, 10))
+        centroids[30] = 5.0  # far from every other point
+        centroids = np.insert(centroids, 5, centroids[30], axis=0)
+        points = rng.random((ASSIGN_CHUNK + 100, 10))
+        points[ASSIGN_CHUNK + 7] = centroids[31]
+        labels = _assign(points, centroids)
+        assert labels.tobytes() == oracles.assign(points, centroids).tobytes()
+        assert labels[ASSIGN_CHUNK + 7] == 5
+        assert fallbacks == [100]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+    def test_non_finite_or_huge_point_falls_back_to_float64(self, fallbacks, bad):
+        rng = np.random.default_rng(9)
+        centroids, points = rng.random((16, 10)), rng.random((50, 10))
+        points[17, 3] = bad
+        with np.errstate(invalid="ignore"):
+            labels = _assign(points, centroids)
+            assert labels.tobytes() == oracles.assign(points, centroids).tobytes()
+        assert fallbacks == [50]
 
 
 @st.composite

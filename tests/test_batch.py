@@ -7,6 +7,7 @@ import gc
 import itertools
 import os
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -340,6 +341,26 @@ def test_fault_noise_keeps_its_bits_across_noise_blocks():
     for env, genome, fault, seed, log in zip(envs, genomes, faults, seeds, logs):
         assert log.n_cycles == n_cycles
         assert_logs_identical(log, oracles.run_trial(env, genome, fault, seed, duration))
+
+
+def test_fault_noise_holds_one_block_and_one_draw():
+    """Drawing the noise of a batch of 54 trials with every robot PRAND, the
+    size of a desk faults batch, holds one NOISE_BLOCK-cycle block and one
+    trial's draw at a time."""
+    envs = [NORMAL_ENV] * 54
+    swarms = swarm_layout(envs)
+    fault_arr = np.full(len(swarms.trial), int(FaultType.PRAND))
+    plan = _compile_faults(fault_arr, swarms, [np.random.default_rng(s) for s in range(54)])
+    widths = [len(low) for _, low, _ in plan.draws]
+    bound = 8 * NOISE_BLOCK * (sum(widths) + max(widths))
+    tracemalloc.start()
+    try:
+        for _ in _noise_rows(plan, 2 * NOISE_BLOCK + 22):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * bound
 
 
 @pytest.mark.parametrize(

@@ -58,13 +58,6 @@ MAX_RESOLUTION_PASSES = 64
 # Bytes of trial logs and cycle arrays one `run_trials` call may hold (see
 # `trial_bytes`): 160,000 robot-cycles of full 176-byte logs.
 TRIAL_BATCH_BYTES = 28_160_000
-# Bytes per robot of the arrays one cycle of a `run_trials` call works on
-# (sensing, fault injection, controllers, collisions). `tracemalloc` read
-# 2.7-3.7 KB per robot beyond logs and noise, for 5-20 robots in batches
-# of 8-64 trials.
-CYCLE_BYTES_PER_ROBOT = 4096
-# Control cycles of fault noise per `Generator.uniform` call (see `_noise_rows`).
-NOISE_BLOCK = 64
 PAIR_OVERLAP_TOL = 1e-9
 # Slack on the proximity and range-and-bearing cut-offs, far above their
 # rounding error.
@@ -75,6 +68,16 @@ CULL_MARGIN = 1e-6
 PROXIMITY_ANGLES = np.radians([-40.0, -20.0, 0.0, 20.0, 40.0, 160.0, -160.0])
 N_PROXIMITY_RAYS = N_PROXIMITY
 N_FRONT_PROXIMITY = 5
+
+# Control cycles of fault noise per `Generator.uniform` call (see `_noise_rows`).
+NOISE_BLOCK = 64
+# Bytes per robot of the arrays a `run_trials` call holds besides its logs:
+# 4,608 for the arrays of a cycle (sensing, fault injection, controllers,
+# collisions) and of the call (the layout, the per-pair cut-offs, the box
+# centres of each robot), where `tracemalloc` read 2.2-3.8 KB per robot for
+# 5-20 robots and 0-6 boxes in batches of 8-64 trials; and the worst case of
+# the noise block, N_FRONT_PROXIMITY values per cycle of a PRAND robot.
+CYCLE_BYTES_PER_ROBOT = 4608 + NOISE_BLOCK * N_FRONT_PROXIMITY * 8
 
 N_RAB_CONES = N_RAB
 RAB_CONE_WIDTH = 2.0 * np.pi / N_RAB_CONES
@@ -165,22 +168,23 @@ def sensor_input_scale(activations):
     return 2.0 * np.asarray(activations, dtype=float) - 1.0
 
 
-def differential_drive_step(poses, commands):
+def differential_drive_step(poses, commands, cos, sin):
     """Integrate one control cycle: translate along the old heading, then turn.
 
-    Poses (..., 3) and wheel speeds `commands` (..., 2) give the moved poses
-    (..., 3), the linear velocities (vl + vr) / 2 and the angular velocities
-    (vr - vl) / AXLE_LENGTH, clamped to MAX_ANGULAR_SPEED, each (...).
+    Poses (..., 3), the cosine and sine (...) of their headings, which a
+    cycle computes once for sensing and driving, and wheel speeds
+    `commands` (..., 2) give the moved poses (..., 3), the linear velocities
+    (vl + vr) / 2 and the angular velocities (vr - vl) / AXLE_LENGTH,
+    clamped to MAX_ANGULAR_SPEED, each (...).
     """
     v = 0.5 * (commands[..., 0] + commands[..., 1])
-    omega = np.clip(
-        (commands[..., 1] - commands[..., 0]) / AXLE_LENGTH,
-        -MAX_ANGULAR_SPEED,
-        MAX_ANGULAR_SPEED,
+    omega = ((commands[..., 1] - commands[..., 0]) / AXLE_LENGTH).clip(
+        -MAX_ANGULAR_SPEED, MAX_ANGULAR_SPEED
     )
     moved = np.empty_like(poses)
-    moved[..., 0] = poses[..., 0] + v * CONTROL_DT * np.cos(poses[..., 2])
-    moved[..., 1] = poses[..., 1] + v * CONTROL_DT * np.sin(poses[..., 2])
+    step = v * CONTROL_DT
+    np.add(poses[..., 0], step * cos, out=moved[..., 0])
+    np.add(poses[..., 1], step * sin, out=moved[..., 1])
     moved[..., 2] = wrap_angle(poses[..., 2] + omega * CONTROL_DT)
     return moved, v, omega
 
@@ -202,7 +206,12 @@ class Swarms:
     trial b's robots are rows `bounds[b]:bounds[b + 1]`; its obstacles are
     rows `box_bounds[b]:box_bounds[b + 1]` of the (K, 2) obstacle array.
     The pairs i < j are the one pair list: collisions walk it, and `sense`
-    reads each pair both ways only where a sensor can see it.
+    reads each pair both ways only where a sensor can see it. The reaches
+    are the cut-offs of proximity sensing, each with CULL_MARGIN: a wall or
+    box counts when its distance from the robot's centre is at most
+    `wall_reach` (proximity_range + ROBOT_RADIUS), a neighbour when its
+    squared centre distance is at most `pair_reach` (proximity_range + 2
+    ROBOT_RADIUS, squared).
     """
 
     trial: np.ndarray  # (R,) each robot's trial
@@ -217,6 +226,11 @@ class Swarms:
     pair_trial: np.ndarray  # (P,)
     box_robot: np.ndarray  # (Q,) each robot with each box of its trial, in (robot, box) order
     box: np.ndarray  # (Q,) obstacle rows
+    wall_reach: np.ndarray  # (R,)
+    wall_far: np.ndarray  # (R,) side - wall_reach
+    box_reach: np.ndarray  # (Q,) wall_reach of each (robot, box) pair
+    pair_reach: np.ndarray  # (P,) squared
+    high: np.ndarray  # (R, 2) side - ROBOT_RADIUS, the largest coordinates of a centre
 
     @property
     def n_trials(self) -> int:
@@ -233,10 +247,14 @@ def swarm_layout(envs) -> Swarms:
     side, speed, rab_range, proximity_range = np.array(
         [(e.arena_side, e.max_linear_speed, e.rab_range, e.proximity_range) for e in envs]
     ).T[:, trial]
-    pair_i, pair_j = (
-        np.concatenate([pair_indices(n)[k] + first for n, first in zip(sizes, bounds)])
-        for k in (0, 1)
-    )
+    first = np.repeat(bounds[:-1], sizes * (sizes - 1) // 2)  # each pair's trial's first robot
+    pair_i, pair_j = (np.concatenate([pair_indices(n)[k] for n in sizes]) + first for k in (0, 1))
+    # each robot's boxes are its trial's, in order
+    boxes = counts[trial]
+    box_robot = np.repeat(np.arange(len(trial)), boxes)
+    rank = np.arange(len(box_robot)) - np.repeat(np.cumsum(boxes) - boxes, boxes)
+    wall_reach = proximity_range + ROBOT_RADIUS + CULL_MARGIN
+    pair_reach = proximity_range + 2 * ROBOT_RADIUS + CULL_MARGIN
     return Swarms(
         trial=trial,
         bounds=bounds,
@@ -248,10 +266,13 @@ def swarm_layout(envs) -> Swarms:
         pair_i=pair_i,
         pair_j=pair_j,
         pair_trial=trial[pair_i],
-        box_robot=np.repeat(np.arange(len(trial)), counts[trial]),
-        box=np.concatenate(
-            [np.tile(np.arange(k) + first, n) for n, k, first in zip(sizes, counts, box_bounds)]
-        ),
+        box_robot=box_robot,
+        box=box_bounds[trial].take(box_robot) + rank,
+        wall_reach=wall_reach,
+        wall_far=side - wall_reach,
+        box_reach=wall_reach[box_robot],
+        pair_reach=(pair_reach * pair_reach)[pair_i],
+        high=np.repeat((side - ROBOT_RADIUS)[:, None], 2, axis=1),
     )
 
 
@@ -264,16 +285,16 @@ def swarm_layout(envs) -> Swarms:
 
 
 def _ray_wall_t(origins, dirs, side):
-    """Distances along rays `dirs` (..., 2) from `origins` to the walls of
-    the [0, side]^2 arena, the nearer of the x and y walls."""
-    # one axis at a time: on (..., 2) arrays the broadcast division and the
-    # min over the last axis took 3x as long for 46 trials (2-core Xeon VM)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx, ty = [
-            np.where(d > 0, (side - o) / d, np.where(d < 0, -o / d, np.inf))
-            for o, d in ((origins[..., k], dirs[..., k]) for k in (0, 1))
-        ]
-    return np.minimum(tx, ty)
+    """Distances along the rays of directions `dirs` (2, 7, C), their x and
+    y components, from the points `origins` (2, 1, C) inside the arenas
+    [0, side]^2, `side` (C,), to their walls, the nearer of the x and y
+    walls. A ray toward the far wall of an axis travels side - o per unit
+    of its direction there, and toward the near wall o per unit of
+    |direction|; -o / d and o / |d| are the same number, and a ray parallel
+    to an axis is inf away along it."""
+    with np.errstate(divide="ignore"):
+        t = np.where(dirs > 0, side - origins, origins) / np.abs(dirs)
+    return np.minimum(t[0], t[1])
 
 
 def _ray_box_t(origins, dirs, centers, half):
@@ -299,11 +320,12 @@ def _ray_box_t(origins, dirs, centers, half):
     return np.where(hit, np.maximum(near, 0.0), np.inf)
 
 
-def _ray_circle_t(oc, dirs, radius):
-    """Entry distances of P bundles of rays (P, R, 2) into one disc each,
-    centred at offset `oc` (P, 2) from the rays' origin; (P, R), inf when missed."""
-    b = oc[:, None, 0] * dirs[..., 0] + oc[:, None, 1] * dirs[..., 1]
-    c = (oc[:, 0] * oc[:, 0] + oc[:, 1] * oc[:, 1] - radius * radius)[:, None]
+def _ray_circle_t(oc, cos, sin, radius):
+    """Entry distances of P bundles of rays of directions (`cos`, `sin`)
+    (7, P), one bundle per column, into one disc each, centred at offset
+    `oc` (P, 2) from the bundle's origin; (7, P), inf when missed."""
+    b = oc[:, 0] * cos + oc[:, 1] * sin
+    c = oc[:, 0] * oc[:, 0] + oc[:, 1] * oc[:, 1] - radius * radius
     disc = b * b - c
     t = b - np.sqrt(np.maximum(disc, 0.0))
     return np.where((disc >= 0.0) & (t > 1e-12), t, np.inf)
@@ -320,56 +342,74 @@ def pair_distances(poses) -> np.ndarray:
     return dist
 
 
-def proximity_activations(poses, obstacles, swarms: Swarms, observer, rel) -> np.ndarray:
+def proximity_activations(poses, boxes, swarms: Swarms, observer, rel) -> np.ndarray:
     """Proximity readings of the robots (R, 3) of a flat batch, (R, 7) activations in [0, 1].
 
-    `obstacles` (K, 2) are the batch's box centres, and row m of `rel`
-    (M, 2) is the world-frame offset of a robot from robot `observer[m]`;
-    `sense` passes the pairs within reach of each other. Activation is
-    1 - d / proximity_range clipped to [0, 1], with d the distance from the
-    body surface (ROBOT_RADIUS from the centre) to the nearest wall,
-    obstacle, or robot along the ray. Only obstacles within reach of a robot
-    are ray-cast: anything farther is more than the range away along every
-    ray, so its reading would clip to 0 whether it is cast or not.
+    `boxes` (Q, 2) holds the box centre of each (robot, box) pair of
+    `swarms`, and row m of `rel` (M, 2) is the world-frame offset of a robot
+    from robot `observer[m]`; `sense` passes the pairs within reach of each
+    other. Activation is 1 - d / proximity_range clipped to [0, 1], with d
+    the distance from the body surface (ROBOT_RADIUS from the centre) to the
+    nearest wall, obstacle, or robot along the ray. Rays are cast only from
+    the robots with a wall or box within `swarms.wall_reach` or an observer
+    row, and only against the boxes within that reach: anything farther is
+    more than the range away along every ray, so its reading would clip to
+    0 whether it is cast or not. Every other robot reads 0.
     """
-    poses = np.asarray(poses, dtype=float)
     xy = poses[:, :2]
-    angles = poses[:, 2:3] + PROXIMITY_ANGLES
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    t = _ray_wall_t(xy[:, None, :], dirs, swarms.side[:, None])
-    if len(swarms.box):
-        half = OBSTACLE_SIDE / 2
-        robot, box = swarms.box_robot, swarms.box
-        centers = np.take(obstacles, box, axis=0)
-        reach = swarms.proximity_range + ROBOT_RADIUS + CULL_MARGIN
-        near = np.flatnonzero(
-            _circle_box_offsets(np.take(xy, robot, axis=0), centers, half)[1] <= reach[robot]
+    x, y = poses[:, 0], poses[:, 1]
+    cast = (np.minimum(x, y) <= swarms.wall_reach) | (np.maximum(x, y) >= swarms.wall_far)
+    robot = swarms.box_robot
+    if len(robot):
+        offsets = _circle_box_offsets(xy.take(robot, axis=0), boxes, OBSTACLE_SIDE / 2)
+        near = (offsets[1] <= swarms.box_reach).nonzero()[0]
+        robot = robot.take(near)
+        cast[robot] = True
+    cast[observer] = True
+    rows = cast.nonzero()[0]
+    # the casters' rays, a row per ray angle and a column per caster, so that
+    # the elementwise passes run along the long axis
+    casters = poses.take(rows, axis=0).T
+    angles = casters[2] + PROXIMITY_ANGLES[:, None]
+    dirs = np.empty((2,) + angles.shape)
+    cos, sin = np.cos(angles, out=dirs[0]), np.sin(angles, out=dirs[1])
+    t = _ray_wall_t(casters[:2, None], dirs, swarms.side.take(rows))
+    column = np.empty(len(xy), dtype=np.intp)  # each caster's column
+    column[rows] = np.arange(len(rows))
+    if len(robot):
+        ray = _rays(column.take(robot), len(rows))
+        hits = _ray_box_t(
+            xy.take(robot, axis=0),
+            np.stack([cos.take(ray), sin.take(ray)], axis=-1),
+            boxes.take(near, axis=0),
+            OBSTACLE_SIDE / 2,
         )
-        if len(near):
-            robot = robot[near]
-            hits = _ray_box_t(
-                np.take(xy, robot, axis=0),
-                np.take(dirs, robot, axis=0),
-                np.take(centers, near, axis=0),
-                half,
-            )
-            np.minimum.at(t, robot, hits)
+        np.minimum.at(t.reshape(-1), ray, hits)
     if len(observer):
-        hits = _ray_circle_t(rel, np.take(dirs, observer, axis=0), ROBOT_RADIUS)
-        np.minimum.at(t, observer, hits)
+        ray = _rays(column.take(observer), len(rows))
+        hits = _ray_circle_t(rel, cos.take(ray.T), sin.take(ray.T), ROBOT_RADIUS)
+        np.minimum.at(t.reshape(-1), ray, hits.T)
     distance = t - ROBOT_RADIUS
-    return np.clip(1.0 - distance / swarms.proximity_range[:, None], 0.0, 1.0)
+    activations = np.zeros((len(xy), N_PROXIMITY_RAYS))
+    activations[rows] = (1.0 - distance / swarms.proximity_range.take(rows)).clip(0.0, 1.0).T
+    return activations
 
 
-def body_frame_offsets(poses, observer, rel) -> np.ndarray:
+def _rays(column, casters):
+    """Flat indices (M, 7) into a (7, casters) array of the rays of the
+    casters in `column` (M,)."""
+    return column[:, None] + casters * np.arange(N_PROXIMITY_RAYS)
+
+
+def body_frame_offsets(cos, sin, observer, rel) -> np.ndarray:
     """(M, 2) world-frame offsets `rel` (M, 2), row m rotated into the body
-    frame of robot `observer[m]`."""
-    poses = np.asarray(poses, dtype=float)
-    cos = np.cos(poses[:, 2])[observer]
-    sin = np.sin(poses[:, 2])[observer]
-    rx = rel[:, 0] * cos + rel[:, 1] * sin
-    ry = -rel[:, 0] * sin + rel[:, 1] * cos
-    return np.stack([rx, ry], axis=-1)
+    frame of robot `observer[m]`, whose heading has cosine `cos[observer[m]]`
+    and sine `sin[observer[m]]`."""
+    cos, sin = cos.take(observer), sin.take(observer)
+    rotated = np.empty_like(rel)
+    np.add(rel[:, 0] * cos, rel[:, 1] * sin, out=rotated[:, 0])
+    np.add(-rel[:, 0] * sin, rel[:, 1] * cos, out=rotated[:, 1])
+    return rotated
 
 
 def rab_activations(neighbor_rel, observer, rab_range) -> np.ndarray:
@@ -379,20 +419,24 @@ def rab_activations(neighbor_rel, observer, rab_range) -> np.ndarray:
     of robot `observer[p]`, and `rab_range` (R,) is each robot's sensor
     range. Cone k is centred at k * 45 degrees (cone 0 on the heading). Each
     cone reports the range of its closest neighbour as a fraction of the
-    robot's range, or 1 if no neighbour is within range.
+    robot's range, or 1 if no neighbour is within range: a cone starts at
+    the range itself, which a neighbour at the range leaves as it is, and
+    the range over itself is exactly 1.
     """
-    rel = np.asarray(neighbor_rel, dtype=float)
-    observer = np.asarray(observer, dtype=int)
-    rab_range = np.asarray(rab_range, dtype=float)
-    closest = np.full((len(rab_range), N_RAB_CONES), np.inf)
-    if len(rel):
-        ranges = np.hypot(rel[:, 0], rel[:, 1])
-        rows = np.flatnonzero(ranges <= rab_range[observer])
-        seen = np.take(rel, rows, axis=0)
+    # a row per cone and a column per robot
+    closest = np.empty((N_RAB_CONES, len(rab_range)))
+    closest[...] = rab_range
+    if len(neighbor_rel):
+        ranges = np.hypot(neighbor_rel[:, 0], neighbor_rel[:, 1])
+        rows = (ranges <= rab_range.take(observer)).nonzero()[0]
+        seen = neighbor_rel.take(rows, axis=0)
         bearings = np.arctan2(seen[:, 1], seen[:, 0])
-        cones = np.floor((bearings + RAB_CONE_HALF) / RAB_CONE_WIDTH).astype(int) % N_RAB_CONES
-        np.minimum.at(closest, (observer[rows], cones), ranges[rows])
-    return np.where(np.isfinite(closest), closest / rab_range[:, None], 1.0)
+        cones = np.floor((bearings + RAB_CONE_HALF) / RAB_CONE_WIDTH).astype(int)
+        cones &= N_RAB_CONES - 1  # `% N_RAB_CONES` without a division: it is a power of two
+        cells = cones * len(rab_range) + observer.take(rows)
+        np.minimum.at(closest.reshape(-1), cells, ranges.take(rows))
+    closest /= rab_range
+    return closest.T
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +445,24 @@ def rab_activations(neighbor_rel, observer, rab_range) -> np.ndarray:
 
 @dataclass
 class _FaultPlan:
-    """The fault assignments of a flat batch: (R,) robot masks, actuator
-    scales, and the draws of each cycle's noise row (see `_noise_rows`).
-    Nothing in it depends on which pairs a cycle reads; `sense` applies it
-    to its own rows."""
+    """The fault assignments of a flat batch: the faulty robots of each
+    kind, actuator scales, and the draws of each cycle's noise row (see
+    `_noise_rows`), with the per-pair RAB cut-offs that the ROFS robots
+    widen. Nothing in it depends on which pairs a cycle reads; `sense`
+    applies it to its own rows."""
 
-    pmin: np.ndarray
-    pmax: np.ndarray
-    prand: np.ndarray
-    rofs: np.ndarray
-    any_prox: bool
+    fixed: np.ndarray  # (PMIN and PMAX robots,)
+    fixed_value: np.ndarray  # (PMIN and PMAX robots, 1) their frontal readings, 0.0 or 1.0
+    prand: np.ndarray  # (PRAND robots,) in (trial, index) order
+    rofs: np.ndarray  # (R,) mask of the ROFS robots
     actuator_scale: np.ndarray  # (R, 2), 1.0 for a working wheel
     draws: list  # (generator, low, high) of each trial with noise, in trial order
-    prand_cols: np.ndarray  # (PRAND robots, 5) noise columns, robots in (trial, index) order
+    prand_cols: np.ndarray  # (PRAND robots, 5) noise columns
     radius_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset radii
     angle_cols: np.ndarray  # (ROFS robots,) columns of the ROFS offset angles
+    rofs_range: np.ndarray  # (ROFS robots,) their RAB ranges
+    rofs_rank: np.ndarray  # (R,) each robot's rank among the ROFS robots
+    rab_reach: np.ndarray  # (P,) squared RAB cut-off of each pair (see `sense`)
 
 
 def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs) -> _FaultPlan:
@@ -428,35 +475,37 @@ def _compile_faults(fault_arr: np.ndarray, swarms: Swarms, rngs) -> _FaultPlan:
     """
     prand = fault_arr == int(FaultType.PRAND)
     rofs = fault_arr == int(FaultType.ROFS)
-    pmin = fault_arr == int(FaultType.PMIN)
-    pmax = fault_arr == int(FaultType.PMAX)
+    fixed = np.flatnonzero((fault_arr == int(FaultType.PMIN)) | (fault_arr == int(FaultType.PMAX)))
     scale = np.ones(fault_arr.shape + (2,))
     scale[fault_arr == int(FaultType.LW_H), 0] = 0.5
     scale[fault_arr == int(FaultType.RW_H), 1] = 0.5
     scale[fault_arr == int(FaultType.BW_H), :] = 0.5
-    low, high = np.array([[0.0, 0.75, -np.pi], [1.0, 1.0, np.pi]])
-    draws, kinds = [], []
-    for rng, n_prand, n_rofs in zip(
-        rngs,
-        np.bincount(swarms.trial[prand], minlength=len(rngs)),
-        np.bincount(swarms.trial[rofs], minlength=len(rngs)),
-    ):
-        kind = np.repeat([0, 1, 2], [N_FRONT_PROXIMITY * n_prand, n_rofs, n_rofs])
-        if len(kind):
-            draws.append((rng, low[kind], high[kind]))
-        kinds.append(kind)
-    kind = np.concatenate(kinds)
+    n_rofs = np.bincount(swarms.trial[rofs], minlength=len(rngs))
+    counts = np.column_stack(
+        [N_FRONT_PROXIMITY * np.bincount(swarms.trial[prand], minlength=len(rngs)), n_rofs, n_rofs]
+    )
+    kind = np.repeat(np.tile([0, 1, 2], len(rngs)), counts.reshape(-1))
+    low, high = np.array([[0.0, 0.75, -np.pi], [1.0, 1.0, np.pi]])[:, kind]
+    widths = counts.sum(axis=1)
+    draws = [
+        (rng, low[end - width : end], high[end - width : end])
+        for rng, width, end in zip(rngs, widths, np.cumsum(widths))
+        if width
+    ]
+    reach = np.square(np.where(rofs, 2.0, 1.0) * swarms.rab_range + CULL_MARGIN)
     return _FaultPlan(
-        pmin=pmin,
-        pmax=pmax,
-        prand=prand,
+        fixed=fixed,
+        fixed_value=(fault_arr[fixed] == int(FaultType.PMAX)).astype(float)[:, None],
+        prand=np.flatnonzero(prand),
         rofs=rofs,
-        any_prox=bool(pmin.any() or pmax.any() or prand.any()),
         actuator_scale=scale,
         draws=draws,
         prand_cols=np.flatnonzero(kind == 0).reshape(-1, N_FRONT_PROXIMITY),
         radius_cols=np.flatnonzero(kind == 1),
         angle_cols=np.flatnonzero(kind == 2),
+        rofs_range=swarms.rab_range[rofs],
+        rofs_rank=np.cumsum(rofs) - 1,
+        rab_reach=np.maximum(reach[swarms.pair_i], reach[swarms.pair_j]),
     )
 
 
@@ -477,47 +526,51 @@ def _noise_rows(plan: _FaultPlan, n_cycles: int):
         yield from block[:m]
 
 
-def _both_ways(xy, i, j):
-    """(observer, offset) rows of the pairs (i, j) read both ways, (i, j)
-    then (j, i); each offset is the neighbour's position minus the
-    observer's, so a coincident pair reads +0.0 both ways."""
-    observer, neighbor = np.concatenate([i, j]), np.concatenate([j, i])
-    return observer, np.take(xy, neighbor, axis=0) - np.take(xy, observer, axis=0)
+def _both_ways(xy, rel, i, j, near):
+    """(observer, offset) rows of the pairs `near` of (i, j) read both ways,
+    (i, j) then (j, i). The forward offsets are the rows `near` of `rel`,
+    xy[j] - xy[i]; the reverse ones are subtracted, not negated, so a
+    coincident pair reads +0.0 both ways."""
+    i, j = i.take(near), j.take(near)
+    reverse = xy.take(i, axis=0) - xy.take(j, axis=0)
+    return np.concatenate([i, j]), np.concatenate([rel.take(near, axis=0), reverse])
 
 
-def sense(poses, obstacles, swarms: Swarms, plan: _FaultPlan, noise):
+def sense(poses, cos, sin, boxes, swarms: Swarms, plan: _FaultPlan, noise):
     """One cycle's faulted (proximity, rab) readings of the robots (R, 3) of
-    a flat batch, (R, 7) and (R, 8); `noise` is the cycle's `_noise_rows` row.
+    a flat batch, (R, 7) and (R, 8); `cos` and `sin` (R,) are those of the
+    robots' headings, `boxes` is as in `proximity_activations`, and `noise`
+    is the cycle's `_noise_rows` row.
 
     Each pair i < j has its squared distance tested once per sensor, which
-    reads it both ways only within its threshold: proximity_range + 2
-    ROBOT_RADIUS for proximity; for RAB the observer's range, doubled for a
-    ROFS observer, whose offset moves a neighbour by at most the range.
+    reads it both ways only within its threshold: `swarms.pair_reach` for
+    proximity; for RAB `plan.rab_reach`, the observer's range, doubled for
+    a ROFS observer, whose offset moves a neighbour by at most the range.
     Each threshold carries CULL_MARGIN, so a pair left out would have read
     0 (proximity) or nothing (RAB).
     """
     xy = np.ascontiguousarray(poses[:, :2])
     i, j = swarms.pair_i, swarms.pair_j
-    rel = np.take(xy, j, axis=0) - np.take(xy, i, axis=0)
+    rel = xy.take(j, axis=0) - xy.take(i, axis=0)
     square = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
-    reach = swarms.proximity_range + 2 * ROBOT_RADIUS + CULL_MARGIN
-    near = np.flatnonzero(square <= (reach * reach)[i])
-    proximity = proximity_activations(poses, obstacles, swarms, *_both_ways(xy, i[near], j[near]))
-    if plan.any_prox:
-        proximity[plan.pmin, :N_FRONT_PROXIMITY] = 0.0
-        proximity[plan.pmax, :N_FRONT_PROXIMITY] = 1.0
+    near = (square <= swarms.pair_reach).nonzero()[0]
+    proximity = proximity_activations(poses, boxes, swarms, *_both_ways(xy, rel, i, j, near))
+    if len(plan.fixed):
+        proximity[plan.fixed, :N_FRONT_PROXIMITY] = plan.fixed_value
+    if len(plan.prand):
         proximity[plan.prand, :N_FRONT_PROXIMITY] = noise[plan.prand_cols]
-    reach = np.square(np.where(plan.rofs, 2.0, 1.0) * swarms.rab_range + CULL_MARGIN)
-    near = np.flatnonzero(square <= np.maximum(reach[i], reach[j]))
-    observer, rel = _both_ways(xy, i[near], j[near])
-    rel = body_frame_offsets(poses, observer, rel)
+    near = (square <= plan.rab_reach).nonzero()[0]
+    observer, rel = _both_ways(xy, rel, i, j, near)
+    rel = body_frame_offsets(cos, sin, observer, rel)
     if len(plan.radius_cols):
-        r = noise[plan.radius_cols] * swarms.rab_range[plan.rofs]
+        r = noise[plan.radius_cols] * plan.rofs_range
         theta = noise[plan.angle_cols]
-        offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        shifted = np.flatnonzero(plan.rofs[observer])
-        rank = (np.cumsum(plan.rofs) - 1)[observer[shifted]]  # among the ROFS robots
-        rel[shifted] = np.take(rel, shifted, axis=0) + np.take(offsets, rank, axis=0)
+        offsets = np.empty((len(r), 2))
+        np.multiply(r, np.cos(theta), out=offsets[:, 0])
+        np.multiply(r, np.sin(theta), out=offsets[:, 1])
+        shifted = plan.rofs.take(observer).nonzero()[0]
+        rank = plan.rofs_rank.take(observer.take(shifted))
+        rel[shifted] = rel.take(shifted, axis=0) + offsets.take(rank, axis=0)
     return proximity, rab_activations(rel, observer, swarms.rab_range)
 
 
@@ -626,43 +679,53 @@ def _push_pairs_apart(xy, i, j, diff, dist):
     xy += push
 
 
-def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
+def resolve_collisions(poses, boxes, swarms: Swarms) -> np.ndarray:
     """Project the robots (R, 3) of a flat batch out of walls, obstacles, and each other.
 
-    `obstacles` (K, 2) are the batch's box centres. Each trial iterates
+    `boxes` is as in `proximity_activations`. Each trial iterates
     positional corrections until no two of its discs overlap by more than
     1e-9 m, for at most MAX_RESOLUTION_PASSES passes; a trial that has
-    converged takes no further pass. Walls are clamped last so robots can
-    never leave the arena.
+    converged takes no further pass, and a pass that pushes nothing ends
+    them all. Walls are clamped last so robots can never leave the arena.
     """
     poses = np.array(poses, dtype=float)
     r = ROBOT_RADIUS
     half = OBSTACLE_SIDE / 2.0
-    high = (swarms.side - r)[:, None]
     resolved = poses[:, :2].copy()
     # The robots, pairs and (robot, box) pairs of the trials still resolving;
     # robots are rows of `xy`, which is `resolved` until a trial converges.
-    xy, ids, trial, wall = resolved, None, swarms.trial, high
+    xy, ids, trial, wall = resolved, None, swarms.trial, swarms.high
     i, j, pair_trial = swarms.pair_i, swarms.pair_j, swarms.pair_trial
-    box_robot, boxes = swarms.box_robot, np.take(obstacles, swarms.box, axis=0)
+    box_robot = swarms.box_robot
     for _ in range(MAX_RESOLUTION_PASSES):
-        np.clip(xy, r, wall, out=xy)
-        dirty = np.zeros(swarms.n_trials, dtype=bool)
+        xy.clip(r, wall, out=xy)
         pushed = trial[_push_out_of_boxes(xy, box_robot, boxes, r, half)] if len(box_robot) else ()
+        p = ()
         if len(i):
-            diff = np.take(xy, i, axis=0) - np.take(xy, j, axis=0)
-            dist = np.hypot(diff[:, 0], diff[:, 1])
-            p = np.flatnonzero(2 * r - dist > PAIR_OVERLAP_TOL)
-            if len(p):
-                dirty[pair_trial[p]] = True
-                _push_pairs_apart(xy, i[p], j[p], np.take(diff, p, axis=0), dist[p])
+            diff = xy.take(i, axis=0) - xy.take(j, axis=0)
+            # Only the pairs within contact distance by their squared
+            # distance can overlap: a pair beyond it overlaps by a few ulps
+            # of 2r at most, far below PAIR_OVERLAP_TOL.
+            square = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+            close = (square <= 4 * r * r).nonzero()[0]
+            if len(close):
+                diff = diff.take(close, axis=0)
+                dist = np.hypot(diff[:, 0], diff[:, 1])
+                overlap = (2 * r - dist > PAIR_OVERLAP_TOL).nonzero()[0]
+                p = close.take(overlap)
+        if not len(p) and not len(pushed):
+            break
+        dirty = np.zeros(swarms.n_trials, dtype=bool)
+        if len(p):
+            dirty[pair_trial[p]] = True
+            _push_pairs_apart(xy, i[p], j[p], diff.take(overlap, axis=0), dist.take(overlap))
         if len(pushed):
             # A trial that nothing pushes in this pass stays clipped and clear
             # of every box, so only pushed trials need the wall and box checks.
             check = np.zeros(swarms.n_trials, dtype=bool)
             check[pushed] = ~dirty[pushed]
             pairs = check[trial[box_robot]]
-            moved = np.take(xy, box_robot[pairs], axis=0)
+            moved = xy.take(box_robot[pairs], axis=0)
             inside_box = _circle_box_offsets(moved, boxes[pairs], half)[1]
             dirty[trial[box_robot[pairs][inside_box < r - PAIR_OVERLAP_TOL]]] = True
             robots = check[trial]
@@ -676,7 +739,7 @@ def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
             break
         # renumber the robots of the trials that go on
         if ids is None:
-            ids, xy = np.flatnonzero(keep), xy[keep]
+            ids, xy = keep.nonzero()[0], xy[keep]
         else:
             resolved[ids] = xy
             ids, xy = ids[keep], xy[keep]
@@ -688,7 +751,7 @@ def resolve_collisions(poses, obstacles, swarms: Swarms) -> np.ndarray:
         trial, wall = trial[keep], wall[keep]
     if ids is not None:
         resolved[ids] = xy
-    np.clip(resolved, r, high, out=poses[:, :2])
+    resolved.clip(r, swarms.high, out=poses[:, :2])
     return poses
 
 
@@ -707,14 +770,18 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
     then run duration / 0.2 control cycles of faulted sensing (`sense`), clonal
     controller update, actuation, integration, and collision resolution, all
     B trials in one set of numpy operations per cycle on the flat layout of
-    `swarm_layout(envs)`. Each run of consecutive trials of one swarm size n
-    is one contiguous row range of that layout: its controllers step as one
-    stacked matmul of (trials, n, ...) arrays, so each trial's products have
-    the shapes they have alone, and it logs into one array per field, so a
-    trial's log arrays are contiguous (T, n, ...) views. Each trial keeps
-    its own RNG (its placement, then its fault noise, drawn NOISE_BLOCK
-    cycles at a time by `_noise_rows`), controller state and collision
-    passes, so its log is a deterministic function of its own arguments:
+    `swarm_layout(envs)`. What depends only on the batch is built once per
+    call (the layout's reaches, the fault plan's RAB cut-offs, the box
+    centre of each (robot, box) pair), and each cycle takes the cosine and
+    sine of the headings once, for sensing and for the drive step. Each run
+    of consecutive trials of one swarm size n is one contiguous row range
+    of that layout: its controllers step as one stacked matmul of (trials,
+    n, ...) views of the call's input and output rows, so each trial's
+    products have the shapes they have alone, and it logs into one array
+    per field, so a trial's log arrays are contiguous (T, n, ...) views.
+    Each trial keeps its own RNG (its placement, then its fault noise,
+    drawn NOISE_BLOCK cycles at a time by `_noise_rows`), controller state
+    and collision passes, so its log is a deterministic function of its own arguments:
     bit-identical alone or in any batch, whatever fields are recorded (a
     field left out is None and costs no memory; `trial_bytes` counts what a
     trial holds). A trial whose (env, seed) pair came earlier in the call
@@ -764,43 +831,48 @@ def run_trials(envs, genomes, faults, seeds, duration: float = 400.0, fields=LOG
         rngs.append(rng)
     plan = _compile_faults(fault_arr, swarms, rngs)
 
-    # Each run of consecutive trials of one swarm size holds its controllers'
-    # (trials, n, ...) inputs and state, and one (trials, T, n, ...) log array
-    # per recorded field, so that a trial's arrays are contiguous views and
-    # the log costs 8 bytes per recorded value of a robot-cycle.
+    # The network inputs and outputs of every robot, one row each; each run
+    # of consecutive trials of one swarm size steps its controllers on
+    # contiguous (trials, n, ...) views of its rows, and holds their state and
+    # one (trials, T, n, ...) log array per recorded field, so that a trial's
+    # arrays are contiguous views and the log costs 8 bytes per recorded
+    # value of a robot-cycle.
+    inputs = np.empty((len(swarms.trial), N_INPUTS))
+    inputs[:, BIAS_INDEX] = 1.0
+    outputs = np.empty((len(swarms.trial), N_OUTPUTS))
     runs, first = [], 0
     for n, group in itertools.groupby(env.n_robots for env in envs):
         count = len(list(group))
         rows = slice(swarms.bounds[first], swarms.bounds[first + count])
         net = CompiledNetwork(genomes[first : first + count])
-        inputs = np.empty((count, n, N_INPUTS))
-        inputs[..., BIAS_INDEX] = 1.0
         arrays = [np.empty((count, n_cycles, n) + LOG_FIELDS[name]) for name in recorded]
-        runs.append([rows, (count, n), net, net.initial_state(n), inputs, arrays])
+        views = [array[rows].reshape(count, n, -1) for array in (inputs, outputs)]
+        runs.append([rows, (count, n), net, net.initial_state(n), views, arrays])
         first += count
-    outputs = np.empty((len(swarms.trial), N_OUTPUTS))
+    speed = swarms.speed[:, None]
+    centres = obstacles.take(swarms.box, axis=0)  # of the (robot, box) pairs
 
     for t, noise in enumerate(_noise_rows(plan, n_cycles)):
-        prox, rab = sense(poses, obstacles, swarms, plan, noise)
+        cos, sin = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+        prox, rab = sense(poses, cos, sin, centres, swarms, plan, noise)
 
+        inputs[:, :N_PROXIMITY_RAYS] = sensor_input_scale(prox)
+        inputs[:, N_PROXIMITY_RAYS:BIAS_INDEX] = sensor_input_scale(rab)
         for run in runs:
-            rows, _, net, state, inputs, _ = run
-            flat = inputs.reshape(-1, N_INPUTS)
-            flat[:, :N_PROXIMITY_RAYS] = sensor_input_scale(prox[rows])
-            flat[:, N_PROXIMITY_RAYS:BIAS_INDEX] = sensor_input_scale(rab[rows])
-            run[3] = state = net.step(state, inputs)
-            outputs[rows] = net.outputs(state).reshape(-1, N_OUTPUTS)
+            _, _, net, state, (run_inputs, run_outputs), _ = run
+            run[3] = state = net.step(state, run_inputs)
+            run_outputs[...] = net.outputs(state)
         # a working wheel's scale is 1.0, and x * 1.0 is x bit for bit
-        commands = outputs * swarms.speed[:, None] * plan.actuator_scale
+        commands = outputs * speed * plan.actuator_scale
 
-        moved, v, omega = differential_drive_step(poses, commands)
+        moved, v, omega = differential_drive_step(poses, commands, cos, sin)
         values = dict(zip(LOG_FIELDS, (poses, prox, rab, commands, v, omega)))
         for rows, shape, *_, arrays in runs:
             for array, name in zip(arrays, recorded):
                 value = values[name]
                 array[:, t] = value[rows].reshape(shape + value.shape[1:])
 
-        poses = resolve_collisions(moved, obstacles, swarms)
+        poses = resolve_collisions(moved, centres, swarms)
 
     logs = [
         dict.fromkeys(LOG_FIELDS) | dict(zip(recorded, (array[k] for array in arrays)))

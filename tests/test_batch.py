@@ -34,8 +34,13 @@ from qdswarm.recovery import sample_combined_fault
 from qdswarm.sim import LOG_FIELDS as SIM_LOG_FIELDS
 from qdswarm.sim import (
     CONTROL_DT,
+    CULL_MARGIN,
+    CYCLE_BYTES_PER_ROBOT,
     MAX_RESOLUTION_PASSES,
     NOISE_BLOCK,
+    OBSTACLE_SIDE,
+    ROBOT_RADIUS,
+    TRIAL_BATCH_BYTES,
     FaultType,
     PlacementError,
     TrialLog,
@@ -48,6 +53,7 @@ from qdswarm.sim import (
     run_trials,
     sense,
     swarm_layout,
+    trial_bytes,
 )
 from qdswarm.tasks import FITNESS, TaskKind, evaluate_jobs, evaluator
 
@@ -430,19 +436,24 @@ def test_rab_boundaries_match_oracle(case):
         assert bits_equal(got, oracles.rab_activations(neighbours, RAB_RANGE))
 
 
-def _sense_against_oracle(poses, envs, fault_arr, seeds):
+def _sense_against_oracle(poses, obstacles, envs, fault_arr, seeds):
     """`sense` over one flat batch of one trial per env, and each trial's
     (proximity, rab) from the oracle; robots of trial b are `poses` rows in
-    (trial, index) order, obstacle-free, and draw their noise from `seeds[b]`."""
+    (trial, index) order, its box centres `obstacles` rows in trial order,
+    and it draws its noise from `seeds[b]`."""
     swarms = swarm_layout(envs)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     plan = _compile_faults(fault_arr, swarms, rngs)
-    got = sense(poses, np.empty((0, 2)), swarms, plan, next(_noise_rows(plan, 1)))
+    cos, sin = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    noise = next(_noise_rows(plan, 1))
+    got = sense(poses, cos, sin, obstacles[swarms.box], swarms, plan, noise)
     want = []
-    for env, seed, lo, hi in zip(envs, seeds, swarms.bounds, swarms.bounds[1:]):
+    for env, seed, lo, hi, first, last in zip(
+        envs, seeds, swarms.bounds, swarms.bounds[1:], swarms.box_bounds, swarms.box_bounds[1:]
+    ):
         body = oracles.RobotBody.from_env(env)
         prox = oracles.proximity_activations(
-            poses[lo:hi], oracles.ArenaSpec(env.arena_side, np.empty((0, 2))), body
+            poses[lo:hi], oracles.ArenaSpec(env.arena_side, obstacles[first:last]), body
         )
         rel, rng = oracles.body_frame_offsets(poses[lo:hi]), np.random.default_rng(seed)
         want.append(oracles.apply_sensor_faults(prox, rel, fault_arr[lo:hi], env.rab_range, rng))
@@ -467,7 +478,9 @@ def test_rofs_offsets_move_neighbours_across_the_range():
     for robot, centre, u, beyond in ((0, 1.0, unit[0], 1.01), (3, 3.0, unit[1], 1.5)):
         steps = np.array([0.0, 0.99, -beyond])[:, None]
         poses[robot : robot + 3, :2] = centre + RAB_RANGE * steps * u
-    (got_prox, got), (want_prox, want) = _sense_against_oracle(poses, [env], fault_arr, [5])
+    (got_prox, got), (want_prox, want) = _sense_against_oracle(
+        poses, np.empty((0, 2)), [env], fault_arr, [5]
+    )
     assert bits_equal(got, want) and bits_equal(got_prox, want_prox)
     clean = oracles.rab_activations(oracles.body_frame_offsets(poses), RAB_RANGE)
     for robot in (0, 3):
@@ -488,10 +501,111 @@ def test_coincident_robots_sense_as_the_oracle():
     poses = np.array([(2.0, 2.0, h) for pair in pairs for h in pair])
     fault_arr = np.full(len(poses), int(FaultType.NONE))
     (got_prox, got), (want_prox, want) = _sense_against_oracle(
-        poses, envs, fault_arr, range(len(pairs))
+        poses, np.empty((0, 2)), envs, fault_arr, range(len(pairs))
     )
     assert bits_equal(got_prox, want_prox) and bits_equal(got, want)
     assert np.all((got == 0).sum(axis=1) == 1)  # the twin, at range 0
+
+
+def _around(d):
+    return [np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)]
+
+
+def _cull_edges(env, surface):
+    """Distances from a robot's centre to what it senses, around where its
+    reading reaches 0 (the range past `surface`, ROBOT_RADIUS for a wall or
+    box and 2 ROBOT_RADIUS for a neighbour's centre: 1 ulp either side, and
+    CULL_MARGIN inside) and around the cull's cut-off CULL_MARGIN beyond
+    (1 ulp and CULL_MARGIN / 2 either side)."""
+    zero = env.proximity_range + surface
+    reach = zero + CULL_MARGIN
+    return [
+        zero - CULL_MARGIN,
+        *_around(zero),
+        *_around(reach),
+        reach - CULL_MARGIN / 2,
+        reach + CULL_MARGIN / 2,
+    ]
+
+
+def test_proximity_cull_is_exact_at_its_edges():
+    """Robots facing each wall, a box face, a box corner or a neighbour
+    across the distances where their reading reaches 0 and where the cull
+    stops casting rays: one batch reads the oracle's bits, and the nearest
+    of them read more than 0."""
+    side, half = NORMAL_ENV.arena_side, OBSTACLE_SIDE / 2
+    alone, boxed = EnvironmentSpec(n_robots=1), EnvironmentSpec(n_robots=1, n_obstacles=1)
+    pair = EnvironmentSpec(n_robots=2)
+    box = np.array([2.0, 2.0])
+    corner = box - half
+    envs, obstacles, poses = [], [], []
+    for d in _cull_edges(alone, ROBOT_RADIUS):
+        walls = [
+            (d, 2.0, np.pi),
+            (side - d, 2.0, 0.0),
+            (2.0, d, -np.pi / 2),
+            (2.0, side - d, np.pi / 2),
+        ]
+        envs += [alone] * len(walls)
+        poses += walls
+        envs += [boxed, boxed]
+        obstacles += [box, box]
+        poses += [(corner[0] - d, 2.0, 0.0), (*(corner - d / np.sqrt(2.0)), np.pi / 4)]
+    for d in _cull_edges(pair, 2 * ROBOT_RADIUS):
+        envs.append(pair)
+        poses += [(2.0, 2.0, 0.0), (2.0 + d, 2.0, np.pi)]
+    poses = np.array(poses)
+    fault_arr = np.full(len(poses), int(FaultType.NONE))
+    (got_prox, got_rab), (want_prox, want_rab) = _sense_against_oracle(
+        poses, np.array(obstacles), envs, fault_arr, range(len(envs))
+    )
+    assert bits_equal(got_prox, want_prox) and bits_equal(got_rab, want_rab)
+    assert (got_prox[:, 2] > 0).sum() >= 6  # a wall, a face, a corner and a neighbour at least
+
+
+@st.composite
+def _near_walls(draw):
+    """One trial's env, box centres and robot poses, each robot within 0.5 m
+    of a wall, where uniform placement rarely puts it."""
+    env = draw(
+        st.builds(
+            EnvironmentSpec,
+            n_robots=st.sampled_from([1, 2, 5]),
+            arena_side=st.sampled_from(ARENA_SIDES),
+            n_obstacles=st.sampled_from([0, 1, 2]),
+            rab_range=st.sampled_from(RAB_RANGES),
+            proximity_range=st.sampled_from(PROXIMITY_RANGES),
+        )
+    )
+    side, half = env.arena_side, OBSTACLE_SIDE / 2
+    inside = st.floats(ROBOT_RADIUS, side - ROBOT_RADIUS)
+    # a side over the sine of a heading under 1e-300 overflows, in the oracle too
+    heading = st.floats(-np.pi, np.pi).filter(lambda h: h == 0 or abs(h) > 1e-300)
+    poses = []
+    for _ in range(env.n_robots):
+        gap = draw(st.floats(ROBOT_RADIUS, 0.5))
+        wall = draw(st.sampled_from([gap, side - gap]))
+        along = draw(inside)
+        xy = (wall, along) if draw(st.booleans()) else (along, wall)
+        poses.append((*xy, draw(heading)))
+    centre = st.floats(half, side - half)
+    obstacles = [(draw(centre), draw(centre)) for _ in range(env.n_obstacles)]
+    faults = draw(_fault_lists(env.n_robots))
+    return env, np.array(obstacles).reshape(-1, 2), np.array(poses), faults
+
+
+@BATCH_SETTINGS
+@given(st.lists(_near_walls(), min_size=1, max_size=8))
+def test_sense_near_walls_matches_oracle(trials):
+    envs, obstacles, poses, faults = zip(*trials)
+    fault_arr = np.concatenate(
+        [np.full(env.n_robots, int(FaultType.NONE)) if f is None else np.array(f, dtype=int)
+         for env, f in zip(envs, faults)]
+    )
+    got, want = _sense_against_oracle(
+        np.concatenate(poses), np.concatenate(obstacles), list(envs), fault_arr, range(len(envs))
+    )
+    assert bits_equal(got[0], want[0]) and bits_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +686,8 @@ def _resolve_flat(cases, arena_side):
     swarms = swarm_layout(
         [EnvironmentSpec(n_robots=len(p), arena_side=arena_side, n_obstacles=len(o)) for o, p in cases]
     )
-    resolved = resolve_collisions(
-        np.concatenate([p for _, p in cases]), np.concatenate([o for o, _ in cases]), swarms
-    )
+    poses, obstacles = (np.concatenate(arrays) for arrays in zip(*[(p, o) for o, p in cases]))
+    resolved = resolve_collisions(poses, obstacles[swarms.box], swarms)
     return [resolved[lo:hi] for lo, hi in zip(swarms.bounds, swarms.bounds[1:])]
 
 
@@ -700,11 +813,12 @@ def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
 
     monkeypatch.setattr(tasks, "run_trials", spy)
     # The jobs read every field but the angular velocity: 168 bytes per
-    # robot-cycle, and a trial's cycle arrays cost 4,096 bytes per robot. So
-    # 3 normal-environment trials of 5 cycles fit, or 3 five-robot ones and 1
-    # such, and of 7 cycles 1 five-robot and 2 normal-environment trials.
-    # The smaller swarms go first.
-    monkeypatch.setattr(tasks, "TRIAL_BATCH_BYTES", 150_000)
+    # robot-cycle, and a trial's cycle arrays cost CYCLE_BYTES_PER_ROBOT per
+    # robot. A budget of 3 normal-environment trials of 5 cycles fits 3 such,
+    # or 3 five-robot ones and 1 such, and of 7 cycles 1 five-robot and 2
+    # normal-environment trials. The smaller swarms go first.
+    budget = 3 * trial_bytes(NORMAL_ENV, 5, list(SIM_LOG_FIELDS)[:-1])
+    monkeypatch.setattr(tasks, "TRIAL_BATCH_BYTES", budget)
     assert_results_equal(evaluate_jobs(jobs), alone)
     assert calls == [
         [(5, 5)] * 3 + [(10, 5)],
@@ -712,7 +826,7 @@ def test_batches_cut_jobs_and_are_freed_before_the_next(monkeypatch):
         [(10, 5)] * 2,
         [(5, 7), (10, 7), (10, 7)],
     ]
-    assert all(bytes_ <= 150_000 for bytes_ in held)
+    assert all(bytes_ <= budget for bytes_ in held)
 
 
 def test_qed_jobs_run_one_batch_per_swarm_size(monkeypatch):
@@ -839,17 +953,19 @@ def _stub_batches(monkeypatch, jobs):
 
 
 def _held(trials, n_cycles, per_robot):
-    """Bytes of logs of `per_robot` bytes per robot-cycle and of 4,096 bytes
-    of cycle arrays per robot, over (env, fault) trials."""
-    return sum(env.n_robots * (n_cycles * per_robot + 4096) for env, _ in trials)
+    """Bytes of logs of `per_robot` bytes per robot-cycle and of
+    CYCLE_BYTES_PER_ROBOT bytes of cycle arrays per robot, over (env, fault)
+    trials."""
+    return sum(env.n_robots * (n_cycles * per_robot + CYCLE_BYTES_PER_ROBOT) for env, _ in trials)
 
 
 def test_desk_faults_pass_batches_by_the_bytes_of_poses(monkeypatch):
     """A desk faults pass (evolved aggregation elites under one sampled
     combined fault, 10 trials of 2,000 cycles each in the normal
-    environment) logs poses alone, so a batch holds 54 trials where a full
+    environment) logs poses alone, so a batch holds 51 trials where a full
     log held 8, and no call holds more than TRIAL_BATCH_BYTES. Its fault
-    noise is drawn a block of cycles at a time, so it batches like a
+    noise is drawn a block of cycles at a time, and every trial is charged
+    the largest block in CYCLE_BYTES_PER_ROBOT, so it batches like a
     fault-free pass."""
     rng = np.random.default_rng(3)
     fault = sample_combined_fault(rng, NORMAL_ENV.n_robots)
@@ -861,9 +977,26 @@ def test_desk_faults_pass_batches_by_the_bytes_of_poses(monkeypatch):
     per_trial = _held([(NORMAL_ENV, fault)], 2000, 24)
     sizes = [len(trials) for trials, _ in calls]
     assert sizes[:-1] == [tasks.TRIAL_BATCH_BYTES // per_trial] * (len(calls) - 1)
-    assert sizes[0] == 54 and sum(sizes) == 120
+    assert len(sizes) > 1 and sum(sizes) == 120
     assert all(fields == {"poses"} for _, fields in calls)
     assert all(_held(trials, 2000, 24) <= tasks.TRIAL_BATCH_BYTES for trials, _ in calls)
+
+
+def test_all_prand_desk_batch_holds_at_most_its_budget():
+    """The largest batch of a desk faults pass whose fault makes every robot
+    PRAND (still genomes, 2,000 cycles in the normal environment, poses
+    logged), cut by `trial_bytes`, peaks within TRIAL_BATCH_BYTES under
+    `tracemalloc`: the charge covers its largest noise block."""
+    fields = ("poses",)
+    n = TRIAL_BATCH_BYTES // trial_bytes(NORMAL_ENV, 2000, fields)
+    faults = [[FaultType.PRAND] * NORMAL_ENV.n_robots] * n
+    tracemalloc.start()
+    try:
+        run_trials([NORMAL_ENV] * n, [Genome()] * n, faults, range(n), 400.0, fields)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRIAL_BATCH_BYTES
 
 
 @pytest.mark.parametrize("faulty", [False, True])

@@ -54,14 +54,17 @@ def proximity(poses, obstacles=(), side=4.0, proximity_range=NORMAL_ENV.proximit
         n_obstacles=len(obstacles),
         proximity_range=proximity_range,
     )
-    return proximity_activations(poses, obstacles, swarm_layout([env]), *every_pair(poses))
+    swarms = swarm_layout([env])
+    return proximity_activations(poses, obstacles[swarms.box], swarms, *every_pair(poses))
 
 
 def neighbours(poses):
     """Each robot's body-frame offsets to the others of one trial, (N, N - 1, 2),
     in ascending index order, through the batched kernel."""
     n = len(poses)
-    return body_frame_offsets(poses, *every_pair(poses)).reshape(n, n - 1, 2)
+    poses = np.asarray(poses, dtype=float)
+    cos, sin = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    return body_frame_offsets(cos, sin, *every_pair(poses)).reshape(n, n - 1, 2)
 
 
 def rab_of(rel, rab_range):
@@ -108,10 +111,15 @@ class TestBodyAndArena:
             assert diagonal == pytest.approx(side * np.sqrt(2.0), abs=0)
 
 
+def drive(poses, commands):
+    """`differential_drive_step` with the cosine and sine of the poses' headings."""
+    return differential_drive_step(poses, commands, np.cos(poses[..., 2]), np.sin(poses[..., 2]))
+
+
 class TestDifferentialDrive:
     def test_straight_drive_one_cycle(self):
         poses = np.array([[[0.0, 0.0, 0.0]], [[1.0, 1.0, np.pi / 2]]])
-        moved, v, omega = differential_drive_step(poses, np.full((2, 1, 2), 0.10))
+        moved, v, omega = drive(poses, np.full((2, 1, 2), 0.10))
         assert moved[0, 0] == pytest.approx([0.02, 0.0, 0.0], abs=1e-12)
         assert moved[1, 0] == pytest.approx([1.0, 1.02, np.pi / 2], abs=1e-12)
         assert np.array_equal(v, np.full((2, 1), 0.10))
@@ -119,7 +127,7 @@ class TestDifferentialDrive:
 
     def test_zero_commands_identity(self):
         poses = np.array([[[0.3, -0.2, 1.1], [2.0, 3.0, 0.0]], [[1.5, 0.5, 3.0], [0.1, 0.2, 0.3]]])
-        moved, v, omega = differential_drive_step(poses, np.zeros((2, 2, 2)))
+        moved, v, omega = drive(poses, np.zeros((2, 2, 2)))
         assert np.array_equal(moved, poses)
         assert np.array_equal(v, np.zeros((2, 2)))
         assert np.array_equal(omega, np.zeros((2, 2)))
@@ -128,7 +136,7 @@ class TestDifferentialDrive:
         # |vr - vl| / axle = 0.2 / 0.09 exceeds the 2.2222 rad/s cap
         poses = np.zeros((1, 2, 3))
         commands = np.array([[[-0.10, 0.10], [0.10, -0.10]]])
-        moved, v, omega = differential_drive_step(poses, commands)
+        moved, v, omega = drive(poses, commands)
         assert np.array_equal(moved[..., :2], np.zeros((1, 2, 2)))
         assert np.array_equal(v, np.zeros((1, 2)))
         assert np.array_equal(omega, [[2.2222, -2.2222]])
@@ -136,7 +144,7 @@ class TestDifferentialDrive:
 
     def test_heading_wraps(self):
         poses = np.array([[[0.0, 0.0, np.pi - 0.01]]])
-        moved, _, omega = differential_drive_step(poses, np.array([[[-0.05, 0.05]]]))
+        moved, _, omega = drive(poses, np.array([[[-0.05, 0.05]]]))
         assert -np.pi < moved[0, 0, 2] <= np.pi
         assert moved[0, 0, 2] == pytest.approx(np.pi - 0.01 + omega[0, 0] * 0.2 - 2 * np.pi)
 

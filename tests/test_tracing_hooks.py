@@ -46,3 +46,40 @@ def test_hooks_name_installed_functions_and_methods():
         if not any(method in vars(cls) for cls in classes):
             missing.add(f"{module_name}.{class_name}.{method}")
     assert missing == GONE
+
+
+# The per-cycle layers of `qdswarm.sim`: each runs once per control cycle,
+# called through its module global, so that its span counts cycles.
+CYCLE_LAYERS = (
+    "proximity_activations",
+    "body_frame_offsets",
+    "rab_activations",
+    "resolve_collisions",
+)
+
+
+def test_cycle_layers_run_once_per_cycle(monkeypatch):
+    """One `run_trials` call of 7 cycles, over trials with and without boxes,
+    neighbours in reach or faults, calls each traced per-cycle layer 7
+    times: a layer that left the cycle path would read 0 in its span and in
+    `sim.cycles`."""
+    from qdswarm import sim
+    from qdswarm.environment import NORMAL_ENV, EnvironmentSpec
+    from qdswarm.genome import Genome
+
+    hooked = {attr for module, attr, *_ in _load_tracing().FUNCTIONS if module == "qdswarm.sim"}
+    assert set(CYCLE_LAYERS) <= hooked
+    calls = dict.fromkeys(CYCLE_LAYERS, 0)
+    for name in CYCLE_LAYERS:
+        real = getattr(sim, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sim, name, counted)
+    envs = [NORMAL_ENV, EnvironmentSpec(n_robots=5, arena_side=1.0, n_obstacles=2)]
+    faults = [None, [sim.FaultType.ROFS, sim.FaultType.PRAND] + [sim.FaultType.NONE] * 3]
+    n_cycles = 7
+    sim.run_trials(envs, [Genome()] * 2, faults, [1, 2], n_cycles * sim.CONTROL_DT, ())
+    assert calls == dict.fromkeys(CYCLE_LAYERS, n_cycles)

@@ -14,14 +14,18 @@ the bits of `np.add.reduceat` over the sorted rows.
 
 A Lloyd assignment returns the argmin of the float64 chunk product
 `norms - 2 points @ centroids.T`, bit for bit, on whatever BLAS kernel runs
-it, while scoring each chunk in float32 at half the bytes. One bound,
-`_score_error`, covers the rounding of a score in either precision. A
-point whose best float32 score beats the rest by more than the two bounds
-takes it; the few within them rank their candidates by float64 distance.
-A chunk with a tie within the float64 bounds, a non-finite value, or
-values that could overflow float32 is scored again by the float64 product
-itself, so exact ties, duplicated centroids and midpoints keep its
-lowest-index tie-break.
+it, while scoring in float32 at half the bytes. One bound, `_score_error`,
+covers the rounding of a score in either precision. A point whose best
+float32 score beats the rest by more than the two bounds takes it; the few
+within them rank their candidates by float64 distance. Each point keeps
+bounds on its scores from the pass that decided it, and a centroid whose
+bits did not change keeps its scores, so after the first pass a point is
+scored against the centroids that moved, and against all of them only when
+its bounds leave its label open. A chunk with a tie within the float64
+bounds, a non-finite value, or values that could overflow float32 is
+scored again, whole, by the float64 product itself, so exact ties,
+duplicated centroids and midpoints keep its lowest-index tie-break. Only
+the clusters whose points changed are summed again.
 """
 
 import csv
@@ -230,31 +234,12 @@ def sample_simplex_blocks(rng, count: int, dim: int) -> np.ndarray:
     return points
 
 
-def _assign(points, centroids) -> np.ndarray:
-    """Nearest-centroid labels, ASSIGN_CHUNK points at a time: the bits of
-    `_assign_exact`, the argmin of the float64 scores `norms - 2 points @
-    centroids.T` with ties to the lowest index.
-
-    Each chunk is screened in float32 first (`_Float32Screen`), in half the
-    bytes and about half the time of the float64 product. A chunk whose
-    labels the screen cannot prove goes to `_assign_exact` whole, after the
-    screen's buffers are freed, so that no chunk holds more than one score
-    block.
-    """
-    norms = _squared_norms(centroids)
-    labels = np.empty(len(points), dtype=np.int64)
-    screen = None
-    for rows in _row_blocks(len(points), ASSIGN_CHUNK):
-        screen = screen or _Float32Screen(centroids, norms, min(ASSIGN_CHUNK, len(points)))
-        if screen.assign(points[rows], labels[rows]) is None:
-            screen = None
-            _assign_exact(points[rows], centroids, norms, labels[rows])
-    return labels
-
-
 def _assign_exact(block, centroids, norms, out) -> None:
     """Write to `out` the argmin of each row of the float64 score block
-    `norms - 2.0 * (block @ centroids.T)`."""
+    `norms - 2.0 * (block @ centroids.T)`. `block` is always a whole
+    reference chunk, rows [i ASSIGN_CHUNK, (i + 1) ASSIGN_CHUNK) of the
+    cloud: a BLAS kernel may group a product's sums by its shape, so the
+    product of another block need not have the reference's bits."""
     scores = np.empty((len(block), len(centroids)))
     # in place; equal to norms - 2.0 * (block @ centroids.T) bit for bit:
     # scaling by -2 is exact, and (-b) + a is a - b in IEEE arithmetic
@@ -264,89 +249,211 @@ def _assign_exact(block, centroids, norms, out) -> None:
     np.argmin(scores, axis=1, out=out)
 
 
-class _Float32Screen:
-    """The float32 pass of `_assign` over one set of centroids, with its
-    reused buffers: the centroids times -2 and their squared norms in
-    float32, a block of points and a (chunk, k) score block.
+def _best_two(scores):
+    """Each row's argmin, lowest and second-lowest score (float64), found
+    through `scores` in place and left as they were."""
+    rows = np.arange(len(scores))
+    best = np.argmin(scores, axis=1)
+    low = scores[rows, best]
+    scores[rows, best] = np.inf
+    second = scores.min(axis=1)
+    scores[rows, best] = low
+    return best, low.astype(float), second.astype(float)
 
-    A float32 score errs from the exact `|c|^2 - 2 c @ x` by at most the
-    float32 `_score_error` over the reach |x| + max|c| + 2 sqrt(dim) 2^-102:
-    converting a coordinate v to float32 moves it by at most 2^-24 max(|v|,
-    2^-102), so x and c move by at most 2^-24 times their norm plus
-    sqrt(dim) 2^-102, and the scaling by -2 is exact. The float64 score of
-    `_assign_exact` errs by at most the float64 bound. A row whose best
-    float32 score beats its second best by more than twice the two bounds
-    (its margin) therefore has the float64 argmin as its float32 argmin.
-    The other rows rank the centroids scoring within the margin of their
-    best by float64 distance, and take the nearest when it beats the rest
-    by more than four float64 bounds.
+
+class _Float32Screen:
+    """The Lloyd assignment of one seed cloud, kept across the passes of a
+    build. Each pass (`assign`) writes to `labels` the argmin of the float64
+    chunk product `norms - 2 points @ centroids.T`, ASSIGN_CHUNK points at a
+    time, with ties to the lowest index: the bits of `_assign_exact`.
+
+    Scores are worked out in float32, from the centroids times -2 and their
+    squared norms converted once per build and refreshed where a centroid
+    moved (`move`). A float32 score errs from the exact `|c|^2 - 2 c @ x` by
+    at most the float32 `_score_error` over the reach |x| + max|c| + 2
+    sqrt(dim) 2^-102: converting a coordinate v to float32 moves it by at
+    most 2^-24 max(|v|, 2^-102), so x and c move by at most 2^-24 times
+    their norm plus sqrt(dim) 2^-102, and the scaling by -2 is exact. The
+    float64 score of `_assign_exact` errs by at most the float64 bound E64.
+
+    Each point keeps, from the float32 scores that last decided it, an
+    upper bound on its own centroid's exact score and a lower bound on
+    every other centroid's (`upper`, `lower`: the best and second-best
+    score plus and minus the float32 bound, whose spare in float32 units
+    covers their float64 rounding). A centroid whose bits did not change
+    keeps its exact scores, so the bounds outlive a pass. A point whose
+    own centroid did not move keeps it when its upper bound beats by more
+    than 2 E64 both its old lower bound and the moved centroids' (their
+    lowest float32 score less the float32 bound); a point whose own
+    centroid moved takes the best moved centroid when that one's upper
+    bound beats its old lower bound and the other moved centroids' by the
+    same margin. Either way its float64 score is the lowest. So a pass
+    scores every point against the moved centroids only, and the points
+    these bounds leave open against every centroid, as the first pass does
+    with every centroid moved and no point bounded.
+
+    Against every centroid, a point whose best float32 score beats its
+    second best by more than twice the two bounds (its margin) takes it.
+    The others (the band) rank the centroids scoring within the margin of
+    their best by float64 distance, take the nearest when it beats the
+    rest by more than four float64 bounds, and keep no lower bound, so
+    the next pass scores them against every centroid again. A chunk with a
+    tie within the float64 bounds, a non-finite value, a reach of 2^63 or
+    more (at which a float32 score could overflow), or a band whose
+    candidates would outgrow the score block goes whole to `_assign_exact`
+    after the score block is freed, and its points keep no lower bound.
+
+    Besides the cloud and the centroids, a build holds a float32 copy of
+    the centroids, a float32 block of points being converted (at most a
+    quarter of the full score block's bytes: it is sized from the full k
+    once per build, so a pass over a few moved centroids still multiplies
+    large blocks) and 32 bytes per point: its label, its two bounds and its
+    norm. A pass adds one (ASSIGN_CHUNK, k) float32 score block and a
+    float32 copy of the moved centroids.
     """
 
-    def __init__(self, centroids, norms, rows: int):
+    def __init__(self, points, centroids):
+        n = len(points)
         k, dim = centroids.shape
-        self.centroids = centroids
-        self.largest = np.sqrt(norms.max())
+        rows = min(ASSIGN_CHUNK, n)
+        self.points, self.centroids = points, centroids
+        self.norms = _squared_norms(centroids)
+        self.radii = np.sqrt(_squared_norms(points))
+        self.labels = np.full(n, -1, dtype=np.int64)
+        self.upper = np.empty(n)
+        self.lower = np.full(n, -np.inf)  # -inf: scored against every centroid next pass
+        self.moved = np.arange(k)
         self.scaled = np.multiply(centroids, -2.0, dtype=np.float32)
-        self.norms = norms.astype(np.float32)
-        # points are converted a quarter of the score block's bytes at a time, at most
-        self.points = np.empty((min(rows, max(1, rows * k // (4 * dim))), dim), np.float32)
-        self.scores = np.empty((rows, k), np.float32)
+        self.norms32 = self.norms.astype(np.float32)
+        # points are converted a quarter of the full score block's bytes at a time, at most
+        self.buffer = np.empty((min(rows, max(1, rows * k // (4 * dim))), dim), np.float32)
+        self.score_shape = (rows, k)
+        self.scores = None
 
-    def assign(self, block, out):
-        """Write the labels of `block` to `out` and return the rows ranked in
-        float64, or return None when a label is not proven: a tie within the
-        float64 bounds, a non-finite value, or a reach of 2^63 or more, at
-        which a float32 score could overflow."""
-        m, dim = block.shape
+    def assign(self) -> np.ndarray:
+        """One pass over the chunks; returns the mask of the clusters whose
+        members changed."""
         k = len(self.centroids)
-        reach = np.sqrt(_squared_norms(block)) + self.largest
-        if not reach.max() < 2.0**63:
-            return None
-        scores = self.scores[:m]
-        for part in _row_blocks(m, len(self.points)):
-            points = self.points[: len(block[part])]
-            np.copyto(points, block[part])
-            np.matmul(points, self.scaled.T, out=scores[part])
-        scores += self.norms
-        # each row's best and second best score, through the block in place
-        rows = np.arange(m)
-        best = np.argmin(scores, axis=1)
-        low = scores[rows, best]
-        scores[rows, best] = np.inf
-        gap = scores.min(axis=1) - low.astype(float)
-        scores[rows, best] = low
+        moved = self.moved
+        mask = np.zeros(k, dtype=bool)
+        mask[moved] = True
+        if len(moved) == k:
+            columns = moved, mask, self.scaled, self.norms32
+        else:
+            columns = moved, mask, self.scaled[moved], self.norms32[moved]
+        largest = np.sqrt(self.norms.max())
+        changed = np.zeros(k, dtype=bool)
+        for chunk in _row_blocks(len(self.points), ASSIGN_CHUNK):
+            old = self.labels[chunk].copy()
+            reach = self.radii[chunk] + largest
+            if not (reach.max() < 2.0**63 and self._screen(chunk, reach, columns)):
+                self.scores = None
+                _assign_exact(self.points[chunk], self.centroids, self.norms, self.labels[chunk])
+                self.lower[chunk] = -np.inf
+            new = self.labels[chunk]
+            switched = new != old
+            changed[new[switched]] = True
+            changed[old[switched & (old >= 0)]] = True
+        self.scores = None
+        return changed
+
+    def move(self, moved) -> None:
+        """Take the new values of the centroid rows `moved`, changed in place."""
+        for block in _row_blocks(len(moved), max(1, SUM_BLOCK // self.buffer.shape[1])):
+            ids = moved[block]
+            values = self.centroids[ids]
+            self.norms[ids] = _squared_norms(values)
+            self.scaled[ids] = np.multiply(values, -2.0, dtype=np.float32)
+        self.norms32[moved] = self.norms[moved]
+        self.moved = moved
+
+    def _screen(self, chunk, reach, columns) -> bool:
+        """Label the points of `chunk` and update their bounds; return False
+        when a label is not proven."""
+        dim = self.centroids.shape[1]
+        labels, upper, lower = self.labels[chunk], self.upper[chunk], self.lower[chunk]
+        rows = np.arange(chunk.start, chunk.start + len(labels))
         exact = _score_error(dim, reach, *FLOAT64_ROUNDING)
-        reach32 = reach + 2.0 * np.sqrt(dim) * 2.0**-102
-        margin = 2.0 * (_score_error(dim, reach32, *FLOAT32_ROUNDING) + exact)
-        out[:] = best
-        band = np.flatnonzero(~(gap > margin))
+        error = _score_error(dim, reach + 2.0 * np.sqrt(dim) * 2.0**-102, *FLOAT32_ROUNDING)
+        todo = np.flatnonzero(lower == -np.inf)
+        if len(todo) < len(rows):
+            moved, mask, scaled, norms = columns
+            best, low, second = _best_two(self._scores(rows, scaled, norms))
+            own_moved = mask[labels]
+            top = np.where(own_moved, low + error, upper)
+            rest = np.minimum(lower, np.where(own_moved, second, low) - error)
+            proven = top + 2.0 * exact < rest
+            labels[proven] = np.where(own_moved, moved[best], labels)[proven]
+            upper[proven] = top[proven]
+            lower[proven] = rest[proven]
+            todo = np.flatnonzero(~proven)
+        if not todo.size:
+            return True
+        scores = self._scores(rows[todo], self.scaled, self.norms32)
+        best, low, second = _best_two(scores)
+        margin = 2.0 * (error[todo] + exact[todo])
+        labels[todo] = best
+        upper[todo] = low + error[todo]
+        lower[todo] = second - error[todo]
+        band = np.flatnonzero(~(second - low > margin))
         if not band.size:
-            return band
-        # the band's candidates (their float32 scores and mask, then their
-        # float64 differences) take at most the score block's bytes again,
-        # or 2 SUM_BLOCK float64 values
-        if 5 * len(band) > 4 * m:
+            return True
+        lower[todo[band]] = -np.inf
+        nearest = self._rank(rows[todo[band]], scores[band], low[band] + margin[band], exact[todo[band]])
+        if nearest is None:
+            return False
+        labels[todo[band]] = nearest
+        return True
+
+    def _scores(self, rows, scaled, norms):
+        """The float32 scores of the points `rows` (ascending) against the
+        centroids `scaled` (times -2) of squared norms `norms`, in the score
+        block."""
+        if self.scores is None:
+            self.scores = np.empty(self.score_shape, np.float32)
+        scores = self.scores.reshape(-1)[: len(rows) * len(scaled)].reshape(len(rows), len(scaled))
+        for part in _row_blocks(len(rows), len(self.buffer)):
+            index = rows[part]
+            points = self.buffer[: len(index)]
+            if index[-1] - index[0] == len(index) - 1:  # a run of rows converts from a view
+                np.copyto(points, self.points[index[0] : index[-1] + 1])
+            else:  # others are gathered about SUM_BLOCK float64 values at a time
+                for block in _row_blocks(len(index), max(1, SUM_BLOCK // points.shape[1])):
+                    np.copyto(points[block], self.points[index[block]])
+            np.matmul(points, scaled.T, out=scores[part])
+        scores += norms
+        return scores
+
+    def _rank(self, rows, scores, limit, exact):
+        """The float64-nearest centroid of each point of `rows` among those
+        scoring at most its `limit`, or None when one does not beat the rest
+        by four float64 bounds `exact`. The candidates (their float32 scores
+        and mask, then their float64 differences) take at most the score
+        block's bytes again, or 2 SUM_BLOCK float64 values; None beyond."""
+        capacity, k = self.score_shape
+        if 5 * len(rows) > 4 * capacity:
             return None
-        owner, cols = np.nonzero(scores[band] <= (low[band] + margin[band])[:, None])
-        if len(cols) * dim > max(m * k // 4, SUM_BLOCK):
+        owner, cols = np.nonzero(scores <= limit[:, None])
+        if len(cols) * self.centroids.shape[1] > max(capacity * k // 4, SUM_BLOCK):
             return None
         diff = np.take(self.centroids, cols, axis=0)
-        diff -= np.take(block, band[owner], axis=0)
+        diff -= np.take(self.points, rows[owner], axis=0)
         diff *= diff
         dist = diff.sum(axis=1)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         nearest = np.minimum.reduceat(dist, starts)
         at_min = dist == np.repeat(nearest, np.diff(starts, append=len(dist)))
         runner_up = np.minimum.reduceat(np.where(at_min, np.inf, dist), starts)
-        if at_min.sum() > len(band) or not (runner_up - nearest > 4.0 * exact[band]).all():
+        if at_min.sum() > len(rows) or not (runner_up - nearest > 4.0 * exact).all():
             return None
-        out[band] = cols[at_min]
-        return band
+        return cols[at_min]
 
 
-def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label sums and counts. Each sum has the bits of `np.add.reduceat`
-    along axis 0 over the label's rows (its segment) in ascending row order.
+def _label_means(points, order, counts) -> np.ndarray:
+    """The sums of consecutive clusters of rows: cluster i holds the next
+    `counts[i]` rows listed in `order`, in ascending row order. Each sum has
+    the bits of `np.add.reduceat` along axis 0 over the cluster's rows (its
+    segment); an empty cluster sums to zeros.
 
     For a segment of s rows a0..a(s-1), reduceat adds each column as
     `a0 + (((a1 + a2) + a3) + ...)` while s <= SHORT_SEGMENT; beyond that
@@ -356,12 +463,10 @@ def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
     own, so grouping them leaves the bits alone, and the small blocks stay
     in cache where one sorted copy of the cloud would not.
     """
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=k)
     present = np.flatnonzero(counts)
     sizes = counts[present]
     starts = np.cumsum(sizes) - sizes
-    sums = np.zeros((k, points.shape[1]))
+    sums = np.zeros((len(counts), points.shape[1]))
     short = sizes <= SHORT_SEGMENT
     sums[present[short]] = points[order[starts[short]]]
     # a short segment's later rows are summed in rank order, then join its first
@@ -382,7 +487,7 @@ def _label_means(points, labels, k) -> tuple[np.ndarray, np.ndarray]:
     for a, b in zip(firsts, [*firsts[1:], len(offsets)]):
         block = points[rows[bounds[a] : bounds[b]]]
         sums[long_labels[a:b]] = np.add.reduceat(block, offsets[a:b] - bounds[a], axis=0)
-    return sums, counts
+    return sums
 
 
 def _max_shift(new, old) -> float:
@@ -396,6 +501,58 @@ def _max_shift(new, old) -> float:
     return float(np.max(shifts))
 
 
+def _move_to_means(points, labels, centroids, changed):
+    """Move each cluster of the mask `changed` to the mean of its points, in
+    place; an empty one stays put. Returns the clusters whose centroid bits
+    changed and the largest shift, 0.0 when none moved.
+
+    Clusters whose points did not change keep their centroid: it is already
+    the mean of the same rows, bit for bit, or an empty cell's (on the first
+    pass, whose labels start unassigned, every occupied cluster changed).
+    The others are summed (in the bits of `np.add.reduceat` over their
+    rows in ascending order) about SUM_BLOCK values of centroids at a time,
+    so that no (k, dim) array of sums is held beside the centroids.
+    """
+    clusters = np.flatnonzero(changed)
+    rows = np.flatnonzero(changed[labels])
+    members = (np.cumsum(changed) - 1)[labels[rows]]
+    order = rows[np.argsort(members, kind="stable")]
+    counts = np.bincount(members, minlength=len(clusters))
+    ends = np.cumsum(counts)
+    moved, shift = [np.empty(0, dtype=np.int64)], 0.0
+    for block in _row_blocks(len(clusters), max(1, SUM_BLOCK // points.shape[1])):
+        ids, sizes, stops = clusters[block], counts[block], ends[block]
+        means = _label_means(points, order[stops[0] - sizes[0] : stops[-1]], sizes)
+        occupied = sizes > 0
+        np.divide(means, sizes[:, None], out=means, where=occupied[:, None])
+        old = centroids[ids]
+        means[~occupied] = old[~occupied]
+        shift = max(shift, _max_shift(means, old))
+        moved.append(ids[(means.view(np.int64) != old.view(np.int64)).any(axis=1)])
+        centroids[ids] = means
+    return np.concatenate(moved), shift
+
+
+def _lloyd(points, centroids, max_iter: int) -> np.ndarray:
+    """Lloyd's iterations over `points` from `centroids`, which move in
+    place: each cell moves to the mean of its points (an empty one stays
+    put) until no centroid moves CVT_TOL or more, or `max_iter` passes.
+
+    The bits are those of the plain loop that assigns every point by the
+    float64 chunk product and sums every cluster. After the first pass only
+    the centroids that moved are scored again (`_Float32Screen`), and only
+    the clusters whose points changed are summed again; a pass that moves
+    no centroid shifts by exactly 0 and ends the loop.
+    """
+    screen = _Float32Screen(points, centroids)
+    for _ in range(max_iter):
+        moved, shift = _move_to_means(points, screen.labels, centroids, screen.assign())
+        if shift < CVT_TOL:
+            break
+        screen.move(moved)
+    return centroids
+
+
 def generate_cvt_centroids(
     k: int,
     dim: int,
@@ -404,14 +561,14 @@ def generate_cvt_centroids(
     simplex_blocks: bool = False,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Lloyd's k-means over a uniform seed cloud.
+    """Lloyd's k-means over a uniform seed cloud (`_lloyd`).
 
     With `simplex_blocks`, seeds are drawn per SIMPLEX_BLOCK values uniformly on
     the probability simplex, so centroids inherit unit block sums. Iteration
     stops when the largest centroid shift falls below CVT_TOL. Besides the
     cloud, a build holds one (ASSIGN_CHUNK, k) score block, in float32 but
-    for a chunk that falls back to float64, and two (k, dim) arrays at a
-    time, with a float32 copy of the centroids while it assigns.
+    for a chunk that falls back to float64, the centroids, a float32 copy of
+    them and of the ones that moved, and 32 bytes per seed.
     """
     if n_seeds < k:
         raise ValueError(f"need at least k={k} seed points, got {n_seeds}")
@@ -422,18 +579,7 @@ def generate_cvt_centroids(
         points = rng.random((n_seeds, dim))
     # Lloyd starts from a uniform distinct subset of the cloud: on uniform
     # clouds this matches k-means++ seeding at a fraction of its O(k n d) cost.
-    centroids = points[np.sort(rng.choice(len(points), size=k, replace=False))]
-    for _ in range(max_iter):
-        sums, counts = _label_means(points, _assign(points, centroids), k)
-        # each occupied cell moves to its mean; an empty one stays put
-        occupied = counts > 0
-        np.divide(sums, counts[:, None], out=sums, where=occupied[:, None])
-        sums[~occupied] = centroids[~occupied]
-        shift = _max_shift(sums, centroids)
-        centroids = sums
-        if shift < CVT_TOL:
-            break
-    return centroids
+    return _lloyd(points, points[np.sort(rng.choice(len(points), size=k, replace=False))], max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,16 @@ a trial runs in; `place_entities` is the reference for
 At the end, `nearest_centroid`, `assign` and `label_means` are the CVT
 archive's original full-scan lookup, float64 Lloyd assignment and reduceat
 cluster sums, which the screened lookup, the float32-screened assignment and
-the rank-by-rank sums in `qdswarm.archive` must match bit for bit.
+the rank-by-rank sums in `qdswarm.archive` must match bit for bit. `lloyd`
+and `generate_cvt_centroids` are the original Lloyd loop, which assigns
+every point and sums every cluster on every pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from qdswarm.archive import CVT_TOL
 from qdswarm.environment import EnvironmentSpec
 from qdswarm.genome import FIRST_OUTPUT_ID, N_INPUTS, N_OUTPUTS, Genome
 from qdswarm.sim import (
@@ -388,3 +391,31 @@ def sample_simplex_blocks(rng, count, dim, block=16) -> np.ndarray:
     draws = rng.exponential(1.0, size=(count, dim // block, block))
     draws /= draws.sum(axis=2, keepdims=True)
     return draws.reshape(count, dim)
+
+
+def lloyd(points, centroids, max_iter) -> np.ndarray:
+    """Lloyd's iterations from `centroids`: every pass assigns every point
+    with `assign` and moves each occupied cell to its `label_means` mean (an
+    empty one stays put), until the largest shift falls below CVT_TOL."""
+    k = len(centroids)
+    for _ in range(max_iter):
+        sums, counts = label_means(points, assign(points, centroids), k)
+        occupied = counts > 0
+        moved = centroids.copy()
+        moved[occupied] = sums[occupied] / counts[occupied, None]
+        shift = np.linalg.norm(moved - centroids, axis=1).max()
+        centroids = moved
+        if shift < CVT_TOL:
+            break
+    return centroids
+
+
+def generate_cvt_centroids(k, dim, n_seeds, seed=0, simplex_blocks=False, max_iter=100):
+    """The CVT build: the library's draws of the cloud and of the starting
+    subset, then `lloyd`."""
+    rng = np.random.default_rng(seed)
+    if simplex_blocks:
+        points = sample_simplex_blocks(rng, n_seeds, dim)
+    else:
+        points = rng.random((n_seeds, dim))
+    return lloyd(points, points[np.sort(rng.choice(n_seeds, size=k, replace=False))], max_iter)

@@ -1,5 +1,8 @@
 import ast
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,13 +15,14 @@ import oracles
 import qdswarm.archive as archive_module
 from qdswarm.archive import (
     ASSIGN_CHUNK,
+    FLOAT64_ROUNDING,
     TABLE_BLOCK,
     Archive,
     Elite,
-    _assign,
     _Float32Screen,
     _label_means,
-    _squared_norms,
+    _lloyd,
+    _score_error,
     generate_cvt_centroids,
     hbd_bins,
     load_archive,
@@ -279,11 +283,19 @@ def assignments(draw):
     return points * scale, centroids * scale
 
 
+def _assign(points, centroids):
+    """The labels of one Lloyd assignment: a build's first pass."""
+    screen = _Float32Screen(points, centroids)
+    screen.assign()
+    return screen.labels
+
+
 def _screen(points, centroids):
-    """The labels and the float64-ranked rows of one float32 screen pass."""
-    labels = np.empty(len(points), dtype=np.int64)
-    band = _Float32Screen(centroids, _squared_norms(centroids), len(points)).assign(points, labels)
-    return labels, band
+    """The labels and the float64-ranked rows of one float32 screen pass (of
+    a single chunk, which falls back to float64 in no test using this)."""
+    screen = _Float32Screen(points, centroids)
+    screen.assign()
+    return screen.labels, np.flatnonzero(screen.lower == -np.inf)
 
 
 @pytest.fixture
@@ -350,6 +362,250 @@ class TestScreenedAssign:
 
 
 @st.composite
+def lloyd_clouds(draw):
+    """A seed cloud, a starting subset of it and an iteration count for
+    Lloyd's loop: 1024-d simplex-block points as in the spirit archive or
+    10-d uniform ones as in sdbc. Some points are midpoints of two seed
+    points or moved from one by 1e-9 to 1e-5 of their distance, and some
+    repeat another point, so that starting centroids may be duplicated and
+    points sit exactly on them. Every coordinate is scaled by 1e-3, 1 or
+    1e3, and some clouds run past one ASSIGN_CHUNK into a partial chunk."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([10, 1024]))
+    count = draw(st.one_of(st.integers(2, 120), st.integers(ASSIGN_CHUNK + 1, ASSIGN_CHUNK + 120)))
+    points = sample_simplex_blocks(rng, count, dim) if dim == 1024 else rng.random((count, dim))
+    mix = draw(st.sampled_from([(1, 0, 0, 0), (0.6, 0.2, 0.1, 0.1), (0.4, 0.2, 0.2, 0.2)]))
+    kind = rng.choice(4, size=count, p=mix)
+    i, j = rng.integers(0, count, size=(2, count))
+    mid, moved = kind >= 2, kind == 3
+    points[mid] = (points[i[mid]] + points[j[mid]]) / 2.0
+    step = rng.choice([-1.0, 1.0], size=moved.sum()) * 10.0 ** rng.uniform(-9, -5, size=moved.sum())
+    points[moved] += step[:, None] * (points[j[moved]] - points[i[moved]])
+    copies = np.flatnonzero(kind == 1)
+    if copies.size < count:
+        points[copies] = points[rng.choice(np.flatnonzero(kind != 1), size=copies.size)]
+    k = draw(st.integers(1, min(64, count)))
+    start = points[np.sort(rng.choice(count, size=k, replace=False))]
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return points * scale, start * scale, draw(st.integers(1, 8))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Per Lloyd pass: the number of centroids that moved before it, and
+    the (points, columns) shape of each float32 score block it fills."""
+    log = []
+    assign, scores = _Float32Screen.assign, _Float32Screen._scores
+
+    def counted_assign(self):
+        log.append((len(self.moved), []))
+        return assign(self)
+
+    def counted_scores(self, rows, scaled, norms):
+        log[-1][1].append((len(rows), len(scaled)))
+        return scores(self, rows, scaled, norms)
+
+    monkeypatch.setattr(_Float32Screen, "assign", counted_assign)
+    monkeypatch.setattr(_Float32Screen, "_scores", counted_scores)
+    return log
+
+
+def _full_width_rows(monkeypatch):
+    """The points a `_Float32Screen` scores against every centroid, as a
+    list filled while it runs."""
+    rows, scores = [], _Float32Screen._scores
+
+    def recorded(self, index, scaled, norms):
+        if len(scaled) == len(self.centroids):
+            rows.extend(index.tolist())
+        return scores(self, index, scaled, norms)
+
+    monkeypatch.setattr(_Float32Screen, "_scores", recorded)
+    return rows
+
+
+class TestLloyd:
+    """The Lloyd loop, which scores again only the centroids that moved and
+    sums again only the clusters whose points changed, against the loop
+    that assigns every point and sums every cluster on every pass."""
+
+    @settings(deadline=None)
+    @given(lloyd_clouds())
+    def test_matches_the_reference_loop(self, case):
+        points, start, max_iter = case
+        want = oracles.lloyd(points, start, max_iter)
+        assert _lloyd(points, start.copy(), max_iter).tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([(2, False), (10, False), (16, True), (1024, True)]),
+        st.integers(1, 48),
+        st.one_of(st.integers(0, 100), st.integers(ASSIGN_CHUNK, ASSIGN_CHUNK + 100)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+    )
+    def test_build_matches_the_reference_build(self, shape, k, extra, seed, max_iter):
+        """Both `simplex_blocks` settings, from the same draws."""
+        dim, simplex = shape
+        args = (k, dim, k + extra, seed, simplex, max_iter)
+        assert generate_cvt_centroids(*args).tobytes() == oracles.generate_cvt_centroids(*args).tobytes()
+
+    def test_later_passes_score_bounded_points_against_the_moved_centroids(self, passes):
+        """On the spirit-chunks pin cloud the first pass scores every point
+        against all k centroids, and each later pass scores the points that
+        carry bounds against the fewer than k that moved, and all k columns
+        only for the rest. (Its two full chunks hold more band candidates
+        than `_rank` takes, so the float64 product scores them on every
+        pass and they carry no bounds.)"""
+        (k, dim, n_seeds, seed, simplex), _, _ = TestCvtPins.PINS["spirit-chunks"]
+        generate_cvt_centroids(k, dim, n_seeds, seed=seed, simplex_blocks=simplex, max_iter=6)
+        (moved, blocks), *later = passes
+        assert moved == k and blocks == [(ASSIGN_CHUNK, k)] * 2 + [(n_seeds - 2 * ASSIGN_CHUNK, k)]
+        assert len(later) == 5
+        for moved, blocks in later:
+            assert 0 < moved < k
+            assert (n_seeds - 2 * ASSIGN_CHUNK, moved) in blocks
+            assert {cols for _, cols in blocks} == {moved, k}
+            assert sum(rows for rows, cols in blocks if cols == k) < n_seeds
+
+    def test_an_update_that_moves_nothing_ends_the_loop(self, passes, monkeypatch):
+        """The sdbc pin cloud converges: its last update moves no centroid
+        and shifts by exactly 0, and no pass follows it; the reference loop
+        runs as many passes. With one seed per centroid the first update
+        moves nothing."""
+        (k, dim, n_seeds, seed, simplex), _, _ = TestCvtPins.PINS["sdbc"]
+        updates, move = [], archive_module._move_to_means
+
+        def recorded(*args):
+            moved, shift = move(*args)
+            updates.append((len(moved), shift))
+            return moved, shift
+
+        monkeypatch.setattr(archive_module, "_move_to_means", recorded)
+        reference, assign = [], oracles.assign
+        monkeypatch.setattr(oracles, "assign", lambda *args: reference.append(1) or assign(*args))
+        centroids = generate_cvt_centroids(k, dim, n_seeds, seed=seed, max_iter=100)
+        want = oracles.generate_cvt_centroids(k, dim, n_seeds, seed=seed, max_iter=100)
+        assert centroids.tobytes() == want.tobytes()
+        assert updates[-1] == (0, 0.0) and all(moved for moved, _ in updates[:-1])
+        assert len(passes) == len(updates) == len(reference) < 100
+        passes.clear()
+        generate_cvt_centroids(64, 10, 64, seed=1, max_iter=5)
+        assert len(passes) == 1
+
+    def test_point_on_a_duplicated_moved_centroid_falls_back_by_its_chunk(self, fallbacks, monkeypatch):
+        """Two centroids move onto a far point of the partial chunk for the
+        second pass, so the point ties exactly between them. The float64
+        product then scores that point's whole reference chunk, rows
+        ASSIGN_CHUNK on, and nothing else."""
+        rng = np.random.default_rng(8)
+        points = rng.random((ASSIGN_CHUNK + 100, 10))
+        points[ASSIGN_CHUNK + 7] = 5.0  # far from every other point
+        centroids = points[np.sort(rng.choice(ASSIGN_CHUNK, size=40, replace=False))]
+        screen = _Float32Screen(points, centroids)
+        screen.assign()
+        assert fallbacks == []
+        blocks, counted = [], archive_module._assign_exact
+        monkeypatch.setattr(
+            archive_module, "_assign_exact", lambda block, *args: blocks.append(block) or counted(block, *args)
+        )
+        centroids[[5, 31]] = points[ASSIGN_CHUNK + 7]
+        screen.move(np.array([5, 31]))
+        screen.assign()
+        assert screen.labels.tobytes() == oracles.assign(points, centroids).tobytes()
+        assert screen.labels[ASSIGN_CHUNK + 7] == 5
+        assert fallbacks == [100] and np.shares_memory(blocks[0], points[ASSIGN_CHUNK:])
+        assert (screen.lower[ASSIGN_CHUNK:] == -np.inf).all()
+
+    @pytest.mark.parametrize("bounds, kept", [(0.5, False), (2.0, True)])
+    def test_kept_label_clears_its_bounds_by_two_float64_bounds(self, monkeypatch, bounds, kept):
+        """The point at the origin keeps its unmoved centroid only when its
+        lower bound exceeds its upper bound by more than 2 E64, the float64
+        bound at its reach 3.5; within that it is scored against every
+        centroid. Its bounds are set by hand (true ones: its scores are 1,
+        2.25 and 12.25), and the moved centroid scores far above both."""
+        points = np.array([[0.0], [-1.5], [3.0]])
+        centroids = points.copy()
+        centroids[0] = 1.0
+        screen = _Float32Screen(points, centroids)
+        screen.assign()
+        centroids[2] = 3.5
+        screen.move(np.array([2]))
+        margin = 2.0 * _score_error(1, 3.5, *FLOAT64_ROUNDING)
+        screen.upper[0], screen.lower[0] = 1.0, 1.0 + bounds * margin
+        rescored = _full_width_rows(monkeypatch)
+        screen.assign()
+        assert screen.labels.tolist() == oracles.assign(points, centroids).tolist() == [0, 1, 2]
+        assert (0 not in rescored) == kept
+
+    def test_point_whose_centroid_moved_away_takes_the_nearer_unmoved_one(self):
+        """At the origin the scores are 1, 4 and 25; moving the first
+        centroid to 3 makes the second nearest, which only a fresh upper
+        bound on the moved one's score can tell."""
+        points = np.array([[0.0], [2.0], [-5.0]])
+        centroids = np.array([[1.0], [2.0], [-5.0]])
+        screen = _Float32Screen(points, centroids)
+        screen.assign()
+        centroids[0] = 3.0
+        screen.move(np.array([0]))
+        screen.assign()
+        assert screen.labels.tolist() == oracles.assign(points, centroids).tolist() == [1, 1, 2]
+
+    def test_band_point_is_scored_against_every_centroid_next_pass(self, monkeypatch):
+        """The origin is ranked in float64 in the first pass (a gap of 8
+        float32 steps, as in the margin test above) and keeps no bounds, so
+        the next pass scores it against every centroid and finds that the
+        first one moved away."""
+        centroids = np.array([[1.0], [np.sqrt(1.0 + 8 * 2.0**-23)], [-1.5]])
+        points = np.array([[0.0]] + [[-1.5]] * 7)
+        screen = _Float32Screen(points, centroids)
+        screen.assign()
+        assert screen.labels[0] == 0 and screen.lower[0] == -np.inf
+        centroids[0] = 2.0
+        screen.move(np.array([0]))
+        rescored = _full_width_rows(monkeypatch)
+        screen.assign()
+        assert rescored == [0]
+        assert screen.labels.tolist() == oracles.assign(points, centroids).tolist() == [1] + [2] * 7
+
+
+# Runs the CVT pins and the assignment and Lloyd tests in a fresh
+# interpreter, with a hypothesis profile that derandomises them and cuts the
+# examples of the tests that do not set their own count.
+_UNDER_ANOTHER_KERNEL = """
+import sys
+import pytest
+
+class Profile:
+    def pytest_configure(self, config):
+        from hypothesis import settings
+        settings.register_profile("kernel", derandomize=True, max_examples=20, database=None)
+        settings.load_profile("kernel")
+
+sys.exit(pytest.main(["-q", "-s", "-p", "no:cacheprovider", *sys.argv[1:]], plugins=[Profile()]))
+"""
+
+
+def test_cvt_bits_hold_under_another_blas_kernel():
+    """The screened assignment and the Lloyd loop claim the float64
+    product's labels on whatever BLAS kernel runs them. OpenBLAS built with
+    DYNAMIC_ARCH (as in the numpy wheel) takes OPENBLAS_CORETYPE to run its
+    Haswell kernel, which groups sums otherwise than an AVX-512 one."""
+    root = Path(__file__).resolve().parent.parent
+    module = Path(__file__).resolve()
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    tests = [f"{module}::{name}" for name in ("TestCvtPins", "TestScreenedAssign", "TestLloyd")]
+    run = subprocess.run(
+        [sys.executable, "-c", _UNDER_ANOTHER_KERNEL, *tests],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    if "Core: Haswell" not in run.stderr:
+        pytest.skip("this BLAS cannot be made to run OpenBLAS's Haswell kernel")
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
+@st.composite
 def labelled_clouds(draw):
     """Points labelled into k clusters of 0 to 40 rows each, in random row
     order, with magnitudes mixed over 16 decades."""
@@ -361,12 +617,18 @@ def labelled_clouds(draw):
     return points, labels, len(sizes)
 
 
+def _label_sums(points, labels, k):
+    """`_label_means` over every label of a labelled cloud, and the counts."""
+    counts = np.bincount(labels, minlength=k)
+    return _label_means(points, np.argsort(labels, kind="stable"), counts), counts
+
+
 class TestLabelMeans:
     @settings(max_examples=200, deadline=None)
     @given(labelled_clouds())
     def test_matches_reduceat(self, cloud):
         points, labels, k = cloud
-        sums, counts = _label_means(points, labels, k)
+        sums, counts = _label_sums(points, labels, k)
         want_sums, want_counts = oracles.label_means(points, labels, k)
         assert sums.tobytes() == want_sums.tobytes()
         assert np.array_equal(counts, want_counts)
@@ -378,7 +640,7 @@ class TestLabelMeans:
         sizes = [9, 70, 3, 300, 40, 0, 65, 12, 1, 129]
         labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
         points = rng.standard_normal((len(labels), 1024)) * 10.0 ** rng.integers(-8, 9, (len(labels), 1024))
-        sums, counts = _label_means(points, labels, len(sizes))
+        sums, counts = _label_sums(points, labels, len(sizes))
         want_sums, want_counts = oracles.label_means(points, labels, len(sizes))
         assert sums.tobytes() == want_sums.tobytes()
         assert np.array_equal(counts, want_counts)
@@ -386,7 +648,7 @@ class TestLabelMeans:
     def test_signed_zeros_kept(self):
         points = np.array([[-0.0], [-0.0], [-0.0], [1.0], [-0.0]])
         labels = np.array([0, 0, 0, 2, 3])
-        sums, _ = _label_means(points, labels, 4)
+        sums, _ = _label_sums(points, labels, 4)
         want, _ = oracles.label_means(points, labels, 4)
         assert sums.tobytes() == want.tobytes()
 
